@@ -17,7 +17,10 @@ scenario).  Definitions:
   the nearest preceding breaker or source event;
 * power sharing error: worst-pair |(P_i/P_j) - (m_pj/m_pi)| over the final
   second, across inverters ending the run in forming mode;
-* guard audit summary and the power-balance worst residual.
+* guard audit summary and the power-balance worst residual;
+* ``solver``: constant-power Newton iterations per control step (mean and
+  max; 1 when the warm start already solves it, 0 without CP loads) and the
+  worst pre-refinement nodal residual of the network solve.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ def compute_metrics(result) -> dict:
                 "power_sharing_error": None,
                 "guard_audit": _guard_summary(result),
                 "power_balance_max_residual": result.max_residual,
+                "solver": result.solver,
             }
         )
         return out
@@ -111,6 +115,7 @@ def compute_metrics(result) -> dict:
     out["power_sharing_error"] = _sharing_error(result)
     out["guard_audit"] = _guard_summary(result)
     out["power_balance_max_residual"] = result.max_residual
+    out["solver"] = result.solver
     return out
 
 

@@ -3,8 +3,11 @@
 Buses, lines, breakers, loads and voltage sources are solved algebraically at
 every control step.  Voltage sources (the utility "grid emulator" and
 grid-forming inverters) are folded in as Norton equivalents; grid-following
-inverters enter as current injections; constant-power loads are resolved with
-a damped fixed-point iteration on their injected current.
+inverters enter as current injections; constant-power loads are resolved by
+Newton-Raphson on the voltages of the buses that carry them, warm-started
+from the previous step.  A constant-power demand beyond what the network can
+deliver (past the nose of the P-V curve) aborts the solve with a
+NonConvergenceError that names the loadability limit.
 
 All impedances and powers here are in system per-unit.  Phasors live in a
 common reference frame rotating at the nominal frequency; off-nominal
@@ -33,7 +36,12 @@ class UnknownElementError(KeyError):
 
 
 class NonConvergenceError(RuntimeError):
-    """The constant-power load fixed point failed to converge."""
+    """Newton on the constant-power bus voltages found no solution.
+
+    Raised when its Jacobian goes singular, a CP-bus voltage collapses below
+    ``CP_V_COLLAPSE`` or ``CP_MAX_ITERS`` steps run out; each means the
+    demand is at or beyond the loadability limit.
+    """
 
     def __init__(self, message: str, iterations: int = 0):
         super().__init__(message)
@@ -42,7 +50,8 @@ class NonConvergenceError(RuntimeError):
 
 CP_MAX_ITERS = 50
 CP_TOL = 1e-10
-CP_DAMPING = 0.7
+CP_V_COLLAPSE = 1e-3  # pu; a CP-bus voltage below this is a collapse
+CP_DET_MIN = 1e-12  # Newton Jacobian determinant treated as singular
 
 
 @dataclass(slots=True)
@@ -229,7 +238,8 @@ class Network:
         self._version = 0
         self._cache_version = -1
         self._cache: dict = {}
-        self._v_warm: np.ndarray | None = None
+        # (CP-bus voltages, their open-circuit voltages) of the last solve
+        self._cp_warm: tuple | None = None
 
     def _check_bus(self, bus: str) -> None:
         if bus not in self.bus_index:
@@ -372,9 +382,22 @@ class Network:
                 y[eidx[src.bus], eidx[src.bus]] += 1.0 / src.z_s
         for bus, z in self.formers.values():
             y[eidx[bus], eidx[bus]] += 1.0 / z
+        z_loads = []  # (bus position, conj(y)) of energized impedance loads
         for ld in self.loads.values():
             if isinstance(ld, ConstantImpedanceLoad) and ld.bus in eidx:
                 y[eidx[ld.bus], eidx[ld.bus]] += 1.0 / ld.z
+                z_loads.append((self.bus_index[ld.bus], (1.0 / ld.z).conjugate()))
+        yinv = np.linalg.inv(y) if n else np.zeros((0, 0), dtype=complex)
+
+        # constant-power loads: Newton works on the voltages of the buses
+        # that carry them (loads sharing a bus are summed)
+        cp_loads = [
+            ld
+            for ld in self.loads.values()
+            if isinstance(ld, ConstantPowerLoad) and ld.bus in eidx
+        ]
+        cp_bus = list(dict.fromkeys(eidx[ld.bus] for ld in cp_loads))
+        cp_slot = [(ld, cp_bus.index(eidx[ld.bus])) for ld in cp_loads]
 
         line_from = np.array(
             [self.bus_index[ln.from_bus] for ln in eff_lines], dtype=np.intp
@@ -384,28 +407,54 @@ class Network:
         )
         line_y = np.array([1.0 / ln.z for ln in eff_lines], dtype=complex)
         line_z = np.array([ln.z for ln in eff_lines], dtype=complex)
+        loaded = {ld.bus for ld in self.loads.values()}
         self._cache = {
             "islands": islands,
             "island_of": island_of,
             "island_sources": island_sources,
             "energized": energized,
             "eidx": eidx,
+            # scatter index: energized position -> bus position
+            "e_full": np.array(
+                [self.bus_index[b] for b in energized], dtype=np.intp
+            ),
+            # Norton sources in solve order: (source, energized index or None)
+            "sources": [
+                (src, eidx.get(src.bus)) for src in self.grid_sources.values()
+            ],
+            "formers": [
+                (key, eidx[bus], z) for key, (bus, z) in self.formers.items()
+            ],
             "y": y,
-            "yinv": np.linalg.inv(y) if n else np.zeros((0, 0), dtype=complex),
-            "eff_lines": eff_lines,
+            "yinv": yinv,
+            "z_loads": z_loads,
             "line_from": line_from,
             "line_to": line_to,
             "line_y": line_y,
             "line_z": line_z,
-            "cp_loads": [
-                ld
-                for ld in self.loads.values()
-                if isinstance(ld, ConstantPowerLoad) and ld.bus in eidx
-            ],
+            "cp_bus": cp_bus,
+            "cp_slot": cp_slot,
+            "z_cp": yinv[np.ix_(cp_bus, cp_bus)],
+            "yinv_cp": yinv[:, cp_bus],
             "de_energized": de_energized,
+            "de_energized_with_load": [
+                isl for isl in de_energized if any(b in loaded for b in isl)
+            ],
         }
         self._cache_version = self._version
-        self._v_warm = None
+        self._cp_warm = None
+
+    def _cp_start(self, w_c):
+        """Newton's starting CP-bus voltages for open-circuit voltages ``w_c``.
+
+        The last solve's voltages, carried along with the change in the
+        open-circuit voltage (sources rotate a little every step in an
+        island off nominal frequency); ``w_c`` itself after a topology change.
+        """
+        if self._cp_warm is None:
+            return w_c
+        x_prev, w_prev = self._cp_warm
+        return x_prev * (w_c / w_prev)
 
     def solve(
         self,
@@ -429,102 +478,94 @@ class Network:
         former_emfs = former_emfs or {}
         injections = injections or {}
 
-        i_base = np.zeros(n, dtype=complex)
-        for src in self.grid_sources.values():
-            k = eidx.get(src.bus)
+        base = [0j] * n
+        for src, k in c["sources"]:
             if k is not None:
-                i_base[k] += src.e / src.z_s
-        for key, (bus, z) in self.formers.items():
-            i_base[eidx[bus]] += former_emfs.get(key, 0j) / z
+                base[k] += src.e / src.z_s
+        for key, k, z in c["formers"]:
+            base[k] += former_emfs.get(key, 0j) / z
         for bus, inj in injections.items():
             k = eidx.get(bus)
             if k is not None:
-                i_base[k] += inj
+                base[k] += inj
+        i_base = np.array(base, dtype=complex)
 
-        cp_loads: list[ConstantPowerLoad] = c["cp_loads"]
         cp_currents: dict[str, complex] = {}
         iterations = 0
         residual = 0.0
-        if not cp_loads:
+        if not c["cp_bus"]:
             v = yinv @ i_base
             if n:
                 # one refinement pass; the pre-refinement residual bounds the
                 # returned solution's residual from above
                 r = i_base - y @ v
-                residual = float(np.max(np.abs(r)))
+                residual = float(np.abs(r).max())
                 v += yinv @ r
         else:
-            v = self._v_warm if self._v_warm is not None else yinv @ i_base
-            i_cp = np.zeros(n, dtype=complex)
-            for it in range(1, CP_MAX_ITERS + 1):
-                iterations = it
-                target = np.zeros(n, dtype=complex)
-                for ld in cp_loads:
-                    k = eidx[ld.bus]
-                    vb = v[k]
-                    vm = abs(vb)
-                    if vm < 1e-3:
-                        vb = vb / vm * 1e-3 if vm > 0 else 1e-3 + 0j
-                    target[k] -= complex(ld.p, ld.q).conjugate() / vb.conjugate()
-                i_cp = i_cp + CP_DAMPING * (target - i_cp)
-                v_new = yinv @ (i_base + i_cp)
-                dv = float(np.max(np.abs(v_new - v))) if n else 0.0
-                v = v_new
-                if dv <= CP_TOL:
-                    break
-            else:
-                raise NonConvergenceError(
-                    "constant-power load iteration exceeded "
-                    f"{CP_MAX_ITERS} iterations (last dv={dv:.3e})",
-                    iterations,
+            # setpoints are read every solve: a load step on a CP load does
+            # not change the topology, so nothing about them is cached
+            cp_bus = c["cp_bus"]
+            s = [0j] * len(cp_bus)
+            for ld, j in c["cp_slot"]:
+                s[j] += complex(ld.p, ld.q)
+            w = yinv @ i_base
+            if len(cp_bus) == 1:
+                k = cp_bus[0]
+                w_c = complex(w[k])
+                x, iterations = _newton_cp_scalar(
+                    w_c, self._cp_start(w_c), c["z_cp"][0, 0], s[0]
                 )
-            r = (i_base + i_cp) - y @ v
-            residual = float(np.max(np.abs(r))) if n else 0.0
+                i_cp = -s[0].conjugate() / x.conjugate()
+                v = w + c["yinv_cp"][:, 0] * i_cp
+                i_base[k] += i_cp
+                x_bus = [x]
+            else:
+                w_c = w[cp_bus]
+                x, iterations = _newton_cp_block(
+                    w_c, self._cp_start(w_c), c["z_cp"], np.array(s)
+                )
+                i_cp = -np.conj(s) / np.conj(x)
+                v = w + c["yinv_cp"] @ i_cp
+                i_base[cp_bus] += i_cp
+                x_bus = x.tolist()
+            self._cp_warm = (x, w_c)
+            r = i_base - y @ v
+            residual = float(np.abs(r).max())
             v += yinv @ r
-            for ld in cp_loads:
-                cp_currents[ld.id] = complex(i_cp[eidx[ld.bus]])
-            self._v_warm = v.copy()
+            for ld, j in c["cp_slot"]:
+                cp_currents[ld.id] = -complex(ld.p, -ld.q) / x_bus[j].conjugate()
 
         # negative-sequence pass shares the same admittance matrix
         v_neg = None
-        if any(src.e_neg != 0 for src in self.grid_sources.values()):
-            i_neg = np.zeros(n, dtype=complex)
-            for src in self.grid_sources.values():
-                k = eidx.get(src.bus)
+        if any(src.e_neg != 0 for src, _ in c["sources"]):
+            i_neg = [0j] * n
+            for src, k in c["sources"]:
                 if k is not None and src.e_neg != 0:
                     i_neg[k] += src.e_neg / src.z_s
-            vn = yinv @ i_neg
-            v_neg_full = np.zeros(len(self.buses), dtype=complex)
-            for b, k in eidx.items():
-                v_neg_full[self.bus_index[b]] = vn[k]
-            v_neg = v_neg_full
+            v_neg = np.zeros(len(self.buses), dtype=complex)
+            v_neg[c["e_full"]] = yinv @ np.array(i_neg, dtype=complex)
 
         v_full = np.zeros(len(self.buses), dtype=complex)
-        for b, k in eidx.items():
-            v_full[self.bus_index[b]] = v[k]
+        v_full[c["e_full"]] = v
 
         branch_currents = (v_full[c["line_from"]] - v_full[c["line_to"]]) * c["line_y"]
 
+        vl = v.tolist()
         former_currents: dict[str, complex] = {}
-        for src in self.grid_sources.values():
-            vb = complex(v_full[self.bus_index[src.bus]])
-            former_currents[src.id] = (src.e - vb) / src.z_s if src.bus in eidx else 0j
-        for key, (bus, z) in self.formers.items():
-            vb = complex(v_full[self.bus_index[bus]])
-            former_currents[key] = (former_emfs.get(key, 0j) - vb) / z
+        for src, k in c["sources"]:
+            former_currents[src.id] = (src.e - vl[k]) / src.z_s if k is not None else 0j
+        for key, k, z in c["formers"]:
+            former_currents[key] = (former_emfs.get(key, 0j) - vl[k]) / z
 
         state = NetworkState(
             t, self.buses, self.bus_index, v_full, v_neg,
             branch_currents, former_currents, cp_currents,
         )
-        loaded = {ld.bus for ld in self.loads.values()}
         report = SolveReport(
             cp_iterations=iterations,
             residual=residual,
             de_energized=c["de_energized"],
-            de_energized_with_load=[
-                isl for isl in c["de_energized"] if any(b in loaded for b in isl)
-            ],
+            de_energized_with_load=c["de_energized_with_load"],
         )
         return state, report
 
@@ -534,34 +575,123 @@ class Network:
         former_emfs: dict[str, complex] | None = None,
         injections: dict[str, complex] | None = None,
     ) -> float:
-        """|sum(sources) - sum(loads) - sum(losses)| for the solved state."""
+        """|sum(sources) - sum(loads) - sum(losses)| for the solved state.
+
+        Each voltage source delivers its EMF's power less the loss in its own
+        impedance, ``(E - z I) conj(I)``; injections and constant-power loads
+        are currents into their bus, ``V conj(I)``; impedance loads and lines
+        dissipate ``|V|^2 conj(y)`` and ``|I|^2 z``.  The element lists are
+        built per topology, so this is one pass over them plus one dot
+        product over the lines.
+        """
+        c = self._cache
         former_emfs = former_emfs or {}
-        injections = injections or {}
-        s_src = 0j
-        s_loss = 0j
-        for src in self.grid_sources.values():
-            i = state.former_currents.get(src.id, 0j)
-            s_src += src.e * i.conjugate()
-            s_loss += abs(i) ** 2 * src.z_s
-        for key, (bus, z) in self.formers.items():
-            i = state.former_currents.get(key, 0j)
-            s_src += former_emfs.get(key, 0j) * i.conjugate()
-            s_loss += abs(i) ** 2 * z
-        for bus, inj in injections.items():
-            s_src += state.v(bus) * inj.conjugate()
-        s_load = 0j
-        for ld in self.loads.values():
-            vb = state.v(ld.bus)
-            if isinstance(ld, ConstantImpedanceLoad):
-                s_load += abs(vb) ** 2 * (1.0 / ld.z).conjugate()
-            else:
-                i_cp = state.cp_currents.get(ld.id)
-                if i_cp is not None:
-                    s_load += vb * (-i_cp).conjugate()
+        v = state.v_pos.tolist()
+        currents = state.former_currents
+        s = 0j
+        for src, _ in c["sources"]:
+            i = currents[src.id]
+            s += (src.e - src.z_s * i) * i.conjugate()
+        for key, _, z in c["formers"]:
+            i = currents[key]
+            s += (former_emfs.get(key, 0j) - z * i) * i.conjugate()
+        for bus, inj in (injections or {}).items():
+            s += v[self.bus_index[bus]] * inj.conjugate()
+        for ld, _ in c["cp_slot"]:
+            s += v[self.bus_index[ld.bus]] * state.cp_currents[ld.id].conjugate()
+        for b, y_conj in c["z_loads"]:
+            vb = v[b]
+            s -= (vb.real * vb.real + vb.imag * vb.imag) * y_conj
         ib = state.branch_currents
-        if len(ib):
-            s_loss += complex(np.dot(np.abs(ib) ** 2, self._cache["line_z"]))
-        return abs(s_src - s_load - s_loss)
+        return abs(s - np.vdot(ib, c["line_z"] * ib))
+
+
+def _newton_cp_scalar(
+    w: complex, x: complex, z: complex, s: complex
+) -> tuple[complex, int]:
+    """Newton-Raphson on the voltage of a single constant-power bus.
+
+    Solves ``F(x) = x - w + z * conj(s) / conj(x) = 0``: ``w`` is the voltage
+    the rest of the network gives the bus with the CP load removed, ``z``
+    the bus's own entry of the inverse admittance matrix and ``s`` the power
+    the bus draws; ``x`` is the starting voltage.  The CP current
+    ``-conj(s)/conj(x)`` is not holomorphic, so each step solves
+    ``d + beta * conj(d) = g`` with ``g = -F`` and
+    ``beta = -z * conj(s) / conj(x)**2``, whose closed form is
+    ``d = (g - beta * conj(g)) / (1 - |beta|^2)`` (Tinney & Hart 1967).
+    Stops when ``|F| <= CP_TOL`` (pu volts) and returns the voltage and
+    the number of evaluations of ``F``: 1 when the start already solves it.
+    """
+    z = complex(z)
+    sb = s.conjugate()
+    for it in range(1, CP_MAX_ITERS + 1):
+        _check_collapse(abs(x), it)
+        xb = x.conjugate()
+        u = sb / xb
+        g = w - x - z * u
+        if abs(g) <= CP_TOL:
+            return x, it
+        beta = -z * u / xb
+        det = 1.0 - (beta.real * beta.real + beta.imag * beta.imag)
+        _check_singular(det, it)
+        x += (g - beta * g.conjugate()) / det
+    raise _not_converged(abs(g))
+
+
+def _newton_cp_block(
+    w: np.ndarray, x: np.ndarray, z: np.ndarray, s: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Newton-Raphson on the voltages of m > 1 constant-power buses.
+
+    The same iteration as ``_newton_cp_scalar`` with ``z`` the m x m block of
+    the inverse admittance matrix between the CP buses.  The step equation
+    ``d + beta @ conj(d) = g``, ``beta[i, j] = -z[i, j] conj(s[j]) /
+    conj(x[j])**2``, is solved as the real 2m x 2m system
+    ``[[I + Re beta, Im beta], [Im beta, I - Re beta]] [Re d; Im d] = [Re g; Im g]``.
+    """
+    m = len(x)
+    sb = np.conj(s)
+    eye = np.eye(m)
+    for it in range(1, CP_MAX_ITERS + 1):
+        _check_collapse(float(np.min(np.abs(x))), it)
+        xb = np.conj(x)
+        u = sb / xb
+        g = w - x - z @ u
+        if float(np.max(np.abs(g))) <= CP_TOL:
+            return x, it
+        beta = -z * (u / xb)
+        jac = np.block([[eye + beta.real, beta.imag], [beta.imag, eye - beta.real]])
+        _check_singular(float(np.linalg.det(jac)), it)
+        step = np.linalg.solve(jac, np.concatenate((g.real, g.imag)))
+        x = x + (step[:m] + 1j * step[m:])
+    raise _not_converged(float(np.max(np.abs(g))))
+
+
+def _not_converged(last_mismatch: float) -> NonConvergenceError:
+    return NonConvergenceError(
+        "Newton on the constant-power bus voltages did not converge in "
+        f"{CP_MAX_ITERS} iterations (last |F|={last_mismatch:.3e} pu): "
+        "load beyond the loadability limit",
+        CP_MAX_ITERS,
+    )
+
+
+def _check_collapse(v_min: float, it: int) -> None:
+    if not v_min >= CP_V_COLLAPSE:
+        raise NonConvergenceError(
+            f"constant-power bus voltage collapsed to {v_min:.3e} pu: "
+            "load beyond the loadability limit",
+            it,
+        )
+
+
+def _check_singular(det: float, it: int) -> None:
+    if not det > CP_DET_MIN:
+        raise NonConvergenceError(
+            f"Newton Jacobian singular (det={det:.3e}): constant-power load "
+            "at or beyond the loadability limit (nose of the P-V curve)",
+            it,
+        )
 
 
 def apply_event(net: Network, event) -> None:

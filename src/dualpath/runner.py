@@ -154,6 +154,7 @@ class SimResult:
     transitions: list[TransitionRecord]
     guard_audit: list[GuardAuditRecord]
     events_log: list[tuple[float, str, str, str]]
+    solver: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
     aborted: bool = False
     abort_reason: str = ""
@@ -498,6 +499,8 @@ class Simulation:
         abort_reason = ""
         k = 0
         pending_jump: list[tuple[int, TransitionRecord]] = []
+        cp_iters_sum = cp_iters_max = 0
+        solve_residual_max = 0.0
         try:
             for k in range(rows):
                 t = k * self.dt
@@ -517,6 +520,11 @@ class Simulation:
                     if inv.plugged and inv.mode is Mode.GFL and inv.inj != 0j:
                         injections[inv.bus] = injections.get(inv.bus, 0j) + inv.inj
                 state, report = self.net.solve(t, emfs, injections)
+                cp_iters_sum += report.cp_iterations
+                if report.cp_iterations > cp_iters_max:
+                    cp_iters_max = report.cp_iterations
+                if report.residual > solve_residual_max:
+                    solve_residual_max = report.residual
                 _, island_of, energized = self.net.partition()
                 freqs = self._island_frequencies(island_of)
                 for isl in report.de_energized_with_load:
@@ -587,6 +595,11 @@ class Simulation:
             transitions=self.transitions,
             guard_audit=self.guard_audit,
             events_log=self.events_log,
+            solver={
+                "cp_iterations_mean": cp_iters_sum / rows if rows else 0.0,
+                "cp_iterations_max": cp_iters_max,
+                "residual_max": solve_residual_max,
+            },
             aborted=aborted,
             abort_reason=abort_reason,
             abort_step=k if aborted else -1,

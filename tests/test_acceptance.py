@@ -83,6 +83,21 @@ def test_criterion_01_network_solver(library):
     _ok(1, f"divider exact; worst balance residual {max(worst.values()):.2e}")
 
 
+def test_cp_newton_steps_per_solve(library):
+    # constant-power scenarios: Newton warm-started from the last step
+    from dualpath.network import ConstantPowerLoad
+
+    cp = {
+        name: res.metrics["solver"]
+        for name, res in library.items()
+        if any(isinstance(ld, ConstantPowerLoad) for ld in res.cfg.loads)
+    }
+    assert cp
+    assert all(s["cp_iterations_mean"] <= 3 for s in cp.values()), cp
+    for res in library.values():
+        assert res.metrics["solver"]["residual_max"] <= 1e-8
+
+
 def test_criterion_02_droop_sharing(library):
     res = library["sharing_droop"]
     tail = res.t >= res.t[-1] - 1.0

@@ -143,6 +143,114 @@ def test_solve_constant_power_nonconvergence_aborts():
         net.solve(0.0)
 
 
+X_EDGE = 0.1 + 1e-6  # source reactance plus the two_bus line
+P_MAX = 1 / (2 * X_EDGE)  # loadability limit of two_bus at unity pf
+
+
+@pytest.mark.parametrize("frac", [0.5, 0.9, 0.95, 0.99])
+def test_cp_newton_reaches_the_loadability_limit(frac):
+    # high root of V^4 - V^2 + (x p)^2 = 0 (E = 1, unity pf)
+    p = frac * P_MAX
+    net = two_bus(ConstantPowerLoad("cp", "ld", p, 0.0))
+    state, _ = net.solve(0.0)
+    v_ref = math.sqrt((1 + math.sqrt(1 - (2 * X_EDGE * p) ** 2)) / 2)
+    assert abs(abs(state.v("ld")) - v_ref) < 1e-8
+
+
+def test_cp_beyond_the_loadability_limit_aborts_naming_it():
+    net = two_bus(ConstantPowerLoad("cp", "ld", 1.01 * P_MAX, 0.0))
+    with pytest.raises(NonConvergenceError, match="loadability limit"):
+        net.solve(0.0)
+
+
+def cp_fixed_point_oracle(net, damping=0.7, tol=1e-14, max_iters=5000):
+    """Bus voltages by the damped fixed point on the CP-load currents.
+
+    Independent of the solver: Y comes from ``build_ybus`` plus the shunts,
+    and each CP bus draws the sum of its loads' conj(S / V).  Valid for a
+    network with every bus energized and no breakers.
+    """
+    idx = net.bus_index
+    y = build_ybus(net.buses, net.lines)
+    i_base = np.zeros(len(net.buses), dtype=complex)
+    for src in net.grid_sources.values():
+        y[idx[src.bus], idx[src.bus]] += 1 / src.z_s
+        i_base[idx[src.bus]] += src.e / src.z_s
+    cp = []
+    for ld in net.loads.values():
+        if isinstance(ld, ConstantImpedanceLoad):
+            y[idx[ld.bus], idx[ld.bus]] += 1 / ld.z
+        else:
+            cp.append((idx[ld.bus], complex(ld.p, ld.q)))
+    yinv = np.linalg.inv(y)
+    v = yinv @ i_base
+    i_cp = np.zeros_like(i_base)
+    for _ in range(max_iters):
+        target = np.zeros_like(i_base)
+        for k, s in cp:
+            target[k] -= s.conjugate() / v[k].conjugate()
+        i_cp += damping * (target - i_cp)
+        v_new = yinv @ (i_base + i_cp)
+        if np.max(np.abs(v_new - v)) <= tol:
+            return v_new
+        v = v_new
+    raise AssertionError("oracle fixed point did not converge")
+
+
+def multi_cp_network():
+    # CP loads on two buses, two of them sharing bus d
+    return Network(
+        buses=["a", "b", "c", "d"],
+        lines=[
+            Line("a", "b", 0.01, 0.08),
+            Line("b", "c", 0.02, 0.1),
+            Line("b", "d", 0.015, 0.12),
+            Line("c", "d", 0.03, 0.15),
+        ],
+        grid_sources=[GridSource("g", "a", 1.0 + 0j, 0.002 + 0.02j)],
+        loads=[
+            ConstantImpedanceLoad("z1", "b", 2.0 + 0.5j),
+            ConstantPowerLoad("p1", "c", 0.2, 0.05),
+            ConstantPowerLoad("p2", "d", 0.15, 0.02),
+            ConstantPowerLoad("p3", "d", 0.1, -0.03),
+        ],
+    )
+
+
+def test_cp_newton_block_matches_fixed_point_oracle():
+    net = multi_cp_network()
+    state, rep = net.solve(0.0)
+    # quadratic convergence from the open-circuit start; a wrong Jacobian
+    # still converges here, but only linearly (9 evaluations with the
+    # Re(beta) blocks swapped)
+    assert 0 < rep.cp_iterations <= 5
+    v_ref = cp_fixed_point_oracle(net)
+    for bus in net.buses:
+        assert abs(state.v(bus) - v_ref[net.bus_index[bus]]) < 1e-9
+    # each load, and so each CP bus, takes exactly its setpoint
+    for bus, ids in (("c", ["p1"]), ("d", ["p2", "p3"])):
+        s_bus = sum(
+            state.v(bus) * (-state.cp_currents[i]).conjugate() for i in ids
+        )
+        s_set = sum(complex(net.loads[i].p, net.loads[i].q) for i in ids)
+        assert abs(s_bus - s_set) < 1e-10
+    for i in ("p1", "p2", "p3"):
+        ld = net.loads[i]
+        s = state.v(ld.bus) * (-state.cp_currents[i]).conjugate()
+        assert abs(s - complex(ld.p, ld.q)) < 1e-10
+    assert net.power_balance_residual(state) < 1e-10
+
+
+def test_cp_load_step_is_seen_by_the_next_solve():
+    # a CP load step leaves the topology (and its cache) as it was
+    net = two_bus(ConstantPowerLoad("cp", "ld", 0.5, 0.1))
+    net.solve(0.0)
+    apply_event(net, LoadStep("cp", dp=0.7, dq=-0.25))
+    state, _ = net.solve(1e-4)
+    s = state.v("ld") * (-state.cp_currents["cp"]).conjugate()
+    assert abs(s - complex(1.2, -0.15)) < 1e-10
+
+
 def test_branch_power_zero_flow_and_resistive():
     assert branch_power(1 + 0j, 1 + 0j, 0.1j) == 0
     s = branch_power(1.0 + 0j, 0.9 + 0j, 0.05 + 0j)
