@@ -1,10 +1,16 @@
 #!/usr/bin/env python3
 """Run the whole scenario library and print a one-line metric summary each.
 
-Usage: python scripts/run_library.py [--out OUT_DIR]
+Usage: python scripts/run_library.py [--out OUT_DIR] [--sha256]
+
+With ``--sha256`` the summary is replaced by one JSON object that maps each
+scenario to the sha256 of its ``timeseries.csv`` and ``events.csv`` (the
+format of ``tests/data/library_sha256.json``).
 """
 
 import argparse
+import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -14,6 +20,7 @@ from dualpath.runner import run
 from dualpath.scenario import load_config
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+OUTPUT_FILES = ("timeseries.csv", "events.csv")
 
 
 def fmt(x, spec=".3f"):
@@ -23,7 +30,23 @@ def fmt(x, spec=".3f"):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default="out")
+    ap.add_argument(
+        "--sha256", action="store_true",
+        help="print the sha256 of each scenario's timeseries.csv and events.csv",
+    )
     args = ap.parse_args()
+    if args.sha256:
+        hashes = {}
+        for path in sorted(SCENARIOS.glob("*.yaml")):
+            cfg = load_config(path)
+            out = Path(args.out) / cfg.name
+            run(cfg, out)
+            hashes[cfg.name] = {
+                name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in OUTPUT_FILES
+            }
+        print(json.dumps(hashes, indent=1, sort_keys=True))
+        return
 
     header = (
         f"{'scenario':24s} {'nadir Hz':>9s} {'settle s':>9s} {'det s':>7s} "

@@ -121,10 +121,10 @@ class DqFrame:
         return math.hypot(self.d, self.q)
 
 
-def clarke(abc: AbcSample) -> tuple[float, float]:
+def clarke(a: float, b: float, c: float) -> tuple[float, float]:
     """Amplitude-invariant Clarke transform (abc -> alpha/beta)."""
-    alpha = (2.0 / 3.0) * (abc.a - 0.5 * abc.b - 0.5 * abc.c)
-    beta = (abc.b - abc.c) / SQRT3
+    alpha = (2.0 / 3.0) * (a - 0.5 * b - 0.5 * c)
+    beta = (b - c) / SQRT3
     return alpha, beta
 
 

@@ -17,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .frames import TWO_PI, AbcSample, DqFrame, clarke
+from .frames import TWO_PI, clarke
 
 
 class UnderVoltageError(ValueError):
@@ -116,8 +116,11 @@ def init_locked(
     state.lock_timer = 0.2 if state.lock else 0.0
 
 
-def pll_step(v: AbcSample, dt: float, state: PllState, params: PllParams) -> PllState:
-    """Advance the DSOGI + SRF-PLL by one control step.
+def pll_step(
+    va: float, vb: float, vc: float, dt: float, state: PllState, params: PllParams
+) -> PllState:
+    """Advance the DSOGI + SRF-PLL by one control step on the phase samples
+    ``va, vb, vc``.
 
     The SOGI resonators are discretized trapezoidally (a forward-Euler
     resonator at a 10 kHz step carries enough phase error to break the
@@ -125,7 +128,8 @@ def pll_step(v: AbcSample, dt: float, state: PllState, params: PllParams) -> Pll
     The half-sample lag of the sampled input chain is compensated inside the
     phase detector so ``theta_est`` tracks the true instantaneous angle.
     """
-    alpha, beta = clarke(v)
+    alpha, beta = clarke(va, vb, vc)
+    omega_nom = params.omega_nom
 
     # phase detector from the pre-update states (everything at sample time),
     # with half-sample delay compensation
@@ -138,8 +142,8 @@ def pll_step(v: AbcSample, dt: float, state: PllState, params: PllParams) -> Pll
 
     # trapezoidal update of both SOGI pairs at the adapted center frequency
     w = state.omega_est
-    if w < 0.1 * params.omega_nom:
-        w = 0.1 * params.omega_nom
+    if w < 0.1 * omega_nom:
+        w = 0.1 * omega_nom
     k = params.sogi_k
     h = 0.5 * dt
     hw = h * w
@@ -163,18 +167,18 @@ def pll_step(v: AbcSample, dt: float, state: PllState, params: PllParams) -> Pll
         if state.uv_timer > params.uv_time:
             state.lock = False
         state.omega_est = state.omega_locked
-        state.pi_integrator = state.omega_locked - params.omega_nom
+        state.pi_integrator = state.omega_locked - omega_nom
         state.theta_est += state.omega_est * dt
         return state
     state.uv_timer = 0.0
 
     state.pi_integrator += params.ki * e_q * dt
-    limit = 0.2 * params.omega_nom
+    limit = 0.2 * omega_nom
     if state.pi_integrator > limit:
         state.pi_integrator = limit
     elif state.pi_integrator < -limit:
         state.pi_integrator = -limit
-    state.omega_est = params.omega_nom + state.pi_integrator + params.kp * e_q
+    state.omega_est = omega_nom + state.pi_integrator + params.kp * e_q
     state.theta_est += state.omega_est * dt
 
     state.q_filt += dt * params.q_filter_cutoff * (abs(e_q) - state.q_filt)
@@ -192,23 +196,24 @@ def pll_step(v: AbcSample, dt: float, state: PllState, params: PllParams) -> Pll
         and state.q_filt < params.lock_q_threshold
         and state.v_pos >= params.capture_v
     ):
-        state.omega_locked = params.omega_nom + state.pi_integrator
+        state.omega_locked = omega_nom + state.pi_integrator
     return state
 
 
 def current_refs_from_pq(
-    p_set: float, q_set: float, v: DqFrame, i_max: float = 1.2
+    p_set: float, q_set: float, v_d: float, v_q: float, i_max: float = 1.2
 ) -> tuple[float, float]:
-    """Invert p = vd*id + vq*iq, q = vq*id - vd*iq for the current references.
+    """Invert p = vd*id + vq*iq, q = vq*id - vd*iq for the current references
+    at the dq voltage ``(v_d, v_q)``.
 
     The result is clamped to ``i_max`` magnitude preserving the P:Q ratio.
     Raises UnderVoltageError below 0.05 pu voltage (injection suspended).
     """
-    det = v.d * v.d + v.q * v.q
+    det = v_d * v_d + v_q * v_q
     if det < 0.05 * 0.05:
         raise UnderVoltageError(f"voltage magnitude {math.sqrt(det):.4f} pu too low")
-    i_d = (p_set * v.d + q_set * v.q) / det
-    i_q = (p_set * v.q - q_set * v.d) / det
+    i_d = (p_set * v_d + q_set * v_q) / det
+    i_q = (p_set * v_q - q_set * v_d) / det
     mag = math.hypot(i_d, i_q)
     if mag > i_max:
         scale = i_max / mag

@@ -52,7 +52,7 @@ from .events import (
     SourceUnbalance,
     TimedEvent,
 )
-from .frames import A_OP, A_OP2, AbcSample, DqFrame, wrap_angle
+from .frames import A_OP, A_OP2, TWO_PI, wrap_angle
 from .guard import Setpoint, validate_setpoint
 from .network import Network, NonConvergenceError, apply_event
 from .pll import (
@@ -98,12 +98,21 @@ class _Inverter:
         "cfg", "id", "bus", "rating_pu", "z_c_sys", "params", "pll", "droop",
         "vz", "sup", "det", "recon", "plugged", "inj", "emf", "i_sys", "s_inv",
         "pending_mode", "pending_source", "uv_suspended", "reconnect_pending",
+        "bus_idx", "breaker", "from_idx", "to_idx", "meas",
     )
 
-    def __init__(self, cfg: InverterConfig, s_base: float, f_nom: float, dt: float):
+    def __init__(self, cfg: InverterConfig, s_base: float, f_nom: float, dt: float,
+                 net: Network):
         self.cfg = cfg
         self.id = cfg.id
         self.bus = cfg.bus
+        # bus positions in the solved voltage vectors.  While forming, the
+        # following path tracks the utility side of the watched breaker
+        # (config convention: 'from'), else the own bus.
+        self.bus_idx = net.bus_index[cfg.bus]
+        self.breaker = br = net.breakers.get(cfg.pcc_breaker)
+        self.from_idx = net.bus_index[br.from_bus] if br else self.bus_idx
+        self.to_idx = net.bus_index[br.to_bus] if br else self.bus_idx
         self.rating_pu = cfg.rating / s_base
         self.z_c_sys = cfg.z_c / self.rating_pu
         self.params = replace(cfg.droop)  # runtime setpoints mutate this copy
@@ -127,6 +136,7 @@ class _Inverter:
         self.pending_source = ""
         self.uv_suspended = False
         self.reconnect_pending = False
+        self.meas = PathMeasurements(0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
 
     @property
     def mode(self) -> Mode:
@@ -182,7 +192,7 @@ class Simulation:
             copy.deepcopy(cfg.loads),
         )
         self.invs = [
-            _Inverter(ic, cfg.base.s_base, self.f_nom, cfg.dt)
+            _Inverter(ic, cfg.base.s_base, self.f_nom, cfg.dt, self.net)
             for ic in cfg.inverters
         ]
         self.events: list[TimedEvent] = self._expand_events(cfg.events)
@@ -193,10 +203,29 @@ class Simulation:
         self.noise_std = cfg.output.noise_std
         self._dead_seen: set = set()
         self._by_id = {inv.id: inv for inv in self.invs}
+        # (transition, bus position) pairs whose one-step jump is measured
+        # on the next step
+        self._pending_jumps: list[tuple[TransitionRecord, int]] = []
+        # per-topology lookups (see _resolve_topology)
+        self._islands_version = -1
+        self._formers: list[_Inverter] = []
+        self._followers: list[_Inverter] = []
+        self._bus_island: list[int] = []
+        self._energized: list[bool] = []
+        self._island_grid: list[list] = []
+        self._island_gfm: list[list[_Inverter]] = []
         for inv in self.invs:
             if inv.plugged and inv.mode is Mode.GFM:
                 self.net.register_former(inv.id, inv.bus, inv.z_c_sys)
-        self._initialize()
+        self.init_rounds = 0
+        self.init_mismatch: float | None = None
+        # a failed initial solve is reported by run() as an abort before the
+        # first step
+        self.init_error: NonConvergenceError | None = None
+        try:
+            self._initialize()
+        except NonConvergenceError as exc:
+            self.init_error = exc
 
     @staticmethod
     def _expand_events(events: list[TimedEvent]) -> list[TimedEvent]:
@@ -217,7 +246,11 @@ class Simulation:
 
     def _initialize(self) -> None:
         """Find a self-consistent operating point so an event-free scenario
-        stays numerically flat from the first step."""
+        stays numerically flat from the first step.
+
+        Sets ``init_rounds`` (rounds run, at most 80) and ``init_mismatch``
+        (the largest change or error measured in the last round, pu; it
+        stays None when a solve fails)."""
         for inv in self.invs:
             if inv.cfg.black_start is not None and inv.mode is Mode.GFM:
                 inv.droop.v_gfm = 0.0
@@ -226,6 +259,10 @@ class Simulation:
 
         state = None
         for round_idx in range(80):
+            self.init_rounds = round_idx + 1
+            # largest last-round change of p_f/q_f, of the forming EMF
+            # magnitude, and angle-steering power error
+            pq_change = v_change = steer_err = 0.0
             emfs = {}
             injections: dict[str, complex] = {}
             for inv in self.invs:
@@ -250,7 +287,6 @@ class Simulation:
                     else:
                         inv.inj = 0j
             state, _ = self.net.solve(0.0, emfs, injections)
-            converged = round_idx >= 2
             for inv in self.invs:
                 if not inv.plugged:
                     continue
@@ -262,15 +298,16 @@ class Simulation:
                 inv.i_sys = i
                 s = vb * i.conjugate() / inv.rating_pu
                 d = inv.droop
-                if abs(s.real - d.p_f) > 1e-12 or abs(s.imag - d.q_f) > 1e-12:
-                    converged = False
+                e_p, e_q = abs(s.real - d.p_f), abs(s.imag - d.q_f)
+                if e_p > pq_change or e_q > pq_change:
+                    pq_change = e_p if e_p > e_q else e_q
                 d.p_f, d.q_f = s.real, s.imag
                 inv.s_inv = s
                 if inv.mode is Mode.GFM and not d.ramp_active and inv.params.k_v > 0:
                     # nudge the EMF toward holding the bus at v_nom
                     dv = inv.params.v_nom - abs(vb)
-                    if abs(dv) > 1e-13:
-                        converged = False
+                    if abs(dv) > v_change:
+                        v_change = abs(dv)
                     d.v_gfm = min(max(d.v_gfm + 0.5 * dv, 0.0), 1.2)
 
             # steer forming EMF angles toward the droop-consistent power
@@ -297,16 +334,19 @@ class Simulation:
                     dp = m.params
                     p_target = dp.p_set + delta / dp.m_p
                     err = p_target - m.droop.p_f
-                    if abs(err) > 1e-11:
-                        converged = False
+                    if abs(err) > steer_err:
+                        steer_err = abs(err)
                     gain = 0.5 * abs(m.z_c_sys.imag * m.rating_pu) or 0.02
                     m.droop.theta_gfm += gain * err
                     m.droop.u = min(max(delta, -0.05), 0.05) if dp.k_r > 0 else 0.0
-            if converged:
+            if (round_idx >= 2 and pq_change <= 1e-12 and v_change <= 1e-13
+                    and steer_err <= 1e-11):
                 break
+        self.init_mismatch = max(pq_change, v_change, steer_err)
 
-        _, island_of, energized = self.net.partition()
-        freqs = self._island_frequencies(island_of)
+        self._resolve_topology()
+        freqs = self._island_frequencies()
+        energized = self._energized
         for inv in self.invs:
             d = inv.droop
             dp = inv.cfg.droop
@@ -319,9 +359,9 @@ class Simulation:
                     )
                 d.omega = 1.0 - dp.m_p * (d.p_f - dp.p_set) + d.u
             # PLL starts locked on whatever voltage it follows
-            follow_bus = self._pll_bus(inv)
-            vb = state.v(follow_bus) if state is not None else 0j
-            isl = island_of[follow_bus]
+            follow = inv.from_idx if inv.mode is Mode.GFM else inv.bus_idx
+            vb = complex(state.v_pos[follow]) if state is not None else 0j
+            isl = self._bus_island[follow]
             omega = 2 * math.pi * freqs[isl] if energized[isl] else self.w0
             if abs(vb) >= 0.05:
                 init_locked(inv.pll, vb, omega, self.w0, self.dt, inv.cfg.pll.sogi_k)
@@ -331,34 +371,33 @@ class Simulation:
 
     # -- per-step helpers ------------------------------------------------------
 
-    def _pll_bus(self, inv: _Inverter) -> str:
-        """The bus whose voltage the following path tracks this step."""
-        if inv.mode is Mode.GFM and inv.cfg.pcc_breaker is not None:
-            # utility side of the watched breaker (config convention: 'from')
-            return self.net.breakers[inv.cfg.pcc_breaker].from_bus
-        return inv.bus
+    def _resolve_topology(self) -> None:
+        """Rebuild the lookups that change only with the topology or a mode:
+        the plugged forming and following inverters, and each bus's island
+        and each island's energized flag, grid sources and forming
+        inverters.  The step calls this when the network version moved,
+        which every breaker move, impedance-load step and forming-mode change
+        does, or after a plug-in."""
+        islands, island_of, self._energized = self.net.partition()
+        self._bus_island = [island_of[b] for b in self.net.buses]
+        self._island_grid = [[] for _ in islands]
+        for src in self.net.grid_sources.values():
+            self._island_grid[island_of[src.bus]].append(src)
+        self._island_gfm = [[] for _ in islands]
+        self._formers, self._followers = [], []
+        for inv in self.invs:
+            if inv.plugged and inv.sup.mode is Mode.GFM:
+                self._formers.append(inv)
+                self._island_gfm[island_of[inv.bus]].append(inv)
+            elif inv.plugged:
+                self._followers.append(inv)
+        self._islands_version = self.net._version
 
-    def _island_frequencies(self, island_of: dict[str, int]) -> list[float]:
+    def _island_frequencies(self) -> list[float]:
         """Per-island frequency: rating-weighted grid sources when present,
         else delivered-power-weighted forming-inverter internal frequencies."""
-        modes = tuple(
-            inv.plugged and inv.sup.mode is Mode.GFM for inv in self.invs
-        )
-        key = (self.net._version, modes)
-        if getattr(self, "_ifreq_key", None) != key:
-            n_islands = 1 + max(island_of.values()) if island_of else 0
-            grid_members = [[] for _ in range(n_islands)]
-            for src in self.net.grid_sources.values():
-                grid_members[island_of[src.bus]].append(src)
-            gfm_members = [[] for _ in range(n_islands)]
-            for inv in self.invs:
-                if inv.plugged and inv.sup.mode is Mode.GFM:
-                    gfm_members[island_of[inv.bus]].append(inv)
-            self._ifreq_key = key
-            self._ifreq_members = (grid_members, gfm_members)
-        grid_members, gfm_members = self._ifreq_members
         freqs = []
-        for grid, gfm in zip(grid_members, gfm_members):
+        for grid, gfm in zip(self._island_grid, self._island_gfm):
             if grid:
                 wsum = sum(src.rating for src in grid)
                 freqs.append(sum(src.rating * src.f_grid for src in grid) / wsum)
@@ -439,6 +478,7 @@ class Simulation:
                     if inv.droop.v_gfm < 0.5 * inv.params.v_nom:
                         inv.droop.ramp_active = True
                         inv.droop.ramp_target = inv.params.v_nom
+                self._islands_version = -1
                 self._log(t, "PlugIn", ev.target, "")
 
     def _switch_mode(self, inv: _Inverter, target: Mode, t: float,
@@ -493,31 +533,46 @@ class Simulation:
         isl_arr = np.empty((rows, ni), dtype=np.int8)
         rec_arr = np.empty((rows, ni), dtype=np.int8)
         res_arr = np.empty(rows)
+        # flat memoryviews: element k * ni + i is row k, inverter i; writing
+        # through them is about half the cost of numpy item assignment
+        t_rec = t_arr.data
+        res_rec = res_arr.data
+        self._f_rec = f_arr.reshape(-1).data
+        self._p_rec = p_arr.reshape(-1).data
+        self._q_rec = q_arr.reshape(-1).data
+        self._mode_rec = mode_arr.reshape(-1).data
+        self._lock_rec = lock_arr.reshape(-1).data
+        self._isl_rec = isl_arr.reshape(-1).data
+        self._recon_rec = rec_arr.reshape(-1).data
+        no_neg = [0j] * nb
 
+        events = self.events
         ev_idx = 0
+        next_ev_t = events[0].t if events else math.inf
         aborted = False
         abort_reason = ""
         k = 0
-        pending_jump: list[tuple[int, TransitionRecord]] = []
         cp_iters_sum = cp_iters_max = 0
         solve_residual_max = 0.0
         try:
+            if self.init_error is not None:
+                raise self.init_error
             for k in range(rows):
                 t = k * self.dt
                 # 1. due events
-                while ev_idx < len(self.events) and self.events[ev_idx].t <= t + 1e-12:
-                    self._apply_event(t, self.events[ev_idx])
+                while next_ev_t <= t + 1e-12:
+                    self._apply_event(t, events[ev_idx])
                     ev_idx += 1
+                    next_ev_t = events[ev_idx].t if ev_idx < len(events) else math.inf
+
+                if self._islands_version != self.net._version:
+                    self._resolve_topology()
 
                 # 2. network solve with the references computed last step
-                emfs = {
-                    inv.id: inv.emf
-                    for inv in self.invs
-                    if inv.plugged and inv.mode is Mode.GFM
-                }
+                emfs = {inv.id: inv.emf for inv in self._formers}
                 injections: dict[str, complex] = {}
-                for inv in self.invs:
-                    if inv.plugged and inv.mode is Mode.GFL and inv.inj != 0j:
+                for inv in self._followers:
+                    if inv.inj != 0j:
                         injections[inv.bus] = injections.get(inv.bus, 0j) + inv.inj
                 state, report = self.net.solve(t, emfs, injections)
                 cp_iters_sum += report.cp_iterations
@@ -525,8 +580,8 @@ class Simulation:
                     cp_iters_max = report.cp_iterations
                 if report.residual > solve_residual_max:
                     solve_residual_max = report.residual
-                _, island_of, energized = self.net.partition()
-                freqs = self._island_frequencies(island_of)
+                energized = self._energized
+                freqs = self._island_frequencies()
                 for isl in report.de_energized_with_load:
                     key = ",".join(isl)
                     if key not in self._dead_seen:
@@ -534,46 +589,42 @@ class Simulation:
                         self._log(t, "island_deenergized", key, "no source in island")
 
                 # 3. record
-                t_arr[k] = t
-                np.absolute(state.v_pos, out=bus_mag[k])
-                bus_ang[k] = np.angle(state.v_pos)
-                res_arr[k] = self.net.power_balance_residual(state, emfs, injections)
+                v_pos = state.v_pos
+                t_rec[k] = t
+                np.absolute(v_pos, out=bus_mag[k])
+                np.arctan2(v_pos.imag, v_pos.real, out=bus_ang[k])
+                res_rec[k] = self.net.power_balance_residual(state, emfs, injections)
 
-                # resolve one-step transition discontinuity metrics
-                if pending_jump:
-                    remaining = []
-                    for step0, rec in pending_jump:
-                        if k == step0 + 1:
-                            bidx = cfg.buses.index(
-                                next(i.bus for i in self.invs if i.id == rec.inverter)
-                            )
-                            m0, m1 = bus_mag[step0, bidx], bus_mag[k, bidx]
-                            rec.mag_jump_pu = float(abs(m1 - m0))
-                            if min(m0, m1) >= 0.05:
-                                rec.phase_jump_deg = float(abs(math.degrees(
-                                    wrap_angle(
-                                        bus_ang[k, bidx] - bus_ang[step0, bidx]
-                                    )
-                                )))
-                            else:
-                                rec.phase_jump_deg = 0.0
+                # one-step transition discontinuity of last step's transitions
+                if self._pending_jumps:
+                    for rec, b in self._pending_jumps:
+                        m0, m1 = bus_mag[k - 1, b], bus_mag[k, b]
+                        rec.mag_jump_pu = float(abs(m1 - m0))
+                        if min(m0, m1) >= 0.05:
+                            rec.phase_jump_deg = float(abs(math.degrees(
+                                wrap_angle(bus_ang[k, b] - bus_ang[k - 1, b])
+                            )))
                         else:
-                            remaining.append((step0, rec))
-                    pending_jump = remaining
+                            rec.phase_jump_deg = 0.0
+                    self._pending_jumps.clear()
 
                 # 4..7 controllers, supervisor, detectors per inverter
+                v = v_pos.tolist()
+                v_neg = state.v_neg.tolist() if state.v_neg is not None else no_neg
+                # synthesis rotation of the phase phasors at this instant
+                rot = cmath.exp(1j * (self.w0 * t))
+                row = k * ni
                 for i, inv in enumerate(self.invs):
                     self._step_inverter(
-                        inv, i, k, t, state, island_of, energized, freqs,
-                        pending_jump,
-                        f_arr, p_arr, q_arr, mode_arr, lock_arr, isl_arr, rec_arr,
+                        inv, row + i, k, t, rot, v, v_neg, state, energized, freqs,
                     )
 
                 # rotate off-nominal source EMF phasors toward the next step
                 self.net.advance_sources(self.dt, self.f_nom)
         except NonConvergenceError as exc:
             aborted = True
-            abort_reason = f"NonConvergence at step {k} (t={k * self.dt:.6f}): {exc}"
+            where = "initialization" if self.init_error is not None else f"step {k}"
+            abort_reason = f"NonConvergence at {where} (t={k * self.dt:.6f}): {exc}"
             self._log(k * self.dt, "abort", "simulation", abort_reason)
             rows = k  # rows completed before the failing solve
         wall = time.perf_counter() - t_start
@@ -599,6 +650,8 @@ class Simulation:
                 "cp_iterations_mean": cp_iters_sum / rows if rows else 0.0,
                 "cp_iterations_max": cp_iters_max,
                 "residual_max": solve_residual_max,
+                "init_rounds": self.init_rounds,
+                "init_mismatch": self.init_mismatch,
             },
             aborted=aborted,
             abort_reason=abort_reason,
@@ -612,43 +665,42 @@ class Simulation:
         return result
 
     def _step_inverter(
-        self, inv, i, k, t, state, island_of, energized, freqs, pending_jump,
-        f_arr, p_arr, q_arr, mode_arr, lock_arr, isl_arr, rec_arr,
+        self, inv, j, k, t, rot, v, v_neg, state, energized, freqs,
     ) -> None:
-        cfg = self.cfg
+        """One control step of one inverter.  ``v``/``v_neg`` are the solved
+        bus voltages by bus position, ``rot`` the synthesis rotation at ``t``
+        and ``j`` the inverter's element in the flat record views."""
         dt = self.dt
         mode = inv.sup.mode
-        v_bus = state.v(inv.bus)
+        bus_island = self._bus_island
+        v_bus = v[inv.bus_idx]
         v_bus_mag = abs(v_bus)
-        own_energized = energized[island_of[inv.bus]]
 
         # terminal current and power (inverter base)
         if inv.plugged:
             if mode is Mode.GFM:
                 inv.i_sys = state.former_currents.get(inv.id, 0j)
             else:
-                inv.i_sys = inv.inj if own_energized else 0j
+                inv.i_sys = inv.inj if energized[bus_island[inv.bus_idx]] else 0j
         else:
             inv.i_sys = 0j
-        inv.s_inv = v_bus * inv.i_sys.conjugate() / inv.rating_pu
+        s = inv.s_inv = v_bus * inv.i_sys.conjugate() / inv.rating_pu
 
         # following path: PLL on the followed bus waveform (each phase is the
         # real part of its phase phasor rotated by the synthesis angle)
-        follow_bus = self._pll_bus(inv)
-        v_follow = state.v(follow_bus)
-        v_follow_neg = state.vneg(follow_bus)
-        rot = cmath.exp(1j * (self.w0 * t))
-        za = (v_follow + v_follow_neg) * rot
-        zb = (A_OP2 * v_follow + A_OP * v_follow_neg) * rot
-        zc = (A_OP * v_follow + A_OP2 * v_follow_neg) * rot
-        sample = AbcSample(za.real, zb.real, zc.real, t)
-        pll_step(sample, dt, inv.pll, inv.cfg.pll)
-        follow_energized = energized[island_of[follow_bus]]
+        follow = inv.from_idx if mode is Mode.GFM else inv.bus_idx
+        vf = v[follow]
+        vf_neg = v_neg[follow]
+        za = (vf + vf_neg) * rot
+        zb = (A_OP2 * vf + A_OP * vf_neg) * rot
+        zc = (A_OP * vf + A_OP2 * vf_neg) * rot
+        pll = inv.pll
+        pll_step(za.real, zb.real, zc.real, dt, pll, inv.cfg.pll)
 
         # forming path
         d = inv.droop
         dp = inv.params
-        power_filter_step(inv.s_inv.real, inv.s_inv.imag, dt, d, dp.omega_c)
+        power_filter_step(s.real, s.imag, dt, d, dp.omega_c)
         if mode is Mode.GFM and d.ramp_active:
             rate = (
                 inv.cfg.black_start.ramp_rate
@@ -669,18 +721,16 @@ class Simulation:
             restoration_step(dp, d, dt)
 
         # supervisor: shadow sync, then any pending transition request
-        omega_meas_pu = inv.pll.omega_est / self.w0
-        meas = PathMeasurements(
-            theta=inv.pll.theta_est,
-            v=inv.pll.v_pos,
-            omega_pu=omega_meas_pu,
-            p=inv.s_inv.real,
-            q=inv.s_inv.imag,
-            v_own=v_bus_mag,
-            followed_energized=follow_energized,
-        )
+        meas = inv.meas
+        meas.theta = pll.theta_est
+        meas.v = pll.v_pos
+        meas.omega_pu = pll.omega_est / self.w0
+        meas.p = s.real
+        meas.q = s.imag
+        meas.v_own = v_bus_mag
+        meas.followed_energized = energized[bus_island[follow]]
         if inv.plugged:
-            inv.sup.shadow_sync_step(meas, inv.pll, d, dp, t)
+            inv.sup.shadow_sync_step(meas, pll, d, dp, t)
         else:
             # a parked unit listens through its following path so it can
             # later connect at the measured bus state, whatever its mode
@@ -694,17 +744,13 @@ class Simulation:
             if (
                 mode is Mode.GFM
                 and inv.reconnect_pending
-                and inv.cfg.pcc_breaker is not None
+                and inv.breaker is not None
                 and inv.pending_mode is None
+                and inv.breaker.closed
+                and self._island_grid[bus_island[inv.bus_idx]]
             ):
-                br = self.net.breakers[inv.cfg.pcc_breaker]
-                grid_here = any(
-                    island_of[src.bus] == island_of[inv.bus]
-                    for src in self.net.grid_sources.values()
-                )
-                if br.closed and grid_here:
-                    inv.pending_mode = Mode.GFL
-                    inv.pending_source = "auto:grid-restored"
+                inv.pending_mode = Mode.GFL
+                inv.pending_source = "auto:grid-restored"
 
         if inv.pending_mode is not None and inv.plugged:
             target = inv.pending_mode
@@ -719,7 +765,7 @@ class Simulation:
                     self._switch_mode(inv, target, t, v_bus)
                     mode = target
                     self.transitions.append(rec)
-                    pending_jump.append((k, rec))
+                    self._pending_jumps.append((rec, inv.bus_idx))
                     self._log(
                         t, "transition", inv.id,
                         f"{rec.from_mode}->{rec.to_mode} source={inv.pending_source}",
@@ -740,7 +786,7 @@ class Simulation:
         # detectors
         f_local = (
             d.omega * self.f_nom if mode is Mode.GFM
-            else inv.pll.omega_est / (2 * math.pi)
+            else pll.omega_est / TWO_PI
         )
         v_meas_det = v_bus_mag
         f_meas_det = f_local
@@ -757,18 +803,18 @@ class Simulation:
 
         recon_ready = False
         if inv.recon is not None:
-            br = self.net.breakers[inv.cfg.pcc_breaker]
+            br = inv.breaker
             if br.closed:
                 inv.recon.holds_since = None
                 inv.recon.ready = False
             else:
-                k_from = island_of[br.from_bus]
-                k_to = island_of[br.to_bus]
+                k_from = bus_island[inv.from_idx]
+                k_to = bus_island[inv.to_idx]
                 was_ready = inv.recon.ready
                 inv.recon.update(
                     t,
-                    state.v(br.to_bus), freqs[k_to], energized[k_to],
-                    state.v(br.from_bus), freqs[k_from], energized[k_from],
+                    v[inv.to_idx], freqs[k_to], energized[k_to],
+                    v[inv.from_idx], freqs[k_from], energized[k_from],
                 )
                 if inv.recon.ready and not was_ready:
                     self._log(t, "reconnection_ready", inv.id, f"breaker={br.id}")
@@ -785,11 +831,11 @@ class Simulation:
         # to measure v_dq and to rotate the references back, so the delivered
         # power reproduces the setpoint exactly regardless of PLL bias
         if inv.plugged and mode is Mode.GFL:
-            frame = inv.pll.theta_est - self.w0 * (t + dt)
+            frame = pll.theta_est - self.w0 * (t + dt)
             vdq_c = v_bus * cmath.exp(-1j * frame)
             try:
                 i_d, i_q = current_refs_from_pq(
-                    dp.p_set, dp.q_set, DqFrame(vdq_c.real, vdq_c.imag)
+                    dp.p_set, dp.q_set, vdq_c.real, vdq_c.imag
                 )
                 if inv.uv_suspended:
                     inv.uv_suspended = False
@@ -805,13 +851,13 @@ class Simulation:
             i_inv = inv.i_sys / inv.rating_pu
             inv.emf = virtual_impedance_step(v_ref, i_inv, inv.vz, dt)
 
-        f_arr[k, i] = f_local
-        p_arr[k, i] = inv.s_inv.real
-        q_arr[k, i] = inv.s_inv.imag
-        mode_arr[k, i] = 1 if mode is Mode.GFM else 0
-        lock_arr[k, i] = 1 if inv.pll.lock else 0
-        isl_arr[k, i] = 1 if inv.det.tripped else 0
-        rec_arr[k, i] = 1 if recon_ready else 0
+        self._f_rec[j] = f_local
+        self._p_rec[j] = s.real
+        self._q_rec[j] = s.imag
+        self._mode_rec[j] = 1 if mode is Mode.GFM else 0
+        self._lock_rec[j] = 1 if pll.lock else 0
+        self._isl_rec[j] = 1 if inv.det.tripped else 0
+        self._recon_rec[j] = 1 if recon_ready else 0
 
 
 def _event_detail(ev) -> str:
@@ -825,9 +871,12 @@ def _event_detail(ev) -> str:
 
 # -- output files ---------------------------------------------------------
 
-
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
+# timeseries.csv rows formatted per chunk: enough to amortize the
+# per-column work, few enough that the chunk's strings, whose allocator
+# arenas outlive the write, do not raise a later run's peak memory (256-row
+# chunks raised a repeated testbed process's peak RSS by 0.4 MB; 128 rows
+# keep it below formatting the whole file at once)
+CSV_CHUNK_ROWS = 128
 
 
 def write_outputs(result: SimResult, out_dir: str | Path) -> None:
@@ -837,34 +886,40 @@ def write_outputs(result: SimResult, out_dir: str | Path) -> None:
     cfg = result.cfg
 
     header = ["t"]
-    for b in cfg.buses:
-        header += [f"v_mag_{b}", f"v_ang_{b}"]
-    for inv_id in result.inv_ids:
+    # (column, formatted as a float) in header order
+    columns = [(result.t, True)]
+    for b, bus in enumerate(cfg.buses):
+        header += [f"v_mag_{bus}", f"v_ang_{bus}"]
+        columns += [(result.bus_mag[:, b], True), (result.bus_ang[:, b], True)]
+    for i, inv_id in enumerate(result.inv_ids):
         header += [
             f"f_{inv_id}", f"p_{inv_id}", f"q_{inv_id}", f"mode_{inv_id}",
             f"lock_{inv_id}", f"island_{inv_id}", f"recon_{inv_id}",
         ]
+        columns += [
+            (result.f[:, i], True), (result.p[:, i], True), (result.q[:, i], True),
+            (result.mode[:, i], False), (result.lock[:, i], False),
+            (result.island[:, i], False), (result.recon[:, i], False),
+        ]
     dec = max(1, cfg.output.decimate)
-    idx = range(0, result.t.size, dec)
-    lines = [",".join(header)]
-    for k in idx:
-        row = [_fmt(result.t[k])]
-        for b in range(len(cfg.buses)):
-            row.append(_fmt(result.bus_mag[k, b]))
-            row.append(_fmt(result.bus_ang[k, b]))
-        for i in range(len(result.inv_ids)):
-            row += [
-                _fmt(result.f[k, i]), _fmt(result.p[k, i]), _fmt(result.q[k, i]),
-                str(int(result.mode[k, i])), str(int(result.lock[k, i])),
-                str(int(result.island[k, i])), str(int(result.recon[k, i])),
+    span = CSV_CHUNK_ROWS * dec
+    with (out / "timeseries.csv").open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, result.t.size, span):
+            # "%.9g" % x is format(x, ".9g"), a little faster
+            texts = [
+                list(map(
+                    "%.9g".__mod__ if is_float else str,
+                    col[start:start + span:dec].tolist(),
+                ))
+                for col, is_float in columns
             ]
-        lines.append(",".join(row))
-    (out / "timeseries.csv").write_text("\n".join(lines) + "\n")
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
     ev_lines = ["t,type,target,detail"]
     for t, kind, target, detail in result.events_log:
         detail_csv = detail.replace('"', "'")
-        ev_lines.append(f'{_fmt(t)},{kind},{target},"{detail_csv}"')
+        ev_lines.append(f'{t:.9g},{kind},{target},"{detail_csv}"')
     (out / "events.csv").write_text("\n".join(ev_lines) + "\n")
 
     (out / "metrics.json").write_text(

@@ -51,9 +51,10 @@ class SyncStatus:
     stale: bool = False    # followed voltage dead or PLL unlocked
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PathMeasurements:
-    """Local measurements feeding the shadow synchronization for one step."""
+    """Local measurements feeding the shadow synchronization for one step
+    (the runner keeps one per inverter and updates it in place)."""
 
     theta: float            # positive-sequence angle estimate (PLL), rad
     v: float                # magnitude of the followed voltage, pu

@@ -6,18 +6,22 @@ criterion.  The scenario library in scenarios/ is executed once per session
 """
 
 import hashlib
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dualpath.frames import AbcSample, wrap_angle
+from dualpath.frames import wrap_angle
 from dualpath.pll import PllParams, PllState, pll_step
-from dualpath.runner import run
+from dualpath.runner import run, write_outputs
 from dualpath.scenario import load_config
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+# sha256 of each library scenario's timeseries.csv and events.csv, from
+# ``python scripts/run_library.py --sha256``
+LIBRARY_SHA256 = Path(__file__).resolve().parent / "data" / "library_sha256.json"
 
 LIBRARY = [
     "flat_equilibrium",
@@ -96,6 +100,31 @@ def test_cp_newton_steps_per_solve(library):
     assert all(s["cp_iterations_mean"] <= 3 for s in cp.values()), cp
     for res in library.values():
         assert res.metrics["solver"]["residual_max"] <= 1e-8
+
+
+def test_library_outputs_match_pinned_sha256(library, tmp_path):
+    pinned = json.loads(LIBRARY_SHA256.read_text())
+    assert sorted(pinned) == sorted(library)
+    differ = []
+    for name, res in sorted(library.items()):
+        write_outputs(res, tmp_path / name)
+        for fname, digest in sorted(pinned[name].items()):
+            data = (tmp_path / name / fname).read_bytes()
+            if hashlib.sha256(data).hexdigest() != digest:
+                differ.append(f"{name}/{fname}")
+    assert not differ, f"differ from {LIBRARY_SHA256.name}: {', '.join(differ)}"
+
+
+def test_initialization_rounds_reported(library):
+    # the operating-point search runs at least 3 and at most 80 rounds; a
+    # run that stops at the cap reports how far its last round moved
+    for name, res in library.items():
+        solver = res.metrics["solver"]
+        assert 3 <= solver["init_rounds"] <= 80, name
+        assert 0.0 <= solver["init_mismatch"] < 1e-5, name
+    flat = library["flat_equilibrium"].metrics["solver"]
+    assert flat["init_rounds"] < 80
+    assert flat["init_mismatch"] <= 1e-11
 
 
 def test_criterion_02_droop_sharing(library):
@@ -208,7 +237,7 @@ def _pll_harness(f_hz, t_end, state=None, phi0=0.5, m_neg=0.0, dt=1e-4):
         c = math.cos(theta_true + 2 * math.pi / 3) + m_neg * math.cos(
             -theta_true - 2 * math.pi / 3
         )
-        pll_step(AbcSample(a, b, c, k * dt), dt, state, params)
+        pll_step(a, b, c, dt, state, params)
         theta_true += 2 * math.pi * f_hz * dt
         err[k] = wrap_angle(state.theta_est - theta_true)
         freq[k] = state.omega_est / (2 * math.pi)

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dualpath.frames import (
-    AbcSample,
     DqFrame,
     PerUnitBase,
     Phasor,
@@ -43,13 +42,13 @@ def test_perunit_base_positive():
 
 
 def test_clarke_balanced_and_zero():
-    assert clarke(AbcSample(1.0, -0.5, -0.5)) == pytest.approx((1.0, 0.0))
-    assert clarke(AbcSample(0.0, 0.0, 0.0)) == (0.0, 0.0)
+    assert clarke(1.0, -0.5, -0.5) == pytest.approx((1.0, 0.0))
+    assert clarke(0.0, 0.0, 0.0) == (0.0, 0.0)
 
 
 @given(finite, finite, finite)
 def test_clarke_matches_matrix_oracle(a, b, c):
-    alpha, beta = clarke(AbcSample(a, b, c))
+    alpha, beta = clarke(a, b, c)
     ref = CLARKE_M @ np.array([a, b, c])
     assert alpha == pytest.approx(ref[0], abs=1e-12)
     assert beta == pytest.approx(ref[1], abs=1e-12)
@@ -75,7 +74,7 @@ def test_clarke_park_amplitude_invariance(m, theta):
     a = m * math.cos(theta)
     b = m * math.cos(theta - 2 * math.pi / 3)
     c = m * math.cos(theta + 2 * math.pi / 3)
-    alpha, beta = clarke(AbcSample(a, b, c))
+    alpha, beta = clarke(a, b, c)
     dq = park(alpha, beta, 0.0)
     assert dq.mag == pytest.approx(abs(m), abs=1e-12)
 
@@ -169,6 +168,6 @@ def test_dq_mag():
 def test_inverse_clarke_roundtrip_zero_sequence_free(alpha, beta):
     a, b, c = inverse_clarke(alpha, beta)
     assert a + b + c == pytest.approx(0.0, abs=1e-12)
-    back = clarke(AbcSample(a, b, c))
+    back = clarke(a, b, c)
     assert back[0] == pytest.approx(alpha, abs=1e-12)
     assert back[1] == pytest.approx(beta, abs=1e-12)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dualpath.frames import AbcSample, DqFrame, wrap_angle
+from dualpath.frames import wrap_angle
 from dualpath.pll import (
     PllParams,
     PllState,
@@ -38,7 +38,7 @@ def run_pll(f_hz, t_end, state=None, phi0=0.5, m=1.0, m_neg=0.0, f_start=0.0):
     for k in range(n):
         t = k * DT
         a, b, c = three_phase(theta_true, m=m, m_neg=m_neg, theta_neg=-theta_true)
-        pll_step(AbcSample(a, b, c, t), DT, state, PARAMS)
+        pll_step(a, b, c, DT, state, PARAMS)
         theta_true += 2 * math.pi * f_hz * DT
         err[k] = wrap_angle(state.theta_est - theta_true)
         freq[k] = state.omega_est / (2 * math.pi)
@@ -63,7 +63,7 @@ def test_pll_zero_input_freezes():
     n = int(0.2 / DT)
     thetas, omegas = [], []
     for k in range(n):
-        pll_step(AbcSample(0.0, 0.0, 0.0, k * DT), DT, state, PARAMS)
+        pll_step(0.0, 0.0, 0.0, DT, state, PARAMS)
         thetas.append(state.theta_est)
         omegas.append(state.omega_est)
     assert not state.lock
@@ -91,7 +91,7 @@ def test_pll_frequency_step_relock():
     fe = np.empty(n)
     for k in range(n):
         a, b, c = three_phase(theta_true)
-        pll_step(AbcSample(a, b, c, k * DT), DT, state, PARAMS)
+        pll_step(a, b, c, DT, state, PARAMS)
         theta_true += 2 * math.pi * 60.5 * DT
         fe[k] = state.omega_est / (2 * math.pi) - 60.5
     assert abs(fe[int(0.2 / DT) - 1]) < 0.05
@@ -108,7 +108,7 @@ def test_init_locked_is_equilibrium():
     theta_true = 0.3
     for k in range(2000):
         a, b, c = three_phase(theta_true)
-        pll_step(AbcSample(a, b, c, k * DT), DT, state, PARAMS)
+        pll_step(a, b, c, DT, state, PARAMS)
         theta_true += w0 * DT
         bias = wrap_angle(state.theta_est - theta_true)
         if bias0 is None:
@@ -119,13 +119,13 @@ def test_init_locked_is_equilibrium():
 
 
 def test_current_refs_unit_voltage():
-    assert current_refs_from_pq(0.5, 0.0, DqFrame(1.0, 0.0)) == pytest.approx((0.5, 0.0))
-    assert current_refs_from_pq(0.0, 0.5, DqFrame(1.0, 0.0)) == pytest.approx((0.0, -0.5))
+    assert current_refs_from_pq(0.5, 0.0, 1.0, 0.0) == pytest.approx((0.5, 0.0))
+    assert current_refs_from_pq(0.0, 0.5, 1.0, 0.0) == pytest.approx((0.0, -0.5))
 
 
 def test_current_refs_matches_linear_solve_oracle():
     vd, vq, p, q = 0.9, 0.1, 0.7, -0.2
-    i_d, i_q = current_refs_from_pq(p, q, DqFrame(vd, vq))
+    i_d, i_q = current_refs_from_pq(p, q, vd, vq)
     ref = np.linalg.solve([[vd, vq], [vq, -vd]], [p, q])
     assert i_d == pytest.approx(ref[0], abs=1e-12)
     assert i_q == pytest.approx(ref[1], abs=1e-12)
@@ -138,18 +138,18 @@ def test_current_refs_matches_linear_solve_oracle():
     st.floats(-math.pi, math.pi),
 )
 def test_current_refs_reconstruct_and_clamp(p, q, vm, vang):
-    v = DqFrame(vm * math.cos(vang), vm * math.sin(vang))
-    i_d, i_q = current_refs_from_pq(p, q, v)
+    vd, vq = vm * math.cos(vang), vm * math.sin(vang)
+    i_d, i_q = current_refs_from_pq(p, q, vd, vq)
     mag = math.hypot(i_d, i_q)
     assert mag <= 1.2 + 1e-12
     if mag < 1.2 - 1e-9:
-        assert v.d * i_d + v.q * i_q == pytest.approx(p, abs=1e-12)
-        assert v.q * i_d - v.d * i_q == pytest.approx(q, abs=1e-12)
+        assert vd * i_d + vq * i_q == pytest.approx(p, abs=1e-12)
+        assert vq * i_d - vd * i_q == pytest.approx(q, abs=1e-12)
 
 
 def test_current_refs_undervoltage():
     with pytest.raises(UnderVoltageError):
-        current_refs_from_pq(0.5, 0.0, DqFrame(0.01, 0.0))
+        current_refs_from_pq(0.5, 0.0, 0.01, 0.0)
 
 
 def test_gfl_injection_rotation():

@@ -1,14 +1,20 @@
 import cmath
 import copy
+import dataclasses
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from dualpath.cli import main as cli_main
 from dualpath.frames import Phasor, SequenceSet, synth_abc
-from dualpath.runner import Simulation, run
+from dualpath.runner import CSV_CHUNK_ROWS, Simulation, run, write_outputs
 from dualpath.scenario import parse_config
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 DIVIDER_DOC = {
     "name": "flat",
@@ -115,6 +121,112 @@ def test_abort_exit_semantics_before_event():
     res = run(parse_config(d))
     assert res.abort_step > 0
     assert res.t.size == res.abort_step
+
+
+def _blackstart_with_cp_load() -> dict:
+    """blackstart cut at 1 s with a constant-power load on the dead bus: the
+    initial solve finds the bus voltage collapsed."""
+    d = yaml.safe_load((SCENARIOS / "blackstart.yaml").read_text())
+    d["t_end"] = 1.0
+    d["events"] = []
+    d["loads"].append({"id": "cpx", "bus": "mid", "kind": "power", "p": 0.1})
+    return d
+
+
+def test_failed_initial_solve_is_an_abort(tmp_path):
+    d = _blackstart_with_cp_load()
+    res = run(parse_config(d), tmp_path / "run")
+    assert res.aborted
+    assert res.t.size == 0 and res.abort_step == 0
+    assert res.abort_reason.startswith("NonConvergence at initialization")
+    assert "collapsed" in res.abort_reason
+    csv = (tmp_path / "run/timeseries.csv").read_text().splitlines()
+    assert len(csv) == 1 and csv[0].startswith("t,v_mag_b1,")
+    events = (tmp_path / "run/events.csv").read_text().splitlines()
+    assert events[-1].startswith("0,abort,simulation,")
+    metrics = json.loads((tmp_path / "run/metrics.json").read_text())
+    assert metrics["aborted"] is True
+    assert metrics["frequency_nadir_hz"] is None
+    assert metrics["solver"]["init_rounds"] >= 1
+
+    # the command line reports it as a runtime abort
+    scen = tmp_path / "scen.yaml"
+    scen.write_text(yaml.safe_dump(d))
+    assert cli_main(["run", str(scen), "--out", str(tmp_path / "cli")]) == 2
+    assert (tmp_path / "cli/timeseries.csv").read_text() == "\n".join(csv) + "\n"
+
+
+def _reference_timeseries(result) -> str:
+    """timeseries.csv as the row-by-row formatter wrote it before the
+    column-wise chunked writer (the oracle for write_outputs)."""
+    cfg = result.cfg
+    fmt = "{:.9g}".format
+    header = ["t"]
+    for b in cfg.buses:
+        header += [f"v_mag_{b}", f"v_ang_{b}"]
+    for inv_id in result.inv_ids:
+        header += [
+            f"f_{inv_id}", f"p_{inv_id}", f"q_{inv_id}", f"mode_{inv_id}",
+            f"lock_{inv_id}", f"island_{inv_id}", f"recon_{inv_id}",
+        ]
+    lines = [",".join(header)]
+    for k in range(0, result.t.size, max(1, cfg.output.decimate)):
+        row = [fmt(result.t[k])]
+        for b in range(len(cfg.buses)):
+            row.append(fmt(result.bus_mag[k, b]))
+            row.append(fmt(result.bus_ang[k, b]))
+        for i in range(len(result.inv_ids)):
+            row += [
+                fmt(result.f[k, i]), fmt(result.p[k, i]), fmt(result.q[k, i]),
+                str(int(result.mode[k, i])), str(int(result.lock[k, i])),
+                str(int(result.island[k, i])), str(int(result.recon[k, i])),
+            ]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _random_result(base, n_rows: int, decimate: int, rng):
+    """``base`` with ``n_rows`` rows of random data in every recorded column."""
+    nb, ni = base.bus_mag.shape[1], base.f.shape[1]
+
+    def floats(*shape):
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 12, size=shape)
+        x.flat[::7] = 0.0
+        x.flat[3::11] = -0.0
+        return x
+
+    def flags():
+        return rng.integers(0, 2, size=(n_rows, ni)).astype(np.int8)
+
+    cfg = copy.deepcopy(base.cfg)
+    cfg.output.decimate = decimate
+    return dataclasses.replace(
+        base, cfg=cfg, t=np.arange(n_rows) * cfg.dt,
+        bus_mag=floats(n_rows, nb), bus_ang=floats(n_rows, nb),
+        f=floats(n_rows, ni), p=floats(n_rows, ni), q=floats(n_rows, ni),
+        mode=flags(), lock=flags(), island=flags(), recon=flags(),
+    )
+
+
+@pytest.mark.parametrize("decimate", [1, 3, 10])
+def test_write_outputs_matches_row_formatter(tmp_path, decimate):
+    base = run(parse_config(doc(t_end=0.01)))
+    rng = np.random.default_rng(decimate)
+    n = CSV_CHUNK_ROWS
+    for n_out in (0, 1, n - 1, n, n + 1):
+        # the fewest and the most control steps that give n_out output rows
+        for n_rows in {max(0, (n_out - 1) * decimate + 1), n_out * decimate}:
+            res = _random_result(base, n_rows, decimate, rng)
+            out = tmp_path / f"{n_out}-{n_rows}"
+            write_outputs(res, out)
+            text = (out / "timeseries.csv").read_text()
+            assert text.count("\n") == n_out + 1
+            assert text == _reference_timeseries(res), (n_out, n_rows)
+    # the zero-row result of an abort at initialization
+    aborted = run(parse_config(_blackstart_with_cp_load()))
+    write_outputs(aborted, tmp_path / "aborted")
+    text = (tmp_path / "aborted/timeseries.csv").read_text()
+    assert text == _reference_timeseries(aborted)
 
 
 def test_breaker_event_deenergizes_island():
