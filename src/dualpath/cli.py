@@ -15,17 +15,20 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .runner import run
-from .scenario import ParseError, ValidationError, load_config
+from .scenario import ParseError, ValidationError, load_config, output_problems
 
 
 def _cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
+        if args.decimate is not None:
+            cfg.output.decimate = args.decimate
+            problems = output_problems(cfg.output)
+            if problems:
+                raise ValidationError(problems)
     except (ParseError, ValidationError) as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 1
-    if args.decimate is not None:
-        cfg.output.decimate = args.decimate
     if args.seed is not None:
         cfg.seed = args.seed
     out_dir = Path(args.out) if args.out else Path("out") / cfg.name

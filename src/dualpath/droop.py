@@ -98,6 +98,18 @@ def droop_step(
     return state
 
 
+def uv_handoff(params: DroopParams, v: float, q: float) -> float:
+    """Voltage-restoration offset at which the Q-V droop law gives ``v`` at
+    reactive power ``q``, clamped to ``UV_CLAMP``.
+
+    Setting ``u_v`` to it hands the forming path an operating point without
+    a voltage step: at start-up, at the end of a black-start ramp and while
+    the path shadows the following one.
+    """
+    uv = v - (params.v_nom - params.n_q * (q - params.q_set))
+    return UV_CLAMP if uv > UV_CLAMP else (-UV_CLAMP if uv < -UV_CLAMP else uv)
+
+
 def restoration_step(params: DroopParams, state: DroopState, dt: float) -> DroopState:
     """Integrate the local frequency error into the restoration offset.
 

@@ -20,13 +20,13 @@ class LoadStep:
 @dataclass(frozen=True, slots=True)
 class BreakerSet:
     target: str
-    closed: bool = False
+    closed: bool
 
 
 @dataclass(frozen=True, slots=True)
 class SourceFreq:
     target: str
-    f: float = 60.0
+    f: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,7 +55,7 @@ class ModeCommand:
     """Trusted operator mode request (still gated by the sync supervisor)."""
 
     target: str
-    mode: str = "gfm"
+    mode: str
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,4 +1,4 @@
-"""Per-unit bases, phasors, and three-phase reference-frame transforms.
+"""Per-unit bases, angle wrapping and the three-phase transforms.
 
 Conventions used throughout the package:
 
@@ -15,7 +15,8 @@ Conventions used throughout the package:
 * Angles are stored unwrapped wherever they are integrated and wrapped to
   ``(-pi, pi]`` only at reporting boundaries.
 
-Everything in this module is a pure function or an immutable value type.
+Phasors are plain complex numbers.  Everything in this module is a pure
+function, a constant or an immutable value type.
 """
 
 from __future__ import annotations
@@ -58,69 +59,6 @@ class PerUnitBase:
         return TWO_PI * self.f_nom
 
 
-@dataclass(frozen=True, slots=True)
-class Phasor:
-    """Complex per-unit quantity in rectangular form."""
-
-    re: float = 0.0
-    im: float = 0.0
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "Phasor":
-        return cls(z.real, z.imag)
-
-    @classmethod
-    def from_polar(cls, mag: float, angle: float) -> "Phasor":
-        return cls(mag * math.cos(angle), mag * math.sin(angle))
-
-    @property
-    def z(self) -> complex:
-        return complex(self.re, self.im)
-
-    @property
-    def mag(self) -> float:
-        return math.hypot(self.re, self.im)
-
-    @property
-    def angle(self) -> float:
-        """Phase angle wrapped to (-pi, pi]."""
-        return wrap_angle(math.atan2(self.im, self.re))
-
-    def __complex__(self) -> complex:
-        return complex(self.re, self.im)
-
-
-@dataclass(frozen=True, slots=True)
-class SequenceSet:
-    """Positive/negative/zero sequence phasors of a three-phase set."""
-
-    pos: Phasor = Phasor()
-    neg: Phasor = Phasor()
-    zero: Phasor = Phasor()
-
-
-@dataclass(frozen=True, slots=True)
-class AbcSample:
-    """Instantaneous three-phase sample at simulation time t."""
-
-    a: float
-    b: float
-    c: float
-    t: float = 0.0
-
-
-@dataclass(frozen=True, slots=True)
-class DqFrame:
-    """Synchronous-frame pair."""
-
-    d: float
-    q: float
-
-    @property
-    def mag(self) -> float:
-        return math.hypot(self.d, self.q)
-
-
 def clarke(a: float, b: float, c: float) -> tuple[float, float]:
     """Amplitude-invariant Clarke transform (abc -> alpha/beta)."""
     alpha = (2.0 / 3.0) * (a - 0.5 * b - 0.5 * c)
@@ -128,50 +66,17 @@ def clarke(a: float, b: float, c: float) -> tuple[float, float]:
     return alpha, beta
 
 
-def inverse_clarke(alpha: float, beta: float) -> tuple[float, float, float]:
-    """alpha/beta -> abc for a zero-sequence-free set."""
-    a = alpha
-    b = -0.5 * alpha + 0.5 * SQRT3 * beta
-    c = -0.5 * alpha - 0.5 * SQRT3 * beta
-    return a, b, c
+def phase_samples(
+    v_pos: complex, v_neg: complex, rot: complex
+) -> tuple[float, float, float]:
+    """Instantaneous values of the three phases of a zero-sequence-free set.
 
-
-def park(alpha: float, beta: float, theta: float) -> DqFrame:
-    """Rotate stationary alpha/beta into the frame at angle theta."""
-    c = math.cos(theta)
-    s = math.sin(theta)
-    return DqFrame(alpha * c + beta * s, -alpha * s + beta * c)
-
-
-def inverse_park(dq: DqFrame, theta: float) -> tuple[float, float]:
-    """Rotate a dq pair back to the stationary frame."""
-    c = math.cos(theta)
-    s = math.sin(theta)
-    return dq.d * c - dq.q * s, dq.d * s + dq.q * c
-
-
-def fortescue(va: Phasor, vb: Phasor, vc: Phasor) -> SequenceSet:
-    """Symmetrical-component decomposition of three phase phasors."""
-    za, zb, zc = va.z, vb.z, vc.z
-    zero = (za + zb + zc) / 3.0
-    pos = (za + A_OP * zb + A_OP2 * zc) / 3.0
-    neg = (za + A_OP2 * zb + A_OP * zc) / 3.0
-    return SequenceSet(
-        Phasor.from_complex(pos), Phasor.from_complex(neg), Phasor.from_complex(zero)
+    The phase phasors are rebuilt from the positive- and negative-sequence
+    phasors; each phase is ``Re(phasor * rot)``, with ``rot = exp(j*theta)``
+    the rotation at the sample instant.
+    """
+    return (
+        ((v_pos + v_neg) * rot).real,
+        ((A_OP2 * v_pos + A_OP * v_neg) * rot).real,
+        ((A_OP * v_pos + A_OP2 * v_neg) * rot).real,
     )
-
-
-def inverse_fortescue(seq: SequenceSet) -> tuple[Phasor, Phasor, Phasor]:
-    """Reconstruct phase phasors from a sequence set."""
-    p, n, z = seq.pos.z, seq.neg.z, seq.zero.z
-    va = z + p + n
-    vb = z + A_OP2 * p + A_OP * n
-    vc = z + A_OP * p + A_OP2 * n
-    return (Phasor.from_complex(va), Phasor.from_complex(vb), Phasor.from_complex(vc))
-
-
-def synth_abc(seq: SequenceSet, theta: float, t: float = 0.0) -> AbcSample:
-    """Instantaneous waveform values: each phase is Re(phasor * e^{j*theta})."""
-    va, vb, vc = inverse_fortescue(seq)
-    rot = cmath.exp(1j * theta)
-    return AbcSample((va.z * rot).real, (vb.z * rot).real, (vc.z * rot).real, t)

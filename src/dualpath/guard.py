@@ -21,9 +21,6 @@ class Setpoint:
     p_set: float | None = None
     q_set: float | None = None
     v_nom: float | None = None
-    mode_cmd: str | None = None
-    t_issued: float = 0.0
-    source_id: str = "operator"
 
 
 @dataclass(frozen=True, slots=True)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .events import BreakerSet, LoadStep, SourceFreq, SourceUnbalance
-from .frames import TWO_PI, Phasor
+from .frames import TWO_PI
 
 
 class UnknownElementError(KeyError):
@@ -52,6 +52,7 @@ CP_MAX_ITERS = 50
 CP_TOL = 1e-10
 CP_V_COLLAPSE = 1e-3  # pu; a CP-bus voltage below this is a collapse
 CP_DET_MIN = 1e-12  # Newton Jacobian determinant treated as singular
+OPEN = complex(math.inf)  # impedance of a load stepped to zero admittance
 
 
 @dataclass(slots=True)
@@ -129,25 +130,17 @@ class ConstantPowerLoad:
 Load = ConstantImpedanceLoad | ConstantPowerLoad
 
 
-def build_ybus(
-    buses: list[str],
-    lines: list[Line],
-    breakers: list[Breaker] = (),
-) -> np.ndarray:
-    """Nodal admittance matrix of the line network (no shunt elements).
+def build_ybus(buses: list[str], lines: list[Line]) -> np.ndarray:
+    """Nodal admittance matrix of ``lines`` over ``buses`` (no shunt elements).
 
-    Lines between a bus pair spanned by an open breaker are excluded.
-    Isolated buses produce a zero row; callers decide how to treat them.
+    Every line must join two of ``buses``; pass ``Network.effective_lines()``
+    to leave out the lines behind open breakers.  Isolated buses produce a
+    zero row; callers decide how to treat them.
     """
     idx = {b: i for i, b in enumerate(buses)}
-    open_pairs = {
-        frozenset((br.from_bus, br.to_bus)) for br in breakers if not br.closed
-    }
     n = len(buses)
     y = np.zeros((n, n), dtype=complex)
     for ln in lines:
-        if frozenset((ln.from_bus, ln.to_bus)) in open_pairs:
-            continue
         i, j = idx[ln.from_bus], idx[ln.to_bus]
         yl = 1.0 / ln.z
         y[i, i] += yl
@@ -155,14 +148,6 @@ def build_ybus(
         y[i, j] -= yl
         y[j, i] -= yl
     return y
-
-
-def branch_power(v_from: complex, v_to: complex, z: complex) -> complex:
-    """Complex power entering a branch at the from end: S = V conj((Vf-Vt)/z)."""
-    if z == 0:
-        raise ValueError("branch impedance must be nonzero")
-    i = (v_from - v_to) / z
-    return v_from * i.conjugate()
 
 
 @dataclass(slots=True)
@@ -173,33 +158,21 @@ class SolveReport:
     de_energized_with_load: list[list[str]] = field(default_factory=list)
 
 
+@dataclass(slots=True)
 class NetworkState:
     """Solved bus voltages and branch currents at one instant."""
 
-    __slots__ = ("t", "buses", "_idx", "v_pos", "v_neg", "branch_currents",
-                 "former_currents", "cp_currents")
-
-    def __init__(self, t, buses, idx, v_pos, v_neg, branch_currents,
-                 former_currents, cp_currents):
-        self.t = t
-        self.buses = buses
-        self._idx = idx
-        self.v_pos = v_pos
-        self.v_neg = v_neg
-        self.branch_currents = branch_currents
-        self.former_currents = former_currents
-        self.cp_currents = cp_currents
+    t: float
+    buses: list[str]
+    bus_index: dict[str, int]
+    v_pos: np.ndarray
+    v_neg: np.ndarray | None  # None without negative-sequence sources
+    branch_currents: np.ndarray
+    former_currents: dict[str, complex]
+    cp_currents: dict[str, complex]
 
     def v(self, bus: str) -> complex:
-        return complex(self.v_pos[self._idx[bus]])
-
-    def vneg(self, bus: str) -> complex:
-        if self.v_neg is None:
-            return 0j
-        return complex(self.v_neg[self._idx[bus]])
-
-    def voltage(self, bus: str) -> Phasor:
-        return Phasor.from_complex(self.v(bus))
+        return complex(self.v_pos[self.bus_index[bus]])
 
 
 class Network:
@@ -274,11 +247,10 @@ class Network:
             ld.p += dp
             ld.q += dq
         else:
-            # add a parallel admittance drawing (dp, dq) at 1 pu voltage
+            # add a parallel admittance drawing (dp, dq) at 1 pu voltage; at
+            # zero admittance the load is an open circuit
             y_new = 1.0 / ld.z + complex(dp, -dq)
-            if y_new == 0:
-                raise ValueError(f"load step would open-circuit load {load_id!r}")
-            ld.z = 1.0 / y_new
+            ld.z = 1.0 / y_new if y_new != 0 else OPEN
             self._version += 1
 
     def set_source_freq(self, source_id: str, f: float) -> None:
@@ -305,6 +277,8 @@ class Network:
     # -- topology ----------------------------------------------------------
 
     def effective_lines(self) -> list[Line]:
+        """Lines in service: an open breaker removes every line between its
+        bus pair."""
         open_pairs = {
             frozenset((br.from_bus, br.to_bus))
             for br in self.breakers.values()
@@ -366,17 +340,9 @@ class Network:
         eidx = {b: i for i, b in enumerate(energized)}
 
         n = len(energized)
-        y = np.zeros((n, n), dtype=complex)
         eff_lines = self.effective_lines()
-        for ln in eff_lines:
-            if ln.from_bus not in eidx:
-                continue
-            i, j = eidx[ln.from_bus], eidx[ln.to_bus]
-            yl = 1.0 / ln.z
-            y[i, i] += yl
-            y[j, j] += yl
-            y[i, j] -= yl
-            y[j, i] -= yl
+        # a line lies inside one island, so both or neither end is energized
+        y = build_ybus(energized, [ln for ln in eff_lines if ln.from_bus in eidx])
         for src in self.grid_sources.values():
             if src.bus in eidx:
                 y[eidx[src.bus], eidx[src.bus]] += 1.0 / src.z_s
@@ -384,7 +350,9 @@ class Network:
             y[eidx[bus], eidx[bus]] += 1.0 / z
         z_loads = []  # (bus position, conj(y)) of energized impedance loads
         for ld in self.loads.values():
-            if isinstance(ld, ConstantImpedanceLoad) and ld.bus in eidx:
+            # a load stepped to zero admittance draws nothing and drops out
+            if (isinstance(ld, ConstantImpedanceLoad) and ld.bus in eidx
+                    and ld.z != OPEN):
                 y[eidx[ld.bus], eidx[ld.bus]] += 1.0 / ld.z
                 z_loads.append((self.bus_index[ld.bus], (1.0 / ld.z).conjugate()))
         yinv = np.linalg.inv(y) if n else np.zeros((0, 0), dtype=complex)

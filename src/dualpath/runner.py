@@ -32,27 +32,27 @@ import yaml
 
 from .detect import IslandingDetector, ReconnectionMonitor
 from .droop import (
-    UV_CLAMP,
     DroopState,
     VirtualImpedance,
     black_start_ramp,
     droop_step,
     power_filter_step,
     restoration_step,
+    uv_handoff,
     virtual_impedance_step,
+    voltage_restoration_step,
 )
 from .events import (
+    NETWORK_EVENTS,
     BreakerSet,
     LoadStep,
     ModeCommand,
     PlugIn,
     PulseLoad,
     SetpointEvent,
-    SourceFreq,
-    SourceUnbalance,
     TimedEvent,
 )
-from .frames import A_OP, A_OP2, TWO_PI, wrap_angle
+from .frames import TWO_PI, phase_samples, wrap_angle
 from .guard import Setpoint, validate_setpoint
 from .network import Network, NonConvergenceError, apply_event
 from .pll import (
@@ -257,7 +257,15 @@ class Simulation:
                 inv.droop.ramp_active = True
                 inv.droop.ramp_target = inv.params.v_nom
 
-        state = None
+        # the topology does not change while initializing, so the forming
+        # units whose angles are steered, grouped by island, and whether a
+        # grid source fixes each island's frequency are looked up once
+        self._resolve_topology()
+        steered = [
+            (bool(grid), [m for m in gfm if not m.droop.ramp_active])
+            for grid, gfm in zip(self._island_grid, self._island_gfm)
+        ]
+        v = None
         for round_idx in range(80):
             self.init_rounds = round_idx + 1
             # largest last-round change of p_f/q_f, of the forming EMF
@@ -265,15 +273,12 @@ class Simulation:
             pq_change = v_change = steer_err = 0.0
             emfs = {}
             injections: dict[str, complex] = {}
-            for inv in self.invs:
-                if not inv.plugged:
-                    continue
-                if inv.mode is Mode.GFM:
-                    v_ref = inv.droop.v_gfm * cmath.exp(1j * inv.droop.theta_gfm)
-                    emfs[inv.id] = v_ref - inv.z_v_sys() * inv.i_sys
-                    inv.emf = emfs[inv.id]
-                elif state is not None:
-                    vb = state.v(inv.bus)
+            for inv in self._formers:
+                v_ref = inv.droop.v_gfm * cmath.exp(1j * inv.droop.theta_gfm)
+                emfs[inv.id] = inv.emf = v_ref - inv.z_v_sys() * inv.i_sys
+            if v is not None:
+                for inv in self._followers:
+                    vb = v[inv.bus_idx]
                     if abs(vb) >= 0.05:
                         s_sys = complex(
                             inv.params.p_set, inv.params.q_set
@@ -287,10 +292,11 @@ class Simulation:
                     else:
                         inv.inj = 0j
             state, _ = self.net.solve(0.0, emfs, injections)
+            v = state.v_pos.tolist()
             for inv in self.invs:
                 if not inv.plugged:
                     continue
-                vb = state.v(inv.bus)
+                vb = v[inv.bus_idx]
                 if inv.mode is Mode.GFM:
                     i = state.former_currents.get(inv.id, 0j)
                 else:
@@ -313,16 +319,9 @@ class Simulation:
             # steer forming EMF angles toward the droop-consistent power
             # split of each island, with equal restoration offsets, so the
             # scenario starts at the true equilibrium operating point
-            _, island_of, _ = self.net.partition()
-            groups: dict[int, list[_Inverter]] = {}
-            for inv in self.invs:
-                if inv.plugged and inv.mode is Mode.GFM and not inv.droop.ramp_active:
-                    groups.setdefault(island_of[inv.bus], []).append(inv)
-            for isl_idx, members in groups.items():
-                grid_tied = any(
-                    island_of[src.bus] == isl_idx
-                    for src in self.net.grid_sources.values()
-                )
+            for grid_tied, members in steered:
+                if not members:
+                    continue
                 if grid_tied:
                     delta = 0.0
                 else:
@@ -344,23 +343,18 @@ class Simulation:
                 break
         self.init_mismatch = max(pq_change, v_change, steer_err)
 
-        self._resolve_topology()
         freqs = self._island_frequencies()
         energized = self._energized
         for inv in self.invs:
             d = inv.droop
-            dp = inv.cfg.droop
+            dp = inv.params
             if inv.mode is Mode.GFM and not d.ramp_active:
                 if dp.k_v > 0:
-                    d.u_v = min(
-                        max(d.v_gfm - (dp.v_nom - dp.n_q * (d.q_f - dp.q_set)),
-                            -UV_CLAMP),
-                        UV_CLAMP,
-                    )
+                    d.u_v = uv_handoff(dp, d.v_gfm, d.q_f)
                 d.omega = 1.0 - dp.m_p * (d.p_f - dp.p_set) + d.u
             # PLL starts locked on whatever voltage it follows
             follow = inv.from_idx if inv.mode is Mode.GFM else inv.bus_idx
-            vb = complex(state.v_pos[follow]) if state is not None else 0j
+            vb = v[follow]
             isl = self._bus_island[follow]
             omega = 2 * math.pi * freqs[isl] if energized[isl] else self.w0
             if abs(vb) >= 0.05:
@@ -416,10 +410,7 @@ class Simulation:
         self.events_log.append((t, kind, target, detail))
 
     def _apply_setpoint(self, t: float, ev: SetpointEvent, inv: _Inverter) -> None:
-        sp = Setpoint(
-            p_set=ev.p_set, q_set=ev.q_set, v_nom=ev.v_nom,
-            mode_cmd=ev.mode, t_issued=t, source_id=ev.source_id,
-        )
+        sp = Setpoint(p_set=ev.p_set, q_set=ev.q_set, v_nom=ev.v_nom)
         verdict = validate_setpoint(
             sp, inv.params, inv.droop, inv.droop.p_f, inv.droop.q_f,
             inv.cfg.guard, self.f_nom,
@@ -448,7 +439,7 @@ class Simulation:
     def _apply_event(self, t: float, te: TimedEvent) -> None:
         ev = te.event
         by_id = self._by_id
-        if isinstance(ev, (LoadStep, BreakerSet, SourceFreq, SourceUnbalance)):
+        if isinstance(ev, NETWORK_EVENTS):
             apply_event(self.net, ev)
             self._log(t, type(ev).__name__, ev.target, _event_detail(ev))
             if isinstance(ev, BreakerSet):
@@ -689,13 +680,8 @@ class Simulation:
         # following path: PLL on the followed bus waveform (each phase is the
         # real part of its phase phasor rotated by the synthesis angle)
         follow = inv.from_idx if mode is Mode.GFM else inv.bus_idx
-        vf = v[follow]
-        vf_neg = v_neg[follow]
-        za = (vf + vf_neg) * rot
-        zb = (A_OP2 * vf + A_OP * vf_neg) * rot
-        zc = (A_OP * vf + A_OP2 * vf_neg) * rot
         pll = inv.pll
-        pll_step(za.real, zb.real, zc.real, dt, pll, inv.cfg.pll)
+        pll_step(*phase_samples(v[follow], v_neg[follow], rot), dt, pll, inv.cfg.pll)
 
         # forming path
         d = inv.droop
@@ -710,12 +696,9 @@ class Simulation:
             black_start_ramp(d, dt, rate, d.ramp_target)
             if not d.ramp_active:
                 # hand the ramp output to the droop voltage law without a step
-                d.u_v = min(max(
-                    d.v_gfm - (dp.v_nom - dp.n_q * (d.q_f - dp.q_set)),
-                    -UV_CLAMP), UV_CLAMP)
+                d.u_v = uv_handoff(dp, d.v_gfm, d.q_f)
         elif mode is Mode.GFM and dp.k_v > 0:
-            d.u_v += dt * dp.k_v * (dp.v_nom - v_bus_mag)
-            d.u_v = min(max(d.u_v, -UV_CLAMP), UV_CLAMP)
+            voltage_restoration_step(dp, d, v_bus_mag, dt)
         droop_step(dp, d, dt, self.w0)
         if mode is Mode.GFM:
             restoration_step(dp, d, dt)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import yaml
@@ -102,16 +102,32 @@ class ScenarioConfig:
     seed: int = 0
 
 
-_EVENT_KEYS = {
-    "load_step": ("dp", "dq"),
-    "breaker_set": ("closed",),
-    "source_freq": ("f",),
-    "source_unbalance": ("mag", "angle_deg"),
-    "setpoint": ("source", "p_set", "q_set", "v_nom", "mode"),
-    "mode_command": ("mode",),
-    "plug_in": (),
-    "pulse_load": ("dp", "dq", "duration"),
+def _radians(deg) -> float:
+    return math.radians(float(deg))
+
+
+# YAML event type -> (event class, kind of element its target must name,
+# YAML key -> parser).  Parsing, the target check and the echo all read this
+# table.  An absent or null key leaves its field at the event's default; a
+# field without a default is required.
+_EVENTS = {
+    "load_step": (LoadStep, "load", {"dp": float, "dq": float}),
+    "breaker_set": (BreakerSet, "breaker", {"closed": bool}),
+    "source_freq": (SourceFreq, "grid_source", {"f": float}),
+    "source_unbalance": (
+        SourceUnbalance, "grid_source", {"mag": float, "angle_deg": _radians}
+    ),
+    "setpoint": (
+        SetpointEvent, "inverter",
+        {"source": str, "p_set": float, "q_set": float, "v_nom": float, "mode": str},
+    ),
+    "mode_command": (ModeCommand, "inverter", {"mode": str}),
+    "plug_in": (PlugIn, "inverter", {}),
+    "pulse_load": (PulseLoad, "load", {"dp": float, "dq": float, "duration": float}),
 }
+_EVENT_TYPE = {cls: etype for etype, (cls, _, _) in _EVENTS.items()}
+# YAML keys whose event field has another name
+_FIELD_OF_KEY = {"source": "source_id", "angle_deg": "angle"}
 
 
 def _mode_from_str(s: str) -> Mode:
@@ -126,7 +142,7 @@ def _parse_event(raw: dict, idx: int, problems: list[str]) -> TimedEvent | None:
     etype = raw.get("type")
     t = raw.get("t")
     target = raw.get("target")
-    if etype not in _EVENT_KEYS:
+    if etype not in _EVENTS:
         problems.append(f"{where}.type: unknown event type {etype!r}")
         return None
     if not isinstance(t, (int, float)):
@@ -135,41 +151,14 @@ def _parse_event(raw: dict, idx: int, problems: list[str]) -> TimedEvent | None:
     if not target:
         problems.append(f"{where}.target: missing target id")
         return None
+    cls, _, keys = _EVENTS[etype]
     try:
-        if etype == "load_step":
-            ev = LoadStep(target, float(raw.get("dp", 0.0)), float(raw.get("dq", 0.0)))
-        elif etype == "breaker_set":
-            ev = BreakerSet(target, bool(raw["closed"]))
-        elif etype == "source_freq":
-            ev = SourceFreq(target, float(raw["f"]))
-        elif etype == "source_unbalance":
-            ev = SourceUnbalance(
-                target,
-                float(raw.get("mag", 0.0)),
-                math.radians(float(raw.get("angle_deg", 0.0))),
-            )
-        elif etype == "setpoint":
-            mode = raw.get("mode")
-            ev = SetpointEvent(
-                target,
-                source_id=str(raw.get("source", "operator")),
-                p_set=None if raw.get("p_set") is None else float(raw["p_set"]),
-                q_set=None if raw.get("q_set") is None else float(raw["q_set"]),
-                v_nom=None if raw.get("v_nom") is None else float(raw["v_nom"]),
-                mode=None if mode is None else str(mode),
-            )
-        elif etype == "mode_command":
-            ev = ModeCommand(target, str(raw["mode"]))
-        elif etype == "plug_in":
-            ev = PlugIn(target)
-        else:
-            ev = PulseLoad(
-                target,
-                float(raw.get("dp", 0.0)),
-                float(raw.get("dq", 0.0)),
-                float(raw.get("duration", 0.5)),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
+        ev = cls(target, **{
+            _FIELD_OF_KEY.get(key, key): parse(raw[key])
+            for key, parse in keys.items()
+            if raw.get(key) is not None
+        })
+    except (TypeError, ValueError) as exc:
         problems.append(f"{where}: {exc}")
         return None
     return TimedEvent(float(t), ev)
@@ -390,11 +379,6 @@ def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
         if inv.droop.k_r * dt > 0.1:
             problems.append(f"inverters[{i}].droop: k_r*dt > 0.1")
 
-    expected_kind = {
-        LoadStep: "load", PulseLoad: "load", BreakerSet: "breaker",
-        SourceFreq: "grid_source", SourceUnbalance: "grid_source",
-        SetpointEvent: "inverter", ModeCommand: "inverter", PlugIn: "inverter",
-    }
     events = []
     for i, raw in enumerate(doc.get("events", [])):
         tev = _parse_event(raw, i, problems)
@@ -408,7 +392,7 @@ def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
         if kind is None:
             problems.append(f"events[{i}].target: unknown element {target!r}")
             continue
-        want = expected_kind[type(tev.event)]
+        want = _EVENTS[_EVENT_TYPE[type(tev.event)]][1]
         if kind != want:
             problems.append(
                 f"events[{i}].target: {target!r} is a {kind}, expected a {want}"
@@ -422,8 +406,7 @@ def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
         decimate=int(out_raw.get("decimate", 1)),
         noise_std=float(out_raw.get("noise_std", 0.0)),
     )
-    if output.decimate < 1:
-        problems.append("output.decimate: must be >= 1")
+    problems += output_problems(output)
 
     if problems:
         raise ValidationError(problems)
@@ -445,6 +428,11 @@ def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
     )
 
 
+def output_problems(output: OutputConfig) -> list[str]:
+    """Problems with the output settings, also checked after a CLI override."""
+    return ["output.decimate: must be >= 1"] if output.decimate < 1 else []
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     try:
@@ -458,6 +446,12 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 def resolved_dict(cfg: ScenarioConfig) -> dict:
     """Fully-resolved config (all defaults filled) for the output-dir echo."""
+
+    def in_degrees(params, angle: str) -> dict:
+        # the fields of params with the angle field, in rad, as <angle>_deg
+        d = asdict(params)
+        d[f"{angle}_deg"] = math.degrees(d.pop(angle))
+        return d
 
     def inv_dict(inv: InverterConfig) -> dict:
         d = {
@@ -480,38 +474,12 @@ def resolved_dict(cfg: ScenarioConfig) -> dict:
                 "k_v": inv.droop.k_v,
             },
             "virtual_impedance": {
-                "r_v": inv.vz.r_v, "x_v": inv.vz.x_v,
-                "x_v_min": inv.vz.x_v_min, "x_v_max": inv.vz.x_v_max,
-                "k_adapt": inv.vz.k_adapt,
+                k: v for k, v in asdict(inv.vz).items() if k != "i_filt"
             },
-            "pll": {
-                "f_nom": inv.pll.f_nom, "zeta": inv.pll.zeta, "f_n": inv.pll.f_n,
-                "sogi_k": inv.pll.sogi_k,
-            },
-            "detector": {
-                "f_min": inv.detector.f_min, "f_max": inv.detector.f_max,
-                "v_min": inv.detector.v_min, "v_max": inv.detector.v_max,
-                "rocof_max": inv.detector.rocof_max,
-                "rocof_window": inv.detector.rocof_window,
-                "persist": inv.detector.persist,
-                "recon_dv": inv.detector.recon_dv,
-                "recon_df": inv.detector.recon_df,
-                "recon_dtheta_deg": math.degrees(inv.detector.recon_dtheta),
-                "recon_hold": inv.detector.recon_hold,
-            },
-            "guard": {
-                "s_max": inv.guard.s_max,
-                "v_nom_min": inv.guard.v_nom_min, "v_nom_max": inv.guard.v_nom_max,
-                "rate_p": inv.guard.rate_p, "rate_v": inv.guard.rate_v,
-                "f_pred_min": inv.guard.f_pred_min, "f_pred_max": inv.guard.f_pred_max,
-                "v_pred_min": inv.guard.v_pred_min, "v_pred_max": inv.guard.v_pred_max,
-            },
-            "thresholds": {
-                "eps_theta_deg": math.degrees(inv.thresholds.eps_theta),
-                "eps_v": inv.thresholds.eps_v,
-                "eps_f": inv.thresholds.eps_f,
-                "hold": inv.thresholds.hold,
-            },
+            "pll": asdict(inv.pll),
+            "detector": in_degrees(inv.detector, "recon_dtheta"),
+            "guard": asdict(inv.guard),
+            "thresholds": in_degrees(inv.thresholds, "eps_theta"),
         }
         if inv.black_start is not None:
             d["black_start"] = {"ramp_rate": inv.black_start.ramp_rate}
@@ -519,10 +487,11 @@ def resolved_dict(cfg: ScenarioConfig) -> dict:
 
     def event_dict(te: TimedEvent) -> dict:
         ev = te.event
-        d = {"t": te.t, "type": type(ev).__name__, "target": ev.target}
-        for f in ev.__dataclass_fields__:
-            if f != "target":
-                d[f] = getattr(ev, f)
+        etype = _EVENT_TYPE[type(ev)]
+        d = {"t": te.t, "type": etype, "target": ev.target}
+        for key, parse in _EVENTS[etype][2].items():
+            value = getattr(ev, _FIELD_OF_KEY.get(key, key))
+            d[key] = math.degrees(value) if parse is _radians else value
         return d
 
     return {

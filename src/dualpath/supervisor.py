@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .droop import U_CLAMP, UV_CLAMP, DroopParams, DroopState
+from .droop import U_CLAMP, DroopParams, DroopState, uv_handoff
 from .frames import TWO_PI, wrap_angle
 from .pll import PllState
 
@@ -65,10 +65,6 @@ class PathMeasurements:
     followed_energized: bool = True
 
 
-def _clamp(x: float, lim: float) -> float:
-    return lim if x > lim else (-lim if x < -lim else x)
-
-
 def shadow_follow(
     meas: PathMeasurements, gfm: DroopState, params: DroopParams
 ) -> None:
@@ -86,18 +82,11 @@ def shadow_follow(
     gfm.q_f = meas.q
     gfm.omega = meas.omega_pu
     if params.k_r > 0:
-        gfm.u = _clamp(
-            meas.omega_pu - 1.0 + params.m_p * (meas.p - params.p_set), U_CLAMP
-        )
+        u = meas.omega_pu - 1.0 + params.m_p * (meas.p - params.p_set)
+        gfm.u = U_CLAMP if u > U_CLAMP else (-U_CLAMP if u < -U_CLAMP else u)
     else:
         gfm.u = 0.0
-    if params.k_v > 0:
-        gfm.u_v = _clamp(
-            meas.v - (params.v_nom - params.n_q * (meas.q - params.q_set)),
-            UV_CLAMP,
-        )
-    else:
-        gfm.u_v = 0.0
+    gfm.u_v = uv_handoff(params, meas.v, meas.q) if params.k_v > 0 else 0.0
     gfm.ramp_active = False
 
 
@@ -109,7 +98,6 @@ class Supervisor:
         self.thresholds = thresholds
         self.f_nom = f_nom
         self.status = SyncStatus()
-        self.last_denial: str | None = None
 
     def shadow_sync_step(
         self,
@@ -159,30 +147,15 @@ class Supervisor:
         st = self.status
         th = self.thresholds
         if target is Mode.GFL and st.stale:
-            self.last_denial = "stale"
             return False, "stale"
         if abs(st.d_theta) > th.eps_theta:
-            self.last_denial = "angle"
             return False, "angle"
         if st.d_v > th.eps_v:
-            self.last_denial = "voltage"
             return False, "voltage"
         if st.d_f > th.eps_f:
-            self.last_denial = "frequency"
             return False, "frequency"
         if st.holds_since is None or (t - st.holds_since) < th.hold:
-            self.last_denial = "hold"
             return False, "hold"
         self.mode = target
         self.status.holds_since = None
-        self.last_denial = None
         return True, "none"
-
-
-def active_reference(
-    mode: Mode, gfl: PllState, gfm: DroopState
-) -> tuple[float, float]:
-    """(theta, v) pair of whichever path currently drives the inverter."""
-    if mode is Mode.GFM:
-        return gfm.theta_gfm, gfm.v_gfm
-    return gfl.theta_est, gfl.v_pos

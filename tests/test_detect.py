@@ -5,18 +5,95 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualpath.detect import (
-    DetectorConfig,
-    InsufficientWindowError,
-    IslandingDetector,
-    MeasurementWindow,
-    ReconnectionMonitor,
-    detect_islanding,
-)
+from dualpath.detect import DetectorConfig, IslandingDetector, ReconnectionMonitor
 from dualpath.frames import wrap_angle
 
 DT = 1e-3
 CFG = DetectorConfig()
+
+
+# --- batch oracle of IslandingDetector --------------------------------------
+
+class InsufficientWindowError(RuntimeError):
+    """The measurement window does not yet span the persistence time."""
+
+
+class MeasurementWindow:
+    """Fixed-capacity ring buffer of (t, f, v) samples at the control rate."""
+
+    def __init__(self, capacity: int):
+        if capacity < 2:
+            raise ValueError("capacity must be at least 2")
+        self.capacity = capacity
+        self._t = np.empty(capacity)
+        self._f = np.empty(capacity)
+        self._v = np.empty(capacity)
+        self._n = 0
+        self._head = 0
+        self._last_t = -math.inf
+
+    def push(self, t: float, f: float, v: float) -> None:
+        if t <= self._last_t:
+            raise ValueError("timestamps must be strictly increasing")
+        self._last_t = t
+        self._t[self._head] = t
+        self._f[self._head] = f
+        self._v[self._head] = v
+        self._head = (self._head + 1) % self.capacity
+        if self._n < self.capacity:
+            self._n += 1
+
+    @property
+    def span(self) -> float:
+        if self._n < 2:
+            return 0.0
+        t = self.as_arrays()[0]
+        return float(t[-1] - t[0])
+
+    def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Samples in chronological order."""
+        if self._n < self.capacity:
+            sl = slice(0, self._n)
+            return self._t[sl], self._f[sl], self._v[sl]
+        order = np.concatenate(
+            (np.arange(self._head, self.capacity), np.arange(0, self._head))
+        )
+        return self._t[order], self._f[order], self._v[order]
+
+
+def _rocof_series(t: np.ndarray, f: np.ndarray, window: float) -> np.ndarray:
+    """|df/dt| over a trailing window; NaN where the lookback is unavailable."""
+    j = np.searchsorted(t, t - window, side="right") - 1
+    valid = j >= 0
+    out = np.full(t.shape, np.nan)
+    jj = np.clip(j, 0, None)
+    dt = t - t[jj]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = (f - f[jj]) / dt
+    out[valid & (dt > 0)] = np.abs(r[valid & (dt > 0)])
+    return out
+
+
+def detect_islanding(w: MeasurementWindow, cfg: DetectorConfig) -> bool:
+    """True iff at least one criterion held continuously for the persist time."""
+    if w.span < cfg.persist:
+        raise InsufficientWindowError(
+            f"window spans {w.span:.3f} s < persist {cfg.persist:.3f} s"
+        )
+    t, f, v = w.as_arrays()
+    now = t[-1]
+    f_viol = (f < cfg.f_min) | (f > cfg.f_max)
+    v_viol = (v < cfg.v_min) | (v > cfg.v_max)
+    rocof = _rocof_series(t, f, cfg.rocof_window)
+    r_viol = np.zeros(t.shape, dtype=bool)
+    ok = ~np.isnan(rocof)
+    r_viol[ok] = rocof[ok] > cfg.rocof_max
+    for viol in (f_viol, v_viol, r_viol):
+        ok_times = t[~viol]
+        t_ok = ok_times[-1] if ok_times.size else t[0]
+        if viol[-1] and (now - t_ok) >= cfg.persist:
+            return True
+    return False
 
 
 def fill_window(samples, capacity=None):

@@ -6,20 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dualpath.frames import (
-    DqFrame,
-    PerUnitBase,
-    Phasor,
-    SequenceSet,
-    clarke,
-    fortescue,
-    inverse_clarke,
-    inverse_fortescue,
-    inverse_park,
-    park,
-    synth_abc,
-    wrap_angle,
-)
+from dualpath.frames import PerUnitBase, clarke, phase_samples, wrap_angle
+from dualpath.pll import gfl_injection
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -31,6 +19,14 @@ CLARKE_M = np.array([[2 / 3, -1 / 3, -1 / 3], [0.0, 1 / math.sqrt(3), -1 / math.
 
 _a = cmath.exp(2j * math.pi / 3)
 FORTESCUE_M = np.array([[1, 1, 1], [1, _a, _a**2], [1, _a**2, _a]]) / 3.0
+
+
+def phase_phasors(v_pos, v_neg):
+    # Re(z * 1) and Re(z * -j) are the real and imaginary parts of each
+    # phase phasor z
+    re = phase_samples(v_pos, v_neg, 1.0)
+    im = phase_samples(v_pos, v_neg, -1j)
+    return np.array([complex(x, y) for x, y in zip(re, im)])
 
 
 def test_perunit_base_positive():
@@ -55,17 +51,18 @@ def test_clarke_matches_matrix_oracle(a, b, c):
 
 
 def test_park_identity_and_quarter_turn():
-    dq = park(1.0, 0.0, 0.0)
-    assert (dq.d, dq.q) == pytest.approx((1.0, 0.0))
-    dq = park(1.0, 0.0, math.pi / 2)
-    assert (dq.d, dq.q) == pytest.approx((0.0, -1.0), abs=1e-15)
+    # the GFL path rotates dq references into the network frame at theta
+    assert gfl_injection(1.0, 0.0, 0.0) == pytest.approx(1.0)
+    assert gfl_injection(0.0, -1.0, math.pi / 2) == pytest.approx(1.0, abs=1e-15)
 
 
 @given(finite, finite, angles)
 def test_park_roundtrip(alpha, beta, theta):
-    back = inverse_park(park(alpha, beta, theta), theta)
-    assert back[0] == pytest.approx(alpha, abs=1e-12)
-    assert back[1] == pytest.approx(beta, abs=1e-12)
+    # the runner's forward rotation d + jq = (alpha + j beta) e^{-j theta}
+    dq = complex(alpha, beta) * cmath.exp(-1j * theta)
+    back = gfl_injection(dq.real, dq.imag, theta)
+    assert back.real == pytest.approx(alpha, abs=1e-12)
+    assert back.imag == pytest.approx(beta, abs=1e-12)
 
 
 @given(finite, angles)
@@ -75,69 +72,53 @@ def test_clarke_park_amplitude_invariance(m, theta):
     b = m * math.cos(theta - 2 * math.pi / 3)
     c = m * math.cos(theta + 2 * math.pi / 3)
     alpha, beta = clarke(a, b, c)
-    dq = park(alpha, beta, 0.0)
-    assert dq.mag == pytest.approx(abs(m), abs=1e-12)
+    assert math.hypot(alpha, beta) == pytest.approx(abs(m), abs=1e-12)
 
 
 def test_fortescue_balanced_set():
-    seq = fortescue(
-        Phasor.from_polar(1.0, 0.0),
-        Phasor.from_polar(1.0, -2 * math.pi / 3),
-        Phasor.from_polar(1.0, 2 * math.pi / 3),
-    )
-    assert seq.pos.z == pytest.approx(1.0 + 0.0j, abs=1e-15)
-    assert abs(seq.neg.z) == pytest.approx(0.0, abs=1e-15)
-    assert abs(seq.zero.z) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_fortescue_single_phase_matches_matrix_oracle():
-    seq = fortescue(Phasor(1.0, 0.0), Phasor(), Phasor())
-    ref = FORTESCUE_M @ np.array([1.0, 0.0, 0.0])
-    # zero, pos, neg rows of the oracle matrix
-    assert seq.zero.z == pytest.approx(ref[0])
-    assert seq.pos.z == pytest.approx(ref[1])
-    assert seq.neg.z == pytest.approx(ref[2])
-    assert seq.pos.z == pytest.approx(1 / 3 + 0j)
+    phases = phase_phasors(1.0, 0.0)
+    ref = np.exp(1j * np.array([0.0, -2 * math.pi / 3, 2 * math.pi / 3]))
+    assert phases == pytest.approx(ref, abs=1e-15)
+    zero, pos, neg = FORTESCUE_M @ phases
+    assert pos == pytest.approx(1.0 + 0.0j, abs=1e-15)
+    assert abs(neg) == pytest.approx(0.0, abs=1e-15)
+    assert abs(zero) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_fortescue_all_zero():
-    seq = fortescue(Phasor(), Phasor(), Phasor())
-    assert seq.pos.z == 0 and seq.neg.z == 0 and seq.zero.z == 0
+    assert phase_samples(0j, 0j, cmath.exp(0.7j)) == (0.0, 0.0, 0.0)
 
 
-@given(st.tuples(*[finite] * 6))
+@given(st.tuples(*[finite] * 4))
 def test_fortescue_roundtrip(vals):
-    va = Phasor(vals[0], vals[1])
-    vb = Phasor(vals[2], vals[3])
-    vc = Phasor(vals[4], vals[5])
-    ra, rb, rc = inverse_fortescue(fortescue(va, vb, vc))
-    assert ra.z == pytest.approx(va.z, abs=1e-12)
-    assert rb.z == pytest.approx(vb.z, abs=1e-12)
-    assert rc.z == pytest.approx(vc.z, abs=1e-12)
+    v_pos, v_neg = complex(vals[0], vals[1]), complex(vals[2], vals[3])
+    zero, pos, neg = FORTESCUE_M @ phase_phasors(v_pos, v_neg)
+    assert zero == pytest.approx(0j, abs=1e-12)
+    assert pos == pytest.approx(v_pos, abs=1e-12)
+    assert neg == pytest.approx(v_neg, abs=1e-12)
 
 
 def test_synth_abc_positive_sequence():
-    seq = SequenceSet(pos=Phasor.from_polar(1.0, 0.0))
-    s = synth_abc(seq, 0.0)
-    assert (s.a, s.b, s.c) == pytest.approx((1.0, -0.5, -0.5))
-    zero = synth_abc(SequenceSet(), 1.234)
-    assert (zero.a, zero.b, zero.c) == (0.0, 0.0, 0.0)
+    assert phase_samples(1.0 + 0j, 0j, 1.0) == pytest.approx((1.0, -0.5, -0.5))
+    assert phase_samples(0j, 0j, cmath.exp(1.234j)) == (0.0, 0.0, 0.0)
 
 
 @given(st.tuples(*[finite] * 4), angles)
 def test_synth_abc_mixture_matches_phasor_sum_oracle(vals, theta):
-    seq = SequenceSet(pos=Phasor(vals[0], vals[1]), neg=Phasor(vals[2], vals[3]))
-    s = synth_abc(seq, theta)
+    v_pos, v_neg = complex(vals[0], vals[1]), complex(vals[2], vals[3])
     rot = cmath.exp(1j * theta)
-    for got, ph in zip((s.a, s.b, s.c), inverse_fortescue(seq)):
-        assert got == pytest.approx((ph.z * rot).real, abs=1e-12)
+    # inverse of the component matrix: phases from (zero, pos, neg)
+    phases = np.linalg.inv(FORTESCUE_M) @ np.array([0j, v_pos, v_neg])
+    assert phase_samples(v_pos, v_neg, rot) == pytest.approx(
+        tuple((phases * rot).real), abs=1e-12
+    )
 
 
 def test_synth_abc_pos_only_formula():
     # phase a of a pos-only set of magnitude m, angle phi is m*cos(theta+phi)
     m, phi, theta = 0.97, 0.4, 1.1
-    s = synth_abc(SequenceSet(pos=Phasor.from_polar(m, phi)), theta)
-    assert s.a == pytest.approx(m * math.cos(theta + phi), abs=1e-12)
+    a, _, _ = phase_samples(cmath.rect(m, phi), 0j, cmath.exp(1j * theta))
+    assert a == pytest.approx(m * math.cos(theta + phi), abs=1e-12)
 
 
 @given(angles)
@@ -153,20 +134,10 @@ def test_wrap_angle_boundary():
     assert wrap_angle(3 * math.pi) == pytest.approx(math.pi)
 
 
-def test_phasor_angle_wrapped():
-    p = Phasor(-1.0, 0.0)
-    assert p.angle == pytest.approx(math.pi)
-    assert Phasor.from_polar(2.0, 0.5).mag == pytest.approx(2.0)
-    assert complex(Phasor(1.0, 2.0)) == 1 + 2j
-
-
-def test_dq_mag():
-    assert DqFrame(3.0, 4.0).mag == pytest.approx(5.0)
-
-
 @given(finite, finite)
 def test_inverse_clarke_roundtrip_zero_sequence_free(alpha, beta):
-    a, b, c = inverse_clarke(alpha, beta)
+    # a positive-sequence set at zero angle is the inverse Clarke transform
+    a, b, c = phase_samples(complex(alpha, beta), 0j, 1.0)
     assert a + b + c == pytest.approx(0.0, abs=1e-12)
     back = clarke(a, b, c)
     assert back[0] == pytest.approx(alpha, abs=1e-12)

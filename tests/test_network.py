@@ -17,7 +17,6 @@ from dualpath.network import (
     NonConvergenceError,
     UnknownElementError,
     apply_event,
-    branch_power,
     build_ybus,
 )
 
@@ -51,11 +50,12 @@ def test_build_ybus_single_line():
 
 
 def test_build_ybus_open_breaker_zeroes_matrix():
-    y = build_ybus(
+    net = Network(
         ["1", "2"],
         [Line("1", "2", 0.01, 0.1)],
         [Breaker("b", "1", "2", closed=False)],
     )
+    y = build_ybus(net.buses, net.effective_lines())
     assert np.allclose(y, 0.0)
 
 
@@ -104,7 +104,7 @@ def test_solve_voltage_divider_analytic():
     expected = 1.0 / (1.0 + 0.1j)  # complex divider oracle
     assert abs(state.v("b") - expected) < 1e-12
     assert abs(state.v("b")) == pytest.approx(0.995037, abs=1e-6)
-    assert math.degrees(state.voltage("b").angle) == pytest.approx(-5.7106, abs=1e-3)
+    assert math.degrees(cmath.phase(state.v("b"))) == pytest.approx(-5.7106, abs=1e-3)
     assert rep.residual < 1e-10
 
 
@@ -166,9 +166,10 @@ def test_cp_beyond_the_loadability_limit_aborts_naming_it():
 def cp_fixed_point_oracle(net, damping=0.7, tol=1e-14, max_iters=5000):
     """Bus voltages by the damped fixed point on the CP-load currents.
 
-    Independent of the solver: Y comes from ``build_ybus`` plus the shunts,
-    and each CP bus draws the sum of its loads' conj(S / V).  Valid for a
-    network with every bus energized and no breakers.
+    Independent of the solver's Newton: each CP bus draws the sum of its
+    loads' conj(S / V).  Y comes from ``build_ybus``, which the solver also
+    uses and the hand-assembly tests above pin, plus the shunts.  Valid for
+    a network with every bus energized and no breakers.
     """
     idx = net.bus_index
     y = build_ybus(net.buses, net.lines)
@@ -251,28 +252,40 @@ def test_cp_load_step_is_seen_by_the_next_solve():
     assert abs(s - complex(1.2, -0.15)) < 1e-10
 
 
+def solved_line(z, load=None):
+    """(V_from, V_to, solved branch current) of a line from a stiff source."""
+    net = Network(
+        buses=["g", "b"],
+        lines=[Line("g", "b", z.real, z.imag)],
+        grid_sources=[GridSource("s", "g", 1.0 + 0j, 1e-6j)],
+        loads=[] if load is None else [ConstantImpedanceLoad("zl", "b", load)],
+    )
+    state, _ = net.solve(0.0)
+    return state.v("g"), state.v("b"), complex(state.branch_currents[0])
+
+
 def test_branch_power_zero_flow_and_resistive():
-    assert branch_power(1 + 0j, 1 + 0j, 0.1j) == 0
-    s = branch_power(1.0 + 0j, 0.9 + 0j, 0.05 + 0j)
-    assert s.imag == pytest.approx(0.0, abs=1e-15)
+    # branch power S = V_from conj(I)
+    v_from, _, i = solved_line(0.1j)
+    assert v_from * i.conjugate() == 0
+    v_from, _, i = solved_line(0.05 + 0j, load=1.0 + 0j)
+    assert (v_from * i.conjugate()).imag == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ValueError):
-        branch_power(1, 0.9, 0)
+        Line("g", "b", 0.0, 0.0)
 
 
 def test_branch_power_matches_divider_example():
-    v_from = 1.0 + 0j
-    v_to = cmath.rect(1.0, math.radians(-5.7106))
-    s = branch_power(v_from, v_to, 0.1j)
-    i = (v_from - v_to) / 0.1j  # independent complex arithmetic oracle
-    assert s == pytest.approx(v_from * i.conjugate())
-    assert s.real == pytest.approx(0.99504, abs=1e-4)
+    v_from, v_to, i = solved_line(0.1j, load=1.0 + 0j)
+    # independent complex arithmetic oracle
+    assert i == pytest.approx((v_from - v_to) / 0.1j, abs=1e-12)
+    # a lossless line delivers the load's |V|^2 / R
+    assert (v_from * i.conjugate()).real == pytest.approx(abs(v_to) ** 2, abs=1e-12)
 
 
 def test_from_and_to_end_powers_differ_by_losses():
     z = 0.02 + 0.1j
-    v_from, v_to = 1.0 + 0j, 0.93 - 0.05j
-    i = (v_from - v_to) / z
-    s_from = branch_power(v_from, v_to, z)
+    v_from, v_to, i = solved_line(z, load=0.9 + 0.3j)
+    s_from = v_from * i.conjugate()
     s_to = v_to * i.conjugate()
     assert s_from - s_to == pytest.approx(abs(i) ** 2 * z, abs=1e-12)
 
@@ -383,6 +396,17 @@ def test_impedance_load_step_adds_parallel_admittance():
     assert y == pytest.approx(1.5 + 0j)
 
 
+def test_load_stepped_to_zero_admittance_drops_out():
+    # r = 2 pu draws 0.5 pu at 1 pu; the -0.5 pu step leaves zero admittance
+    net = two_bus(ConstantImpedanceLoad("zl", "ld", 2.0 + 0j))
+    net.step_load("zl", -0.5, 0.0)
+    state, _ = net.solve(0.0)
+    assert np.array_equal(state.v_pos, two_bus().solve(0.0)[0].v_pos)
+    assert net.power_balance_residual(state) < 1e-10
+    net.step_load("zl", 0.25, 0.0)
+    assert 1.0 / net.loads["zl"].z == pytest.approx(0.25)
+
+
 def test_unbalance_appears_in_negative_sequence_solve():
     net = Network(
         buses=["b"],
@@ -392,12 +416,12 @@ def test_unbalance_appears_in_negative_sequence_solve():
     net.set_source_unbalance("g", 0.1, 0.0)
     state, _ = net.solve(0.0)
     # no neg-seq load current: bus neg-seq voltage equals the injected EMF
-    assert state.vneg("b") == pytest.approx(0.1 + 0j, abs=1e-12)
+    assert state.v_neg[net.bus_index["b"]] == pytest.approx(0.1 + 0j, abs=1e-12)
     assert abs(state.v("b") - 1.0) < 1e-12
 
 
 def test_unbalanced_waveform_matches_fortescue_reconstruction_oracle():
-    from dualpath.frames import Phasor, SequenceSet, synth_abc
+    from dualpath.frames import phase_samples
 
     net = Network(
         buses=["b"],
@@ -406,24 +430,21 @@ def test_unbalanced_waveform_matches_fortescue_reconstruction_oracle():
     )
     apply_event(net, SourceUnbalance("g", mag=0.1, angle=0.3))
     state, _ = net.solve(0.0)
-    seq = SequenceSet(
-        pos=Phasor.from_complex(state.v("b")),
-        neg=Phasor.from_complex(state.vneg("b")),
-    )
+    v_pos, v_neg = state.v("b"), complex(state.v_neg[net.bus_index["b"]])
     # independent oracle: phase phasors via the inverse 3x3 component matrix,
     # each phase sampled as Re(phasor * e^{j theta})
     a_op = cmath.exp(2j * math.pi / 3)
     inv_m = np.array([[1, 1, 1], [1, a_op**2, a_op], [1, a_op, a_op**2]])
-    phases = inv_m @ np.array([0.0 + 0j, state.v("b"), state.vneg("b")])
+    phases = inv_m @ np.array([0.0 + 0j, v_pos, v_neg])
     for theta in (0.0, 0.7, 2.1):
-        sample = synth_abc(seq, theta)
+        a, b, c = phase_samples(v_pos, v_neg, cmath.exp(1j * theta))
         ref = (phases * cmath.exp(1j * theta)).real
-        assert sample.a == pytest.approx(ref[0], abs=1e-12)
-        assert sample.b == pytest.approx(ref[1], abs=1e-12)
-        assert sample.c == pytest.approx(ref[2], abs=1e-12)
+        assert a == pytest.approx(ref[0], abs=1e-12)
+        assert b == pytest.approx(ref[1], abs=1e-12)
+        assert c == pytest.approx(ref[2], abs=1e-12)
     # the waveform is genuinely unbalanced
-    s0 = synth_abc(seq, 0.0)
-    assert abs(s0.b) != pytest.approx(abs(s0.c), abs=1e-3)
+    _, b0, c0 = phase_samples(v_pos, v_neg, 1.0)
+    assert abs(b0) != pytest.approx(abs(c0), abs=1e-3)
 
 
 def test_source_advance_rotates_emf():

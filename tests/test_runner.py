@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from dualpath.cli import main as cli_main
-from dualpath.frames import Phasor, SequenceSet, synth_abc
+from dualpath.frames import phase_samples
 from dualpath.runner import CSV_CHUNK_ROWS, Simulation, run, write_outputs
 from dualpath.scenario import parse_config
 
@@ -282,22 +282,40 @@ def test_gfl_injection_suspends_on_undervoltage():
 
 
 def test_fast_synth_matches_frames_reference():
-    sim = Simulation(parse_config(doc(t_end=0.1)))
     vpos, vneg = 0.97 * cmath.exp(0.4j), 0.08 * cmath.exp(-1.1j)
-    theta = 1.234
-    from dualpath.frames import A_OP, A_OP2
+    rot = cmath.exp(1.234j)
+    # independent oracle: phase phasors through the inverse component matrix
+    a = cmath.exp(2j * math.pi / 3)
+    inv_m = np.array([[1, 1, 1], [1, a * a, a], [1, a, a * a]])
+    ref = ((inv_m @ np.array([0j, vpos, vneg])) * rot).real
+    assert phase_samples(vpos, vneg, rot) == pytest.approx(tuple(ref), abs=1e-15)
 
-    rot = cmath.exp(1j * theta)
-    fast = (
-        ((vpos + vneg) * rot).real,
-        ((A_OP2 * vpos + A_OP * vneg) * rot).real,
-        ((A_OP * vpos + A_OP2 * vneg) * rot).real,
-    )
-    ref = synth_abc(
-        SequenceSet(pos=Phasor.from_complex(vpos), neg=Phasor.from_complex(vneg)),
-        theta,
-    )
-    assert fast == pytest.approx((ref.a, ref.b, ref.c), abs=1e-15)
+
+def test_load_stepped_to_zero_admittance_runs(tmp_path):
+    # r = 2 pu draws 0.5 pu at 1 pu; the -0.5 pu step leaves zero admittance
+    d = doc(t_end=0.2)
+    d["loads"].append({"id": "ldz", "bus": "b1", "kind": "impedance", "r": 2.0, "x": 0})
+    d["events"] = [{"t": 0.1, "type": "load_step", "target": "ldz", "dp": -0.5}]
+    scen = tmp_path / "scen.yaml"
+    scen.write_text(yaml.safe_dump(d))
+    assert cli_main(["validate", str(scen)]) == 0
+    assert cli_main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
+    metrics = json.loads((tmp_path / "out/metrics.json").read_text())
+    assert metrics["aborted"] is False
+
+
+def test_cli_rejects_decimate_below_one(tmp_path, capsys):
+    scen = tmp_path / "scen.yaml"
+    scen.write_text(yaml.safe_dump(doc(t_end=0.01)))
+    for bad in ("0", "-2"):
+        argv = ["run", str(scen), "--out", str(tmp_path / "out"), "--decimate", bad]
+        assert cli_main(argv) == 1
+        assert "output.decimate: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # the message the YAML field gets
+    scen.write_text(yaml.safe_dump(doc(t_end=0.01, output={"decimate": 0})))
+    assert cli_main(["validate", str(scen)]) == 1
+    assert "output.decimate: must be >= 1" in capsys.readouterr().err
 
 
 def test_csv_schema(tmp_path):

@@ -184,6 +184,24 @@ def test_resolved_dict_roundtrips():
     assert len(cfg2.events) == len(cfg.events)
 
 
+def _equal(a, b):
+    """Equal structures, floats within 1e-12."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, float) and isinstance(b, float):
+        return abs(a - b) <= 1e-12
+    return type(a) is type(b) and a == b
+
+
+def test_library_echo_parses_to_the_same_echo():
+    for path in sorted(SCENARIOS.glob("*.yaml")):
+        echo = resolved_dict(load_config(path))
+        again = resolved_dict(parse_config(yaml.safe_load(yaml.safe_dump(echo))))
+        assert _equal(again, echo), path.name
+
+
 def test_event_dataclass_parsing():
     doc = minimal_doc(
         breakers=[{"id": "br", "from": "g", "to": "b", "closed": True}],
