@@ -100,12 +100,15 @@ def droop_step(
 
 def uv_handoff(params: DroopParams, v: float, q: float) -> float:
     """Voltage-restoration offset at which the Q-V droop law gives ``v`` at
-    reactive power ``q``, clamped to ``UV_CLAMP``.
+    reactive power ``q``, clamped to ``UV_CLAMP``; 0 when voltage restoration
+    is off (``k_v == 0``), since no integrator would ever wash an offset out.
 
     Setting ``u_v`` to it hands the forming path an operating point without
     a voltage step: at start-up, at the end of a black-start ramp and while
     the path shadows the following one.
     """
+    if params.k_v == 0.0:
+        return 0.0
     uv = v - (params.v_nom - params.n_q * (q - params.q_set))
     return UV_CLAMP if uv > UV_CLAMP else (-UV_CLAMP if uv < -UV_CLAMP else uv)
 

@@ -25,11 +25,18 @@ scenario).  Definitions:
 
 from __future__ import annotations
 
+from dataclasses import asdict
 
 import numpy as np
 
 SETTLE_BAND_HZ = 0.01
 SHARE_WINDOW_S = 1.0
+# metrics that are null when no step ran or there is no inverter
+_PER_STEP_KEYS = (
+    "frequency_nadir_hz", "frequency_nadir_t", "settling_time_s",
+    "max_phase_jump_deg", "max_mag_jump_pu", "islanding_detection_latency_s",
+    "reconnection_ready_t", "reconnection_latency_s", "power_sharing_error",
+)
 
 
 def compute_metrics(result) -> dict:
@@ -43,26 +50,12 @@ def compute_metrics(result) -> dict:
     }
     if result.aborted:
         out["abort_reason"] = result.abort_reason
+    out["guard_audit"] = _guard_summary(result)
+    out["power_balance_max_residual"] = result.max_residual
+    out["solver"] = result.solver
 
-    ni = len(result.inv_ids)
-    if t.size == 0 or ni == 0:
-        out.update(
-            {
-                "frequency_nadir_hz": None,
-                "frequency_nadir_t": None,
-                "settling_time_s": None,
-                "transitions": [],
-                "max_phase_jump_deg": None,
-                "max_mag_jump_pu": None,
-                "islanding_detection_latency_s": None,
-                "reconnection_ready_t": None,
-                "reconnection_latency_s": None,
-                "power_sharing_error": None,
-                "guard_audit": _guard_summary(result),
-                "power_balance_max_residual": result.max_residual,
-                "solver": result.solver,
-            }
-        )
+    if t.size == 0 or not result.inv_ids:
+        out.update(dict.fromkeys(_PER_STEP_KEYS), transitions=[])
         return out
 
     f_min_per_step = result.f.min(axis=1)
@@ -113,9 +106,6 @@ def compute_metrics(result) -> dict:
     out["reconnection_ready_t"] = ready_t
     out["reconnection_latency_s"] = ready_lat
     out["power_sharing_error"] = _sharing_error(result)
-    out["guard_audit"] = _guard_summary(result)
-    out["power_balance_max_residual"] = result.max_residual
-    out["solver"] = result.solver
     return out
 
 
@@ -194,16 +184,5 @@ def _guard_summary(result) -> dict:
         "accepted": sum(1 for r in audit if r.accepted),
         "rejected": sum(1 for r in audit if not r.accepted),
         "rejected_by_reason": by_reason,
-        "log": [
-            {
-                "t": r.t,
-                "inverter": r.inverter,
-                "source_id": r.source_id,
-                "accepted": r.accepted,
-                "reason": r.reason,
-                "predicted_f": r.predicted_f,
-                "predicted_v": r.predicted_v,
-            }
-            for r in audit
-        ],
+        "log": [asdict(r) for r in audit],
     }

@@ -461,47 +461,45 @@ class Network:
         cp_currents: dict[str, complex] = {}
         iterations = 0
         residual = 0.0
-        if not c["cp_bus"]:
-            v = yinv @ i_base
-            if n:
-                # one refinement pass; the pre-refinement residual bounds the
-                # returned solution's residual from above
-                r = i_base - y @ v
-                residual = float(np.abs(r).max())
-                v += yinv @ r
-        else:
-            # setpoints are read every solve: a load step on a CP load does
-            # not change the topology, so nothing about them is cached
+        v = yinv @ i_base
+        if c["cp_bus"]:
+            # v so far has the CP loads drawing nothing (its CP entries are
+            # the open-circuit voltages w_c); their currents correct v and
+            # i_base in place.  Setpoints are read every solve: a load step
+            # on a CP load does not change the topology, so nothing about
+            # them is cached
             cp_bus = c["cp_bus"]
             s = [0j] * len(cp_bus)
             for ld, j in c["cp_slot"]:
                 s[j] += complex(ld.p, ld.q)
-            w = yinv @ i_base
             if len(cp_bus) == 1:
                 k = cp_bus[0]
-                w_c = complex(w[k])
+                w_c = complex(v[k])
                 x, iterations = _newton_cp_scalar(
                     w_c, self._cp_start(w_c), c["z_cp"][0, 0], s[0]
                 )
                 i_cp = -s[0].conjugate() / x.conjugate()
-                v = w + c["yinv_cp"][:, 0] * i_cp
+                v += c["yinv_cp"][:, 0] * i_cp
                 i_base[k] += i_cp
                 x_bus = [x]
             else:
-                w_c = w[cp_bus]
+                w_c = v[cp_bus]
                 x, iterations = _newton_cp_block(
                     w_c, self._cp_start(w_c), c["z_cp"], np.array(s)
                 )
                 i_cp = -np.conj(s) / np.conj(x)
-                v = w + c["yinv_cp"] @ i_cp
+                v += c["yinv_cp"] @ i_cp
                 i_base[cp_bus] += i_cp
                 x_bus = x.tolist()
             self._cp_warm = (x, w_c)
+            for ld, j in c["cp_slot"]:
+                cp_currents[ld.id] = -complex(ld.p, -ld.q) / x_bus[j].conjugate()
+        if n:
+            # one refinement pass; the pre-refinement residual bounds the
+            # returned solution's residual from above
             r = i_base - y @ v
             residual = float(np.abs(r).max())
             v += yinv @ r
-            for ld, j in c["cp_slot"]:
-                cp_currents[ld.id] = -complex(ld.p, -ld.q) / x_bus[j].conjugate()
 
         # negative-sequence pass shares the same admittance matrix
         v_neg = None

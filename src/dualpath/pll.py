@@ -20,6 +20,9 @@ from dataclasses import dataclass
 from .frames import TWO_PI, clarke
 
 
+I_MAX = 1.2  # pu of the inverter rating, current reference limit
+
+
 class UnderVoltageError(ValueError):
     """Voltage too low to convert a PQ setpoint into current references."""
 
@@ -201,12 +204,12 @@ def pll_step(
 
 
 def current_refs_from_pq(
-    p_set: float, q_set: float, v_d: float, v_q: float, i_max: float = 1.2
+    p_set: float, q_set: float, v_d: float, v_q: float
 ) -> tuple[float, float]:
     """Invert p = vd*id + vq*iq, q = vq*id - vd*iq for the current references
     at the dq voltage ``(v_d, v_q)``.
 
-    The result is clamped to ``i_max`` magnitude preserving the P:Q ratio.
+    The result is clamped to ``I_MAX`` magnitude preserving the P:Q ratio.
     Raises UnderVoltageError below 0.05 pu voltage (injection suspended).
     """
     det = v_d * v_d + v_q * v_q
@@ -215,8 +218,8 @@ def current_refs_from_pq(
     i_d = (p_set * v_d + q_set * v_q) / det
     i_q = (p_set * v_q - q_set * v_d) / det
     mag = math.hypot(i_d, i_q)
-    if mag > i_max:
-        scale = i_max / mag
+    if mag > I_MAX:
+        scale = I_MAX / mag
         i_d *= scale
         i_q *= scale
     return i_d, i_q

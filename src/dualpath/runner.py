@@ -32,8 +32,9 @@ import yaml
 
 from .detect import IslandingDetector, ReconnectionMonitor
 from .droop import (
+    U_CLAMP,
+    V_MAX,
     DroopState,
-    VirtualImpedance,
     black_start_ramp,
     droop_step,
     power_filter_step,
@@ -56,6 +57,7 @@ from .frames import TWO_PI, phase_samples, wrap_angle
 from .guard import Setpoint, validate_setpoint
 from .network import Network, NonConvergenceError, apply_event
 from .pll import (
+    I_MAX,
     PllState,
     UnderVoltageError,
     current_refs_from_pq,
@@ -63,8 +65,8 @@ from .pll import (
     init_locked,
     pll_step,
 )
-from .scenario import InverterConfig, ScenarioConfig, resolved_dict
-from .supervisor import Mode, PathMeasurements, Supervisor, shadow_follow
+from .scenario import BlackStartConfig, InverterConfig, ScenarioConfig, resolved_dict
+from .supervisor import Mode, Supervisor, shadow_follow
 
 
 @dataclass(slots=True)
@@ -98,7 +100,7 @@ class _Inverter:
         "cfg", "id", "bus", "rating_pu", "z_c_sys", "params", "pll", "droop",
         "vz", "sup", "det", "recon", "plugged", "inj", "emf", "i_sys", "s_inv",
         "pending_mode", "pending_source", "uv_suspended", "reconnect_pending",
-        "bus_idx", "breaker", "from_idx", "to_idx", "meas",
+        "bus_idx", "breaker", "from_idx", "to_idx", "ramp_rate",
     )
 
     def __init__(self, cfg: InverterConfig, s_base: float, f_nom: float, dt: float,
@@ -106,9 +108,8 @@ class _Inverter:
         self.cfg = cfg
         self.id = cfg.id
         self.bus = cfg.bus
-        # bus positions in the solved voltage vectors.  While forming, the
-        # following path tracks the utility side of the watched breaker
-        # (config convention: 'from'), else the own bus.
+        # bus positions in the solved voltage vectors ('from' is the utility
+        # side of the watched breaker by config convention)
         self.bus_idx = net.bus_index[cfg.bus]
         self.breaker = br = net.breakers.get(cfg.pcc_breaker)
         self.from_idx = net.bus_index[br.from_bus] if br else self.bus_idx
@@ -118,15 +119,11 @@ class _Inverter:
         self.params = replace(cfg.droop)  # runtime setpoints mutate this copy
         self.pll = PllState()
         self.droop = DroopState(v_gfm=cfg.droop.v_nom)
-        self.vz = VirtualImpedance(
-            r_v=cfg.vz.r_v, x_v=cfg.vz.x_v, x_v_min=cfg.vz.x_v_min,
-            x_v_max=cfg.vz.x_v_max, k_adapt=cfg.vz.k_adapt,
-        )
+        self.vz = replace(cfg.vz, i_filt=0.0)
+        self.ramp_rate = (cfg.black_start or BlackStartConfig()).ramp_rate
         self.sup = Supervisor(cfg.mode, cfg.thresholds, f_nom)
         self.det = IslandingDetector(cfg.detector, dt)
-        self.recon = (
-            ReconnectionMonitor(cfg.detector) if cfg.pcc_breaker else None
-        )
+        self.recon = ReconnectionMonitor(cfg.detector) if cfg.pcc_breaker else None
         self.plugged = cfg.plugged
         self.inj = 0j          # commanded GFL current, system pu, network frame
         self.emf = 0j          # post-virtual-impedance EMF, network frame
@@ -136,11 +133,20 @@ class _Inverter:
         self.pending_source = ""
         self.uv_suspended = False
         self.reconnect_pending = False
-        self.meas = PathMeasurements(0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
 
     @property
     def mode(self) -> Mode:
         return self.sup.mode
+
+    def follow_idx(self) -> int:
+        """Bus position the following path tracks: the utility side of the
+        watched breaker while forming, else the own bus."""
+        return self.from_idx if self.sup.mode is Mode.GFM else self.bus_idx
+
+    def start_ramp(self) -> None:
+        """Soft-start the forming voltage reference toward ``v_nom``."""
+        self.droop.ramp_active = True
+        self.droop.ramp_target = self.params.v_nom
 
     def z_v_sys(self) -> complex:
         return complex(self.vz.r_v, self.vz.x_v) / self.rating_pu
@@ -254,8 +260,7 @@ class Simulation:
         for inv in self.invs:
             if inv.cfg.black_start is not None and inv.mode is Mode.GFM:
                 inv.droop.v_gfm = 0.0
-                inv.droop.ramp_active = True
-                inv.droop.ramp_target = inv.params.v_nom
+                inv.start_ramp()
 
         # the topology does not change while initializing, so the forming
         # units whose angles are steered, grouped by island, and whether a
@@ -271,50 +276,36 @@ class Simulation:
             # largest last-round change of p_f/q_f, of the forming EMF
             # magnitude, and angle-steering power error
             pq_change = v_change = steer_err = 0.0
-            emfs = {}
-            injections: dict[str, complex] = {}
             for inv in self._formers:
-                v_ref = inv.droop.v_gfm * cmath.exp(1j * inv.droop.theta_gfm)
-                emfs[inv.id] = inv.emf = v_ref - inv.z_v_sys() * inv.i_sys
+                inv.emf = self._v_ref(inv, 0.0) - inv.z_v_sys() * inv.i_sys
             if v is not None:
                 for inv in self._followers:
                     vb = v[inv.bus_idx]
                     if abs(vb) >= 0.05:
-                        s_sys = complex(
-                            inv.params.p_set, inv.params.q_set
-                        ) * inv.rating_pu
-                        i = (s_sys / vb).conjugate()
-                        i_max = 1.2 * inv.rating_pu
+                        i = (complex(inv.params.p_set, inv.params.q_set)
+                             * inv.rating_pu / vb).conjugate()
+                        i_max = I_MAX * inv.rating_pu
                         if abs(i) > i_max:
                             i *= i_max / abs(i)
                         inv.inj = i
-                        injections[inv.bus] = injections.get(inv.bus, 0j) + i
                     else:
                         inv.inj = 0j
-            state, _ = self.net.solve(0.0, emfs, injections)
+            state = self._solve(0.0)[0]
             v = state.v_pos.tolist()
-            for inv in self.invs:
-                if not inv.plugged:
-                    continue
+            for inv in self._formers + self._followers:
                 vb = v[inv.bus_idx]
-                if inv.mode is Mode.GFM:
-                    i = state.former_currents.get(inv.id, 0j)
-                else:
-                    i = inv.inj
-                inv.i_sys = i
-                s = vb * i.conjugate() / inv.rating_pu
+                s = self._terminal(inv, vb, state)
                 d = inv.droop
                 e_p, e_q = abs(s.real - d.p_f), abs(s.imag - d.q_f)
                 if e_p > pq_change or e_q > pq_change:
                     pq_change = e_p if e_p > e_q else e_q
                 d.p_f, d.q_f = s.real, s.imag
-                inv.s_inv = s
                 if inv.mode is Mode.GFM and not d.ramp_active and inv.params.k_v > 0:
                     # nudge the EMF toward holding the bus at v_nom
                     dv = inv.params.v_nom - abs(vb)
                     if abs(dv) > v_change:
                         v_change = abs(dv)
-                    d.v_gfm = min(max(d.v_gfm + 0.5 * dv, 0.0), 1.2)
+                    d.v_gfm = min(max(d.v_gfm + 0.5 * dv, 0.0), V_MAX)
 
             # steer forming EMF angles toward the droop-consistent power
             # split of each island, with equal restoration offsets, so the
@@ -329,34 +320,32 @@ class Simulation:
                     p_sets = sum(m.params.p_set for m in members)
                     inv_sum = sum(1.0 / m.params.m_p for m in members)
                     delta = (total - p_sets) / inv_sum
+                u = min(max(delta, -U_CLAMP), U_CLAMP)
                 for m in members:
                     dp = m.params
-                    p_target = dp.p_set + delta / dp.m_p
-                    err = p_target - m.droop.p_f
+                    err = dp.p_set + delta / dp.m_p - m.droop.p_f
                     if abs(err) > steer_err:
                         steer_err = abs(err)
                     gain = 0.5 * abs(m.z_c_sys.imag * m.rating_pu) or 0.02
                     m.droop.theta_gfm += gain * err
-                    m.droop.u = min(max(delta, -0.05), 0.05) if dp.k_r > 0 else 0.0
+                    m.droop.u = u if dp.k_r > 0 else 0.0
             if (round_idx >= 2 and pq_change <= 1e-12 and v_change <= 1e-13
                     and steer_err <= 1e-11):
                 break
         self.init_mismatch = max(pq_change, v_change, steer_err)
 
         freqs = self._island_frequencies()
-        energized = self._energized
         for inv in self.invs:
             d = inv.droop
             dp = inv.params
             if inv.mode is Mode.GFM and not d.ramp_active:
-                if dp.k_v > 0:
-                    d.u_v = uv_handoff(dp, d.v_gfm, d.q_f)
+                d.u_v = uv_handoff(dp, d.v_gfm, d.q_f)
                 d.omega = 1.0 - dp.m_p * (d.p_f - dp.p_set) + d.u
             # PLL starts locked on whatever voltage it follows
-            follow = inv.from_idx if inv.mode is Mode.GFM else inv.bus_idx
+            follow = inv.follow_idx()
             vb = v[follow]
             isl = self._bus_island[follow]
-            omega = 2 * math.pi * freqs[isl] if energized[isl] else self.w0
+            omega = 2 * math.pi * freqs[isl] if self._energized[isl] else self.w0
             if abs(vb) >= 0.05:
                 init_locked(inv.pll, vb, omega, self.w0, self.dt, inv.cfg.pll.sogi_k)
             else:
@@ -386,6 +375,37 @@ class Simulation:
             elif inv.plugged:
                 self._followers.append(inv)
         self._islands_version = self.net._version
+
+    def _solve(self, t: float):
+        """Solve the network with the plugged formers' EMFs and the
+        followers' commanded currents; returns the state, the solve report
+        and the two solve inputs."""
+        emfs = {inv.id: inv.emf for inv in self._formers}
+        injections: dict[str, complex] = {}
+        for inv in self._followers:
+            if inv.inj != 0j:
+                injections[inv.bus] = injections.get(inv.bus, 0j) + inv.inj
+        state, report = self.net.solve(t, emfs, injections)
+        return state, report, emfs, injections
+
+    def _terminal(self, inv: _Inverter, v_bus: complex, state) -> complex:
+        """Set the inverter's solved terminal current (system pu) and return
+        its terminal power (inverter pu).  A follower on a dead bus and a
+        parked unit carry no current."""
+        if not inv.plugged:
+            i = 0j
+        elif inv.sup.mode is Mode.GFM:
+            i = state.former_currents.get(inv.id, 0j)
+        else:
+            i = inv.inj if self._energized[self._bus_island[inv.bus_idx]] else 0j
+        inv.i_sys = i
+        s = inv.s_inv = v_bus * i.conjugate() / inv.rating_pu
+        return s
+
+    def _v_ref(self, inv: _Inverter, t: float) -> complex:
+        """The forming voltage reference in the network frame at time ``t``."""
+        d = inv.droop
+        return d.v_gfm * cmath.exp(1j * (d.theta_gfm - self.w0 * t))
 
     def _island_frequencies(self) -> list[float]:
         """Per-island frequency: rating-weighted grid sources when present,
@@ -463,12 +483,9 @@ class Simulation:
                 if inv.mode is Mode.GFM:
                     self.net.register_former(inv.id, inv.bus, inv.z_c_sys)
                     # connect at the measured bus state: zero initial current
-                    inv.emf = inv.droop.v_gfm * cmath.exp(
-                        1j * (inv.droop.theta_gfm - self.w0 * t)
-                    )
+                    inv.emf = self._v_ref(inv, t)
                     if inv.droop.v_gfm < 0.5 * inv.params.v_nom:
-                        inv.droop.ramp_active = True
-                        inv.droop.ramp_target = inv.params.v_nom
+                        inv.start_ramp()
                 self._islands_version = -1
                 self._log(t, "PlugIn", ev.target, "")
 
@@ -490,11 +507,10 @@ class Simulation:
                 d.theta_gfm = inv.pll.theta_est + wrap_angle(
                     cmath.phase(v_ref) - frame_next
                 )
-                d.v_gfm = min(abs(v_ref), 1.2)
+                d.v_gfm = min(abs(v_ref), V_MAX)
             if d.v_gfm < 0.5 * inv.params.v_nom:
                 # energizing a dead or collapsed bus: soft-start ramp
-                d.ramp_active = True
-                d.ramp_target = inv.params.v_nom
+                inv.start_ramp()
             inv.inj = 0j
         else:
             self.net.unregister_former(inv.id)
@@ -560,12 +576,7 @@ class Simulation:
                     self._resolve_topology()
 
                 # 2. network solve with the references computed last step
-                emfs = {inv.id: inv.emf for inv in self._formers}
-                injections: dict[str, complex] = {}
-                for inv in self._followers:
-                    if inv.inj != 0j:
-                        injections[inv.bus] = injections.get(inv.bus, 0j) + inv.inj
-                state, report = self.net.solve(t, emfs, injections)
+                state, report, emfs, injections = self._solve(t)
                 cp_iters_sum += report.cp_iterations
                 if report.cp_iterations > cp_iters_max:
                     cp_iters_max = report.cp_iterations
@@ -666,20 +677,11 @@ class Simulation:
         bus_island = self._bus_island
         v_bus = v[inv.bus_idx]
         v_bus_mag = abs(v_bus)
-
-        # terminal current and power (inverter base)
-        if inv.plugged:
-            if mode is Mode.GFM:
-                inv.i_sys = state.former_currents.get(inv.id, 0j)
-            else:
-                inv.i_sys = inv.inj if energized[bus_island[inv.bus_idx]] else 0j
-        else:
-            inv.i_sys = 0j
-        s = inv.s_inv = v_bus * inv.i_sys.conjugate() / inv.rating_pu
+        s = self._terminal(inv, v_bus, state)
 
         # following path: PLL on the followed bus waveform (each phase is the
         # real part of its phase phasor rotated by the synthesis angle)
-        follow = inv.from_idx if mode is Mode.GFM else inv.bus_idx
+        follow = inv.follow_idx()
         pll = inv.pll
         pll_step(*phase_samples(v[follow], v_neg[follow], rot), dt, pll, inv.cfg.pll)
 
@@ -688,12 +690,7 @@ class Simulation:
         dp = inv.params
         power_filter_step(s.real, s.imag, dt, d, dp.omega_c)
         if mode is Mode.GFM and d.ramp_active:
-            rate = (
-                inv.cfg.black_start.ramp_rate
-                if inv.cfg.black_start is not None
-                else 0.5
-            )
-            black_start_ramp(d, dt, rate, d.ramp_target)
+            black_start_ramp(d, dt, inv.ramp_rate, d.ramp_target)
             if not d.ramp_active:
                 # hand the ramp output to the droop voltage law without a step
                 d.u_v = uv_handoff(dp, d.v_gfm, d.q_f)
@@ -704,20 +701,14 @@ class Simulation:
             restoration_step(dp, d, dt)
 
         # supervisor: shadow sync, then any pending transition request
-        meas = inv.meas
-        meas.theta = pll.theta_est
-        meas.v = pll.v_pos
-        meas.omega_pu = pll.omega_est / self.w0
-        meas.p = s.real
-        meas.q = s.imag
-        meas.v_own = v_bus_mag
-        meas.followed_energized = energized[bus_island[follow]]
         if inv.plugged:
-            inv.sup.shadow_sync_step(meas, pll, d, dp, t)
+            inv.sup.shadow_sync_step(
+                pll, s, v_bus_mag, energized[bus_island[follow]], d, dp, t
+            )
         else:
             # a parked unit listens through its following path so it can
             # later connect at the measured bus state, whatever its mode
-            shadow_follow(meas, d, dp)
+            shadow_follow(pll, s, self.w0, d, dp)
 
         # autonomous actions
         if inv.cfg.auto and inv.plugged:
@@ -830,9 +821,9 @@ class Simulation:
                     self._log(t, "gfl_injection", inv.id, "suspended: undervoltage")
                 inv.inj = 0j
         elif inv.plugged and mode is Mode.GFM:
-            v_ref = d.v_gfm * cmath.exp(1j * (d.theta_gfm - self.w0 * (t + dt)))
-            i_inv = inv.i_sys / inv.rating_pu
-            inv.emf = virtual_impedance_step(v_ref, i_inv, inv.vz, dt)
+            inv.emf = virtual_impedance_step(
+                self._v_ref(inv, t + dt), inv.i_sys / inv.rating_pu, inv.vz, dt
+            )
 
         self._f_rec[j] = f_local
         self._p_rec[j] = s.real

@@ -106,13 +106,30 @@ def _radians(deg) -> float:
     return math.radians(float(deg))
 
 
+def _flag(value) -> bool:
+    """A YAML boolean (``bool("false")`` would read a quoted false as True)."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not true or false")
+    return value
+
+
+def _checked(parse, raw: dict, key: str, default, where: str, problems: list[str]):
+    """``parse(raw.get(key, default))``; a value that does not parse is
+    reported under its field path ``where`` and read as ``default``."""
+    try:
+        return parse(raw.get(key, default))
+    except (TypeError, ValueError) as exc:
+        problems.append(f"{where}: {exc}")
+        return default
+
+
 # YAML event type -> (event class, kind of element its target must name,
 # YAML key -> parser).  Parsing, the target check and the echo all read this
 # table.  An absent or null key leaves its field at the event's default; a
 # field without a default is required.
 _EVENTS = {
     "load_step": (LoadStep, "load", {"dp": float, "dq": float}),
-    "breaker_set": (BreakerSet, "breaker", {"closed": bool}),
+    "breaker_set": (BreakerSet, "breaker", {"closed": _flag}),
     "source_freq": (SourceFreq, "grid_source", {"f": float}),
     "source_unbalance": (
         SourceUnbalance, "grid_source", {"mag": float, "angle_deg": _radians}
@@ -152,12 +169,15 @@ def _parse_event(raw: dict, idx: int, problems: list[str]) -> TimedEvent | None:
         problems.append(f"{where}.target: missing target id")
         return None
     cls, _, keys = _EVENTS[etype]
+    fields = {
+        _FIELD_OF_KEY.get(key, key): _checked(parse, raw, key, None, f"{where}.{key}", problems)
+        for key, parse in keys.items()
+        if raw.get(key) is not None
+    }
+    if None in fields.values():  # a key that did not parse
+        return None
     try:
-        ev = cls(target, **{
-            _FIELD_OF_KEY.get(key, key): parse(raw[key])
-            for key, parse in keys.items()
-            if raw.get(key) is not None
-        })
+        ev = cls(target, **fields)
     except (TypeError, ValueError) as exc:
         problems.append(f"{where}: {exc}")
         return None
@@ -206,8 +226,8 @@ def _parse_inverter(raw: dict, idx: int, problems: list[str]) -> InverterConfig 
             mode=_mode_from_str(raw.get("mode", "gfl")),
             z_c=_complex_rx(raw.get("coupling", {"r": 0.005, "x": 0.05})),
             pcc_breaker=raw.get("pcc_breaker"),
-            auto=bool(raw.get("auto", True)),
-            plugged=bool(raw.get("plugged", True)),
+            auto=_checked(_flag, raw, "auto", True, f"{where}.auto", problems),
+            plugged=_checked(_flag, raw, "plugged", True, f"{where}.plugged", problems),
             droop=droop,
             vz=vz,
             pll=pll,
@@ -245,12 +265,13 @@ def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
         problems.append(f"base: {exc}")
         base = PerUnitBase()
 
-    dt = float(doc.get("dt", 1e-4))
-    t_end = float(doc.get("t_end", 1.0))
+    dt = _checked(float, doc, "dt", 1e-4, "dt", problems)
+    t_end = _checked(float, doc, "t_end", 1.0, "t_end", problems)
     if not (0.0 < dt <= 1e-3):
         problems.append(f"dt: {dt} outside (0, 1e-3]")
     if t_end <= 0:
         problems.append("t_end: must be positive")
+    seed = _checked(int, doc, "seed", 0, "seed", problems)
 
     buses = [str(b) for b in doc.get("buses", [])]
     if not buses:
@@ -282,7 +303,7 @@ def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
         try:
             br = Breaker(
                 str(raw["id"]), str(raw["from"]), str(raw["to"]),
-                bool(raw.get("closed", True)),
+                _checked(_flag, raw, "closed", True, f"breakers[{i}].closed", problems),
             )
             check_bus(br.from_bus, f"breakers[{i}].from")
             check_bus(br.to_bus, f"breakers[{i}].to")
@@ -403,8 +424,8 @@ def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
 
     out_raw = doc.get("output", {})
     output = OutputConfig(
-        decimate=int(out_raw.get("decimate", 1)),
-        noise_std=float(out_raw.get("noise_std", 0.0)),
+        decimate=_checked(int, out_raw, "decimate", 1, "output.decimate", problems),
+        noise_std=_checked(float, out_raw, "noise_std", 0.0, "output.noise_std", problems),
     )
     problems += output_problems(output)
 
@@ -424,7 +445,7 @@ def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
         inverters=inverters,
         events=events,
         output=output,
-        seed=int(doc.get("seed", 0)),
+        seed=seed,
     )
 
 
@@ -466,12 +487,9 @@ def resolved_dict(cfg: ScenarioConfig) -> dict:
             "pcc_breaker": inv.pcc_breaker,
             "auto": inv.auto,
             "plugged": inv.plugged,
-            "droop": {
-                "m_p": inv.droop.m_p,
-                "n_q": inv.droop.n_q,
-                "omega_c": inv.droop.omega_c,
-                "k_r": inv.droop.k_r,
-                "k_v": inv.droop.k_v,
+            "droop": {  # the setpoints are echoed above
+                k: v for k, v in asdict(inv.droop).items()
+                if k not in ("p_set", "q_set", "v_nom")
             },
             "virtual_impedance": {
                 k: v for k, v in asdict(inv.vz).items() if k != "i_filt"
@@ -496,11 +514,7 @@ def resolved_dict(cfg: ScenarioConfig) -> dict:
 
     return {
         "name": cfg.name,
-        "base": {
-            "s_base": cfg.base.s_base,
-            "v_base": cfg.base.v_base,
-            "f_nom": cfg.base.f_nom,
-        },
+        "base": asdict(cfg.base),
         "dt": cfg.dt,
         "t_end": cfg.t_end,
         "seed": cfg.seed,

@@ -16,6 +16,10 @@ within thresholds for a hold time.  Switching to the forming path is always
 possible once held (the shadow copy makes the mismatch identically zero,
 including on a dead bus, which is how a collapsed island gets re-energized);
 switching to the following path additionally requires a live, locked PLL.
+
+The measured angle, magnitude and frequency are read from the following
+path's ``PllState`` itself, as the paper's supervisor reads the PLL phase
+angle: there is no separate copy of them that could disagree with the PLL.
 """
 
 from __future__ import annotations
@@ -51,24 +55,13 @@ class SyncStatus:
     stale: bool = False    # followed voltage dead or PLL unlocked
 
 
-@dataclass(slots=True)
-class PathMeasurements:
-    """Local measurements feeding the shadow synchronization for one step
-    (the runner keeps one per inverter and updates it in place)."""
-
-    theta: float            # positive-sequence angle estimate (PLL), rad
-    v: float                # magnitude of the followed voltage, pu
-    omega_pu: float         # measured frequency, pu
-    p: float                # terminal active power, inverter pu
-    q: float                # terminal reactive power, inverter pu
-    v_own: float            # own-terminal voltage magnitude, pu
-    followed_energized: bool = True
-
-
 def shadow_follow(
-    meas: PathMeasurements, gfm: DroopState, params: DroopParams
+    gfl: PllState, s: complex, omega_base: float, gfm: DroopState,
+    params: DroopParams,
 ) -> None:
-    """Overwrite the forming path with the measured operating point.
+    """Overwrite the forming path with the operating point measured by the
+    following path: the PLL's angle, magnitude and frequency (``omega_est``
+    over ``omega_base``, rad/s) and the terminal power ``s`` (inverter pu).
 
     The restoration offsets are back-solved so the droop law evaluated at the
     copied state reproduces the measured frequency and voltage exactly; with
@@ -76,17 +69,18 @@ def shadow_follow(
     (a nonzero offset would never wash out and would distort droop sharing
     permanently).
     """
-    gfm.theta_gfm = meas.theta
-    gfm.v_gfm = meas.v
-    gfm.p_f = meas.p
-    gfm.q_f = meas.q
-    gfm.omega = meas.omega_pu
+    omega_pu = gfl.omega_est / omega_base
+    gfm.theta_gfm = gfl.theta_est
+    gfm.v_gfm = gfl.v_pos
+    gfm.p_f = s.real
+    gfm.q_f = s.imag
+    gfm.omega = omega_pu
     if params.k_r > 0:
-        u = meas.omega_pu - 1.0 + params.m_p * (meas.p - params.p_set)
+        u = omega_pu - 1.0 + params.m_p * (s.real - params.p_set)
         gfm.u = U_CLAMP if u > U_CLAMP else (-U_CLAMP if u < -U_CLAMP else u)
     else:
         gfm.u = 0.0
-    gfm.u_v = uv_handoff(params, meas.v, meas.q) if params.k_v > 0 else 0.0
+    gfm.u_v = uv_handoff(params, gfl.v_pos, s.imag)
     gfm.ramp_active = False
 
 
@@ -97,31 +91,36 @@ class Supervisor:
         self.mode = mode
         self.thresholds = thresholds
         self.f_nom = f_nom
+        self.omega_base = TWO_PI * f_nom
         self.status = SyncStatus()
 
     def shadow_sync_step(
-        self,
-        meas: PathMeasurements,
-        gfl: PllState,
-        gfm: DroopState,
-        params: DroopParams,
-        t: float,
+        self, gfl: PllState, s: complex, v_own: float, followed_energized: bool,
+        gfm: DroopState, params: DroopParams, t: float,
     ) -> SyncStatus:
+        """Synchronize the inactive path with the active one and update the
+        sync margins and the hold timer.
+
+        ``gfl`` is the following path's PLL, read directly; ``s`` is the
+        terminal power (inverter pu), ``v_own`` the own-terminal voltage
+        magnitude and ``followed_energized`` whether the bus the PLL follows
+        is live.  While following, the forming path is overwritten
+        (``shadow_follow``); while forming, the margins compare the PLL's
+        angle, magnitude and frequency with the forming references.
+        """
         st = self.status
         if self.mode is Mode.GFL:
             # overwrite the inactive forming path with the measured state
-            shadow_follow(meas, gfm, params)
+            shadow_follow(gfl, s, self.omega_base, gfm, params)
             st.d_theta = 0.0
             st.d_v = 0.0
             st.d_f = 0.0
             st.stale = False
         else:
             st.d_theta = wrap_angle(gfl.theta_est - gfm.theta_gfm)
-            st.d_v = abs(meas.v - meas.v_own)
-            st.d_f = abs(
-                gfl.omega_est / TWO_PI - gfm.omega * self.f_nom
-            )
-            st.stale = (not meas.followed_energized) or (not gfl.lock)
+            st.d_v = abs(gfl.v_pos - v_own)
+            st.d_f = abs(gfl.omega_est / TWO_PI - gfm.omega * self.f_nom)
+            st.stale = (not followed_energized) or (not gfl.lock)
 
         th = self.thresholds
         within = (

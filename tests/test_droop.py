@@ -14,6 +14,7 @@ from dualpath.droop import (
     droop_step,
     power_filter_step,
     restoration_step,
+    uv_handoff,
     virtual_impedance_step,
     voltage_restoration_step,
 )
@@ -125,6 +126,14 @@ def test_voltage_restoration():
     s = DroopState()
     voltage_restoration_step(params, s, 0.95, 0.1)
     assert s.u_v == pytest.approx(0.1 * 0.1 * 0.05)
+
+
+def test_uv_handoff_is_zero_without_voltage_restoration():
+    assert uv_handoff(DroopParams(k_v=0.0), 0.97, 0.3) == 0.0
+    # with restoration on, the offset reproduces v through the droop law
+    params = DroopParams(k_v=0.1, n_q=0.05)
+    uv = uv_handoff(params, 0.97, 0.3)
+    assert params.v_nom - params.n_q * (0.3 - params.q_set) + uv == pytest.approx(0.97)
 
 
 def test_virtual_impedance_no_current():

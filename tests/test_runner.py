@@ -156,6 +156,23 @@ def test_failed_initial_solve_is_an_abort(tmp_path):
     assert (tmp_path / "cli/timeseries.csv").read_text() == "\n".join(csv) + "\n"
 
 
+def test_black_start_without_voltage_restoration_ends_on_droop_law():
+    # with k_v = 0 no integrator washes a voltage offset out, so the end of
+    # the ramp must hand over to the plain Q-V droop law (u_v = 0)
+    d = yaml.safe_load((SCENARIOS / "blackstart.yaml").read_text())
+    d["t_end"] = 2.5
+    d["events"] = []
+    d["loads"][0].update(r=2.0, x=0.5)
+    d["inverters"][0]["droop"]["k_v"] = 0.0
+    sim = Simulation(parse_config(d))
+    assert not sim.run().aborted
+    inv = sim.invs[0]
+    g, dp = inv.droop, inv.params
+    assert not g.ramp_active
+    assert g.u_v == 0.0
+    assert g.v_gfm == pytest.approx(dp.v_nom - dp.n_q * (g.q_f - dp.q_set), abs=1e-12)
+
+
 def _reference_timeseries(result) -> str:
     """timeseries.csv as the row-by-row formatter wrote it before the
     column-wise chunked writer (the oracle for write_outputs)."""

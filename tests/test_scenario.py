@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from dualpath.cli import main as cli_main
 from dualpath.events import BreakerSet, LoadStep
 from dualpath.scenario import (
     ParseError,
@@ -71,6 +72,52 @@ def test_dt_bounds_enforced():
         parse_config(minimal_doc(dt=2e-3))
     with pytest.raises(ValidationError, match="dt"):
         parse_config(minimal_doc(dt=0.0))
+
+
+def _set(doc, path, value):
+    *keys, last = path
+    for key in keys:
+        doc = doc[key]
+    doc[last] = value
+
+
+# (field path in the problem, path into the document, unreadable value)
+UNREADABLE = [
+    ("dt", ("dt",), "fast"),
+    ("t_end", ("t_end",), "long"),
+    ("seed", ("seed",), "x"),
+    ("output.decimate", ("output", "decimate"), "ten"),
+    ("output.noise_std", ("output", "noise_std"), "loud"),
+    ("breakers[0].closed", ("breakers", 0, "closed"), "false"),
+    ("breakers[0].closed", ("breakers", 0, "closed"), 0),
+    ("inverters[0].auto", ("inverters", 0, "auto"), "false"),
+    ("inverters[0].plugged", ("inverters", 0, "plugged"), "false"),
+    ("events[0].closed", ("events", 0, "closed"), "false"),
+]
+
+
+@pytest.mark.parametrize("where, path, value", UNREADABLE, ids=[c[0] for c in UNREADABLE])
+def test_unreadable_scalar_or_flag_is_a_problem_with_its_path(where, path, value):
+    # a quoted "false" is not read as True, and a non-number is reported
+    # instead of escaping as a bare ValueError
+    doc = minimal_doc(
+        breakers=[{"id": "br", "from": "g", "to": "b", "closed": True}],
+        events=[{"t": 0.1, "type": "breaker_set", "target": "br", "closed": False}],
+        output={"decimate": 1, "noise_std": 0.0},
+        seed=3,
+    )
+    parse_config(doc)
+    _set(doc, path, value)
+    with pytest.raises(ValidationError) as exc:
+        parse_config(doc)
+    assert [p for p in exc.value.problems if p.startswith(f"{where}: ")], exc.value.problems
+
+
+def test_cli_validate_reports_unreadable_dt(tmp_path, capsys):
+    scen = tmp_path / "scen.yaml"
+    scen.write_text(yaml.safe_dump(minimal_doc(dt="fast")))
+    assert cli_main(["validate", str(scen)]) == 1
+    assert "invalid: dt: " in capsys.readouterr().err
 
 
 def test_unknown_bus_and_target_reported_with_paths():
