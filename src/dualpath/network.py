@@ -160,19 +160,21 @@ class SolveReport:
 
 @dataclass(slots=True)
 class NetworkState:
-    """Solved bus voltages and branch currents at one instant."""
+    """Solved bus voltages (zero on dead buses) and source currents at one
+    instant.  ``v_list`` is ``v_pos`` as Python complexes, converted once per
+    solve; line currents are not kept (the loss sum derives them from it)."""
 
     t: float
     buses: list[str]
     bus_index: dict[str, int]
     v_pos: np.ndarray
+    v_list: list[complex]
     v_neg: np.ndarray | None  # None without negative-sequence sources
-    branch_currents: np.ndarray
     former_currents: dict[str, complex]
     cp_currents: dict[str, complex]
 
     def v(self, bus: str) -> complex:
-        return complex(self.v_pos[self.bus_index[bus]])
+        return self.v_list[self.bus_index[bus]]
 
 
 class Network:
@@ -342,10 +344,10 @@ class Network:
         n = len(energized)
         eff_lines = self.effective_lines()
         # a line lies inside one island, so both or neither end is energized
-        y = build_ybus(energized, [ln for ln in eff_lines if ln.from_bus in eidx])
+        e_lines = [ln for ln in eff_lines if ln.from_bus in eidx]
+        y = build_ybus(energized, e_lines)
         for src in self.grid_sources.values():
-            if src.bus in eidx:
-                y[eidx[src.bus], eidx[src.bus]] += 1.0 / src.z_s
+            y[eidx[src.bus], eidx[src.bus]] += 1.0 / src.z_s
         for bus, z in self.formers.values():
             y[eidx[bus], eidx[bus]] += 1.0 / z
         z_loads = []  # (bus position, conj(y)) of energized impedance loads
@@ -367,14 +369,7 @@ class Network:
         cp_bus = list(dict.fromkeys(eidx[ld.bus] for ld in cp_loads))
         cp_slot = [(ld, cp_bus.index(eidx[ld.bus])) for ld in cp_loads]
 
-        line_from = np.array(
-            [self.bus_index[ln.from_bus] for ln in eff_lines], dtype=np.intp
-        )
-        line_to = np.array(
-            [self.bus_index[ln.to_bus] for ln in eff_lines], dtype=np.intp
-        )
-        line_y = np.array([1.0 / ln.z for ln in eff_lines], dtype=complex)
-        line_z = np.array([ln.z for ln in eff_lines], dtype=complex)
+        pos = self.bus_index
         loaded = {ld.bus for ld in self.loads.values()}
         self._cache = {
             "islands": islands,
@@ -382,28 +377,27 @@ class Network:
             "island_sources": island_sources,
             "energized": energized,
             "eidx": eidx,
-            # scatter index: energized position -> bus position
-            "e_full": np.array(
-                [self.bus_index[b] for b in energized], dtype=np.intp
-            ),
-            # Norton sources in solve order: (source, energized index or None)
-            "sources": [
-                (src, eidx.get(src.bus)) for src in self.grid_sources.values()
-            ],
-            "formers": [
-                (key, eidx[bus], z) for key, (bus, z) in self.formers.items()
-            ],
+            # the solved vector is in bus order when every bus is energized,
+            # else it is scattered by energized position
+            "all_energized": n == len(self.buses),
+            "e_full": np.array([pos[b] for b in energized], dtype=np.intp),
+            # Norton sources: (source, energized index, bus position)
+            "sources": [(src, eidx[src.bus], pos[src.bus]) for src in self.grid_sources.values()],
+            "formers": [(key, eidx[b], pos[b], z) for key, (b, z) in self.formers.items()],
             "y": y,
             "yinv": yinv,
             "z_loads": z_loads,
-            "line_from": line_from,
-            "line_to": line_to,
-            "line_y": line_y,
-            "line_z": line_z,
+            # energized lines for the loss sum: (from, to position, conj(y))
+            "lines": [(pos[ln.from_bus], pos[ln.to_bus], (1.0 / ln.z).conjugate())
+                      for ln in e_lines],
             "cp_bus": cp_bus,
             "cp_slot": cp_slot,
-            "z_cp": yinv[np.ix_(cp_bus, cp_bus)],
-            "yinv_cp": yinv[:, cp_bus],
+            # one CP bus: its inverse-admittance entry as a Python complex
+            # and its column as a contiguous vector
+            "z_cp": (complex(yinv[cp_bus[0], cp_bus[0]]) if len(cp_bus) == 1
+                     else yinv[np.ix_(cp_bus, cp_bus)]),
+            "yinv_cp": (yinv[:, cp_bus[0]].copy() if len(cp_bus) == 1
+                        else yinv[:, cp_bus]),
             "de_energized": de_energized,
             "de_energized_with_load": [
                 isl for isl in de_energized if any(b in loaded for b in isl)
@@ -447,10 +441,9 @@ class Network:
         injections = injections or {}
 
         base = [0j] * n
-        for src, k in c["sources"]:
-            if k is not None:
-                base[k] += src.e / src.z_s
-        for key, k, z in c["formers"]:
+        for src, k, _ in c["sources"]:
+            base[k] += src.e / src.z_s
+        for key, k, _, z in c["formers"]:
             base[k] += former_emfs.get(key, 0j) / z
         for bus, inj in injections.items():
             k = eidx.get(bus)
@@ -476,10 +469,10 @@ class Network:
                 k = cp_bus[0]
                 w_c = complex(v[k])
                 x, iterations = _newton_cp_scalar(
-                    w_c, self._cp_start(w_c), c["z_cp"][0, 0], s[0]
+                    w_c, self._cp_start(w_c), c["z_cp"], s[0]
                 )
                 i_cp = -s[0].conjugate() / x.conjugate()
-                v += c["yinv_cp"][:, 0] * i_cp
+                v += c["yinv_cp"] * i_cp
                 i_base[k] += i_cp
                 x_bus = [x]
             else:
@@ -502,38 +495,38 @@ class Network:
             v += yinv @ r
 
         # negative-sequence pass shares the same admittance matrix
-        v_neg = None
-        if any(src.e_neg != 0 for src, _ in c["sources"]):
-            i_neg = [0j] * n
-            for src, k in c["sources"]:
-                if k is not None and src.e_neg != 0:
-                    i_neg[k] += src.e_neg / src.z_s
-            v_neg = np.zeros(len(self.buses), dtype=complex)
-            v_neg[c["e_full"]] = yinv @ np.array(i_neg, dtype=complex)
+        i_neg = None
+        for src, k, _ in c["sources"]:
+            if src.e_neg != 0:
+                i_neg = i_neg or [0j] * n
+                i_neg[k] += src.e_neg / src.z_s
+        v_neg = None if i_neg is None else self._on_buses(yinv @ np.array(i_neg, dtype=complex))
 
-        v_full = np.zeros(len(self.buses), dtype=complex)
-        v_full[c["e_full"]] = v
-
-        branch_currents = (v_full[c["line_from"]] - v_full[c["line_to"]]) * c["line_y"]
-
-        vl = v.tolist()
+        v_full = self._on_buses(v)
+        vl = v_full.tolist()
         former_currents: dict[str, complex] = {}
-        for src, k in c["sources"]:
-            former_currents[src.id] = (src.e - vl[k]) / src.z_s if k is not None else 0j
-        for key, k, z in c["formers"]:
-            former_currents[key] = (former_emfs.get(key, 0j) - vl[k]) / z
+        for src, _, p in c["sources"]:
+            former_currents[src.id] = (src.e - vl[p]) / src.z_s
+        for key, _, p, z in c["formers"]:
+            former_currents[key] = (former_emfs.get(key, 0j) - vl[p]) / z
 
         state = NetworkState(
-            t, self.buses, self.bus_index, v_full, v_neg,
-            branch_currents, former_currents, cp_currents,
+            t, self.buses, self.bus_index, v_full, vl, v_neg,
+            former_currents, cp_currents,
         )
         report = SolveReport(
-            cp_iterations=iterations,
-            residual=residual,
-            de_energized=c["de_energized"],
-            de_energized_with_load=c["de_energized_with_load"],
+            iterations, residual, c["de_energized"], c["de_energized_with_load"]
         )
         return state, report
+
+    def _on_buses(self, v: np.ndarray) -> np.ndarray:
+        """The energized-order vector ``v`` in bus order, zero on dead buses."""
+        c = self._cache
+        if c["all_energized"]:
+            return v
+        v_full = np.zeros(len(self.buses), dtype=complex)
+        v_full[c["e_full"]] = v
+        return v_full
 
     def power_balance_residual(
         self,
@@ -546,19 +539,20 @@ class Network:
         Each voltage source delivers its EMF's power less the loss in its own
         impedance, ``(E - z I) conj(I)``; injections and constant-power loads
         are currents into their bus, ``V conj(I)``; impedance loads and lines
-        dissipate ``|V|^2 conj(y)`` and ``|I|^2 z``.  The element lists are
-        built per topology, so this is one pass over them plus one dot
-        product over the lines.
+        dissipate ``|V|^2 conj(y)``, which for a line is its ``|I|^2 z`` with
+        ``V`` the drop across it.  Voltages come from ``state.v_list`` and the
+        element lists are built per topology, so this is one Python pass over
+        them with no array operation.
         """
         c = self._cache
         former_emfs = former_emfs or {}
-        v = state.v_pos.tolist()
+        v = state.v_list
         currents = state.former_currents
         s = 0j
-        for src, _ in c["sources"]:
+        for src, _, _ in c["sources"]:
             i = currents[src.id]
             s += (src.e - src.z_s * i) * i.conjugate()
-        for key, _, z in c["formers"]:
+        for key, _, _, z in c["formers"]:
             i = currents[key]
             s += (former_emfs.get(key, 0j) - z * i) * i.conjugate()
         for bus, inj in (injections or {}).items():
@@ -568,8 +562,9 @@ class Network:
         for b, y_conj in c["z_loads"]:
             vb = v[b]
             s -= (vb.real * vb.real + vb.imag * vb.imag) * y_conj
-        ib = state.branch_currents
-        return abs(s - np.vdot(ib, c["line_z"] * ib))
+        for p, q, y_conj in c["lines"]:
+            s -= abs(v[p] - v[q]) ** 2 * y_conj
+        return abs(s)
 
 
 def _newton_cp_scalar(
@@ -588,7 +583,6 @@ def _newton_cp_scalar(
     Stops when ``|F| <= CP_TOL`` (pu volts) and returns the voltage and
     the number of evaluations of ``F``: 1 when the start already solves it.
     """
-    z = complex(z)
     sb = s.conjugate()
     for it in range(1, CP_MAX_ITERS + 1):
         _check_collapse(abs(x), it)

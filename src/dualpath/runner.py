@@ -291,7 +291,7 @@ class Simulation:
                     else:
                         inv.inj = 0j
             state = self._solve(0.0)[0]
-            v = state.v_pos.tolist()
+            v = state.v_list
             for inv in self._formers + self._followers:
                 vb = v[inv.bus_idx]
                 s = self._terminal(inv, vb, state)
@@ -611,7 +611,7 @@ class Simulation:
                     self._pending_jumps.clear()
 
                 # 4..7 controllers, supervisor, detectors per inverter
-                v = v_pos.tolist()
+                v = state.v_list
                 v_neg = state.v_neg.tolist() if state.v_neg is not None else no_neg
                 # synthesis rotation of the phase phasors at this instant
                 rot = cmath.exp(1j * (self.w0 * t))

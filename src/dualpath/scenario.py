@@ -113,6 +113,13 @@ def _flag(value) -> bool:
     return value
 
 
+def _integer(value) -> int:
+    """An integral number (``int(2.7)`` would truncate it to 2)."""
+    if isinstance(value, bool) or not (isinstance(value, int) or float(value).is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _checked(parse, raw: dict, key: str, default, where: str, problems: list[str]):
     """``parse(raw.get(key, default))``; a value that does not parse is
     reported under its field path ``where`` and read as ``default``."""
@@ -271,7 +278,7 @@ def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
         problems.append(f"dt: {dt} outside (0, 1e-3]")
     if t_end <= 0:
         problems.append("t_end: must be positive")
-    seed = _checked(int, doc, "seed", 0, "seed", problems)
+    seed = _checked(_integer, doc, "seed", 0, "seed", problems)
 
     buses = [str(b) for b in doc.get("buses", [])]
     if not buses:
@@ -424,7 +431,7 @@ def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
 
     out_raw = doc.get("output", {})
     output = OutputConfig(
-        decimate=_checked(int, out_raw, "decimate", 1, "output.decimate", problems),
+        decimate=_checked(_integer, out_raw, "decimate", 1, "output.decimate", problems),
         noise_std=_checked(float, out_raw, "noise_std", 0.0, "output.noise_std", problems),
     )
     problems += output_problems(output)

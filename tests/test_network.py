@@ -253,7 +253,13 @@ def test_cp_load_step_is_seen_by_the_next_solve():
 
 
 def solved_line(z, load=None):
-    """(V_from, V_to, solved branch current) of a line from a stiff source."""
+    """(V_from, V_to, series current) of a line from a stiff source.
+
+    The current is the line's voltage drop times its admittance.  The grid
+    source carries the same current, but its solved value divides
+    ``E - V_from`` by the 1e-6j source impedance, which magnifies rounding
+    a millionfold.
+    """
     net = Network(
         buses=["g", "b"],
         lines=[Line("g", "b", z.real, z.imag)],
@@ -261,7 +267,8 @@ def solved_line(z, load=None):
         loads=[] if load is None else [ConstantImpedanceLoad("zl", "b", load)],
     )
     state, _ = net.solve(0.0)
-    return state.v("g"), state.v("b"), complex(state.branch_currents[0])
+    v_from, v_to = state.v("g"), state.v("b")
+    return v_from, v_to, (v_from - v_to) * (1.0 / z)
 
 
 def test_branch_power_zero_flow_and_resistive():
@@ -455,3 +462,67 @@ def test_source_advance_rotates_emf():
     net.advance_sources(0.25, f_nom=60.0)
     # 1 Hz off-nominal for 0.25 s -> pi/2 rotation
     assert net.grid_sources["g"].e == pytest.approx(1j, abs=1e-12)
+
+
+def breaker_isolated_load_net():
+    """4 buses: grid source at g, former at b, CP load at a and an impedance
+    load at d, which the breaker ``brk`` cuts off."""
+    net = Network(
+        buses=["g", "a", "b", "d"],
+        lines=[
+            Line("g", "a", 0.01, 0.1),
+            Line("a", "b", 0.02, 0.05),
+            Line("a", "d", 0.01, 0.04),
+        ],
+        breakers=[Breaker("brk", "a", "d")],
+        grid_sources=[GridSource("s", "g", 1.0 + 0j, 0.01j)],
+        loads=[
+            ConstantImpedanceLoad("zl", "d", 2.0 + 0.5j),
+            ConstantPowerLoad("cp", "a", 0.3, 0.1),
+        ],
+    )
+    net.register_former("f", "b", 0.005 + 0.05j)
+    return net
+
+
+def array_loss_residual(net, state, emfs, injections):
+    """Power-balance oracle with the line losses as one ``np.vdot`` over
+    branch-current arrays gathered from ``v_pos``."""
+    v, pos, cur = state.v_pos, net.bus_index, state.former_currents
+    s = 0j
+    for src in net.grid_sources.values():
+        s += (src.e - src.z_s * cur[src.id]) * cur[src.id].conjugate()
+    for key, (_, z) in net.formers.items():
+        s += (emfs[key] - z * cur[key]) * cur[key].conjugate()
+    for bus, inj in injections.items():
+        s += v[pos[bus]] * inj.conjugate()
+    for ld in net.loads.values():
+        vb = complex(v[pos[ld.bus]])
+        if isinstance(ld, ConstantPowerLoad):
+            s += vb * state.cp_currents[ld.id].conjugate()
+        else:
+            s -= abs(vb) ** 2 * (1.0 / ld.z).conjugate()
+    lines = net.effective_lines()
+    z = np.array([ln.z for ln in lines])
+    ib = (v[[pos[ln.from_bus] for ln in lines]] - v[[pos[ln.to_bus] for ln in lines]]) / z
+    return abs(s - np.vdot(ib, z * ib))
+
+
+def test_dead_bus_scatter_and_line_losses_match_oracles():
+    emfs, injections = {"f": 1.01 * cmath.exp(0.02j)}, {"b": 0.1 - 0.02j}
+    net = breaker_isolated_load_net()
+    dead = net.bus_index["d"]
+    for closed in (True, False, True):
+        net.set_breaker("brk", closed)
+        state, report = net.solve(0.0, emfs, injections)
+        assert state.v_list == state.v_pos.tolist()
+        if closed:
+            assert abs(state.v_pos[dead]) > 0.5
+        else:
+            assert state.v_pos[dead] == 0 and state.v_list[dead] == 0
+            assert report.de_energized_with_load == [["d"]]
+        residual = net.power_balance_residual(state, emfs, injections)
+        assert residual <= 1e-12
+        assert abs(residual - array_loss_residual(net, state, emfs, injections)) <= 1e-15
+    fresh, _ = breaker_isolated_load_net().solve(0.0, emfs, injections)
+    assert np.array_equal(state.v_pos, fresh.v_pos)

@@ -113,6 +113,25 @@ def test_unreadable_scalar_or_flag_is_a_problem_with_its_path(where, path, value
     assert [p for p in exc.value.problems if p.startswith(f"{where}: ")], exc.value.problems
 
 
+@pytest.mark.parametrize("where, path, value", [
+    ("seed", ("seed",), 1.9),
+    ("seed", ("seed",), True),
+    ("output.decimate", ("output", "decimate"), 2.7),
+    ("output.decimate", ("output", "decimate"), False),
+    ("output.decimate", ("output", "decimate"), "2.5"),
+], ids=["seed_float", "seed_bool", "decimate_float", "decimate_bool", "decimate_str"])
+def test_non_integer_seed_or_decimate_is_a_problem_not_truncated(where, path, value):
+    doc = minimal_doc(output={"decimate": 1}, seed=3)
+    _set(doc, path, value)
+    with pytest.raises(ValidationError) as exc:
+        parse_config(doc)
+    assert [p for p in exc.value.problems if p.startswith(f"{where}: ")], exc.value.problems
+    # an integral float is read as its integer
+    _set(doc, path, 2.0)
+    cfg = parse_config(doc)
+    assert (cfg.seed, cfg.output.decimate)[path[0] == "output"] == 2
+
+
 def test_cli_validate_reports_unreadable_dt(tmp_path, capsys):
     scen = tmp_path / "scen.yaml"
     scen.write_text(yaml.safe_dump(minimal_doc(dt="fast")))
