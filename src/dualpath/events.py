@@ -1,8 +1,16 @@
-"""Scripted event types applied to a running scenario.
+"""Scripted event types applied to a running scenario, and the records of
+the run's event log.
 
 Network-level events (load/breaker/source) are handled by
 :func:`dualpath.network.apply_event`; inverter-level events (setpoints, mode
 commands, plug-in) are dispatched by the scenario runner.
+
+The event log holds typed records, rendered to ``events.csv`` text only when
+the outputs are written: each applied network event, mode command and
+plug-in as a ``TimedEvent`` at its control-step time, each setpoint as its
+``guard.GuardAuditRecord``, each mode verdict as a
+``supervisor.TransitionRecord``, and the runner's own observations as the
+records below.
 """
 
 from __future__ import annotations
@@ -91,3 +99,43 @@ NETWORK_EVENTS = (LoadStep, BreakerSet, SourceFreq, SourceUnbalance)
 class TimedEvent:
     t: float
     event: Event = field(compare=False)
+
+
+@dataclass(frozen=True, slots=True)
+class DetectorChange:
+    t: float
+    inverter: str
+    tripped: bool  # False: cleared
+
+
+@dataclass(frozen=True, slots=True)
+class ReconnectionReady:
+    t: float
+    inverter: str
+    breaker: str
+
+
+@dataclass(frozen=True, slots=True)
+class AutoReclose:
+    """An inverter closed its watched breaker on reconnection readiness."""
+
+    t: float
+    inverter: str
+    breaker: str
+
+
+@dataclass(frozen=True, slots=True)
+class InjectionChange:
+    """A following unit suspended (undervoltage) or resumed its injection."""
+
+    t: float
+    inverter: str
+    suspended: bool
+
+
+@dataclass(frozen=True, slots=True)
+class IslandDeenergized:
+    """First sight of a loaded island with no source (comma-joined buses)."""
+
+    t: float
+    buses: str

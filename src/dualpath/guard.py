@@ -44,6 +44,20 @@ class GuardVerdict:
     predicted_v: float
 
 
+@dataclass(frozen=True, slots=True)
+class GuardAuditRecord:
+    """A verdict as the event log keeps it: when, for which inverter and
+    which dispatch source."""
+
+    t: float
+    inverter: str
+    source_id: str
+    accepted: bool
+    reason: str
+    predicted_f: float
+    predicted_v: float
+
+
 def validate_setpoint(
     sp: Setpoint,
     params: DroopParams,

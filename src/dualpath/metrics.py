@@ -8,9 +8,13 @@ scenario).  Definitions:
 * settling time: time from the last scripted event until every inverter
   frequency stays within +/-0.01 Hz of nominal through the end of the run
   (0 for an always-settled run, null if it never settles);
+* ``transitions``: every accepted or denied mode request with its source,
+  its reason and the sync margins it was judged on next to their
+  thresholds (null where the unit computed none);
 * per-transition discontinuity: one-step bus-voltage phase jump (degrees)
-  and magnitude jump (pu) at each accepted mode transition (phase is not
-  evaluated across a de-energized handover);
+  and magnitude jump (pu) at the inverter's bus, from the step of each
+  accepted mode transition to the next (phase is not evaluated across a
+  de-energized handover);
 * islanding detection latency: first detector trip minus the nearest
   preceding breaker-opening event;
 * reconnection readiness time: first readiness instant and its latency from
@@ -25,9 +29,15 @@ scenario).  Definitions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict
 
 import numpy as np
+
+from .events import BreakerSet, DetectorChange, ReconnectionReady, SourceFreq, TimedEvent
+from .frames import wrap_angle
+from .guard import GuardAuditRecord
+from .supervisor import TransitionRecord
 
 SETTLE_BAND_HZ = 0.01
 SHARE_WINDOW_S = 1.0
@@ -78,28 +88,16 @@ def compute_metrics(result) -> dict:
             out["settling_time_s"] = max(0.0, float(t[k_last + 1] - t_ref))
 
     trs = []
-    for rec in result.transitions:
-        trs.append(
-            {
-                "t": rec.t,
-                "inverter": rec.inverter,
-                "from": rec.from_mode,
-                "to": rec.to_mode,
-                "accepted": rec.accepted,
-                "reason": rec.reason,
-                "phase_jump_deg": rec.phase_jump_deg,
-                "mag_jump_pu": rec.mag_jump_pu,
-            }
-        )
+    for rec in _records(result, TransitionRecord):
+        tr = asdict(rec)
+        tr.update(tr.pop("thresholds"))  # flat: eps_theta, eps_v, eps_f, hold
+        tr["from"], tr["to"] = tr.pop("from_mode"), tr.pop("to_mode")
+        tr["phase_jump_deg"], tr["mag_jump_pu"] = _jumps(result, rec)
+        trs.append(tr)
     out["transitions"] = trs
-    jumps_ph = [
-        r["phase_jump_deg"] for r in trs if r["accepted"] and r["phase_jump_deg"] is not None
-    ]
-    jumps_mag = [
-        r["mag_jump_pu"] for r in trs if r["accepted"] and r["mag_jump_pu"] is not None
-    ]
-    out["max_phase_jump_deg"] = max(jumps_ph) if jumps_ph else None
-    out["max_mag_jump_pu"] = max(jumps_mag) if jumps_mag else None
+    jumps = [r for r in trs if r["mag_jump_pu"] is not None]  # accepted only
+    out["max_phase_jump_deg"] = max((r["phase_jump_deg"] for r in jumps), default=None)
+    out["max_mag_jump_pu"] = max((r["mag_jump_pu"] for r in jumps), default=None)
 
     out["islanding_detection_latency_s"] = _detection_latency(result)
     ready_t, ready_lat = _reconnection(result)
@@ -109,20 +107,36 @@ def compute_metrics(result) -> dict:
     return out
 
 
+def _records(result, cls) -> list:
+    return [rec for rec in result.events_log if isinstance(rec, cls)]
+
+
+def _jumps(result, rec) -> tuple[float | None, float | None]:
+    """The one-step phase (deg) and magnitude (pu) jump of the voltage at the
+    inverter's bus from an accepted transition's step to the next; None for
+    a denial or a transition in the last recorded step."""
+    k = int(np.searchsorted(result.t, rec.t))
+    if not rec.accepted or k + 1 >= result.t.size:
+        return None, None
+    cfg = result.cfg
+    b = cfg.buses.index(cfg.inverters[result.inv_ids.index(rec.inverter)].bus)
+    m0, m1 = result.bus_mag[k, b], result.bus_mag[k + 1, b]
+    if min(m0, m1) < 0.05:
+        return 0.0, float(abs(m1 - m0))
+    d_ang = wrap_angle(result.bus_ang[k + 1, b] - result.bus_ang[k, b])
+    return float(abs(math.degrees(d_ang))), float(abs(m1 - m0))
+
+
 def _breaker_open_times(result) -> list[float]:
-    times = []
-    for t, kind, target, detail in result.events_log:
-        if kind == "BreakerSet" and "closed=False" in detail:
-            times.append(t)
-    return times
+    return [
+        te.t for te in _records(result, TimedEvent)
+        if isinstance(te.event, BreakerSet) and not te.event.closed
+    ]
 
 
 def _detection_latency(result) -> float | None:
     opens = _breaker_open_times(result)
-    trips = [
-        t for t, kind, _, detail in result.events_log
-        if kind == "islanding_detector" and detail == "tripped"
-    ]
+    trips = [rec.t for rec in _records(result, DetectorChange) if rec.tripped]
     if not trips:
         return None
     t_trip = min(trips)
@@ -133,15 +147,13 @@ def _detection_latency(result) -> float | None:
 
 
 def _reconnection(result) -> tuple[float | None, float | None]:
-    readies = [
-        t for t, kind, _, _ in result.events_log if kind == "reconnection_ready"
-    ]
+    readies = [rec.t for rec in _records(result, ReconnectionReady)]
     if not readies:
         return None, None
     t_ready = min(readies)
     causes = [
-        t for t, kind, _, _ in result.events_log
-        if kind in ("BreakerSet", "SourceFreq") and t <= t_ready
+        te.t for te in _records(result, TimedEvent)
+        if isinstance(te.event, (BreakerSet, SourceFreq)) and te.t <= t_ready
     ]
     latency = t_ready - max(causes) if causes else t_ready
     return t_ready, latency
@@ -174,7 +186,7 @@ def _sharing_error(result) -> float | None:
 
 
 def _guard_summary(result) -> dict:
-    audit = result.guard_audit
+    audit = _records(result, GuardAuditRecord)
     by_reason: dict[str, int] = {}
     for rec in audit:
         if not rec.accepted:

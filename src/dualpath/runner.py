@@ -2,7 +2,7 @@
 
 Per control step: apply due events (setpoints pass the guard) -> solve the
 phasor network -> synthesize waveforms and take local measurements -> step the
-following and forming paths -> supervisor shadow-sync and transitions ->
+following and forming paths -> supervisor shadow-sync and mode arbitration ->
 detectors and autonomous actions -> record.
 
 Everything is deterministic: identical config and seed give byte-identical
@@ -45,16 +45,21 @@ from .droop import (
 )
 from .events import (
     NETWORK_EVENTS,
+    AutoReclose,
     BreakerSet,
+    DetectorChange,
+    InjectionChange,
+    IslandDeenergized,
     LoadStep,
     ModeCommand,
     PlugIn,
     PulseLoad,
+    ReconnectionReady,
     SetpointEvent,
     TimedEvent,
 )
 from .frames import TWO_PI, phase_samples, wrap_angle
-from .guard import Setpoint, validate_setpoint
+from .guard import GuardAuditRecord, Setpoint, validate_setpoint
 from .network import Network, NonConvergenceError, apply_event
 from .pll import (
     I_MAX,
@@ -66,31 +71,7 @@ from .pll import (
     pll_step,
 )
 from .scenario import BlackStartConfig, InverterConfig, ScenarioConfig, resolved_dict
-from .supervisor import Mode, Supervisor, shadow_follow
-
-
-@dataclass(slots=True)
-class TransitionRecord:
-    t: float
-    step: int
-    inverter: str
-    from_mode: str
-    to_mode: str
-    accepted: bool
-    reason: str
-    phase_jump_deg: float | None = None
-    mag_jump_pu: float | None = None
-
-
-@dataclass(slots=True)
-class GuardAuditRecord:
-    t: float
-    inverter: str
-    source_id: str
-    accepted: bool
-    reason: str
-    predicted_f: float
-    predicted_v: float
+from .supervisor import Mode, Supervisor, TransitionRecord, shadow_follow
 
 
 class _Inverter:
@@ -99,8 +80,7 @@ class _Inverter:
     __slots__ = (
         "cfg", "id", "bus", "rating_pu", "z_c_sys", "params", "pll", "droop",
         "vz", "sup", "det", "recon", "plugged", "inj", "emf", "i_sys", "s_inv",
-        "pending_mode", "pending_source", "uv_suspended", "reconnect_pending",
-        "bus_idx", "breaker", "from_idx", "to_idx", "ramp_rate",
+        "uv_suspended", "bus_idx", "breaker", "from_idx", "to_idx", "ramp_rate",
     )
 
     def __init__(self, cfg: InverterConfig, s_base: float, f_nom: float, dt: float,
@@ -121,7 +101,7 @@ class _Inverter:
         self.droop = DroopState(v_gfm=cfg.droop.v_nom)
         self.vz = replace(cfg.vz, i_filt=0.0)
         self.ramp_rate = (cfg.black_start or BlackStartConfig()).ramp_rate
-        self.sup = Supervisor(cfg.mode, cfg.thresholds, f_nom)
+        self.sup = Supervisor(cfg.mode, cfg.thresholds, f_nom, cfg.id, cfg.auto)
         self.det = IslandingDetector(cfg.detector, dt)
         self.recon = ReconnectionMonitor(cfg.detector) if cfg.pcc_breaker else None
         self.plugged = cfg.plugged
@@ -129,14 +109,7 @@ class _Inverter:
         self.emf = 0j          # post-virtual-impedance EMF, network frame
         self.i_sys = 0j        # solved terminal current, system pu
         self.s_inv = 0j        # terminal power, inverter pu
-        self.pending_mode: Mode | None = None
-        self.pending_source = ""
         self.uv_suspended = False
-        self.reconnect_pending = False
-
-    @property
-    def mode(self) -> Mode:
-        return self.sup.mode
 
     def follow_idx(self) -> int:
         """Bus position the following path tracks: the utility side of the
@@ -167,9 +140,7 @@ class SimResult:
     island: np.ndarray
     recon: np.ndarray
     residual: np.ndarray
-    transitions: list[TransitionRecord]
-    guard_audit: list[GuardAuditRecord]
-    events_log: list[tuple[float, str, str, str]]
+    events_log: list  # typed records in log order (see dualpath.events)
     solver: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
     aborted: bool = False
@@ -202,16 +173,11 @@ class Simulation:
             for ic in cfg.inverters
         ]
         self.events: list[TimedEvent] = self._expand_events(cfg.events)
-        self.events_log: list[tuple[float, str, str, str]] = []
-        self.transitions: list[TransitionRecord] = []
-        self.guard_audit: list[GuardAuditRecord] = []
+        self.events_log: list = []
         self.rng = np.random.default_rng(cfg.seed)
         self.noise_std = cfg.output.noise_std
         self._dead_seen: set = set()
         self._by_id = {inv.id: inv for inv in self.invs}
-        # (transition, bus position) pairs whose one-step jump is measured
-        # on the next step
-        self._pending_jumps: list[tuple[TransitionRecord, int]] = []
         # per-topology lookups (see _resolve_topology)
         self._islands_version = -1
         self._formers: list[_Inverter] = []
@@ -221,7 +187,7 @@ class Simulation:
         self._island_grid: list[list] = []
         self._island_gfm: list[list[_Inverter]] = []
         for inv in self.invs:
-            if inv.plugged and inv.mode is Mode.GFM:
+            if inv.plugged and inv.sup.mode is Mode.GFM:
                 self.net.register_former(inv.id, inv.bus, inv.z_c_sys)
         self.init_rounds = 0
         self.init_mismatch: float | None = None
@@ -258,7 +224,7 @@ class Simulation:
         (the largest change or error measured in the last round, pu; it
         stays None when a solve fails)."""
         for inv in self.invs:
-            if inv.cfg.black_start is not None and inv.mode is Mode.GFM:
+            if inv.cfg.black_start is not None and inv.sup.mode is Mode.GFM:
                 inv.droop.v_gfm = 0.0
                 inv.start_ramp()
 
@@ -300,7 +266,7 @@ class Simulation:
                 if e_p > pq_change or e_q > pq_change:
                     pq_change = e_p if e_p > e_q else e_q
                 d.p_f, d.q_f = s.real, s.imag
-                if inv.mode is Mode.GFM and not d.ramp_active and inv.params.k_v > 0:
+                if inv.sup.mode is Mode.GFM and not d.ramp_active and inv.params.k_v > 0:
                     # nudge the EMF toward holding the bus at v_nom
                     dv = inv.params.v_nom - abs(vb)
                     if abs(dv) > v_change:
@@ -338,7 +304,7 @@ class Simulation:
         for inv in self.invs:
             d = inv.droop
             dp = inv.params
-            if inv.mode is Mode.GFM and not d.ramp_active:
+            if inv.sup.mode is Mode.GFM and not d.ramp_active:
                 d.u_v = uv_handoff(dp, d.v_gfm, d.q_f)
                 d.omega = 1.0 - dp.m_p * (d.p_f - dp.p_set) + d.u
             # PLL starts locked on whatever voltage it follows
@@ -426,8 +392,10 @@ class Simulation:
                 freqs.append(self.f_nom)
         return freqs
 
-    def _log(self, t: float, kind: str, target: str, detail: str) -> None:
-        self.events_log.append((t, kind, target, detail))
+    def _request(self, t: float, inv: _Inverter, mode: str, source: str) -> None:
+        rec = inv.sup.request(t, Mode[mode.upper()], source, inv.plugged)
+        if rec is not None:
+            self.events_log.append(rec)
 
     def _apply_setpoint(self, t: float, ev: SetpointEvent, inv: _Inverter) -> None:
         sp = Setpoint(p_set=ev.p_set, q_set=ev.q_set, v_nom=ev.v_nom)
@@ -435,15 +403,10 @@ class Simulation:
             sp, inv.params, inv.droop, inv.droop.p_f, inv.droop.q_f,
             inv.cfg.guard, self.f_nom,
         )
-        self.guard_audit.append(GuardAuditRecord(
+        self.events_log.append(GuardAuditRecord(
             t, inv.id, ev.source_id, verdict.accepted, verdict.reason,
             verdict.predicted_f, verdict.predicted_v,
         ))
-        self._log(
-            t, "setpoint", inv.id,
-            f"source={ev.source_id} accepted={verdict.accepted} "
-            f"reason={verdict.reason} f_pred={verdict.predicted_f:.3f}",
-        )
         if not verdict.accepted:
             return
         if ev.p_set is not None:
@@ -453,41 +416,35 @@ class Simulation:
         if ev.v_nom is not None:
             inv.params.v_nom = ev.v_nom
         if ev.mode is not None:
-            inv.pending_mode = Mode[ev.mode.upper()]
-            inv.pending_source = f"setpoint:{ev.source_id}"
+            self._request(t, inv, ev.mode, f"setpoint:{ev.source_id}")
 
     def _apply_event(self, t: float, te: TimedEvent) -> None:
         ev = te.event
         by_id = self._by_id
         if isinstance(ev, NETWORK_EVENTS):
             apply_event(self.net, ev)
-            self._log(t, type(ev).__name__, ev.target, _event_detail(ev))
+            self.events_log.append(TimedEvent(t, ev))
             if isinstance(ev, BreakerSet):
                 for inv in self.invs:
                     if inv.cfg.pcc_breaker == ev.target:
-                        inv.sup.status.holds_since = None
-                        # a reclose makes a forming watcher eligible to hand
-                        # back to the following path; an opening revokes it
-                        inv.reconnect_pending = ev.closed and inv.mode is Mode.GFM
+                        inv.sup.breaker_moved(ev.closed)
         elif isinstance(ev, SetpointEvent):
             self._apply_setpoint(t, ev, by_id[ev.target])
         elif isinstance(ev, ModeCommand):
-            inv = by_id[ev.target]
-            inv.pending_mode = Mode[ev.mode.upper()]
-            inv.pending_source = "command"
-            self._log(t, "ModeCommand", ev.target, f"mode={ev.mode}")
+            self.events_log.append(TimedEvent(t, ev))
+            self._request(t, by_id[ev.target], ev.mode, "command")
         elif isinstance(ev, PlugIn):
             inv = by_id[ev.target]
             if not inv.plugged:
                 inv.plugged = True
-                if inv.mode is Mode.GFM:
+                if inv.sup.mode is Mode.GFM:
                     self.net.register_former(inv.id, inv.bus, inv.z_c_sys)
                     # connect at the measured bus state: zero initial current
                     inv.emf = self._v_ref(inv, t)
                     if inv.droop.v_gfm < 0.5 * inv.params.v_nom:
                         inv.start_ramp()
                 self._islands_version = -1
-                self._log(t, "PlugIn", ev.target, "")
+                self.events_log.append(TimedEvent(t, ev))
 
     def _switch_mode(self, inv: _Inverter, target: Mode, t: float,
                      v_bus: complex) -> None:
@@ -518,7 +475,6 @@ class Simulation:
             inv.params.p_set = inv.s_inv.real
             inv.params.q_set = inv.s_inv.imag
             inv.emf = 0j
-            inv.reconnect_pending = False
 
     # -- main loop -------------------------------------------------------------
 
@@ -588,7 +544,7 @@ class Simulation:
                     key = ",".join(isl)
                     if key not in self._dead_seen:
                         self._dead_seen.add(key)
-                        self._log(t, "island_deenergized", key, "no source in island")
+                        self.events_log.append(IslandDeenergized(t, key))
 
                 # 3. record
                 v_pos = state.v_pos
@@ -596,19 +552,6 @@ class Simulation:
                 np.absolute(v_pos, out=bus_mag[k])
                 np.arctan2(v_pos.imag, v_pos.real, out=bus_ang[k])
                 res_rec[k] = self.net.power_balance_residual(state, emfs, injections)
-
-                # one-step transition discontinuity of last step's transitions
-                if self._pending_jumps:
-                    for rec, b in self._pending_jumps:
-                        m0, m1 = bus_mag[k - 1, b], bus_mag[k, b]
-                        rec.mag_jump_pu = float(abs(m1 - m0))
-                        if min(m0, m1) >= 0.05:
-                            rec.phase_jump_deg = float(abs(math.degrees(
-                                wrap_angle(bus_ang[k, b] - bus_ang[k - 1, b])
-                            )))
-                        else:
-                            rec.phase_jump_deg = 0.0
-                    self._pending_jumps.clear()
 
                 # 4..7 controllers, supervisor, detectors per inverter
                 v = state.v_list
@@ -618,7 +561,7 @@ class Simulation:
                 row = k * ni
                 for i, inv in enumerate(self.invs):
                     self._step_inverter(
-                        inv, row + i, k, t, rot, v, v_neg, state, energized, freqs,
+                        inv, row + i, t, rot, v, v_neg, state, energized, freqs,
                     )
 
                 # rotate off-nominal source EMF phasors toward the next step
@@ -627,7 +570,6 @@ class Simulation:
             aborted = True
             where = "initialization" if self.init_error is not None else f"step {k}"
             abort_reason = f"NonConvergence at {where} (t={k * self.dt:.6f}): {exc}"
-            self._log(k * self.dt, "abort", "simulation", abort_reason)
             rows = k  # rows completed before the failing solve
         wall = time.perf_counter() - t_start
 
@@ -645,8 +587,6 @@ class Simulation:
             island=isl_arr[:rows],
             recon=rec_arr[:rows],
             residual=res_arr[:rows],
-            transitions=self.transitions,
-            guard_audit=self.guard_audit,
             events_log=self.events_log,
             solver={
                 "cp_iterations_mean": cp_iters_sum / rows if rows else 0.0,
@@ -667,7 +607,7 @@ class Simulation:
         return result
 
     def _step_inverter(
-        self, inv, j, k, t, rot, v, v_neg, state, energized, freqs,
+        self, inv, j, t, rot, v, v_neg, state, energized, freqs,
     ) -> None:
         """One control step of one inverter.  ``v``/``v_neg`` are the solved
         bus voltages by bus position, ``rot`` the synthesis rotation at ``t``
@@ -700,62 +640,26 @@ class Simulation:
         if mode is Mode.GFM:
             restoration_step(dp, d, dt)
 
-        # supervisor: shadow sync, then any pending transition request
+        # supervisor: shadow sync, then the verdict on any mode request
         if inv.plugged:
-            inv.sup.shadow_sync_step(
+            sup = inv.sup
+            sup.shadow_sync_step(
                 pll, s, v_bus_mag, energized[bus_island[follow]], d, dp, t
             )
+            br = inv.breaker
+            grid_live = br is not None and br.closed and bool(
+                self._island_grid[bus_island[inv.bus_idx]]
+            )
+            rec = sup.arbitrate(t, inv.det.tripped, grid_live)
+            if rec is not None:
+                self.events_log.append(rec)
+                if rec.accepted:
+                    mode = sup.mode
+                    self._switch_mode(inv, mode, t, v_bus)
         else:
             # a parked unit listens through its following path so it can
             # later connect at the measured bus state, whatever its mode
             shadow_follow(pll, s, self.w0, d, dp)
-
-        # autonomous actions
-        if inv.cfg.auto and inv.plugged:
-            if mode is Mode.GFL and inv.det.tripped and inv.pending_mode is None:
-                inv.pending_mode = Mode.GFM
-                inv.pending_source = "auto:islanding"
-            if (
-                mode is Mode.GFM
-                and inv.reconnect_pending
-                and inv.breaker is not None
-                and inv.pending_mode is None
-                and inv.breaker.closed
-                and self._island_grid[bus_island[inv.bus_idx]]
-            ):
-                inv.pending_mode = Mode.GFL
-                inv.pending_source = "auto:grid-restored"
-
-        if inv.pending_mode is not None and inv.plugged:
-            target = inv.pending_mode
-            if target is not mode:
-                ok, reason = inv.sup.request_transition(target, t)
-                rec = TransitionRecord(
-                    t, k, inv.id,
-                    "gfm" if target is Mode.GFL else "gfl",
-                    target.name.lower(), ok, reason,
-                )
-                if ok:
-                    self._switch_mode(inv, target, t, v_bus)
-                    mode = target
-                    self.transitions.append(rec)
-                    self._pending_jumps.append((rec, inv.bus_idx))
-                    self._log(
-                        t, "transition", inv.id,
-                        f"{rec.from_mode}->{rec.to_mode} source={inv.pending_source}",
-                    )
-                    inv.pending_mode = None
-                elif inv.pending_source == "command" or inv.pending_source.startswith("setpoint"):
-                    # scripted commands report a single denial and drop
-                    self.transitions.append(rec)
-                    self._log(
-                        t, "transition_denied", inv.id,
-                        f"target={target.name.lower()} reason={reason}",
-                    )
-                    inv.pending_mode = None
-                # autonomous requests stay pending and retry next step
-            else:
-                inv.pending_mode = None
 
         # detectors
         f_local = (
@@ -770,10 +674,7 @@ class Simulation:
         was_tripped = inv.det.tripped
         inv.det.push(t, f_meas_det, v_meas_det)
         if inv.det.tripped != was_tripped:
-            self._log(
-                t, "islanding_detector", inv.id,
-                "tripped" if inv.det.tripped else "cleared",
-            )
+            self.events_log.append(DetectorChange(t, inv.id, inv.det.tripped))
 
         recon_ready = False
         if inv.recon is not None:
@@ -791,14 +692,11 @@ class Simulation:
                     v[inv.from_idx], freqs[k_from], energized[k_from],
                 )
                 if inv.recon.ready and not was_ready:
-                    self._log(t, "reconnection_ready", inv.id, f"breaker={br.id}")
+                    self.events_log.append(ReconnectionReady(t, inv.id, br.id))
                 if inv.recon.ready and inv.cfg.auto:
                     self.net.set_breaker(br.id, True)
-                    self._log(t, "breaker_close", br.id, f"auto by {inv.id}")
-                    # the network just changed: re-qualify sync before any
-                    # mode change
-                    inv.sup.status.holds_since = None
-                    inv.reconnect_pending = True
+                    self.events_log.append(AutoReclose(t, inv.id, br.id))
+                    inv.sup.breaker_moved(True)
             recon_ready = inv.recon.ready
 
         # references for the next step's solve; the same frame angle is used
@@ -813,12 +711,12 @@ class Simulation:
                 )
                 if inv.uv_suspended:
                     inv.uv_suspended = False
-                    self._log(t, "gfl_injection", inv.id, "resumed")
+                    self.events_log.append(InjectionChange(t, inv.id, False))
                 inv.inj = gfl_injection(i_d, i_q, frame) * inv.rating_pu
             except UnderVoltageError:
                 if not inv.uv_suspended:
                     inv.uv_suspended = True
-                    self._log(t, "gfl_injection", inv.id, "suspended: undervoltage")
+                    self.events_log.append(InjectionChange(t, inv.id, True))
                 inv.inj = 0j
         elif inv.plugged and mode is Mode.GFM:
             inv.emf = virtual_impedance_step(
@@ -835,12 +733,46 @@ class Simulation:
 
 
 def _event_detail(ev) -> str:
+    # every field but the target is a number, a flag or a mode name
     fields = [
-        f"{name}={getattr(ev, name)!r}"
+        f"{name}={getattr(ev, name)}"
         for name in ev.__dataclass_fields__
         if name != "target"
     ]
     return " ".join(fields)
+
+
+def _log_row(rec) -> tuple[str, str, str]:
+    """The ``type``, ``target`` and ``detail`` of an event-log record."""
+    match rec:
+        case TimedEvent(event=ev):
+            return type(ev).__name__, ev.target, _event_detail(ev)
+        case GuardAuditRecord():
+            return "setpoint", rec.inverter, (
+                f"source={rec.source_id} accepted={rec.accepted} "
+                f"reason={rec.reason} f_pred={rec.predicted_f:.3f}"
+            )
+        case TransitionRecord(accepted=True):
+            return "transition", rec.inverter, (
+                f"{rec.from_mode}->{rec.to_mode} source={rec.source}"
+            )
+        case TransitionRecord():
+            return "transition_denied", rec.inverter, (
+                f"target={rec.to_mode} reason={rec.reason}"
+            )
+        case DetectorChange():
+            return ("islanding_detector", rec.inverter,
+                    "tripped" if rec.tripped else "cleared")
+        case ReconnectionReady():
+            return "reconnection_ready", rec.inverter, f"breaker={rec.breaker}"
+        case AutoReclose():
+            return "breaker_close", rec.breaker, f"auto by {rec.inverter}"
+        case InjectionChange():
+            return ("gfl_injection", rec.inverter,
+                    "suspended: undervoltage" if rec.suspended else "resumed")
+        case IslandDeenergized():
+            return "island_deenergized", rec.buses, "no source in island"
+    raise TypeError(f"not an event-log record: {rec!r}")
 
 
 # -- output files ---------------------------------------------------------
@@ -890,8 +822,12 @@ def write_outputs(result: SimResult, out_dir: str | Path) -> None:
             ]
             fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
+    rows = [(rec.t, *_log_row(rec)) for rec in result.events_log]
+    if result.aborted:  # after the last record, at the failed step
+        rows.append((result.abort_step * cfg.dt, "abort", "simulation",
+                     result.abort_reason))
     ev_lines = ["t,type,target,detail"]
-    for t, kind, target, detail in result.events_log:
+    for t, kind, target, detail in rows:
         detail_csv = detail.replace('"', "'")
         ev_lines.append(f'{t:.9g},{kind},{target},"{detail_csv}"')
     (out / "events.csv").write_text("\n".join(ev_lines) + "\n")

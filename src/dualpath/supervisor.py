@@ -20,6 +20,21 @@ switching to the following path additionally requires a live, locked PLL.
 The measured angle, magnitude and frequency are read from the following
 path's ``PllState`` itself, as the paper's supervisor reads the PLL phase
 angle: there is no separate copy of them that could disagree with the PLL.
+
+Mode requests are arbitrated here too, with no external controller: one
+request at most is pending, and ``arbitrate`` judges it once per control
+step through ``request_transition``.
+
+* A scripted request (a ``ModeCommand`` or a guarded setpoint's ``mode``)
+  gets one verdict and is dropped.  A parked unit denies it when it is
+  issued, with reason ``unplugged``.
+* An autonomous request retries every step and is recorded only when
+  accepted: a following unit whose islanding detector tripped asks for the
+  forming path; a forming unit whose watched breaker was reclosed asks for
+  the following path while that breaker is closed with a grid source in its
+  island.  A move of the watched breaker restarts the hold timer and arms or
+  disarms this grid-restored request (``breaker_moved``).
+* A request for the mode the unit already has is dropped silently.
 """
 
 from __future__ import annotations
@@ -55,6 +70,43 @@ class SyncStatus:
     stale: bool = False    # followed voltage dead or PLL unlocked
 
 
+@dataclass(frozen=True, slots=True)
+class ModeRequest:
+    """A mode request: its target, its origin for the log (``command``,
+    ``setpoint:<source id>``, ``auto:islanding`` or ``auto:grid-restored``)
+    and whether it is scripted (judged once) or autonomous (retried)."""
+
+    target: Mode
+    source: str
+    scripted: bool
+
+
+_ISLANDING = ModeRequest(Mode.GFM, "auto:islanding", False)
+_GRID_RESTORED = ModeRequest(Mode.GFL, "auto:grid-restored", False)
+
+
+@dataclass(frozen=True, slots=True)
+class TransitionRecord:
+    """The verdict on one mode request and the sync margins it was judged on:
+    the ``SyncStatus`` values and the hold time elapsed (s), next to the
+    thresholds.  A parked unit computes no margins, so they are None on its
+    ``unplugged`` denials."""
+
+    t: float
+    inverter: str
+    from_mode: str
+    to_mode: str
+    accepted: bool
+    reason: str
+    source: str
+    thresholds: TransitionThresholds
+    d_theta: float | None = None
+    d_v: float | None = None
+    d_f: float | None = None
+    stale: bool | None = None
+    hold_elapsed: float | None = None
+
+
 def shadow_follow(
     gfl: PllState, s: complex, omega_base: float, gfm: DroopState,
     params: DroopParams,
@@ -85,14 +137,21 @@ def shadow_follow(
 
 
 class Supervisor:
-    """Mode state machine for one inverter."""
+    """Mode state machine for one inverter: the sync gate and the arbitration
+    of its mode requests.  ``unit`` names the inverter in its records and
+    ``auto`` enables the autonomous requests."""
 
-    def __init__(self, mode: Mode, thresholds: TransitionThresholds, f_nom: float):
+    def __init__(self, mode: Mode, thresholds: TransitionThresholds, f_nom: float,
+                 unit: str = "", auto: bool = False):
         self.mode = mode
         self.thresholds = thresholds
         self.f_nom = f_nom
         self.omega_base = TWO_PI * f_nom
         self.status = SyncStatus()
+        self.unit = unit
+        self.auto = auto
+        self.pending: ModeRequest | None = None
+        self.armed = False  # a reclose armed the grid-restored request
 
     def shadow_sync_step(
         self, gfl: PllState, s: complex, v_own: float, followed_energized: bool,
@@ -158,3 +217,56 @@ class Supervisor:
         self.mode = target
         self.status.holds_since = None
         return True, "none"
+
+    def breaker_moved(self, closed: bool) -> None:
+        """The watched breaker moved: the margins qualify again from now on,
+        and a reclose arms the grid-restored request of a forming unit while
+        an opening disarms it."""
+        self.status.holds_since = None
+        self.armed = closed and self.mode is Mode.GFM
+
+    def request(self, t: float, target: Mode, source: str,
+                plugged: bool) -> TransitionRecord | None:
+        """Take a scripted mode request; it replaces any pending request and
+        is judged at the next ``arbitrate``.  A parked unit denies it now."""
+        if plugged:
+            self.pending = ModeRequest(target, source, True)
+            return None
+        if target is self.mode:
+            return None
+        return TransitionRecord(
+            t, self.unit, self.mode.name.lower(), target.name.lower(), False,
+            "unplugged", source, self.thresholds,
+        )
+
+    def arbitrate(self, t: float, tripped: bool,
+                  grid_live: bool) -> TransitionRecord | None:
+        """Raise any autonomous request and judge the pending one; returns
+        the verdict to record, or None.  ``tripped`` is the islanding
+        detector's state and ``grid_live`` whether the watched breaker is
+        closed with a grid source in the unit's island."""
+        req = self.pending
+        if req is None and self.auto:
+            if self.mode is Mode.GFL:
+                if tripped:
+                    req = self.pending = _ISLANDING
+            elif self.armed and grid_live:
+                req = self.pending = _GRID_RESTORED
+        if req is None:
+            return None
+        if req.target is self.mode:
+            self.pending = None
+            return None
+        st = self.status
+        held = None if st.holds_since is None else t - st.holds_since
+        ok, reason = self.request_transition(req.target, t)
+        if not (ok or req.scripted):
+            return None  # an autonomous request retries next step
+        self.pending = None
+        if ok and req.target is Mode.GFL:
+            self.armed = False
+        return TransitionRecord(
+            t, self.unit, "gfm" if req.target is Mode.GFL else "gfl",
+            req.target.name.lower(), ok, reason, req.source, self.thresholds,
+            st.d_theta, st.d_v, st.d_f, st.stale, held,
+        )

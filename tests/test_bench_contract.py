@@ -6,6 +6,7 @@ import importlib.util
 from pathlib import Path
 
 import yaml
+from test_robustness import mode_setpoint_doc
 
 from dualpath.runner import Simulation
 from dualpath.scenario import parse_config
@@ -54,3 +55,14 @@ def test_traced_library_runs_call_every_span_target(monkeypatch):
     assert all(trace.tally.calls[name] > 0 for name in layertrace.SPANS)
     # a counter read from return values saw the runs too
     assert trace.tally.counts["cp_iters"] > 0
+
+
+def test_arbitration_requests_through_the_counted_method():
+    # the trace counts transitions at Supervisor.request_transition, so mode
+    # arbitration must reach the gate through that class attribute
+    layertrace, _ = load_layertrace()
+    trace = layertrace.LayerTrace()
+    with trace:
+        assert not Simulation(parse_config(mode_setpoint_doc())).run().aborted
+    assert trace.tally.counts["transitions.requested"] >= 1
+    assert trace.tally.counts["transitions.accepted"] == 1

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dualpath.events import LoadStep, TimedEvent
 from dualpath.runner import run, write_outputs
 from dualpath.scenario import parse_config
 
@@ -82,8 +83,9 @@ def test_fully_dead_network_runs_to_completion(tmp_path):
     assert (tmp_path / "metrics.json").exists()
 
 
-def test_mode_only_setpoint_passes_guard_and_transitions():
-    d = {
+def mode_setpoint_doc():
+    """A following unit that a guarded setpoint moves to the forming path."""
+    return {
         "name": "mode-setpoint", "dt": 2e-4, "t_end": 2.0,
         "buses": ["g", "b"],
         "lines": [{"from": "g", "to": "b", "r": 0.005, "x": 0.05}],
@@ -95,7 +97,10 @@ def test_mode_only_setpoint_passes_guard_and_transitions():
              "mode": "gfm"},
         ],
     }
-    res = run(parse_config(d))
+
+
+def test_mode_only_setpoint_passes_guard_and_transitions():
+    res = run(parse_config(mode_setpoint_doc()))
     accepted = [tr for tr in res.metrics["transitions"] if tr["accepted"]]
     assert len(accepted) == 1
     assert accepted[0]["to"] == "gfm"
@@ -124,6 +129,38 @@ def test_denied_scripted_command_logged_once():
     assert len(denied) == 1
     assert denied[0]["reason"] in ("hold", "voltage", "stale")
     assert res.mode[-1, 0] == 1  # unchanged
+    # the margins the denial was judged on explain its reason
+    tr = denied[0]
+    assert (tr["eps_v"], tr["hold"]) == (0.001, 5.0)
+    if tr["reason"] == "voltage":
+        assert tr["d_v"] > tr["eps_v"]
+    elif tr["reason"] == "hold":
+        assert tr["hold_elapsed"] is None or tr["hold_elapsed"] < tr["hold"]
+    else:
+        assert tr["stale"] is True
+
+
+def test_scripted_request_to_unplugged_unit_denied_when_issued():
+    d = {
+        "name": "unplugged-command", "dt": 5e-4, "t_end": 1.5,
+        "buses": ["g", "b"],
+        "lines": [{"from": "g", "to": "b", "r": 0.005, "x": 0.05}],
+        "grid_sources": [{"id": "src", "bus": "g", "v": 1.0, "r_s": 0.001, "x_s": 0.01}],
+        "loads": [{"id": "ld", "bus": "b", "kind": "impedance", "r": 2.0, "x": 0.4}],
+        "inverters": [
+            {"id": "inv1", "bus": "b", "mode": "gfl", "p_set": 0.3, "plugged": False},
+        ],
+        "events": [
+            {"t": 0.1, "type": "mode_command", "target": "inv1", "mode": "gfm"},
+            {"t": 1.0, "type": "plug_in", "target": "inv1"},
+        ],
+    }
+    res = run(parse_config(d))
+    # one verdict, when the command is issued; nothing is held for plug-in
+    [tr] = res.metrics["transitions"]
+    assert (tr["t"], tr["accepted"], tr["reason"]) == (0.1, False, "unplugged")
+    assert tr["d_theta"] is None and tr["hold_elapsed"] is None
+    assert res.mode[-1, 0] == 0
 
 
 def test_noise_injection_seeded_and_optional(tmp_path):
@@ -165,6 +202,9 @@ def test_simultaneous_events_apply_in_script_order():
     }
     res = run(parse_config(d))
     assert not res.aborted
-    applied = [e for e in res.events_log if e[1] == "LoadStep"]
+    applied = [
+        e for e in res.events_log
+        if isinstance(e, TimedEvent) and isinstance(e.event, LoadStep)
+    ]
     assert len(applied) == 2
-    assert applied[0][0] == applied[1][0] == 0.5
+    assert applied[0].t == applied[1].t == 0.5

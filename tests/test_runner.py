@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 from dualpath.cli import main as cli_main
+from dualpath.events import InjectionChange, IslandDeenergized
 from dualpath.frames import phase_samples
 from dualpath.runner import CSV_CHUNK_ROWS, Simulation, run, write_outputs
 from dualpath.scenario import parse_config
@@ -255,7 +256,7 @@ def test_breaker_event_deenergizes_island():
     res = run(parse_config(d))
     k = np.searchsorted(res.t, 0.31)
     assert res.bus_mag[k, 2] == 0.0
-    assert any(e[1] == "island_deenergized" for e in res.events_log)
+    assert any(isinstance(e, IslandDeenergized) for e in res.events_log)
 
 
 def test_load_step_event_applies():
@@ -291,7 +292,7 @@ def test_gfl_injection_suspends_on_undervoltage():
     d["inverters"][0]["auto"] = False  # stay GFL so the suspension persists
     res = run(parse_config(d))
     assert any(
-        e[1] == "gfl_injection" and "suspended" in e[3] for e in res.events_log
+        isinstance(e, InjectionChange) and e.suspended for e in res.events_log
     )
     k = np.searchsorted(res.t, 0.5)
     assert res.p[k, 0] == 0.0

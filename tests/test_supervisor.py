@@ -11,8 +11,15 @@ W0 = 2 * math.pi * 60.0
 S = complex(0.4, 0.1)  # terminal power, inverter pu
 
 
-def make_sup(mode=Mode.GFL):
-    return Supervisor(mode, TransitionThresholds(), f_nom=60.0)
+def make_sup(mode=Mode.GFL, auto=False):
+    return Supervisor(mode, TransitionThresholds(), f_nom=60.0, unit="inv1", auto=auto)
+
+
+def sync(sup, t):
+    """One shadow-sync step with both paths in agreement on a live bus."""
+    gfl = PllState(theta_est=0.05, omega_est=W0, v_pos=1.0, lock=True)
+    gfm = DroopState(theta_gfm=0.05, omega=1.0)
+    return sup.shadow_sync_step(gfl, S, 1.0, True, gfm, DroopParams(), t=t)
 
 
 def test_shadow_copies_measurement_exactly():
@@ -134,3 +141,88 @@ def test_active_reference_continuous_across_synced_toggle():
     after = (gfm.theta_gfm, gfm.v_gfm)
     assert after[0] == pytest.approx(before[0], abs=1e-9)
     assert after[1] == pytest.approx(before[1], abs=1e-9)
+
+
+def test_scripted_denial_recorded_once_then_dropped():
+    sup = make_sup(Mode.GFL)
+    sync(sup, 0.0)
+    assert sup.request(0.0, Mode.GFM, "command", plugged=True) is None
+    sync(sup, 0.1)
+    rec = sup.arbitrate(0.1, tripped=False, grid_live=False)
+    assert (rec.accepted, rec.reason, rec.source) == (False, "hold", "command")
+    assert (rec.from_mode, rec.to_mode, rec.inverter) == ("gfl", "gfm", "inv1")
+    assert rec.hold_elapsed == pytest.approx(0.1)
+    assert rec.thresholds == sup.thresholds
+    # the hold is met later, but the denied request is gone
+    for k in range(2, 6):
+        sync(sup, 0.1 * k)
+        assert sup.arbitrate(0.1 * k, tripped=False, grid_live=False) is None
+    assert sup.pending is None and sup.mode is Mode.GFL
+
+
+def test_autonomous_request_retries_silently_until_accepted():
+    sup = make_sup(Mode.GFL, auto=True)
+    gated = []
+
+    def counted(target, t, _gate=sup.request_transition):
+        gated.append(t)
+        return _gate(target, t)
+
+    sup.request_transition = counted
+    records = []
+    for k in range(4):
+        sync(sup, 0.1 * k)
+        # the detector clears after the first step: the request persists
+        records.append(sup.arbitrate(0.1 * k, tripped=k == 0, grid_live=False))
+    assert records[:2] == [None, None]
+    rec = records[2]
+    assert (rec.accepted, rec.reason, rec.source) == (True, "none", "auto:islanding")
+    assert records[3] is None
+    assert gated == [0.0, 0.1, 0.2]
+    assert sup.mode is Mode.GFM
+
+
+def test_breaker_move_resets_hold_and_arms_grid_restored():
+    sup = make_sup(Mode.GFM, auto=True)
+    assert sync(sup, 0.0).holds_since == 0.0
+    # not armed: a live grid alone raises no request
+    assert sup.arbitrate(0.0, tripped=False, grid_live=True) is None
+    assert sup.pending is None
+    sup.breaker_moved(closed=True)
+    assert sup.status.holds_since is None and sup.armed
+    sync(sup, 1.0)
+    assert sup.arbitrate(1.0, tripped=False, grid_live=False) is None
+    assert sup.pending is None  # armed, but the grid is not back yet
+    assert sup.arbitrate(1.0, tripped=False, grid_live=True) is None  # hold
+    sync(sup, 1.25)
+    rec = sup.arbitrate(1.25, tripped=False, grid_live=True)
+    assert (rec.accepted, rec.to_mode, rec.source) == (True, "gfl", "auto:grid-restored")
+    assert not sup.armed  # handed back: disarmed
+
+
+def test_breaker_opening_disarms_grid_restored():
+    sup = make_sup(Mode.GFM, auto=True)
+    sup.breaker_moved(closed=True)
+    sync(sup, 0.0)
+    sup.breaker_moved(closed=False)
+    assert sup.status.holds_since is None and not sup.armed
+    sync(sup, 1.0)
+    assert sup.arbitrate(1.0, tripped=False, grid_live=True) is None
+    assert sup.pending is None and sup.mode is Mode.GFM
+
+
+def test_request_for_present_mode_makes_no_record():
+    sup = make_sup(Mode.GFL)
+    sync(sup, 0.0)
+    assert sup.request(0.0, Mode.GFL, "command", plugged=True) is None
+    assert sup.arbitrate(0.0, tripped=False, grid_live=False) is None
+    assert sup.pending is None
+    assert sup.request(0.0, Mode.GFL, "command", plugged=False) is None
+
+
+def test_unplugged_unit_denies_scripted_request_when_issued():
+    sup = make_sup(Mode.GFL)
+    rec = sup.request(0.1, Mode.GFM, "setpoint:scada", plugged=False)
+    assert (rec.accepted, rec.reason, rec.source) == (False, "unplugged", "setpoint:scada")
+    assert (rec.d_theta, rec.d_v, rec.d_f, rec.stale, rec.hold_elapsed) == (None,) * 5
+    assert sup.pending is None
