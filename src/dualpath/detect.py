@@ -89,7 +89,7 @@ class IslandingDetector:
             self._t_last_ok_r = t
 
         tripped = False
-        if k * self.dt >= cfg.persist:
+        if (f_bad or v_bad or r_bad) and k * self.dt >= cfg.persist:
             first = self._t_first
             for bad, t_ok in (
                 (f_bad, self._t_last_ok_f),

@@ -166,8 +166,6 @@ def black_start_ramp(
 ) -> DroopState:
     """Soft-start: ramp the voltage reference toward the target, then hand
     control back to the droop voltage law."""
-    if ramp_rate <= 0:
-        raise ValueError("ramp_rate must be positive")
     if state.v_gfm >= target:
         state.ramp_active = False
         return state

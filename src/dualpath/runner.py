@@ -3,7 +3,9 @@
 Per control step: apply due events (setpoints pass the guard) -> solve the
 phasor network -> synthesize waveforms and take local measurements -> step the
 following and forming paths -> supervisor shadow-sync and mode arbitration ->
-detectors and autonomous actions -> record.
+detectors and autonomous actions -> record.  Only a plugged forming unit
+steps its forming path (shadow_follow overwrites any other's), and island
+frequencies are computed only while a watched breaker is open.
 
 Everything is deterministic: identical config and seed give byte-identical
 output files.  The optional seed only feeds measurement-noise injection on
@@ -71,7 +73,7 @@ from .pll import (
     pll_step,
 )
 from .scenario import BlackStartConfig, InverterConfig, ScenarioConfig, resolved_dict
-from .supervisor import Mode, Supervisor, TransitionRecord, shadow_follow
+from .supervisor import GFL, GFM, Mode, Supervisor, TransitionRecord, shadow_follow
 
 
 class _Inverter:
@@ -114,7 +116,7 @@ class _Inverter:
     def follow_idx(self) -> int:
         """Bus position the following path tracks: the utility side of the
         watched breaker while forming, else the own bus."""
-        return self.from_idx if self.sup.mode is Mode.GFM else self.bus_idx
+        return self.from_idx if self.sup.mode is GFM else self.bus_idx
 
     def start_ramp(self) -> None:
         """Soft-start the forming voltage reference toward ``v_nom``."""
@@ -187,7 +189,7 @@ class Simulation:
         self._island_grid: list[list] = []
         self._island_gfm: list[list[_Inverter]] = []
         for inv in self.invs:
-            if inv.plugged and inv.sup.mode is Mode.GFM:
+            if inv.plugged and inv.sup.mode is GFM:
                 self.net.register_former(inv.id, inv.bus, inv.z_c_sys)
         self.init_rounds = 0
         self.init_mismatch: float | None = None
@@ -224,7 +226,7 @@ class Simulation:
         (the largest change or error measured in the last round, pu; it
         stays None when a solve fails)."""
         for inv in self.invs:
-            if inv.cfg.black_start is not None and inv.sup.mode is Mode.GFM:
+            if inv.cfg.black_start is not None and inv.sup.mode is GFM:
                 inv.droop.v_gfm = 0.0
                 inv.start_ramp()
 
@@ -266,7 +268,7 @@ class Simulation:
                 if e_p > pq_change or e_q > pq_change:
                     pq_change = e_p if e_p > e_q else e_q
                 d.p_f, d.q_f = s.real, s.imag
-                if inv.sup.mode is Mode.GFM and not d.ramp_active and inv.params.k_v > 0:
+                if inv.sup.mode is GFM and not d.ramp_active and inv.params.k_v > 0:
                     # nudge the EMF toward holding the bus at v_nom
                     dv = inv.params.v_nom - abs(vb)
                     if abs(dv) > v_change:
@@ -304,7 +306,7 @@ class Simulation:
         for inv in self.invs:
             d = inv.droop
             dp = inv.params
-            if inv.sup.mode is Mode.GFM and not d.ramp_active:
+            if inv.sup.mode is GFM and not d.ramp_active:
                 d.u_v = uv_handoff(dp, d.v_gfm, d.q_f)
                 d.omega = 1.0 - dp.m_p * (d.p_f - dp.p_set) + d.u
             # PLL starts locked on whatever voltage it follows
@@ -322,11 +324,11 @@ class Simulation:
 
     def _resolve_topology(self) -> None:
         """Rebuild the lookups that change only with the topology or a mode:
-        the plugged forming and following inverters, and each bus's island
-        and each island's energized flag, grid sources and forming
-        inverters.  The step calls this when the network version moved,
-        which every breaker move, impedance-load step and forming-mode change
-        does, or after a plug-in."""
+        the plugged forming and following inverters, each bus's island, each
+        island's energized flag, grid sources and forming inverters, and
+        whether a watched breaker is open.  The step calls this when the
+        network version moved (every breaker move, impedance-load step and
+        forming-mode change moves it) or after a plug-in."""
         islands, island_of, self._energized = self.net.partition()
         self._bus_island = [island_of[b] for b in self.net.buses]
         self._island_grid = [[] for _ in islands]
@@ -335,11 +337,13 @@ class Simulation:
         self._island_gfm = [[] for _ in islands]
         self._formers, self._followers = [], []
         for inv in self.invs:
-            if inv.plugged and inv.sup.mode is Mode.GFM:
+            if inv.plugged and inv.sup.mode is GFM:
                 self._formers.append(inv)
                 self._island_gfm[island_of[inv.bus]].append(inv)
             elif inv.plugged:
                 self._followers.append(inv)
+        self._recon_open = any(inv.recon is not None and not inv.breaker.closed
+                               for inv in self.invs)
         self._islands_version = self.net._version
 
     def _solve(self, t: float):
@@ -360,7 +364,7 @@ class Simulation:
         parked unit carry no current."""
         if not inv.plugged:
             i = 0j
-        elif inv.sup.mode is Mode.GFM:
+        elif inv.sup.mode is GFM:
             i = state.former_currents.get(inv.id, 0j)
         else:
             i = inv.inj if self._energized[self._bus_island[inv.bus_idx]] else 0j
@@ -437,7 +441,7 @@ class Simulation:
             inv = by_id[ev.target]
             if not inv.plugged:
                 inv.plugged = True
-                if inv.sup.mode is Mode.GFM:
+                if inv.sup.mode is GFM:
                     self.net.register_former(inv.id, inv.bus, inv.z_c_sys)
                     # connect at the measured bus state: zero initial current
                     inv.emf = self._v_ref(inv, t)
@@ -449,7 +453,7 @@ class Simulation:
     def _switch_mode(self, inv: _Inverter, target: Mode, t: float,
                      v_bus: complex) -> None:
         """Handover bookkeeping once the supervisor accepted the transition."""
-        if target is Mode.GFM:
+        if target is GFM:
             self.net.register_former(inv.id, inv.bus, inv.z_c_sys)
             # choose the internal EMF that keeps the present current flowing;
             # theta must land so that after this step's frame advance the EMF
@@ -539,7 +543,7 @@ class Simulation:
                 if report.residual > solve_residual_max:
                     solve_residual_max = report.residual
                 energized = self._energized
-                freqs = self._island_frequencies()
+                freqs = self._island_frequencies() if self._recon_open else None
                 for isl in report.de_energized_with_load:
                     key = ",".join(isl)
                     if key not in self._dead_seen:
@@ -610,8 +614,9 @@ class Simulation:
         self, inv, j, t, rot, v, v_neg, state, energized, freqs,
     ) -> None:
         """One control step of one inverter.  ``v``/``v_neg`` are the solved
-        bus voltages by bus position, ``rot`` the synthesis rotation at ``t``
-        and ``j`` the inverter's element in the flat record views."""
+        bus voltages by bus position, ``rot`` the synthesis rotation at ``t``,
+        ``freqs`` the island frequencies (None while no watched breaker is
+        open) and ``j`` the inverter's element in the flat record views."""
         dt = self.dt
         mode = inv.sup.mode
         bus_island = self._bus_island
@@ -625,19 +630,19 @@ class Simulation:
         pll = inv.pll
         pll_step(*phase_samples(v[follow], v_neg[follow], rot), dt, pll, inv.cfg.pll)
 
-        # forming path
+        # forming path (a following or parked unit's is overwritten by shadow_follow)
         d = inv.droop
         dp = inv.params
-        power_filter_step(s.real, s.imag, dt, d, dp.omega_c)
-        if mode is Mode.GFM and d.ramp_active:
-            black_start_ramp(d, dt, inv.ramp_rate, d.ramp_target)
-            if not d.ramp_active:
-                # hand the ramp output to the droop voltage law without a step
-                d.u_v = uv_handoff(dp, d.v_gfm, d.q_f)
-        elif mode is Mode.GFM and dp.k_v > 0:
-            voltage_restoration_step(dp, d, v_bus_mag, dt)
-        droop_step(dp, d, dt, self.w0)
-        if mode is Mode.GFM:
+        if inv.plugged and mode is GFM:
+            power_filter_step(s.real, s.imag, dt, d, dp.omega_c)
+            if d.ramp_active:
+                black_start_ramp(d, dt, inv.ramp_rate, d.ramp_target)
+                if not d.ramp_active:
+                    # hand the ramp output to the droop voltage law without a step
+                    d.u_v = uv_handoff(dp, d.v_gfm, d.q_f)
+            elif dp.k_v > 0:
+                voltage_restoration_step(dp, d, v_bus_mag, dt)
+            droop_step(dp, d, dt, self.w0)
             restoration_step(dp, d, dt)
 
         # supervisor: shadow sync, then the verdict on any mode request
@@ -663,7 +668,7 @@ class Simulation:
 
         # detectors
         f_local = (
-            d.omega * self.f_nom if mode is Mode.GFM
+            d.omega * self.f_nom if mode is GFM
             else pll.omega_est / TWO_PI
         )
         v_meas_det = v_bus_mag
@@ -702,7 +707,7 @@ class Simulation:
         # references for the next step's solve; the same frame angle is used
         # to measure v_dq and to rotate the references back, so the delivered
         # power reproduces the setpoint exactly regardless of PLL bias
-        if inv.plugged and mode is Mode.GFL:
+        if inv.plugged and mode is GFL:
             frame = pll.theta_est - self.w0 * (t + dt)
             vdq_c = v_bus * cmath.exp(-1j * frame)
             try:
@@ -718,7 +723,7 @@ class Simulation:
                     inv.uv_suspended = True
                     self.events_log.append(InjectionChange(t, inv.id, True))
                 inv.inj = 0j
-        elif inv.plugged and mode is Mode.GFM:
+        elif inv.plugged and mode is GFM:
             inv.emf = virtual_impedance_step(
                 self._v_ref(inv, t + dt), inv.i_sys / inv.rating_pu, inv.vz, dt
             )
@@ -726,7 +731,7 @@ class Simulation:
         self._f_rec[j] = f_local
         self._p_rec[j] = s.real
         self._q_rec[j] = s.imag
-        self._mode_rec[j] = 1 if mode is Mode.GFM else 0
+        self._mode_rec[j] = 1 if mode is GFM else 0
         self._lock_rec[j] = 1 if pll.lock else 0
         self._isl_rec[j] = 1 if inv.det.tripped else 0
         self._recon_rec[j] = 1 if recon_ready else 0

@@ -59,6 +59,10 @@ class ValidationError(ValueError):
 class BlackStartConfig:
     ramp_rate: float = 0.5  # pu/s
 
+    def __post_init__(self) -> None:
+        if not (type(self.ramp_rate) in (int, float) and 0 < self.ramp_rate < math.inf):
+            raise ValueError(f"black_start.ramp_rate {self.ramp_rate!r} is not a positive number")
+
 
 @dataclass(slots=True)
 class OutputConfig:
@@ -130,6 +134,17 @@ def _checked(parse, raw: dict, key: str, default, where: str, problems: list[str
         return default
 
 
+def _mode_from_str(s: str) -> Mode:
+    try:
+        return Mode[str(s).upper()]
+    except KeyError:
+        raise ValueError(f"unknown mode {s!r} (expected gfl or gfm)")
+
+
+def _mode_name(s: str) -> str:
+    return _mode_from_str(s).name.lower()
+
+
 # YAML event type -> (event class, kind of element its target must name,
 # YAML key -> parser).  Parsing, the target check and the echo all read this
 # table.  An absent or null key leaves its field at the event's default; a
@@ -143,22 +158,15 @@ _EVENTS = {
     ),
     "setpoint": (
         SetpointEvent, "inverter",
-        {"source": str, "p_set": float, "q_set": float, "v_nom": float, "mode": str},
+        {"source": str, "p_set": float, "q_set": float, "v_nom": float, "mode": _mode_name},
     ),
-    "mode_command": (ModeCommand, "inverter", {"mode": str}),
+    "mode_command": (ModeCommand, "inverter", {"mode": _mode_name}),
     "plug_in": (PlugIn, "inverter", {}),
     "pulse_load": (PulseLoad, "load", {"dp": float, "dq": float, "duration": float}),
 }
 _EVENT_TYPE = {cls: etype for etype, (cls, _, _) in _EVENTS.items()}
 # YAML keys whose event field has another name
 _FIELD_OF_KEY = {"source": "source_id", "angle_deg": "angle"}
-
-
-def _mode_from_str(s: str) -> Mode:
-    try:
-        return Mode[s.upper()]
-    except KeyError:
-        raise ValueError(f"unknown mode {s!r} (expected gfl or gfm)")
 
 
 def _parse_event(raw: dict, idx: int, problems: list[str]) -> TimedEvent | None:

@@ -81,8 +81,10 @@ class ModeRequest:
     scripted: bool
 
 
-_ISLANDING = ModeRequest(Mode.GFM, "auto:islanding", False)
-_GRID_RESTORED = ModeRequest(Mode.GFL, "auto:grid-restored", False)
+# the members as globals: each ``Mode.GFM`` lookup runs ``EnumType.__getattr__``
+GFL, GFM = Mode.GFL, Mode.GFM
+_ISLANDING = ModeRequest(GFM, "auto:islanding", False)
+_GRID_RESTORED = ModeRequest(GFL, "auto:grid-restored", False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,7 +170,7 @@ class Supervisor:
         angle, magnitude and frequency with the forming references.
         """
         st = self.status
-        if self.mode is Mode.GFL:
+        if self.mode is GFL:
             # overwrite the inactive forming path with the measured state
             shadow_follow(gfl, s, self.omega_base, gfm, params)
             st.d_theta = 0.0
@@ -187,7 +189,7 @@ class Supervisor:
             and abs(st.d_theta) <= th.eps_theta
             and st.d_v <= th.eps_v
             and st.d_f <= th.eps_f
-        ) if self.mode is Mode.GFM else True
+        ) if self.mode is GFM else True
         if within:
             if st.holds_since is None:
                 st.holds_since = t
@@ -204,7 +206,7 @@ class Supervisor:
             raise ValueError("transition target equals current mode")
         st = self.status
         th = self.thresholds
-        if target is Mode.GFL and st.stale:
+        if target is GFL and st.stale:
             return False, "stale"
         if abs(st.d_theta) > th.eps_theta:
             return False, "angle"
@@ -223,7 +225,7 @@ class Supervisor:
         and a reclose arms the grid-restored request of a forming unit while
         an opening disarms it."""
         self.status.holds_since = None
-        self.armed = closed and self.mode is Mode.GFM
+        self.armed = closed and self.mode is GFM
 
     def request(self, t: float, target: Mode, source: str,
                 plugged: bool) -> TransitionRecord | None:
@@ -247,7 +249,7 @@ class Supervisor:
         closed with a grid source in the unit's island."""
         req = self.pending
         if req is None and self.auto:
-            if self.mode is Mode.GFL:
+            if self.mode is GFL:
                 if tripped:
                     req = self.pending = _ISLANDING
             elif self.armed and grid_live:
@@ -263,10 +265,10 @@ class Supervisor:
         if not (ok or req.scripted):
             return None  # an autonomous request retries next step
         self.pending = None
-        if ok and req.target is Mode.GFL:
+        if ok and req.target is GFL:
             self.armed = False
         return TransitionRecord(
-            t, self.unit, "gfm" if req.target is Mode.GFL else "gfl",
+            t, self.unit, "gfm" if req.target is GFL else "gfl",
             req.target.name.lower(), ok, reason, req.source, self.thresholds,
             st.d_theta, st.d_v, st.d_f, st.stale, held,
         )

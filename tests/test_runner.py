@@ -9,11 +9,15 @@ import numpy as np
 import pytest
 import yaml
 
+import dualpath.runner
 from dualpath.cli import main as cli_main
-from dualpath.events import InjectionChange, IslandDeenergized
+from dualpath.droop import DroopState
+from dualpath.events import AutoReclose, InjectionChange, IslandDeenergized
 from dualpath.frames import phase_samples
+from dualpath.network import Network
 from dualpath.runner import CSV_CHUNK_ROWS, Simulation, run, write_outputs
 from dualpath.scenario import parse_config
+from dualpath.supervisor import Mode, shadow_follow
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -442,3 +446,76 @@ def test_determinism_across_processes(tmp_path):
         assert r.returncode == 0, r.stderr
         outs.append((tmp_path / sub / "timeseries.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def _library_doc(name: str, t_end: float) -> dict:
+    """A library scenario cut at ``t_end``."""
+    d = yaml.safe_load((SCENARIOS / f"{name}.yaml").read_text())
+    d["t_end"] = t_end
+    d["events"] = [ev for ev in d["events"] if ev["t"] <= t_end]
+    return d
+
+
+def _count_calls(monkeypatch, targets: list[tuple[object, str]]) -> dict:
+    """Count the calls made through each ``(owner, name)``, by name."""
+    calls = {name: 0 for _, name in targets}
+    for owner, name in targets:
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_unread_work_is_skipped(monkeypatch):
+    # counted through the names the benchmark's layer trace wraps: the
+    # forming path runs only for a plugged forming unit, and the island
+    # frequencies only while a reconnection monitor's breaker is open
+    calls = _count_calls(monkeypatch, [
+        (dualpath.runner, "power_filter_step"), (dualpath.runner, "droop_step"),
+        (Simulation, "_island_frequencies"),
+    ])
+    res = Simulation(parse_config(_library_doc("canonical_testbed", 0.05))).run()
+    steps = len(res.t)
+    # inv1 forms and inv2..inv4 follow throughout; pcc_brk stays closed
+    assert (res.mode == [1, 0, 0, 0]).all()
+    assert calls == {
+        "power_filter_step": steps, "droop_step": steps,
+        "_island_frequencies": 1,  # from _initialize
+    }
+
+    # the tie breaker is open from the start until the auto reclose
+    calls["_island_frequencies"] = 0
+    res = Simulation(parse_config(_library_doc("reconnection", 11.0))).run()
+    reclose = [e for e in res.events_log if isinstance(e, AutoReclose)]
+    assert len(reclose) == 1
+    k_reclose = round(reclose[0].t / res.cfg.dt)
+    assert 0 < k_reclose < len(res.t) - 1
+    # _initialize, then every step up to and including the reclosing one
+    assert calls["_island_frequencies"] == 1 + k_reclose + 1
+
+
+@pytest.mark.parametrize("name", ["canonical_testbed", "pulse_plugin"])
+def test_skipped_forming_path_equals_its_shadow_copy(monkeypatch, name):
+    # after every step, each following or parked unit's forming state is
+    # the one shadow_follow builds from its PLL, terminal power and params,
+    # so not stepping that unit's forming path cannot be observed
+    sim = Simulation(parse_config(_library_doc(name, 0.05)))
+    advance = Network.advance_sources
+    checked = []
+
+    def after_step(net, *args):
+        advance(net, *args)
+        for inv in sim.invs:
+            if inv.plugged and inv.sup.mode is Mode.GFM:
+                continue
+            expected = DroopState()
+            shadow_follow(inv.pll, inv.s_inv, sim.w0, expected, inv.params)
+            assert dataclasses.asdict(inv.droop) == dataclasses.asdict(expected)
+            checked.append(inv.id)
+
+    monkeypatch.setattr(Network, "advance_sources", after_step)
+    res = sim.run()
+    unshadowed = {"canonical_testbed": ["inv2", "inv3", "inv4"], "pulse_plugin": ["inv2"]}
+    assert checked == unshadowed[name] * len(res.t)

@@ -92,6 +92,7 @@ UNREADABLE = [
     ("breakers[0].closed", ("breakers", 0, "closed"), 0),
     ("inverters[0].auto", ("inverters", 0, "auto"), "false"),
     ("inverters[0].plugged", ("inverters", 0, "plugged"), "false"),
+    ("inverters[0]", ("inverters", 0, "mode"), 1),
     ("events[0].closed", ("events", 0, "closed"), "false"),
 ]
 
@@ -137,6 +138,39 @@ def test_cli_validate_reports_unreadable_dt(tmp_path, capsys):
     scen.write_text(yaml.safe_dump(minimal_doc(dt="fast")))
     assert cli_main(["validate", str(scen)]) == 1
     assert "invalid: dt: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("event", [
+    {"t": 0.0, "type": "mode_command", "target": "inv", "mode": "foo"},
+    {"t": 0.0, "type": "setpoint", "target": "inv", "source": "scada", "mode": "foo"},
+    {"t": 0.0, "type": "mode_command", "target": "inv", "mode": 1},
+], ids=["mode_command", "setpoint", "not_a_string"])
+def test_unknown_event_mode_is_a_problem_not_a_run_crash(tmp_path, capsys, event):
+    doc = minimal_doc(events=[event])
+    with pytest.raises(ValidationError) as exc:
+        parse_config(doc)
+    assert [p for p in exc.value.problems if p.startswith("events[0].mode: unknown mode")]
+    scen = tmp_path / "scen.yaml"
+    scen.write_text(yaml.safe_dump(doc))
+    assert cli_main(["validate", str(scen)]) == 1
+    assert "events[0].mode: " in capsys.readouterr().err
+    # a known mode is kept as its lowercase name, so the echo is unchanged
+    event["mode"] = "gfm"
+    cfg = parse_config(doc)
+    assert cfg.events[0].event.mode == "gfm"
+    assert resolved_dict(cfg)["events"][0]["mode"] == "gfm"
+
+
+@pytest.mark.parametrize("rate", [0, -0.5, "fast", math.inf, True])
+def test_black_start_ramp_rate_must_be_a_positive_number(rate):
+    doc = minimal_doc()
+    doc["inverters"][0].update(mode="gfm", black_start={"ramp_rate": rate})
+    with pytest.raises(ValidationError) as exc:
+        parse_config(doc)
+    assert [p for p in exc.value.problems
+            if p.startswith("inverters[0]: ") and "ramp_rate" in p], exc.value.problems
+    doc["inverters"][0]["black_start"] = {"ramp_rate": 2}
+    assert parse_config(doc).inverters[0].black_start.ramp_rate == 2
 
 
 def test_unknown_bus_and_target_reported_with_paths():
