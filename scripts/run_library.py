@@ -4,8 +4,8 @@
 Usage: python scripts/run_library.py [--out OUT_DIR] [--sha256] [--compare DIR]
 
 With ``--sha256`` the summary is replaced by one JSON object that maps each
-scenario to the sha256 of its ``timeseries.csv`` and ``events.csv`` (the
-format of ``tests/data/library_sha256.json``).
+scenario to the sha256 of its ``timeseries.csv``, ``events.csv`` and
+``config.resolved.yaml`` (the format of ``tests/data/library_sha256.json``).
 
 With ``--compare DIR`` (an earlier ``--out`` directory, say of another
 checkout) the run then lists each ``timeseries.csv``, ``events.csv`` and
@@ -28,8 +28,7 @@ from dualpath.runner import run
 from dualpath.scenario import load_config
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
-OUTPUT_FILES = ("timeseries.csv", "events.csv")
-COMPARED_FILES = OUTPUT_FILES + ("config.resolved.yaml",)
+COMPARED_FILES = ("timeseries.csv", "events.csv", "config.resolved.yaml")
 
 
 def fmt(x, spec=".3f"):
@@ -41,7 +40,7 @@ def main():
     ap.add_argument("--out", default="out")
     ap.add_argument(
         "--sha256", action="store_true",
-        help="print the sha256 of each scenario's timeseries.csv and events.csv",
+        help="print the sha256 of each scenario's compared output files",
     )
     ap.add_argument(
         "--compare", metavar="DIR",
@@ -65,7 +64,7 @@ def main():
         if args.sha256:
             hashes[cfg.name] = {
                 name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                for name in OUTPUT_FILES
+                for name in COMPARED_FILES
             }
             continue
         m = res.metrics

@@ -32,8 +32,8 @@ class DetectorConfig:
     persist: float = 0.16         # s
     recon_dv: float = 0.05        # pu
     recon_df: float = 0.1         # Hz
-    recon_dtheta: float = math.radians(10.0)
     recon_hold: float = 0.5       # s
+    recon_dtheta: float = math.radians(10.0)
 
     def __post_init__(self) -> None:
         if self.f_min >= self.f_max or self.v_min >= self.v_max:

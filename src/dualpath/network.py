@@ -59,8 +59,8 @@ OPEN = complex(math.inf)  # impedance of a load stepped to zero admittance
 class Line:
     from_bus: str
     to_bus: str
-    r: float
-    x: float
+    r: float = 0.0
+    x: float = 0.0
 
     def __post_init__(self) -> None:
         if self.from_bus == self.to_bus:
@@ -119,7 +119,7 @@ class ConstantImpedanceLoad:
 class ConstantPowerLoad:
     id: str
     bus: str
-    p: float
+    p: float = 0.0
     q: float = 0.0
 
     def __post_init__(self) -> None:

@@ -4,6 +4,13 @@ The YAML schema is normative for this package.  All network impedances, loads
 and powers are in system per-unit; inverter coupling and virtual impedances
 are in the inverter's own rating base; angles in config files are degrees.
 
+One table per element type (``_SCENARIO`` and the tables it names) lists
+each YAML key with the constructor argument it fills, its parser and its
+echo.  Parsing, the field paths of problems and :func:`resolved_dict` all
+read these tables.  An absent key leaves its argument to the constructor's
+default; null is read as None where the field admits None, and is a problem
+elsewhere.
+
 A scenario that fails validation raises :class:`ValidationError` carrying
 every offending field path, so a config can be fixed in one pass.
 """
@@ -12,8 +19,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import yaml
 
@@ -88,26 +97,38 @@ class InverterConfig:
     thresholds: TransitionThresholds = field(default_factory=TransitionThresholds)
     black_start: BlackStartConfig | None = None
 
+    def __post_init__(self) -> None:
+        if self.rating <= 0:
+            raise ValueError("rating must be positive")
+        if self.z_c == 0:
+            raise ValueError("coupling impedance must be nonzero")
+
 
 @dataclass(slots=True)
 class ScenarioConfig:
-    name: str
-    base: PerUnitBase
-    dt: float
-    t_end: float
-    buses: list[str]
-    lines: list[Line]
-    breakers: list[Breaker]
-    grid_sources: list[GridSource]
-    loads: list
-    inverters: list[InverterConfig]
-    events: list[TimedEvent]
-    output: OutputConfig
+    name: str = "scenario"
+    base: PerUnitBase = field(default_factory=PerUnitBase)
+    dt: float = 1e-4
+    t_end: float = 1.0
     seed: int = 0
+    buses: list[str] = field(default_factory=list)
+    lines: list[Line] = field(default_factory=list)
+    breakers: list[Breaker] = field(default_factory=list)
+    grid_sources: list[GridSource] = field(default_factory=list)
+    loads: list = field(default_factory=list)
+    inverters: list[InverterConfig] = field(default_factory=list)
+    events: list[TimedEvent] = field(default_factory=list)
+    output: OutputConfig = field(default_factory=OutputConfig)
 
 
-def _radians(deg) -> float:
-    return math.radians(float(deg))
+# -- value parsers: each raises TypeError or ValueError on a value it rejects
+
+
+def _float(value) -> float:
+    """A number (``float(True)`` would read a flag as 1.0)."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
 
 
 def _flag(value) -> bool:
@@ -124,14 +145,13 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _checked(parse, raw: dict, key: str, default, where: str, problems: list[str]):
-    """``parse(raw.get(key, default))``; a value that does not parse is
-    reported under its field path ``where`` and read as ``default``."""
-    try:
-        return parse(raw.get(key, default))
-    except (TypeError, ValueError) as exc:
-        problems.append(f"{where}: {exc}")
-        return default
+def _text(value) -> str:
+    """A name or id; YAML may read one as a number, never as null or a flag."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a name")
+    return str(value)
 
 
 def _mode_from_str(s: str) -> Mode:
@@ -145,243 +165,324 @@ def _mode_name(s: str) -> str:
     return _mode_from_str(s).name.lower()
 
 
+# -- the schema tables
+
+
+class _Key(NamedTuple):
+    """A YAML key: the ``make`` argument it fills (None: none), its parser
+    (a value parser, table, list or variant; None: per the field's
+    annotation), its echo, element -> YAML value (None: the attribute
+    ``arg``; False: not echoed), and whether null reads as None."""
+
+    arg: str | None
+    parse: Callable | None = None
+    echo: Callable | bool | None = None
+    optional: bool = False
+
+
+def _report(parse, exc: Exception, path: str, problems: list[str]) -> None:
+    """Add to ``problems``, under ``path``, why ``parse`` rejected a value.
+    A nested table reports paths relative to itself, and ``: ...`` for what
+    its ``make`` rejects, which a block leaves to the element holding it."""
+    if not isinstance(exc, ValidationError):
+        problems.append(f"{path}: {exc}")
+        return
+    bubble = getattr(parse, "block", False)
+    problems += [
+        p if bubble and p[0] == ":" else path + ("" if p[0] in ":[" else ".") + p
+        for p in exc.problems
+    ]
+
+
+def _mapping(raw) -> dict:
+    if not isinstance(raw, dict):
+        raise TypeError(f"expected a mapping, not {raw!r}")
+    return raw
+
+
+class _Table(NamedTuple):
+    """An element type: its keys in echo order and ``make``, which builds
+    the element from their arguments; a variant's echo picks it by ``cls``."""
+
+    make: Callable
+    keys: dict[str, _Key]
+    required: tuple = ()
+    block: bool = False
+    cls: type | None = None
+
+    def __call__(self, raw):
+        _mapping(raw)
+        args, problems = {}, [f"{key}: required" for key in self.required if key not in raw]
+        for key, value in raw.items():
+            k = self.keys.get(key)
+            if k is None:
+                problems.append(f"{key}: unknown key")
+            elif k.arg in args:  # an alias of a key already given
+                problems.append(f"{key}: sets {k.arg} a second time")
+            elif k.arg:
+                try:
+                    args[k.arg] = None if value is None and k.optional else k.parse(value)
+                except (TypeError, ValueError) as exc:
+                    _report(k.parse, exc, key, problems)
+        if not problems:
+            try:
+                return self.make(**args)
+            except (TypeError, ValueError) as exc:
+                problems.append(f": {exc}")
+        raise ValidationError(problems)
+
+
+_PARSERS = {"float": _float, "int": _integer, "bool": _flag, "str": _text}
+
+
+def _table(cls, *skip: str, block=False, **keys) -> _Table:
+    """The table of the dataclass ``cls``: a key per field but ``skip``,
+    parsed per its annotation, required without a default and optional
+    where the field admits None.  An entry of ``keys`` (a key, or the
+    parser of the field of its name) takes the place of the field it
+    fills, or follows them."""
+    keys = {key: k if isinstance(k, _Key) else _Key(key, k) for key, k in keys.items()}
+    placed = {k.arg: key for key, k in keys.items() if k.echo is not False}
+    table, required = {}, []
+    for f in fields(cls):
+        if f.name not in skip:
+            key = placed.get(f.name, f.name)
+            k = keys.get(key) or _Key(f.name)
+            parse = k.parse or _PARSERS[f.type.removesuffix(" | None")]
+            table[key] = k._replace(parse=parse, optional=f.type.endswith(" | None"))
+            if f.default is MISSING and f.default_factory is MISSING:
+                required.append(key)
+    table.update((key, k) for key, k in keys.items() if key not in table)
+    return _Table(cls, table, tuple(required), block, cls)
+
+
+class _List(NamedTuple):
+    """A list of elements read by ``item``."""
+
+    item: Callable
+
+    def __call__(self, raw):
+        if not isinstance(raw, list):
+            raise TypeError(f"expected a list, not {raw!r}")
+        items, problems = [], []
+        for i, item in enumerate(raw):
+            try:
+                items.append(self.item(item))
+            except (TypeError, ValueError) as exc:
+                _report(self.item, exc, f"[{i}]", problems)
+        if problems:
+            raise ValidationError(problems)
+        return items
+
+
+class _Variant(NamedTuple):
+    """An element whose key ``tag`` (``default`` when absent) names its
+    table; the echo picks the table whose ``cls`` is that of ``of(element)``."""
+
+    tag: str
+    what: str
+    tables: dict[str, _Table]
+    default: str | None = None
+    of: Callable = lambda element: element
+
+    def __call__(self, raw):
+        kind = _mapping(raw).get(self.tag, self.default)
+        table = self.tables.get(kind) if isinstance(kind, str) else None
+        if table is None:
+            raise ValidationError([f"{self.tag}: unknown {self.what} {kind!r}"])
+        return table(raw)
+
+
+def _echo(parse, value):
+    """The YAML form of ``value``, read by ``parse``; an absent optional
+    block is left out."""
+    if isinstance(parse, _Variant):
+        cls = type(parse.of(value))
+        parse = next(t for t in parse.tables.values() if t.cls is cls)
+    if isinstance(parse, _List):
+        return [_echo(parse.item, item) for item in value]
+    if not isinstance(parse, _Table):
+        return value
+    out = {}
+    for key, k in parse.keys.items():
+        if k.echo is not False:
+            v = (k.echo or attrgetter(k.arg))(value)
+            if not (v is None and isinstance(k.parse, _Table)):
+                out[key] = _echo(k.parse, v)
+    return out
+
+
+def _radians(degrees) -> float:
+    return math.radians(_float(degrees))
+
+
+def _degrees(arg: str) -> _Key:
+    """A key in degrees for the angle argument ``arg`` in radians."""
+    return _Key(arg, _radians, lambda e: math.degrees(getattr(e, arg)))
+
+
+def _grid_source(v=1.0, angle_deg=0.0, r_s=0.0, x_s=0.0, f_grid=None, **kw) -> GridSource:
+    """A source without ``f`` gets ``base.f_nom`` once the base is read."""
+    return GridSource(
+        e=cmath.rect(v, math.radians(angle_deg)), z_s=complex(r_s, x_s) or 0.001 + 0.01j,
+        f_grid=f_grid, **kw,
+    )
+
+
+def _inverter(droop=None, **kw) -> InverterConfig:
+    """The setpoints join the droop block's arguments, and the mode is read
+    here, so a bad one is reported under the inverter."""
+    setpoints = {key: kw.pop(key) for key in _SETPOINTS if key in kw}
+    if "mode" in kw:
+        kw["mode"] = _mode_from_str(kw["mode"])
+    return InverterConfig(droop=DroopParams(**(droop or {}), **setpoints), **kw)
+
+
+def _event(etype: str, cls, keys: dict) -> _Table:
+    """Time and type, then the keys of the fields of ``cls``, echoed from
+    the event a ``TimedEvent`` holds."""
+    own = _table(cls, **keys)
+    return _Table(
+        lambda t, **kw: TimedEvent(t, cls(**kw)),
+        {"t": _Key("t", _float), "type": _Key(None, echo=lambda te: etype), **{
+            key: k._replace(echo=lambda te, get=k.echo or attrgetter(k.arg): get(te.event))
+            for key, k in own.keys.items()
+        }},
+        ("t", *own.required), cls=cls,
+    )
+
+
+_SETPOINTS = ("p_set", "q_set", "v_nom")  # inverter keys held by its droop block
+_ID = {"id": _Key("id", _text), "bus": _Key("bus", _text)}
+_ENDS = {"from": _Key("from_bus"), "to": _Key("to_bus")}
+
 # YAML event type -> (event class, kind of element its target must name,
-# YAML key -> parser).  Parsing, the target check and the echo all read this
-# table.  An absent or null key leaves its field at the event's default; a
-# field without a default is required.
+# the keys that differ from the event's fields)
 _EVENTS = {
-    "load_step": (LoadStep, "load", {"dp": float, "dq": float}),
-    "breaker_set": (BreakerSet, "breaker", {"closed": _flag}),
-    "source_freq": (SourceFreq, "grid_source", {"f": float}),
-    "source_unbalance": (
-        SourceUnbalance, "grid_source", {"mag": float, "angle_deg": _radians}
-    ),
-    "setpoint": (
-        SetpointEvent, "inverter",
-        {"source": str, "p_set": float, "q_set": float, "v_nom": float, "mode": _mode_name},
-    ),
+    "load_step": (LoadStep, "load", {}),
+    "breaker_set": (BreakerSet, "breaker", {}),
+    "source_freq": (SourceFreq, "grid_source", {}),
+    "source_unbalance": (SourceUnbalance, "grid_source", {"angle_deg": _degrees("angle")}),
+    "setpoint": (SetpointEvent, "inverter", {"source": _Key("source_id"), "mode": _mode_name}),
     "mode_command": (ModeCommand, "inverter", {"mode": _mode_name}),
     "plug_in": (PlugIn, "inverter", {}),
-    "pulse_load": (PulseLoad, "load", {"dp": float, "dq": float, "duration": float}),
+    "pulse_load": (PulseLoad, "load", {}),
 }
-_EVENT_TYPE = {cls: etype for etype, (cls, _, _) in _EVENTS.items()}
-# YAML keys whose event field has another name
-_FIELD_OF_KEY = {"source": "source_id", "angle_deg": "angle"}
 
+_INVERTER = _Table(_inverter, {
+    **_ID,
+    "rating": _Key("rating", _float),
+    "mode": _Key("mode", _text, lambda inv: inv.mode.name.lower()),
+    **{key: _Key(key, _float, attrgetter(f"droop.{key}")) for key in _SETPOINTS},
+    "coupling": _Key("z_c", _Table(
+        complex, {"r": _Key("real", _float), "x": _Key("imag", _float)}, block=True
+    )),
+    "pcc_breaker": _Key("pcc_breaker", _text, optional=True),
+    "auto": _Key("auto", _flag),
+    "plugged": _Key("plugged", _flag),
+    "droop": _Key("droop", _table(
+        DroopParams, *_SETPOINTS, f_c=_Key("omega_c", lambda f: TWO_PI * _float(f), False)
+    )._replace(make=dict)),
+    "virtual_impedance": _Key("vz", _table(VirtualImpedance, "i_filt", block=True)),
+    "pll": _Key("pll", _table(PllParams, block=True)),
+    "detector": _Key("detector", _table(
+        DetectorConfig, block=True, recon_dtheta_deg=_degrees("recon_dtheta")
+    )),
+    "guard": _Key("guard", _table(GuardLimits, block=True)),
+    "thresholds": _Key("thresholds", _table(
+        TransitionThresholds, block=True, eps_theta_deg=_degrees("eps_theta")
+    )),
+    # BlackStartConfig checks the type of its rate itself
+    "black_start": _Key("black_start", _table(
+        BlackStartConfig, block=True, ramp_rate=lambda rate: rate
+    ), optional=True),
+}, required=("id", "bus"))
 
-def _parse_event(raw: dict, idx: int, problems: list[str]) -> TimedEvent | None:
-    where = f"events[{idx}]"
-    etype = raw.get("type")
-    t = raw.get("t")
-    target = raw.get("target")
-    if etype not in _EVENTS:
-        problems.append(f"{where}.type: unknown event type {etype!r}")
-        return None
-    if not isinstance(t, (int, float)):
-        problems.append(f"{where}.t: missing or non-numeric time")
-        return None
-    if not target:
-        problems.append(f"{where}.target: missing target id")
-        return None
-    cls, _, keys = _EVENTS[etype]
-    fields = {
-        _FIELD_OF_KEY.get(key, key): _checked(parse, raw, key, None, f"{where}.{key}", problems)
-        for key, parse in keys.items()
-        if raw.get(key) is not None
-    }
-    if None in fields.values():  # a key that did not parse
-        return None
-    try:
-        ev = cls(target, **fields)
-    except (TypeError, ValueError) as exc:
-        problems.append(f"{where}: {exc}")
-        return None
-    return TimedEvent(float(t), ev)
-
-
-def _complex_rx(raw: dict, r_key: str = "r", x_key: str = "x") -> complex:
-    return complex(float(raw.get(r_key, 0.0)), float(raw.get(x_key, 0.0)))
-
-
-def _parse_inverter(raw: dict, idx: int, problems: list[str]) -> InverterConfig | None:
-    where = f"inverters[{idx}]"
-    inv_id = raw.get("id")
-    bus = raw.get("bus")
-    if not inv_id or not bus:
-        problems.append(f"{where}: id and bus are required")
-        return None
-    try:
-        droop_raw = dict(raw.get("droop", {}))
-        f_c = droop_raw.pop("f_c", None)
-        if f_c is not None:
-            droop_raw["omega_c"] = TWO_PI * float(f_c)
-        droop = DroopParams(
-            p_set=float(raw.get("p_set", 0.0)),
-            q_set=float(raw.get("q_set", 0.0)),
-            v_nom=float(raw.get("v_nom", 1.0)),
-            **droop_raw,
-        )
-        vz = VirtualImpedance(**raw.get("virtual_impedance", {}))
-        pll = PllParams(**raw.get("pll", {}))
-        det_raw = dict(raw.get("detector", {}))
-        if "recon_dtheta_deg" in det_raw:
-            det_raw["recon_dtheta"] = math.radians(det_raw.pop("recon_dtheta_deg"))
-        detector = DetectorConfig(**det_raw)
-        guard = GuardLimits(**raw.get("guard", {}))
-        th_raw = dict(raw.get("thresholds", {}))
-        if "eps_theta_deg" in th_raw:
-            th_raw["eps_theta"] = math.radians(th_raw.pop("eps_theta_deg"))
-        thresholds = TransitionThresholds(**th_raw)
-        bs = raw.get("black_start")
-        black_start = None if bs is None else BlackStartConfig(**(bs or {}))
-        cfg = InverterConfig(
-            id=str(inv_id),
-            bus=str(bus),
-            rating=float(raw.get("rating", 5000.0)),
-            mode=_mode_from_str(raw.get("mode", "gfl")),
-            z_c=_complex_rx(raw.get("coupling", {"r": 0.005, "x": 0.05})),
-            pcc_breaker=raw.get("pcc_breaker"),
-            auto=_checked(_flag, raw, "auto", True, f"{where}.auto", problems),
-            plugged=_checked(_flag, raw, "plugged", True, f"{where}.plugged", problems),
-            droop=droop,
-            vz=vz,
-            pll=pll,
-            detector=detector,
-            guard=guard,
-            thresholds=thresholds,
-            black_start=black_start,
-        )
-    except (TypeError, ValueError) as exc:
-        problems.append(f"{where}: {exc}")
-        return None
-    if cfg.rating <= 0:
-        problems.append(f"{where}.rating: must be positive")
-        return None
-    if cfg.z_c == 0:
-        problems.append(f"{where}.coupling: must be nonzero")
-        return None
-    return cfg
+_SCENARIO = _table(
+    ScenarioConfig,
+    base=_table(PerUnitBase),
+    buses=_List(_text),
+    lines=_List(_table(Line, **_ENDS)),
+    breakers=_List(_table(Breaker, **_ENDS)),
+    grid_sources=_List(_Table(_grid_source, {
+        **_ID,
+        "v": _Key("v", _float, lambda s: abs(s.e)),
+        "angle_deg": _Key(
+            "angle_deg", _float, lambda s: math.degrees(cmath.phase(s.e)) if s.e != 0 else 0.0
+        ),
+        "r_s": _Key("r_s", _float, attrgetter("z_s.real")),
+        "x_s": _Key("x_s", _float, attrgetter("z_s.imag")),
+        "f": _Key("f_grid", _float),
+        "rating": _Key("rating", _float),
+    }, required=("id", "bus"))),
+    loads=_List(_Variant("kind", "kind", {
+        "impedance": _Table(
+            lambda id, bus, **z: ConstantImpedanceLoad(id, bus, complex(**z)),
+            {**_ID, "kind": _Key(None, echo=lambda load: "impedance"),
+             "r": _Key("real", _float, attrgetter("z.real")),
+             "x": _Key("imag", _float, attrgetter("z.imag"))},
+            ("id", "bus"), cls=ConstantImpedanceLoad,
+        ),
+        "power": _Table(
+            ConstantPowerLoad,
+            {**_ID, "kind": _Key(None, echo=lambda load: "power"),
+             "p": _Key("p", _float), "q": _Key("q", _float)},
+            ("id", "bus"), cls=ConstantPowerLoad,
+        ),
+    }, default="power")),
+    inverters=_List(_INVERTER),
+    events=_List(_Variant("type", "event type", {
+        etype: _event(etype, cls, keys) for etype, (cls, _, keys) in _EVENTS.items()
+    }, of=attrgetter("event"))),
+    output=_table(OutputConfig),
+)
 
 
 def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
-    """Build a validated ScenarioConfig from a parsed YAML mapping."""
+    """Build a validated ScenarioConfig from a parsed YAML mapping.  The
+    checks across elements run once every value reads."""
     if not isinstance(doc, dict):
         raise ParseError("scenario file must contain a mapping")
+    cfg = _SCENARIO({"name": name, **doc})
+    dt = cfg.dt
     problems: list[str] = []
-
-    base_raw = doc.get("base", {})
-    try:
-        base = PerUnitBase(
-            s_base=float(base_raw.get("s_base", 5000.0)),
-            v_base=float(base_raw.get("v_base", 208.0)),
-            f_nom=float(base_raw.get("f_nom", 60.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        problems.append(f"base: {exc}")
-        base = PerUnitBase()
-
-    dt = _checked(float, doc, "dt", 1e-4, "dt", problems)
-    t_end = _checked(float, doc, "t_end", 1.0, "t_end", problems)
     if not (0.0 < dt <= 1e-3):
         problems.append(f"dt: {dt} outside (0, 1e-3]")
-    if t_end <= 0:
+    if cfg.t_end <= 0:
         problems.append("t_end: must be positive")
-    seed = _checked(_integer, doc, "seed", 0, "seed", problems)
 
-    buses = [str(b) for b in doc.get("buses", [])]
-    if not buses:
+    if not cfg.buses:
         problems.append("buses: at least one bus required")
-    if len(set(buses)) != len(buses):
+    if len(set(cfg.buses)) != len(cfg.buses):
         problems.append("buses: duplicate bus ids")
-    known_buses = set(buses)
-
-    def check_bus(b, where):
-        if b not in known_buses:
-            problems.append(f"{where}: unknown bus {b!r}")
-
-    lines = []
-    for i, raw in enumerate(doc.get("lines", [])):
-        try:
-            ln = Line(
-                str(raw["from"]), str(raw["to"]), float(raw.get("r", 0.0)),
-                float(raw.get("x", 0.0)),
+    for key in ("lines", "breakers", "grid_sources", "loads", "inverters"):
+        for i, item in enumerate(getattr(cfg, key)):
+            ends = (
+                {"from": item.from_bus, "to": item.to_bus}
+                if isinstance(item, (Line, Breaker)) else {"bus": item.bus}
             )
-            check_bus(ln.from_bus, f"lines[{i}].from")
-            check_bus(ln.to_bus, f"lines[{i}].to")
-            lines.append(ln)
-        except (KeyError, TypeError, ValueError) as exc:
-            problems.append(f"lines[{i}]: {exc}")
+            problems += [
+                f"{key}[{i}].{end}: unknown bus {b!r}"
+                for end, b in ends.items() if b not in cfg.buses
+            ]
 
-    breakers = []
-    line_pairs = {frozenset((ln.from_bus, ln.to_bus)) for ln in lines}
-    for i, raw in enumerate(doc.get("breakers", [])):
-        try:
-            br = Breaker(
-                str(raw["id"]), str(raw["from"]), str(raw["to"]),
-                _checked(_flag, raw, "closed", True, f"breakers[{i}].closed", problems),
+    line_pairs = {frozenset((ln.from_bus, ln.to_bus)) for ln in cfg.lines}
+    for i, br in enumerate(cfg.breakers):
+        if frozenset((br.from_bus, br.to_bus)) not in line_pairs:
+            problems.append(
+                f"breakers[{i}] ({br.id}): no line between "
+                f"{br.from_bus!r} and {br.to_bus!r} to interrupt"
             )
-            check_bus(br.from_bus, f"breakers[{i}].from")
-            check_bus(br.to_bus, f"breakers[{i}].to")
-            if frozenset((br.from_bus, br.to_bus)) not in line_pairs:
-                problems.append(
-                    f"breakers[{i}] ({br.id}): no line between "
-                    f"{br.from_bus!r} and {br.to_bus!r} to interrupt"
-                )
-            breakers.append(br)
-        except (KeyError, TypeError, ValueError) as exc:
-            problems.append(f"breakers[{i}]: {exc}")
 
-    sources = []
-    for i, raw in enumerate(doc.get("grid_sources", [])):
-        try:
-            mag = float(raw.get("v", 1.0))
-            ang = math.radians(float(raw.get("angle_deg", 0.0)))
-            src = GridSource(
-                id=str(raw["id"]),
-                bus=str(raw["bus"]),
-                e=cmath.rect(mag, ang),
-                z_s=_complex_rx(raw, "r_s", "x_s") or 0.001 + 0.01j,
-                f_grid=float(raw.get("f", base.f_nom)),
-                rating=float(raw.get("rating", 30000.0)),
-            )
-            check_bus(src.bus, f"grid_sources[{i}].bus")
-            sources.append(src)
-        except (KeyError, TypeError, ValueError) as exc:
-            problems.append(f"grid_sources[{i}]: {exc}")
-
-    loads = []
-    for i, raw in enumerate(doc.get("loads", [])):
-        try:
-            kind = raw.get("kind", "power")
-            if kind == "impedance":
-                ld = ConstantImpedanceLoad(
-                    str(raw["id"]), str(raw["bus"]), _complex_rx(raw)
-                )
-            elif kind == "power":
-                ld = ConstantPowerLoad(
-                    str(raw["id"]), str(raw["bus"]),
-                    float(raw.get("p", 0.0)), float(raw.get("q", 0.0)),
-                )
-            else:
-                problems.append(f"loads[{i}].kind: unknown kind {kind!r}")
-                continue
-            check_bus(ld.bus, f"loads[{i}].bus")
-            loads.append(ld)
-        except (KeyError, TypeError, ValueError) as exc:
-            problems.append(f"loads[{i}]: {exc}")
-
-    inverters = []
-    for i, raw in enumerate(doc.get("inverters", [])):
-        cfg = _parse_inverter(raw, i, problems)
-        if cfg is not None:
-            check_bus(cfg.bus, f"inverters[{i}].bus")
-            inverters.append(cfg)
+    for src in cfg.grid_sources:
+        if src.f_grid is None:
+            src.f_grid = cfg.base.f_nom
 
     # id namespace must be unique so event targets are unambiguous
     all_ids: dict[str, str] = {}
     for kind, items in (
-        ("breaker", breakers), ("grid_source", sources),
-        ("load", loads), ("inverter", inverters),
+        ("breaker", cfg.breakers), ("grid_source", cfg.grid_sources),
+        ("load", cfg.loads), ("inverter", cfg.inverters),
     ):
         for item in items:
             if item.id in all_ids:
@@ -390,21 +491,18 @@ def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
                 )
             all_ids[item.id] = kind
 
-    breaker_ids = {br.id for br in breakers}
-    for i, inv in enumerate(inverters):
-        if inv.pcc_breaker is not None and inv.pcc_breaker not in breaker_ids:
-            problems.append(
-                f"inverters[{i}].pcc_breaker: unknown breaker {inv.pcc_breaker!r}"
-            )
-
     # identical restoration gain across all GFM-capable inverters
-    k_rs = {inv.id: inv.droop.k_r for inv in inverters}
+    k_rs = {inv.id: inv.droop.k_r for inv in cfg.inverters}
     if len(set(k_rs.values())) > 1:
         detail = ", ".join(f"{k}={v}" for k, v in k_rs.items())
         problems.append(f"inverters: k_r must be identical across units ({detail})")
 
-    # discrete stability bounds for the chosen dt
-    for i, inv in enumerate(inverters):
+    for i, inv in enumerate(cfg.inverters):
+        if inv.pcc_breaker is not None and all_ids.get(inv.pcc_breaker) != "breaker":
+            problems.append(
+                f"inverters[{i}].pcc_breaker: unknown breaker {inv.pcc_breaker!r}"
+            )
+        # discrete stability bounds for the chosen dt
         if inv.droop.omega_c * dt > 0.5:
             problems.append(
                 f"inverters[{i}].droop: omega_c*dt = "
@@ -415,53 +513,23 @@ def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
         if inv.droop.k_r * dt > 0.1:
             problems.append(f"inverters[{i}].droop: k_r*dt > 0.1")
 
-    events = []
-    for i, raw in enumerate(doc.get("events", [])):
-        tev = _parse_event(raw, i, problems)
-        if tev is None:
-            continue
-        if not (0.0 <= tev.t <= t_end):
-            problems.append(f"events[{i}].t: {tev.t} outside [0, t_end]")
-            continue
-        target = tev.event.target
-        kind = all_ids.get(target)
-        if kind is None:
+    target_kind = {cls: kind for cls, kind, _ in _EVENTS.values()}
+    for i, te in enumerate(cfg.events):
+        target, want = te.event.target, target_kind[type(te.event)]
+        if not (0.0 <= te.t <= cfg.t_end):
+            problems.append(f"events[{i}].t: {te.t} outside [0, t_end]")
+        elif target not in all_ids:
             problems.append(f"events[{i}].target: unknown element {target!r}")
-            continue
-        want = _EVENTS[_EVENT_TYPE[type(tev.event)]][1]
-        if kind != want:
+        elif all_ids[target] != want:
             problems.append(
-                f"events[{i}].target: {target!r} is a {kind}, expected a {want}"
+                f"events[{i}].target: {target!r} is a {all_ids[target]}, expected a {want}"
             )
-            continue
-        events.append(tev)
-    events.sort(key=lambda te: te.t)
+    cfg.events.sort(key=lambda te: te.t)
 
-    out_raw = doc.get("output", {})
-    output = OutputConfig(
-        decimate=_checked(_integer, out_raw, "decimate", 1, "output.decimate", problems),
-        noise_std=_checked(float, out_raw, "noise_std", 0.0, "output.noise_std", problems),
-    )
-    problems += output_problems(output)
-
+    problems += output_problems(cfg.output)
     if problems:
         raise ValidationError(problems)
-
-    return ScenarioConfig(
-        name=str(doc.get("name", name)),
-        base=base,
-        dt=dt,
-        t_end=t_end,
-        buses=buses,
-        lines=lines,
-        breakers=breakers,
-        grid_sources=sources,
-        loads=loads,
-        inverters=inverters,
-        events=events,
-        output=output,
-        seed=seed,
-    )
+    return cfg
 
 
 def output_problems(output: OutputConfig) -> list[str]:
@@ -482,85 +550,4 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 def resolved_dict(cfg: ScenarioConfig) -> dict:
     """Fully-resolved config (all defaults filled) for the output-dir echo."""
-
-    def in_degrees(params, angle: str) -> dict:
-        # the fields of params with the angle field, in rad, as <angle>_deg
-        d = asdict(params)
-        d[f"{angle}_deg"] = math.degrees(d.pop(angle))
-        return d
-
-    def inv_dict(inv: InverterConfig) -> dict:
-        d = {
-            "id": inv.id,
-            "bus": inv.bus,
-            "rating": inv.rating,
-            "mode": inv.mode.name.lower(),
-            "p_set": inv.droop.p_set,
-            "q_set": inv.droop.q_set,
-            "v_nom": inv.droop.v_nom,
-            "coupling": {"r": inv.z_c.real, "x": inv.z_c.imag},
-            "pcc_breaker": inv.pcc_breaker,
-            "auto": inv.auto,
-            "plugged": inv.plugged,
-            "droop": {  # the setpoints are echoed above
-                k: v for k, v in asdict(inv.droop).items()
-                if k not in ("p_set", "q_set", "v_nom")
-            },
-            "virtual_impedance": {
-                k: v for k, v in asdict(inv.vz).items() if k != "i_filt"
-            },
-            "pll": asdict(inv.pll),
-            "detector": in_degrees(inv.detector, "recon_dtheta"),
-            "guard": asdict(inv.guard),
-            "thresholds": in_degrees(inv.thresholds, "eps_theta"),
-        }
-        if inv.black_start is not None:
-            d["black_start"] = {"ramp_rate": inv.black_start.ramp_rate}
-        return d
-
-    def event_dict(te: TimedEvent) -> dict:
-        ev = te.event
-        etype = _EVENT_TYPE[type(ev)]
-        d = {"t": te.t, "type": etype, "target": ev.target}
-        for key, parse in _EVENTS[etype][2].items():
-            value = getattr(ev, _FIELD_OF_KEY.get(key, key))
-            d[key] = math.degrees(value) if parse is _radians else value
-        return d
-
-    return {
-        "name": cfg.name,
-        "base": asdict(cfg.base),
-        "dt": cfg.dt,
-        "t_end": cfg.t_end,
-        "seed": cfg.seed,
-        "buses": list(cfg.buses),
-        "lines": [
-            {"from": ln.from_bus, "to": ln.to_bus, "r": ln.r, "x": ln.x}
-            for ln in cfg.lines
-        ],
-        "breakers": [
-            {"id": br.id, "from": br.from_bus, "to": br.to_bus, "closed": br.closed}
-            for br in cfg.breakers
-        ],
-        "grid_sources": [
-            {
-                "id": s.id, "bus": s.bus, "v": abs(s.e),
-                "angle_deg": math.degrees(cmath.phase(s.e)) if s.e != 0 else 0.0,
-                "r_s": s.z_s.real, "x_s": s.z_s.imag,
-                "f": s.f_grid, "rating": s.rating,
-            }
-            for s in cfg.grid_sources
-        ],
-        "loads": [
-            (
-                {"id": l.id, "bus": l.bus, "kind": "impedance",
-                 "r": l.z.real, "x": l.z.imag}
-                if isinstance(l, ConstantImpedanceLoad)
-                else {"id": l.id, "bus": l.bus, "kind": "power", "p": l.p, "q": l.q}
-            )
-            for l in cfg.loads
-        ],
-        "inverters": [inv_dict(inv) for inv in cfg.inverters],
-        "events": [event_dict(te) for te in cfg.events],
-        "output": {"decimate": cfg.output.decimate, "noise_std": cfg.output.noise_std},
-    }
+    return _echo(_SCENARIO, cfg)

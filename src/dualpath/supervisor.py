@@ -55,10 +55,10 @@ class Mode(Enum):
 
 @dataclass(frozen=True, slots=True)
 class TransitionThresholds:
-    eps_theta: float = math.radians(5.0)  # rad
     eps_v: float = 0.03                   # pu
     eps_f: float = 0.1                    # Hz
     hold: float = 0.2                     # s
+    eps_theta: float = math.radians(5.0)  # rad
 
 
 @dataclass(slots=True)

@@ -19,8 +19,8 @@ from dualpath.runner import run, write_outputs
 from dualpath.scenario import load_config
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
-# sha256 of each library scenario's timeseries.csv and events.csv, from
-# ``python scripts/run_library.py --sha256``
+# sha256 of each library scenario's timeseries.csv, events.csv and
+# config.resolved.yaml, from ``python scripts/run_library.py --sha256``
 LIBRARY_SHA256 = Path(__file__).resolve().parent / "data" / "library_sha256.json"
 
 LIBRARY = [

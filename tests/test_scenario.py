@@ -1,9 +1,13 @@
+import copy
 import math
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dualpath import scenario
 from dualpath.cli import main as cli_main
 from dualpath.events import BreakerSet, LoadStep
 from dualpath.scenario import (
@@ -94,6 +98,10 @@ UNREADABLE = [
     ("inverters[0].plugged", ("inverters", 0, "plugged"), "false"),
     ("inverters[0]", ("inverters", 0, "mode"), 1),
     ("events[0].closed", ("events", 0, "closed"), "false"),
+    ("inverters[0].pll.sogi_k", ("inverters", 0, "pll"), {"sogi_k": "a"}),
+    ("inverters[0].detector.rocof_max", ("inverters", 0, "detector"), {"rocof_max": "a"}),
+    ("inverters[0].thresholds.eps_v", ("inverters", 0, "thresholds"), {"eps_v": "x"}),
+    ("inverters[0].guard.rate_p", ("inverters", 0, "guard"), {"rate_p": "x"}),
 ]
 
 
@@ -316,3 +324,187 @@ def test_event_dataclass_parsing():
     assert cfg.events[0].event.closed is False
     assert isinstance(cfg.events[1].event, LoadStep)
     assert cfg.events[1].event.dp == -0.05
+
+
+# (field path in the problem, path into the document, a value of the wrong shape)
+WRONG_SHAPE = [
+    ("base", ("base",), None),
+    ("output", ("output",), None),
+    ("lines", ("lines",), None),
+    ("events", ("events",), None),
+    ("inverters[0]", ("inverters",), [3]),
+    ("events[0]", ("events",), ["x"]),
+    ("inverters[0].coupling", ("inverters", 0, "coupling"), None),
+    ("buses", ("buses",), "pcc"),
+]
+
+
+@pytest.mark.parametrize("where, path, value", WRONG_SHAPE, ids=[
+    "base_null", "output_null", "lines_null", "events_null", "inverter_not_mapping",
+    "event_not_mapping", "coupling_null", "buses_string",
+])
+def test_wrong_shaped_block_is_a_problem_under_its_path(where, path, value):
+    doc = minimal_doc(events=[{"t": 0.1, "type": "mode_command", "target": "inv", "mode": "gfm"}])
+    _set(doc, path, value)
+    with pytest.raises(ValidationError) as exc:
+        parse_config(doc)
+    assert [p for p in exc.value.problems if p.startswith(f"{where}: expected a ")], \
+        exc.value.problems
+
+
+@pytest.mark.parametrize("where, path, value", [
+    ("p_sett", ("p_sett",), 0.2),
+    ("lines[0].xx", ("lines", 0, "xx"), 0.1),
+    ("grid_sources[0].x", ("grid_sources", 0, "x"), 0.1),
+    ("inverters[0].p_sett", ("inverters", 0, "p_sett"), 0.2),
+    ("inverters[0].droop.m_pp", ("inverters", 0, "droop"), {"m_pp": 0.01}),
+    ("inverters[0].droop.p_set", ("inverters", 0, "droop"), {"p_set": 0.2}),
+    ("events[0].dp", ("events", 0, "dp"), 0.1),
+], ids=["top", "line", "source", "inverter", "droop", "droop_setpoint", "event"])
+def test_unknown_key_is_a_problem_under_its_path(where, path, value):
+    # a misspelt key is reported at every level, never dropped
+    doc = minimal_doc(events=[{"t": 0.1, "type": "mode_command", "target": "inv", "mode": "gfm"}])
+    parse_config(doc)
+    _set(doc, path, value)
+    with pytest.raises(ValidationError) as exc:
+        parse_config(doc)
+    assert f"{where}: unknown key" in exc.value.problems, exc.value.problems
+
+
+def test_null_disables_an_optional_guard_rate_only():
+    doc = minimal_doc()
+    doc["inverters"][0]["guard"] = {"rate_p": None, "rate_v": None}
+    guard = parse_config(doc).inverters[0].guard
+    assert guard.rate_p is None and guard.rate_v is None
+    doc["inverters"][0]["guard"] = {"s_max": None}
+    with pytest.raises(ValidationError, match=r"inverters\[0\]\.guard\.s_max: "):
+        parse_config(doc)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_schema_example_is_a_valid_scenario():
+    section = README.read_text().split("## Scenario schema (YAML)", 1)[1]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(yaml.safe_load(block))
+    assert len(cfg.events) == 8 and len(cfg.inverters) == 2
+
+
+def _rich_doc():
+    """A scenario with an element of every kind and an event of every type."""
+    return minimal_doc(
+        buses=["g", "b", "c"],
+        lines=[
+            {"from": "g", "to": "b", "r": 0.01, "x": 0.05},
+            {"from": "b", "to": "c", "r": 0.01, "x": 0.05},
+        ],
+        breakers=[{"id": "br", "from": "g", "to": "b"}],
+        loads=[
+            {"id": "lz", "bus": "c", "kind": "impedance", "r": 2.0, "x": 0.5},
+            {"id": "lp", "bus": "b", "p": 0.1},
+        ],
+        inverters=[{"id": "inv", "bus": "b", "mode": "gfm", "p_set": 0.2,
+                    "pcc_breaker": "br", "black_start": {}}],
+        events=[
+            {"t": 0.1, "type": "load_step", "target": "lz", "dp": 0.1},
+            {"t": 0.2, "type": "breaker_set", "target": "br", "closed": False},
+            {"t": 0.3, "type": "source_freq", "target": "src", "f": 60.1},
+            {"t": 0.4, "type": "source_unbalance", "target": "src", "mag": 0.05,
+             "angle_deg": 30.0},
+            {"t": 0.5, "type": "setpoint", "target": "inv", "p_set": 0.3},
+            {"t": 0.6, "type": "mode_command", "target": "inv", "mode": "gfl"},
+            {"t": 0.7, "type": "plug_in", "target": "inv"},
+            {"t": 0.8, "type": "pulse_load", "target": "lp", "dp": 0.1},
+        ],
+        output={"decimate": 2},
+    )
+
+
+NUMBERS = (scenario._float, scenario._integer, scenario._radians)
+
+
+def _value_keys(parse, doc, path=()):
+    """(field path, path into ``doc``, table entry) of every number, integer
+    and flag key of ``doc``, a document the schema table ``parse`` reads."""
+    if isinstance(parse, scenario._List):
+        for i, item in enumerate(doc):
+            yield from _value_keys(parse.item, item, (*path, i))
+    elif isinstance(parse, scenario._Variant):
+        yield from _value_keys(parse.tables[doc[parse.tag]], doc, path)
+    elif isinstance(parse, scenario._Table):
+        for key, k in parse.keys.items():
+            if k.parse in NUMBERS or k.parse is scenario._flag:
+                where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in (*path, key))
+                yield where.lstrip("."), (*path, key), k
+            elif key in doc and k.arg:
+                yield from _value_keys(k.parse, doc[key], (*path, key))
+
+
+# the echo of a rich scenario holds every key of the schema but input-only aliases
+FULL = resolved_dict(parse_config(_rich_doc()))
+VALUE_KEYS = list(_value_keys(scenario._SCENARIO, FULL))
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _junk(k):
+    """Values the key ``k`` must refuse; null is valid where it is optional."""
+    junk = ["x", [1], {"a": 1}, 0 if k.parse is scenario._flag else True]
+    return junk if k.optional else [*junk, None]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_junk_in_any_value_key_is_a_problem_under_its_path(data):
+    where, path, k = data.draw(st.sampled_from(VALUE_KEYS))
+    doc = copy.deepcopy(FULL)
+    _set(doc, path, data.draw(st.sampled_from(_junk(k))))
+    with pytest.raises(ValidationError) as exc:
+        parse_config(doc)
+    assert [p for p in exc.value.problems if p.startswith(f"{where}: ")], exc.value.problems
+
+
+def _valid(k, value):
+    """Values of the key ``k`` near ``value`` that keep the scenario valid,
+    as numbers or numeric strings; null where the key is optional."""
+    if k.parse is scenario._flag:
+        return st.booleans()
+    if k.parse is scenario._integer:
+        return st.integers(1, 5)
+    numbers = (
+        st.floats(0.0, 0.5) if value is None
+        else st.floats(0.995, 1.005).map(lambda f: value * f)
+    )
+    numbers = numbers | numbers.map(str)
+    return st.none() | numbers if k.optional else numbers
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.data())
+def test_echo_of_valid_values_parses_to_the_same_echo(data):
+    wheres = {where for where, _, _ in VALUE_KEYS}
+    assert {"dt", "seed", "base.f_nom", "lines[1].x", "breakers[0].closed",
+            "grid_sources[0].angle_deg", "loads[1].q", "inverters[0].coupling.r",
+            "inverters[0].pll.sogi_k", "inverters[0].guard.rate_v",
+            "inverters[0].thresholds.eps_theta_deg", "events[3].angle_deg",
+            "events[4].v_nom", "output.decimate"} <= wheres
+    doc = copy.deepcopy(FULL)
+    for where, path, k in VALUE_KEYS:
+        _set(doc, path, data.draw(_valid(k, _get(FULL, path)), label=where))
+    echo = resolved_dict(parse_config(doc))
+    again = resolved_dict(parse_config(yaml.safe_load(yaml.safe_dump(echo))))
+    assert _equal(again, echo)
+
+
+def test_droop_cutoff_is_given_in_hz_or_rad_per_s_not_both():
+    doc = minimal_doc()
+    doc["inverters"][0]["droop"] = {"f_c": 5.0}
+    assert parse_config(doc).inverters[0].droop.omega_c == pytest.approx(2 * math.pi * 5.0)
+    doc["inverters"][0]["droop"] = {"omega_c": 20.0, "f_c": 5.0}
+    with pytest.raises(ValidationError, match=r"inverters\[0\]\.droop\.f_c: sets omega_c"):
+        parse_config(doc)
