@@ -1,9 +1,9 @@
 """Scripted event types applied to a running scenario, and the records of
 the run's event log.
 
-Network-level events (load/breaker/source) are handled by
-:func:`dualpath.network.apply_event`; inverter-level events (setpoints, mode
-commands, plug-in) are dispatched by the scenario runner.
+Every event type, network-level (load/breaker/source) or inverter-level
+(setpoints, mode commands, plug-in), is applied by the one dispatch in
+``runner.Simulation._apply_event``.
 
 The event log holds typed records, rendered to ``events.csv`` text only when
 the outputs are written: each applied network event, mode command and
@@ -91,8 +91,6 @@ Event = (
     | PlugIn
     | PulseLoad
 )
-
-NETWORK_EVENTS = (LoadStep, BreakerSet, SourceFreq, SourceUnbalance)
 
 
 @dataclass(frozen=True, slots=True, order=True)

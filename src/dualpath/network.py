@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .events import BreakerSet, LoadStep, SourceFreq, SourceUnbalance
 from .frames import TWO_PI
 
 
@@ -152,29 +152,25 @@ def build_ybus(buses: list[str], lines: list[Line]) -> np.ndarray:
 
 @dataclass(slots=True)
 class SolveReport:
-    cp_iterations: int = 0
-    residual: float = 0.0
-    de_energized: list[list[str]] = field(default_factory=list)
-    de_energized_with_load: list[list[str]] = field(default_factory=list)
+    cp_iterations: int
+    residual: float
+    de_energized_with_load: list[list[str]]
 
 
 @dataclass(slots=True)
 class NetworkState:
-    """Solved bus voltages (zero on dead buses) and source currents at one
-    instant.  ``v_list`` is ``v_pos`` as Python complexes, converted once per
-    solve; line currents are not kept (the loss sum derives them from it)."""
+    """One solve: its inputs, the bus voltages by bus position (zero on dead
+    buses; ``v_list`` is ``v_pos`` as Python complexes), the formers' currents
+    in ``emfs`` order and the energized constant-power loads' in
+    ``Network.loads`` order.  Grid-source and line currents follow from ``v``."""
 
-    t: float
-    buses: list[str]
-    bus_index: dict[str, int]
     v_pos: np.ndarray
     v_list: list[complex]
     v_neg: np.ndarray | None  # None without negative-sequence sources
-    former_currents: dict[str, complex]
-    cp_currents: dict[str, complex]
-
-    def v(self, bus: str) -> complex:
-        return self.v_list[self.bus_index[bus]]
+    emfs: Sequence[complex]
+    injections: Sequence[tuple[int, complex]]
+    former_currents: list[complex]
+    cp_currents: list[complex]
 
 
 class Network:
@@ -208,8 +204,8 @@ class Network:
         for ld in loads:
             self._check_bus(ld.bus)
             self.loads[ld.id] = ld
-        # grid-forming couplings registered by the runner: key -> (bus, z)
-        self.formers: dict[str, tuple[str, complex]] = {}
+        # grid-forming couplings, (bus, z) in the order solve takes the EMFs
+        self.formers: list[tuple[str, complex]] = []
         self._version = 0
         self._cache_version = -1
         self._cache: dict = {}
@@ -222,15 +218,14 @@ class Network:
 
     # -- mutation ----------------------------------------------------------
 
-    def register_former(self, key: str, bus: str, z: complex) -> None:
-        self._check_bus(bus)
-        if z == 0:
-            raise ValueError("former coupling impedance must be nonzero")
-        self.formers[key] = (bus, z)
-        self._version += 1
-
-    def unregister_former(self, key: str) -> None:
-        if self.formers.pop(key, None) is not None:
+    def set_formers(self, formers: list[tuple[str, complex]]) -> None:
+        """Set the grid-forming couplings, ``(bus, impedance)`` each; the
+        topology version moves only when they change.  A zero impedance
+        raises ZeroDivisionError when the topology is next rebuilt."""
+        if formers != self.formers:
+            for bus, _ in formers:
+                self._check_bus(bus)
+            self.formers = formers
             self._version += 1
 
     def set_breaker(self, breaker_id: str, closed: bool) -> None:
@@ -324,9 +319,10 @@ class Network:
     def _refresh_cache(self) -> None:
         islands = self.islands()
         source_buses = {src.bus for src in self.grid_sources.values()}
-        source_buses.update(bus for bus, _ in self.formers.values())
+        source_buses.update(bus for bus, _ in self.formers)
+        loaded = {ld.bus for ld in self.loads.values()}
         energized: list[str] = []
-        de_energized: list[list[str]] = []
+        dead_loaded: list[list[str]] = []  # islands with a load but no source
         island_of: dict[str, int] = {}
         island_sources: list[bool] = []
         for k, isl in enumerate(islands):
@@ -336,8 +332,8 @@ class Network:
                 island_of[b] = k
             if has_src:
                 energized.extend(isl)
-            else:
-                de_energized.append(isl)
+            elif any(b in loaded for b in isl):
+                dead_loaded.append(isl)
         energized.sort(key=self.bus_index.get)
         eidx = {b: i for i, b in enumerate(energized)}
 
@@ -348,7 +344,7 @@ class Network:
         y = build_ybus(energized, e_lines)
         for src in self.grid_sources.values():
             y[eidx[src.bus], eidx[src.bus]] += 1.0 / src.z_s
-        for bus, z in self.formers.values():
+        for bus, z in self.formers:
             y[eidx[bus], eidx[bus]] += 1.0 / z
         z_loads = []  # (bus position, conj(y)) of energized impedance loads
         for ld in self.loads.values():
@@ -370,20 +366,21 @@ class Network:
         cp_slot = [(ld, cp_bus.index(eidx[ld.bus])) for ld in cp_loads]
 
         pos = self.bus_index
-        loaded = {ld.bus for ld in self.loads.values()}
         self._cache = {
             "islands": islands,
             "island_of": island_of,
             "island_sources": island_sources,
-            "energized": energized,
-            "eidx": eidx,
+            "n": n,
+            # energized index per bus position (None on a dead bus)
+            "e_at": [eidx.get(b) for b in self.buses],
             # the solved vector is in bus order when every bus is energized,
             # else it is scattered by energized position
             "all_energized": n == len(self.buses),
             "e_full": np.array([pos[b] for b in energized], dtype=np.intp),
-            # Norton sources: (source, energized index, bus position)
+            # Norton sources: (source, energized index, bus position), and
+            # (energized index, bus position, coupling) per former
             "sources": [(src, eidx[src.bus], pos[src.bus]) for src in self.grid_sources.values()],
-            "formers": [(key, eidx[b], pos[b], z) for key, (b, z) in self.formers.items()],
+            "formers": [(eidx[b], pos[b], z) for b, z in self.formers],
             "y": y,
             "yinv": yinv,
             "z_loads": z_loads,
@@ -398,10 +395,7 @@ class Network:
                      else yinv[np.ix_(cp_bus, cp_bus)]),
             "yinv_cp": (yinv[:, cp_bus[0]].copy() if len(cp_bus) == 1
                         else yinv[:, cp_bus]),
-            "de_energized": de_energized,
-            "de_energized_with_load": [
-                isl for isl in de_energized if any(b in loaded for b in isl)
-            ],
+            "de_energized_with_load": dead_loaded,
         }
         self._cache_version = self._version
         self._cp_warm = None
@@ -420,38 +414,39 @@ class Network:
 
     def solve(
         self,
-        t: float,
-        former_emfs: dict[str, complex] | None = None,
-        injections: dict[str, complex] | None = None,
+        emfs: Sequence[complex] = (),
+        injections: Sequence[tuple[int, complex]] = (),
     ) -> tuple[NetworkState, SolveReport]:
         """Solve the network; see module docstring for the device models.
 
-        ``former_emfs`` maps registered former keys to their EMF phasors
-        (grid sources supply their own).  ``injections`` maps buses to
-        grid-following current phasors.
+        ``emfs`` are the formers' EMF phasors in ``set_formers`` order (grid
+        sources supply their own), one per former or ValueError;
+        ``injections`` are grid-following currents as ``(bus position,
+        phasor)`` pairs (one on a dead bus flows nowhere).  Returns the state,
+        holding the formers' currents in ``emfs`` order, and the report.
         """
+        if len(emfs) != len(self.formers):
+            raise ValueError(f"{len(emfs)} EMFs for {len(self.formers)} formers")
         if self._cache_version != self._version:
             self._refresh_cache()
         c = self._cache
-        eidx: dict[str, int] = c["eidx"]
         y: np.ndarray = c["y"]
         yinv: np.ndarray = c["yinv"]
-        n = len(c["energized"])
-        former_emfs = former_emfs or {}
-        injections = injections or {}
+        n = c["n"]
 
         base = [0j] * n
         for src, k, _ in c["sources"]:
             base[k] += src.e / src.z_s
-        for key, k, _, z in c["formers"]:
-            base[k] += former_emfs.get(key, 0j) / z
-        for bus, inj in injections.items():
-            k = eidx.get(bus)
+        for (k, _, z), e in zip(c["formers"], emfs):
+            base[k] += e / z
+        e_at = c["e_at"]
+        for p, inj in injections:
+            k = e_at[p]
             if k is not None:
                 base[k] += inj
         i_base = np.array(base, dtype=complex)
 
-        cp_currents: dict[str, complex] = {}
+        cp_currents: list[complex] = []
         iterations = 0
         residual = 0.0
         v = yinv @ i_base
@@ -485,8 +480,8 @@ class Network:
                 i_base[cp_bus] += i_cp
                 x_bus = x.tolist()
             self._cp_warm = (x, w_c)
-            for ld, j in c["cp_slot"]:
-                cp_currents[ld.id] = -complex(ld.p, -ld.q) / x_bus[j].conjugate()
+            cp_currents = [-complex(ld.p, -ld.q) / x_bus[j].conjugate()
+                           for ld, j in c["cp_slot"]]
         if n:
             # one refinement pass; the pre-refinement residual bounds the
             # returned solution's residual from above
@@ -504,20 +499,11 @@ class Network:
 
         v_full = self._on_buses(v)
         vl = v_full.tolist()
-        former_currents: dict[str, complex] = {}
-        for src, _, p in c["sources"]:
-            former_currents[src.id] = (src.e - vl[p]) / src.z_s
-        for key, _, p, z in c["formers"]:
-            former_currents[key] = (former_emfs.get(key, 0j) - vl[p]) / z
-
+        former_currents = [(e - vl[p]) / z for (_, p, z), e in zip(c["formers"], emfs)]
         state = NetworkState(
-            t, self.buses, self.bus_index, v_full, vl, v_neg,
-            former_currents, cp_currents,
+            v_full, vl, v_neg, emfs, injections, former_currents, cp_currents
         )
-        report = SolveReport(
-            iterations, residual, c["de_energized"], c["de_energized_with_load"]
-        )
-        return state, report
+        return state, SolveReport(iterations, residual, c["de_energized_with_load"])
 
     def _on_buses(self, v: np.ndarray) -> np.ndarray:
         """The energized-order vector ``v`` in bus order, zero on dead buses."""
@@ -528,37 +514,30 @@ class Network:
         v_full[c["e_full"]] = v
         return v_full
 
-    def power_balance_residual(
-        self,
-        state: NetworkState,
-        former_emfs: dict[str, complex] | None = None,
-        injections: dict[str, complex] | None = None,
-    ) -> float:
-        """|sum(sources) - sum(loads) - sum(losses)| for the solved state.
+    def power_balance_residual(self, state: NetworkState) -> float:
+        """|sum(sources) - sum(loads) - sum(losses)| for the solved state,
+        from the inputs, voltages and currents it holds.
 
         Each voltage source delivers its EMF's power less the loss in its own
-        impedance, ``(E - z I) conj(I)``; injections and constant-power loads
+        impedance, ``(E - z I) conj(I)``, a grid source's ``I`` being
+        ``(E - V) / z`` as in the solve; injections and constant-power loads
         are currents into their bus, ``V conj(I)``; impedance loads and lines
         dissipate ``|V|^2 conj(y)``, which for a line is its ``|I|^2 z`` with
-        ``V`` the drop across it.  Voltages come from ``state.v_list`` and the
-        element lists are built per topology, so this is one Python pass over
-        them with no array operation.
+        ``V`` the drop across it.  One Python pass over element lists built
+        per topology, with no array operation.
         """
         c = self._cache
-        former_emfs = former_emfs or {}
         v = state.v_list
-        currents = state.former_currents
         s = 0j
-        for src, _, _ in c["sources"]:
-            i = currents[src.id]
+        for src, _, p in c["sources"]:
+            i = (src.e - v[p]) / src.z_s
             s += (src.e - src.z_s * i) * i.conjugate()
-        for key, _, _, z in c["formers"]:
-            i = currents[key]
-            s += (former_emfs.get(key, 0j) - z * i) * i.conjugate()
-        for bus, inj in (injections or {}).items():
-            s += v[self.bus_index[bus]] * inj.conjugate()
-        for ld, _ in c["cp_slot"]:
-            s += v[self.bus_index[ld.bus]] * state.cp_currents[ld.id].conjugate()
+        for (_, _, z), e, i in zip(c["formers"], state.emfs, state.former_currents):
+            s += (e - z * i) * i.conjugate()
+        for p, inj in state.injections:
+            s += v[p] * inj.conjugate()
+        for (ld, _), i in zip(c["cp_slot"], state.cp_currents):
+            s += v[self.bus_index[ld.bus]] * i.conjugate()
         for b, y_conj in c["z_loads"]:
             vb = v[b]
             s -= (vb.real * vb.real + vb.imag * vb.imag) * y_conj
@@ -653,16 +632,3 @@ def _check_singular(det: float, it: int) -> None:
             it,
         )
 
-
-def apply_event(net: Network, event) -> None:
-    """Apply a network-level event in place. Raises UnknownElementError."""
-    if isinstance(event, BreakerSet):
-        net.set_breaker(event.target, event.closed)
-    elif isinstance(event, LoadStep):
-        net.step_load(event.target, event.dp, event.dq)
-    elif isinstance(event, SourceFreq):
-        net.set_source_freq(event.target, event.f)
-    elif isinstance(event, SourceUnbalance):
-        net.set_source_unbalance(event.target, event.mag, event.angle)
-    else:
-        raise TypeError(f"not a network event: {event!r}")

@@ -46,7 +46,6 @@ from .droop import (
     voltage_restoration_step,
 )
 from .events import (
-    NETWORK_EVENTS,
     AutoReclose,
     BreakerSet,
     DetectorChange,
@@ -58,11 +57,13 @@ from .events import (
     PulseLoad,
     ReconnectionReady,
     SetpointEvent,
+    SourceFreq,
+    SourceUnbalance,
     TimedEvent,
 )
 from .frames import TWO_PI, phase_samples, wrap_angle
 from .guard import GuardAuditRecord, Setpoint, validate_setpoint
-from .network import Network, NonConvergenceError, apply_event
+from .network import Network, NonConvergenceError
 from .pll import (
     I_MAX,
     PllState,
@@ -180,17 +181,6 @@ class Simulation:
         self.noise_std = cfg.output.noise_std
         self._dead_seen: set = set()
         self._by_id = {inv.id: inv for inv in self.invs}
-        # per-topology lookups (see _resolve_topology)
-        self._islands_version = -1
-        self._formers: list[_Inverter] = []
-        self._followers: list[_Inverter] = []
-        self._bus_island: list[int] = []
-        self._energized: list[bool] = []
-        self._island_grid: list[list] = []
-        self._island_gfm: list[list[_Inverter]] = []
-        for inv in self.invs:
-            if inv.plugged and inv.sup.mode is GFM:
-                self.net.register_former(inv.id, inv.bus, inv.z_c_sys)
         self.init_rounds = 0
         self.init_mismatch: float | None = None
         # a failed initial solve is reported by run() as an abort before the
@@ -258,11 +248,10 @@ class Simulation:
                         inv.inj = i
                     else:
                         inv.inj = 0j
-            state = self._solve(0.0)[0]
-            v = state.v_list
+            v = self._solve()[0].v_list
             for inv in self._formers + self._followers:
                 vb = v[inv.bus_idx]
-                s = self._terminal(inv, vb, state)
+                s = self._terminal(inv, vb)
                 d = inv.droop
                 e_p, e_q = abs(s.real - d.p_f), abs(s.imag - d.q_f)
                 if e_p > pq_change or e_q > pq_change:
@@ -323,53 +312,49 @@ class Simulation:
     # -- per-step helpers ------------------------------------------------------
 
     def _resolve_topology(self) -> None:
-        """Rebuild the lookups that change only with the topology or a mode:
-        the plugged forming and following inverters, each bus's island, each
-        island's energized flag, grid sources and forming inverters, and
-        whether a watched breaker is open.  The step calls this when the
-        network version moved (every breaker move, impedance-load step and
-        forming-mode change moves it) or after a plug-in."""
+        """Decide which plugged units form and which follow, hand the
+        formers' couplings to the network in that order, and rebuild what
+        else changes only with the topology or a mode: each bus's island,
+        each island's energized flag, grid sources and formers, and whether
+        a watched breaker is open.  The step calls this when the network
+        version moved (breaker moves, impedance-load steps) or after a
+        plug-in or mode switch."""
+        self._formers = [i for i in self.invs if i.plugged and i.sup.mode is GFM]
+        self._followers = [i for i in self.invs if i.plugged and i.sup.mode is GFL]
+        self.net.set_formers([(inv.bus, inv.z_c_sys) for inv in self._formers])
         islands, island_of, self._energized = self.net.partition()
         self._bus_island = [island_of[b] for b in self.net.buses]
         self._island_grid = [[] for _ in islands]
         for src in self.net.grid_sources.values():
             self._island_grid[island_of[src.bus]].append(src)
         self._island_gfm = [[] for _ in islands]
-        self._formers, self._followers = [], []
-        for inv in self.invs:
-            if inv.plugged and inv.sup.mode is GFM:
-                self._formers.append(inv)
-                self._island_gfm[island_of[inv.bus]].append(inv)
-            elif inv.plugged:
-                self._followers.append(inv)
+        for inv in self._formers:
+            self._island_gfm[island_of[inv.bus]].append(inv)
         self._recon_open = any(inv.recon is not None and not inv.breaker.closed
                                for inv in self.invs)
         self._islands_version = self.net._version
 
-    def _solve(self, t: float):
+    def _solve(self):
         """Solve the network with the plugged formers' EMFs and the
-        followers' commanded currents; returns the state, the solve report
-        and the two solve inputs."""
-        emfs = {inv.id: inv.emf for inv in self._formers}
-        injections: dict[str, complex] = {}
-        for inv in self._followers:
-            if inv.inj != 0j:
-                injections[inv.bus] = injections.get(inv.bus, 0j) + inv.inj
-        state, report = self.net.solve(t, emfs, injections)
-        return state, report, emfs, injections
+        followers' nonzero commanded currents, and store each former's
+        solved current on it; returns the state and the solve report."""
+        state, report = self.net.solve(
+            [inv.emf for inv in self._formers],
+            [(inv.bus_idx, inv.inj) for inv in self._followers if inv.inj != 0j],
+        )
+        for inv, i in zip(self._formers, state.former_currents):
+            inv.i_sys = i
+        return state, report
 
-    def _terminal(self, inv: _Inverter, v_bus: complex, state) -> complex:
-        """Set the inverter's solved terminal current (system pu) and return
-        its terminal power (inverter pu).  A follower on a dead bus and a
-        parked unit carry no current."""
+    def _terminal(self, inv: _Inverter, v_bus: complex) -> complex:
+        """Set the terminal current (system pu) of a follower (its command,
+        zero on a dead bus) or parked unit (zero), a former's being set by
+        ``_solve``; returns the terminal power (inverter pu)."""
         if not inv.plugged:
-            i = 0j
-        elif inv.sup.mode is GFM:
-            i = state.former_currents.get(inv.id, 0j)
-        else:
-            i = inv.inj if self._energized[self._bus_island[inv.bus_idx]] else 0j
-        inv.i_sys = i
-        s = inv.s_inv = v_bus * i.conjugate() / inv.rating_pu
+            inv.i_sys = 0j
+        elif inv.sup.mode is GFL:
+            inv.i_sys = inv.inj if self._energized[self._bus_island[inv.bus_idx]] else 0j
+        s = inv.s_inv = v_bus * inv.i_sys.conjugate() / inv.rating_pu
         return s
 
     def _v_ref(self, inv: _Inverter, t: float) -> complex:
@@ -423,38 +408,47 @@ class Simulation:
             self._request(t, inv, ev.mode, f"setpoint:{ev.source_id}")
 
     def _apply_event(self, t: float, te: TimedEvent) -> None:
+        """Apply one scripted event and log it at the step time ``t`` (a
+        setpoint as its guard audit, a repeated plug-in not at all)."""
         ev = te.event
-        by_id = self._by_id
-        if isinstance(ev, NETWORK_EVENTS):
-            apply_event(self.net, ev)
-            self.events_log.append(TimedEvent(t, ev))
-            if isinstance(ev, BreakerSet):
+        match ev:
+            case BreakerSet():
+                self.net.set_breaker(ev.target, ev.closed)
                 for inv in self.invs:
                     if inv.cfg.pcc_breaker == ev.target:
                         inv.sup.breaker_moved(ev.closed)
-        elif isinstance(ev, SetpointEvent):
-            self._apply_setpoint(t, ev, by_id[ev.target])
-        elif isinstance(ev, ModeCommand):
-            self.events_log.append(TimedEvent(t, ev))
-            self._request(t, by_id[ev.target], ev.mode, "command")
-        elif isinstance(ev, PlugIn):
-            inv = by_id[ev.target]
-            if not inv.plugged:
+            case LoadStep():
+                self.net.step_load(ev.target, ev.dp, ev.dq)
+            case SourceFreq():
+                self.net.set_source_freq(ev.target, ev.f)
+            case SourceUnbalance():
+                self.net.set_source_unbalance(ev.target, ev.mag, ev.angle)
+            case SetpointEvent():
+                self._apply_setpoint(t, ev, self._by_id[ev.target])
+                return
+            case ModeCommand():
+                self.events_log.append(TimedEvent(t, ev))
+                self._request(t, self._by_id[ev.target], ev.mode, "command")
+                return
+            case PlugIn():
+                inv = self._by_id[ev.target]
+                if inv.plugged:
+                    return
                 inv.plugged = True
                 if inv.sup.mode is GFM:
-                    self.net.register_former(inv.id, inv.bus, inv.z_c_sys)
                     # connect at the measured bus state: zero initial current
                     inv.emf = self._v_ref(inv, t)
                     if inv.droop.v_gfm < 0.5 * inv.params.v_nom:
                         inv.start_ramp()
                 self._islands_version = -1
-                self.events_log.append(TimedEvent(t, ev))
+        self.events_log.append(TimedEvent(t, ev))
 
     def _switch_mode(self, inv: _Inverter, target: Mode, t: float,
                      v_bus: complex) -> None:
-        """Handover bookkeeping once the supervisor accepted the transition."""
+        """Handover bookkeeping once the supervisor accepted the transition;
+        the next step re-decides who forms."""
+        self._islands_version = -1
         if target is GFM:
-            self.net.register_former(inv.id, inv.bus, inv.z_c_sys)
             # choose the internal EMF that keeps the present current flowing;
             # theta must land so that after this step's frame advance the EMF
             # phasor sits on v_ref rotated one step at the measured frequency
@@ -474,7 +468,6 @@ class Simulation:
                 inv.start_ramp()
             inv.inj = 0j
         else:
-            self.net.unregister_former(inv.id)
             # export continuity: the following path takes over the present P,Q
             inv.params.p_set = inv.s_inv.real
             inv.params.q_set = inv.s_inv.imag
@@ -536,7 +529,7 @@ class Simulation:
                     self._resolve_topology()
 
                 # 2. network solve with the references computed last step
-                state, report, emfs, injections = self._solve(t)
+                state, report = self._solve()
                 cp_iters_sum += report.cp_iterations
                 if report.cp_iterations > cp_iters_max:
                     cp_iters_max = report.cp_iterations
@@ -555,7 +548,7 @@ class Simulation:
                 t_rec[k] = t
                 np.absolute(v_pos, out=bus_mag[k])
                 np.arctan2(v_pos.imag, v_pos.real, out=bus_ang[k])
-                res_rec[k] = self.net.power_balance_residual(state, emfs, injections)
+                res_rec[k] = self.net.power_balance_residual(state)
 
                 # 4..7 controllers, supervisor, detectors per inverter
                 v = state.v_list
@@ -565,7 +558,7 @@ class Simulation:
                 row = k * ni
                 for i, inv in enumerate(self.invs):
                     self._step_inverter(
-                        inv, row + i, t, rot, v, v_neg, state, energized, freqs,
+                        inv, row + i, t, rot, v, v_neg, energized, freqs,
                     )
 
                 # rotate off-nominal source EMF phasors toward the next step
@@ -611,7 +604,7 @@ class Simulation:
         return result
 
     def _step_inverter(
-        self, inv, j, t, rot, v, v_neg, state, energized, freqs,
+        self, inv, j, t, rot, v, v_neg, energized, freqs,
     ) -> None:
         """One control step of one inverter.  ``v``/``v_neg`` are the solved
         bus voltages by bus position, ``rot`` the synthesis rotation at ``t``,
@@ -622,7 +615,7 @@ class Simulation:
         bus_island = self._bus_island
         v_bus = v[inv.bus_idx]
         v_bus_mag = abs(v_bus)
-        s = self._terminal(inv, v_bus, state)
+        s = self._terminal(inv, v_bus)
 
         # following path: PLL on the followed bus waveform (each phase is the
         # real part of its phase phasor rotated by the synthesis angle)

@@ -183,19 +183,26 @@ class Supervisor:
             st.d_f = abs(gfl.omega_est / TWO_PI - gfm.omega * self.f_nom)
             st.stale = (not followed_energized) or (not gfl.lock)
 
-        th = self.thresholds
-        within = (
-            not st.stale
-            and abs(st.d_theta) <= th.eps_theta
-            and st.d_v <= th.eps_v
-            and st.d_f <= th.eps_f
-        ) if self.mode is GFM else True
-        if within:
+        if self.mode is GFL or self._margin_fault() is None:
             if st.holds_since is None:
                 st.holds_since = t
         else:
             st.holds_since = None
         return st
+
+    def _margin_fault(self) -> str | None:
+        """The first sync margin outside its threshold (a NaN one is), in
+        the order stale, angle, voltage, frequency; None if all hold."""
+        st, th = self.status, self.thresholds
+        if st.stale:
+            return "stale"
+        if not abs(st.d_theta) <= th.eps_theta:
+            return "angle"
+        if not st.d_v <= th.eps_v:
+            return "voltage"
+        if not st.d_f <= th.eps_f:
+            return "frequency"
+        return None
 
     def request_transition(self, target: Mode, t: float) -> tuple[bool, str]:
         """Gate a mode change on the synchronization status.
@@ -204,17 +211,11 @@ class Supervisor:
         """
         if target is self.mode:
             raise ValueError("transition target equals current mode")
+        fault = self._margin_fault()
+        if fault is not None:
+            return False, fault
         st = self.status
-        th = self.thresholds
-        if target is GFL and st.stale:
-            return False, "stale"
-        if abs(st.d_theta) > th.eps_theta:
-            return False, "angle"
-        if st.d_v > th.eps_v:
-            return False, "voltage"
-        if st.d_f > th.eps_f:
-            return False, "frequency"
-        if st.holds_since is None or (t - st.holds_since) < th.hold:
+        if st.holds_since is None or (t - st.holds_since) < self.thresholds.hold:
             return False, "hold"
         self.mode = target
         self.status.holds_since = None

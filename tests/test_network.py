@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualpath.events import BreakerSet, LoadStep, SourceFreq, SourceUnbalance
 from dualpath.network import (
     Breaker,
     ConstantImpedanceLoad,
@@ -16,9 +15,13 @@ from dualpath.network import (
     Network,
     NonConvergenceError,
     UnknownElementError,
-    apply_event,
     build_ybus,
 )
+
+
+def bus_v(net, state, bus):
+    """The solved voltage of ``bus``; the state holds them by bus position."""
+    return state.v_list[net.bus_index[bus]]
 
 
 def two_bus(load=None, z_s=0.1j):
@@ -88,8 +91,8 @@ def test_solve_no_load_gives_emf():
     net = Network(
         buses=["b"], lines=[], grid_sources=[GridSource("g", "b", 1.0 + 0j, 0.1j)]
     )
-    state, rep = net.solve(0.0)
-    assert state.v("b") == pytest.approx(1.0 + 0j, abs=1e-12)
+    state, rep = net.solve()
+    assert bus_v(net, state, "b") == pytest.approx(1.0 + 0j, abs=1e-12)
     assert rep.residual < 1e-10
 
 
@@ -100,11 +103,11 @@ def test_solve_voltage_divider_analytic():
         grid_sources=[GridSource("g", "b", 1.0 + 0j, 0.1j)],
         loads=[ConstantImpedanceLoad("zl", "b", 1.0 + 0j)],
     )
-    state, rep = net.solve(0.0)
+    state, rep = net.solve()
     expected = 1.0 / (1.0 + 0.1j)  # complex divider oracle
-    assert abs(state.v("b") - expected) < 1e-12
-    assert abs(state.v("b")) == pytest.approx(0.995037, abs=1e-6)
-    assert math.degrees(cmath.phase(state.v("b"))) == pytest.approx(-5.7106, abs=1e-3)
+    assert abs(bus_v(net, state, "b") - expected) < 1e-12
+    assert abs(bus_v(net, state, "b")) == pytest.approx(0.995037, abs=1e-6)
+    assert math.degrees(cmath.phase(bus_v(net, state, "b"))) == pytest.approx(-5.7106, abs=1e-3)
     assert rep.residual < 1e-10
 
 
@@ -126,12 +129,12 @@ def cp_bisection_oracle(p_load, x_src, e=1.0):
 
 def test_solve_constant_power_matches_bisection_oracle():
     net = two_bus(ConstantPowerLoad("cp", "ld", 0.5, 0.0))
-    state, rep = net.solve(0.0)
+    state, rep = net.solve()
     v_ref = cp_bisection_oracle(0.5, 0.1 + 1e-6)
-    assert abs(abs(state.v("ld")) - v_ref) < 1e-8
+    assert abs(abs(bus_v(net, state, "ld")) - v_ref) < 1e-8
     assert rep.cp_iterations > 0
     # delivered power equals the setpoint
-    s = state.v("ld") * (-state.cp_currents["cp"]).conjugate()
+    s = bus_v(net, state, "ld") * (-state.cp_currents[0]).conjugate()
     assert s.real == pytest.approx(0.5, abs=1e-8)
     assert s.imag == pytest.approx(0.0, abs=1e-8)
 
@@ -140,7 +143,7 @@ def test_solve_constant_power_nonconvergence_aborts():
     # far beyond the feeder's maximum transferable power: no solution exists
     net = two_bus(ConstantPowerLoad("cp", "ld", 8.0, 0.0), z_s=0.3j)
     with pytest.raises(NonConvergenceError):
-        net.solve(0.0)
+        net.solve()
 
 
 X_EDGE = 0.1 + 1e-6  # source reactance plus the two_bus line
@@ -152,15 +155,15 @@ def test_cp_newton_reaches_the_loadability_limit(frac):
     # high root of V^4 - V^2 + (x p)^2 = 0 (E = 1, unity pf)
     p = frac * P_MAX
     net = two_bus(ConstantPowerLoad("cp", "ld", p, 0.0))
-    state, _ = net.solve(0.0)
+    state, _ = net.solve()
     v_ref = math.sqrt((1 + math.sqrt(1 - (2 * X_EDGE * p) ** 2)) / 2)
-    assert abs(abs(state.v("ld")) - v_ref) < 1e-8
+    assert abs(abs(bus_v(net, state, "ld")) - v_ref) < 1e-8
 
 
 def test_cp_beyond_the_loadability_limit_aborts_naming_it():
     net = two_bus(ConstantPowerLoad("cp", "ld", 1.01 * P_MAX, 0.0))
     with pytest.raises(NonConvergenceError, match="loadability limit"):
-        net.solve(0.0)
+        net.solve()
 
 
 def cp_fixed_point_oracle(net, damping=0.7, tol=1e-14, max_iters=5000):
@@ -220,24 +223,26 @@ def multi_cp_network():
 
 def test_cp_newton_block_matches_fixed_point_oracle():
     net = multi_cp_network()
-    state, rep = net.solve(0.0)
+    state, rep = net.solve()
     # quadratic convergence from the open-circuit start; a wrong Jacobian
     # still converges here, but only linearly (9 evaluations with the
     # Re(beta) blocks swapped)
     assert 0 < rep.cp_iterations <= 5
     v_ref = cp_fixed_point_oracle(net)
     for bus in net.buses:
-        assert abs(state.v(bus) - v_ref[net.bus_index[bus]]) < 1e-9
+        assert abs(bus_v(net, state, bus) - v_ref[net.bus_index[bus]]) < 1e-9
     # each load, and so each CP bus, takes exactly its setpoint
+    # the CP currents are in load order: p1, p2, p3
+    cp = dict(zip(("p1", "p2", "p3"), state.cp_currents))
     for bus, ids in (("c", ["p1"]), ("d", ["p2", "p3"])):
         s_bus = sum(
-            state.v(bus) * (-state.cp_currents[i]).conjugate() for i in ids
+            bus_v(net, state, bus) * (-cp[i]).conjugate() for i in ids
         )
         s_set = sum(complex(net.loads[i].p, net.loads[i].q) for i in ids)
         assert abs(s_bus - s_set) < 1e-10
     for i in ("p1", "p2", "p3"):
         ld = net.loads[i]
-        s = state.v(ld.bus) * (-state.cp_currents[i]).conjugate()
+        s = bus_v(net, state, ld.bus) * (-cp[i]).conjugate()
         assert abs(s - complex(ld.p, ld.q)) < 1e-10
     assert net.power_balance_residual(state) < 1e-10
 
@@ -245,10 +250,10 @@ def test_cp_newton_block_matches_fixed_point_oracle():
 def test_cp_load_step_is_seen_by_the_next_solve():
     # a CP load step leaves the topology (and its cache) as it was
     net = two_bus(ConstantPowerLoad("cp", "ld", 0.5, 0.1))
-    net.solve(0.0)
-    apply_event(net, LoadStep("cp", dp=0.7, dq=-0.25))
-    state, _ = net.solve(1e-4)
-    s = state.v("ld") * (-state.cp_currents["cp"]).conjugate()
+    net.solve()
+    net.step_load("cp", 0.7, -0.25)
+    state, _ = net.solve()
+    s = bus_v(net, state, "ld") * (-state.cp_currents[0]).conjugate()
     assert abs(s - complex(1.2, -0.15)) < 1e-10
 
 
@@ -266,8 +271,8 @@ def solved_line(z, load=None):
         grid_sources=[GridSource("s", "g", 1.0 + 0j, 1e-6j)],
         loads=[] if load is None else [ConstantImpedanceLoad("zl", "b", load)],
     )
-    state, _ = net.solve(0.0)
-    v_from, v_to = state.v("g"), state.v("b")
+    state, _ = net.solve()
+    v_from, v_to = bus_v(net, state, "g"), bus_v(net, state, "b")
     return v_from, v_to, (v_from - v_to) * (1.0 / z)
 
 
@@ -305,14 +310,15 @@ def test_de_energized_island_reported_not_fatal():
         grid_sources=[GridSource("grid", "g", 1.0 + 0j, 0.05j)],
         loads=[ConstantPowerLoad("cp", "m", 0.4, 0.0)],
     )
-    state, rep = net.solve(0.0)
-    assert not rep.de_energized
+    state, rep = net.solve()
+    assert all(net.partition()[2])
     net.set_breaker("pcc", False)
-    state, rep = net.solve(0.1)
-    assert rep.de_energized == [["m"]]
+    state, rep = net.solve()
+    islands, _, live = net.partition()
+    assert [isl for isl, has_src in zip(islands, live) if not has_src] == [["m"]]
     assert rep.de_energized_with_load == [["m"]]
-    assert state.v("m") == 0
-    assert abs(state.v("g")) == pytest.approx(1.0, abs=1e-9)
+    assert bus_v(net, state, "m") == 0
+    assert abs(bus_v(net, state, "g")) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_power_balance_residual_small():
@@ -325,9 +331,8 @@ def test_power_balance_residual_small():
             ConstantPowerLoad("p1", "c", 0.35, 0.1),
         ],
     )
-    inj = {"c": 0.2 - 0.05j}
-    state, rep = net.solve(0.0, injections=inj)
-    assert net.power_balance_residual(state, injections=inj) < 1e-8
+    state, rep = net.solve(injections=[(net.bus_index["c"], 0.2 - 0.05j)])
+    assert net.power_balance_residual(state) < 1e-8
 
 
 def test_former_voltage_source():
@@ -336,11 +341,10 @@ def test_former_voltage_source():
         lines=[Line("b", "l", 0.005, 0.05)],
         loads=[ConstantImpedanceLoad("zl", "l", 2.0 + 0j)],
     )
-    net.register_former("inv", "b", 0.005 + 0.05j)
-    state, rep = net.solve(0.0, former_emfs={"inv": 1.0 + 0j})
-    assert 0.9 < abs(state.v("l")) < 1.0
-    res = net.power_balance_residual(state, former_emfs={"inv": 1.0 + 0j})
-    assert res < 1e-8
+    net.set_formers([("b", 0.005 + 0.05j)])
+    state, rep = net.solve([1.0 + 0j])
+    assert 0.9 < abs(bus_v(net, state, "l")) < 1.0
+    assert net.power_balance_residual(state) < 1e-8
 
 
 @settings(max_examples=25, deadline=None)
@@ -362,10 +366,11 @@ def test_solution_independent_of_bus_ordering(order):
             ],
         )
 
-    ref, _ = build(["a", "b", "c", "d"]).solve(0.0)
-    got, _ = build(order).solve(0.0)
+    ref_net, net = build(["a", "b", "c", "d"]), build(order)
+    ref, _ = ref_net.solve()
+    got, _ = net.solve()
     for bus in "abcd":
-        assert abs(got.v(bus) - ref.v(bus)) < 1e-12
+        assert abs(bus_v(net, got, bus) - bus_v(ref_net, ref, bus)) < 1e-12
 
 
 def test_apply_events():
@@ -376,19 +381,19 @@ def test_apply_events():
         grid_sources=[GridSource("grid", "g", 1.0 + 0j, 0.05j)],
         loads=[ConstantPowerLoad("cp", "m", 0.4, 0.0)],
     )
-    apply_event(net, LoadStep("cp", dp=0.3, dq=0.1))
+    net.step_load("cp", 0.3, 0.1)
     assert net.loads["cp"].p == pytest.approx(0.7)
     assert net.loads["cp"].q == pytest.approx(0.1)
-    apply_event(net, BreakerSet("pcc", closed=False))
+    net.set_breaker("pcc", False)
     assert not net.breakers["pcc"].closed
-    apply_event(net, SourceFreq("grid", f=60.5))
+    net.set_source_freq("grid", 60.5)
     assert net.grid_sources["grid"].f_grid == 60.5
-    apply_event(net, SourceUnbalance("grid", mag=0.1, angle=0.0))
+    net.set_source_unbalance("grid", 0.1, 0.0)
     assert net.grid_sources["grid"].e_neg == pytest.approx(0.1 + 0j)
     with pytest.raises(UnknownElementError):
-        apply_event(net, LoadStep("nope", dp=0.1))
+        net.step_load("nope", 0.1, 0.0)
     with pytest.raises(UnknownElementError):
-        apply_event(net, BreakerSet("nope", closed=True))
+        net.set_breaker("nope", True)
 
 
 def test_impedance_load_step_adds_parallel_admittance():
@@ -407,8 +412,8 @@ def test_load_stepped_to_zero_admittance_drops_out():
     # r = 2 pu draws 0.5 pu at 1 pu; the -0.5 pu step leaves zero admittance
     net = two_bus(ConstantImpedanceLoad("zl", "ld", 2.0 + 0j))
     net.step_load("zl", -0.5, 0.0)
-    state, _ = net.solve(0.0)
-    assert np.array_equal(state.v_pos, two_bus().solve(0.0)[0].v_pos)
+    state, _ = net.solve()
+    assert np.array_equal(state.v_pos, two_bus().solve()[0].v_pos)
     assert net.power_balance_residual(state) < 1e-10
     net.step_load("zl", 0.25, 0.0)
     assert 1.0 / net.loads["zl"].z == pytest.approx(0.25)
@@ -421,10 +426,10 @@ def test_unbalance_appears_in_negative_sequence_solve():
         grid_sources=[GridSource("g", "b", 1.0 + 0j, 0.01j)],
     )
     net.set_source_unbalance("g", 0.1, 0.0)
-    state, _ = net.solve(0.0)
+    state, _ = net.solve()
     # no neg-seq load current: bus neg-seq voltage equals the injected EMF
     assert state.v_neg[net.bus_index["b"]] == pytest.approx(0.1 + 0j, abs=1e-12)
-    assert abs(state.v("b") - 1.0) < 1e-12
+    assert abs(bus_v(net, state, "b") - 1.0) < 1e-12
 
 
 def test_unbalanced_waveform_matches_fortescue_reconstruction_oracle():
@@ -435,9 +440,9 @@ def test_unbalanced_waveform_matches_fortescue_reconstruction_oracle():
         lines=[],
         grid_sources=[GridSource("g", "b", 1.0 + 0j, 0.01j)],
     )
-    apply_event(net, SourceUnbalance("g", mag=0.1, angle=0.3))
-    state, _ = net.solve(0.0)
-    v_pos, v_neg = state.v("b"), complex(state.v_neg[net.bus_index["b"]])
+    net.set_source_unbalance("g", 0.1, 0.3)
+    state, _ = net.solve()
+    v_pos, v_neg = bus_v(net, state, "b"), complex(state.v_neg[net.bus_index["b"]])
     # independent oracle: phase phasors via the inverse 3x3 component matrix,
     # each phase sampled as Re(phasor * e^{j theta})
     a_op = cmath.exp(2j * math.pi / 3)
@@ -481,25 +486,26 @@ def breaker_isolated_load_net():
             ConstantPowerLoad("cp", "a", 0.3, 0.1),
         ],
     )
-    net.register_former("f", "b", 0.005 + 0.05j)
+    net.set_formers([("b", 0.005 + 0.05j)])
     return net
 
 
-def array_loss_residual(net, state, emfs, injections):
+def array_loss_residual(net, state):
     """Power-balance oracle with the line losses as one ``np.vdot`` over
-    branch-current arrays gathered from ``v_pos``."""
-    v, pos, cur = state.v_pos, net.bus_index, state.former_currents
+    branch-current arrays gathered from ``v_pos``; ``net`` has one CP load."""
+    v, pos = state.v_pos, net.bus_index
     s = 0j
     for src in net.grid_sources.values():
-        s += (src.e - src.z_s * cur[src.id]) * cur[src.id].conjugate()
-    for key, (_, z) in net.formers.items():
-        s += (emfs[key] - z * cur[key]) * cur[key].conjugate()
-    for bus, inj in injections.items():
-        s += v[pos[bus]] * inj.conjugate()
+        i = (src.e - state.v_list[pos[src.bus]]) / src.z_s
+        s += (src.e - src.z_s * i) * i.conjugate()
+    for (_, z), e, i in zip(net.formers, state.emfs, state.former_currents):
+        s += (e - z * i) * i.conjugate()
+    for p, inj in state.injections:
+        s += v[p] * inj.conjugate()
     for ld in net.loads.values():
         vb = complex(v[pos[ld.bus]])
         if isinstance(ld, ConstantPowerLoad):
-            s += vb * state.cp_currents[ld.id].conjugate()
+            s += vb * state.cp_currents[0].conjugate()
         else:
             s -= abs(vb) ** 2 * (1.0 / ld.z).conjugate()
     lines = net.effective_lines()
@@ -509,20 +515,50 @@ def array_loss_residual(net, state, emfs, injections):
 
 
 def test_dead_bus_scatter_and_line_losses_match_oracles():
-    emfs, injections = {"f": 1.01 * cmath.exp(0.02j)}, {"b": 0.1 - 0.02j}
     net = breaker_isolated_load_net()
+    emfs, injections = [1.01 * cmath.exp(0.02j)], [(net.bus_index["b"], 0.1 - 0.02j)]
     dead = net.bus_index["d"]
     for closed in (True, False, True):
         net.set_breaker("brk", closed)
-        state, report = net.solve(0.0, emfs, injections)
+        state, report = net.solve(emfs, injections)
         assert state.v_list == state.v_pos.tolist()
         if closed:
             assert abs(state.v_pos[dead]) > 0.5
         else:
             assert state.v_pos[dead] == 0 and state.v_list[dead] == 0
             assert report.de_energized_with_load == [["d"]]
-        residual = net.power_balance_residual(state, emfs, injections)
+        residual = net.power_balance_residual(state)
         assert residual <= 1e-12
-        assert abs(residual - array_loss_residual(net, state, emfs, injections)) <= 1e-15
-    fresh, _ = breaker_isolated_load_net().solve(0.0, emfs, injections)
+        assert abs(residual - array_loss_residual(net, state)) <= 1e-15
+    fresh, _ = breaker_isolated_load_net().solve(emfs, injections)
     assert np.array_equal(state.v_pos, fresh.v_pos)
+
+
+def test_solve_takes_one_emf_per_former():
+    # a short or long EMF list raises instead of dropping a former's current
+    net = breaker_isolated_load_net()
+    for emfs in ([], [1.0 + 0j, 1.0 + 0j]):
+        with pytest.raises(ValueError, match="EMFs for 1 formers"):
+            net.solve(emfs)
+    state, _ = net.solve([1.0 + 0j])
+    assert len(state.former_currents) == 1
+
+
+def test_set_formers_moves_the_topology_only_on_change(monkeypatch):
+    refreshes = []
+    refresh = Network._refresh_cache
+    monkeypatch.setattr(
+        Network, "_refresh_cache", lambda net: refreshes.append(1) or refresh(net)
+    )
+    net = breaker_isolated_load_net()
+    net.solve([1.0 + 0j])
+    version = net._version
+    net.set_formers([("b", 0.005 + 0.05j)])  # the same couplings again
+    net.solve([1.0 + 0j])
+    assert net._version == version and len(refreshes) == 1
+    net.set_formers([("b", 0.005 + 0.05j), ("d", 0.01 + 0.1j)])
+    state, _ = net.solve([1.0 + 0j, 1.0 + 0j])
+    assert net._version == version + 1 and len(refreshes) == 2
+    assert len(state.former_currents) == 2
+    with pytest.raises(UnknownElementError):
+        net.set_formers([("nope", 0.01j)])

@@ -161,6 +161,45 @@ def test_failed_initial_solve_is_an_abort(tmp_path):
     assert (tmp_path / "cli/timeseries.csv").read_text() == "\n".join(csv) + "\n"
 
 
+
+OUTPUT_FILES = ("timeseries.csv", "events.csv", "metrics.json", "config.resolved.yaml")
+
+
+def test_batch_validates_first_and_runs_past_an_abort(tmp_path):
+    scen = tmp_path / "scen"
+    scen.mkdir()
+    docs = {
+        "a_flat": doc(name="a_flat", t_end=0.05),
+        "b_abort": {**_blackstart_with_cp_load(), "name": "b_abort"},
+        "c_flat": doc(name="c_flat", t_end=0.08),
+        "d_bad": doc(name="d_bad", t_end=-1.0),
+    }
+    for name, d in docs.items():
+        (scen / f"{name}.yaml").write_text(yaml.safe_dump(d))
+    # one invalid file: exit 1 before anything runs
+    assert cli_main(["batch", str(scen), "--out", str(tmp_path / "out0")]) == 1
+    assert not (tmp_path / "out0").exists()
+
+    (scen / "d_bad.yaml").unlink()
+    written = {}
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        rc = cli_main(["batch", str(scen), "--out", str(out), "--workers", str(workers)])
+        assert rc == 2  # the initialization abort of b_abort
+        files = {}
+        for name in ("a_flat", "b_abort", "c_flat"):
+            for f in OUTPUT_FILES:
+                data = (out / name / f).read_bytes()
+                if f == "metrics.json":
+                    metrics = json.loads(data)
+                    assert metrics["aborted"] is (name == "b_abort")
+                    metrics.pop("wall_time_s")
+                    data = json.dumps(metrics, sort_keys=True).encode()
+                files[name, f] = data
+        written[workers] = files
+    # the same bytes from one process and from two (wall time aside)
+    assert written[1] == written[2]
+
 def test_black_start_without_voltage_restoration_ends_on_droop_law():
     # with k_v = 0 no integrator washes a voltage offset out, so the end of
     # the ramp must hand over to the plain Q-V droop law (u_v = 0)
@@ -428,6 +467,7 @@ def test_reactive_setpoint_sign_convention_end_to_end():
 
 
 def test_determinism_across_processes(tmp_path):
+    import os
     import subprocess
     import sys as _sys
 
@@ -435,13 +475,15 @@ def test_determinism_across_processes(tmp_path):
     import yaml as _yaml
 
     _yaml.safe_dump(doc(t_end=0.2), scen.open("w"))
+    root = Path(__file__).resolve().parents[1]
+    # the child imports dualpath from this checkout whatever the caller's path
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
     outs = []
     for sub in ("a", "b"):
         r = subprocess.run(
             [_sys.executable, "-m", "dualpath", "run", str(scen),
              "--out", str(tmp_path / sub)],
-            capture_output=True, text=True,
-            cwd=str(Path(__file__).resolve().parents[1]),
+            capture_output=True, text=True, cwd=str(root), env=env,
         )
         assert r.returncode == 0, r.stderr
         outs.append((tmp_path / sub / "timeseries.csv").read_bytes())
