@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 validation failure, 2 runtime abort.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -52,6 +53,9 @@ def _run_one(task: tuple[str, str]) -> tuple[str, int]:
 
 
 def _cmd_batch(args) -> int:
+    if args.workers < 1:
+        print(f"--workers must be at least 1, got {args.workers}", file=sys.stderr)
+        return 1
     paths = sorted(Path(args.dir).glob("*.yaml"))
     if not paths:
         print(f"no *.yaml scenarios in {args.dir}", file=sys.stderr)
@@ -68,8 +72,11 @@ def _cmd_batch(args) -> int:
     if rc:
         return rc
     tasks = [(str(p), out_root) for p in paths]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # a pool forks all its workers up front: no more than there are
+    # scenarios to run or cores to run them on
+    workers = min(args.workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, tasks))
     else:
         results = [_run_one(t) for t in tasks]

@@ -3,7 +3,8 @@
 Conventions used throughout the package:
 
 * Clarke transform is amplitude-invariant (2/3 scaling):
-  ``alpha = (2/3)(a - b/2 - c/2)``, ``beta = (b - c)/sqrt(3)``.
+  ``alpha = (2/3)(a - b/2 - c/2)``, ``beta = (b - c)/sqrt(3)``; the PLL
+  applies it to the phase samples it synthesizes (``pll.pll_step``).
 * Park rotation: ``d = alpha*cos(theta) + beta*sin(theta)``,
   ``q = -alpha*sin(theta) + beta*cos(theta)``.  Equivalently
   ``d + j*q = (alpha + j*beta) * exp(-j*theta)``.
@@ -57,26 +58,3 @@ class PerUnitBase:
     def omega_base(self) -> float:
         """Nominal angular frequency in rad/s."""
         return TWO_PI * self.f_nom
-
-
-def clarke(a: float, b: float, c: float) -> tuple[float, float]:
-    """Amplitude-invariant Clarke transform (abc -> alpha/beta)."""
-    alpha = (2.0 / 3.0) * (a - 0.5 * b - 0.5 * c)
-    beta = (b - c) / SQRT3
-    return alpha, beta
-
-
-def phase_samples(
-    v_pos: complex, v_neg: complex, rot: complex
-) -> tuple[float, float, float]:
-    """Instantaneous values of the three phases of a zero-sequence-free set.
-
-    The phase phasors are rebuilt from the positive- and negative-sequence
-    phasors; each phase is ``Re(phasor * rot)``, with ``rot = exp(j*theta)``
-    the rotation at the sample instant.
-    """
-    return (
-        ((v_pos + v_neg) * rot).real,
-        ((A_OP2 * v_pos + A_OP * v_neg) * rot).real,
-        ((A_OP * v_pos + A_OP2 * v_neg) * rot).real,
-    )

@@ -17,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .frames import TWO_PI, clarke
+from .frames import A_OP, A_OP2, SQRT3, TWO_PI
 
 
 I_MAX = 1.2  # pu of the inverter rating, current reference limit
@@ -120,31 +120,42 @@ def init_locked(
 
 
 def pll_step(
-    va: float, vb: float, vc: float, dt: float, state: PllState, params: PllParams
+    v_pos: complex, v_neg: complex, rot: complex, dt: float, state: PllState,
+    params: PllParams, gains: tuple[float, float, float],
 ) -> PllState:
-    """Advance the DSOGI + SRF-PLL by one control step on the phase samples
-    ``va, vb, vc``.
+    """Advance the DSOGI + SRF-PLL by one control step on the bus voltage
+    given as its positive- and negative-sequence phasors ``v_pos, v_neg``
+    and the synthesis rotation ``rot = exp(j*theta)`` at the sample instant.
+    ``gains`` is ``(omega_nom, kp, ki)`` of ``params``, resolved once.
 
+    The input is the amplitude-invariant Clarke transform of the three phase
+    samples, each phase being ``Re(phasor * rot)`` of the zero-sequence-free
+    set (``V_a = V+ + V-``, ``V_b = a^2 V+ + a V-``, ``V_c = a V+ + a^2 V-``).
     The SOGI resonators are discretized trapezoidally (a forward-Euler
     resonator at a 10 kHz step carries enough phase error to break the
     0.1-degree tracking contract); the slow loop states use forward Euler.
     The half-sample lag of the sampled input chain is compensated inside the
     phase detector so ``theta_est`` tracks the true instantaneous angle.
     """
-    alpha, beta = clarke(va, vb, vc)
-    omega_nom = params.omega_nom
+    a = ((v_pos + v_neg) * rot).real
+    b = ((A_OP2 * v_pos + A_OP * v_neg) * rot).real
+    c = ((A_OP * v_pos + A_OP2 * v_neg) * rot).real
+    alpha = (2.0 / 3.0) * (a - 0.5 * b - 0.5 * c)
+    beta = (b - c) / SQRT3
+    omega_nom, kp, ki = gains
+    x1a, x2a, x1b, x2b = state.x1a, state.x2a, state.x1b, state.x2b
 
     # phase detector from the pre-update states (everything at sample time),
     # with half-sample delay compensation
-    va_p = 0.5 * (state.x1a - state.x2b)
-    vb_p = 0.5 * (state.x2a + state.x1b)
-    state.v_pos = math.hypot(va_p, vb_p)
+    va_p = 0.5 * (x1a - x2b)
+    vb_p = 0.5 * (x2a + x1b)
+    v_mag = state.v_pos = math.hypot(va_p, vb_p)
 
-    theta_cmp = state.theta_est - 0.5 * state.omega_est * dt
+    w = state.omega_est
+    theta_cmp = state.theta_est - 0.5 * w * dt
     e_q = -va_p * math.sin(theta_cmp) + vb_p * math.cos(theta_cmp)
 
     # trapezoidal update of both SOGI pairs at the adapted center frequency
-    w = state.omega_est
     if w < 0.1 * omega_nom:
         w = 0.1 * omega_nom
     k = params.sogi_k
@@ -153,39 +164,43 @@ def pll_step(
     hwk = hw * k
     det = 1.0 + hwk + hw * hw
     du = dt * w * k
-    r1 = (1.0 - hwk) * state.x1a - hw * state.x2a + du * alpha
-    r2 = hw * state.x1a + state.x2a
+    r1 = (1.0 - hwk) * x1a - hw * x2a + du * alpha
+    r2 = hw * x1a + x2a
     state.x1a = (r1 - hw * r2) / det
     state.x2a = (hw * r1 + (1.0 + hwk) * r2) / det
-    r1 = (1.0 - hwk) * state.x1b - hw * state.x2b + du * beta
-    r2 = hw * state.x1b + state.x2b
+    r1 = (1.0 - hwk) * x1b - hw * x2b + du * beta
+    r2 = hw * x1b + x2b
     state.x1b = (r1 - hw * r2) / det
     state.x2b = (hw * r1 + (1.0 + hwk) * r2) / det
 
-    if state.v_pos < params.uv_threshold:
+    if v_mag < params.uv_threshold:
         # input collapse: freeze the loop at the last locked frequency and
         # keep rotating the angle reference; declare lock lost after uv_time
         state.uv_timer += dt
         state.lock_timer = 0.0
         if state.uv_timer > params.uv_time:
             state.lock = False
-        state.omega_est = state.omega_locked
-        state.pi_integrator = state.omega_locked - omega_nom
-        state.theta_est += state.omega_est * dt
+        w = state.omega_est = state.omega_locked
+        state.pi_integrator = w - omega_nom
+        state.theta_est += w * dt
         return state
     state.uv_timer = 0.0
 
-    state.pi_integrator += params.ki * e_q * dt
+    pi = state.pi_integrator + ki * e_q * dt
     limit = 0.2 * omega_nom
-    if state.pi_integrator > limit:
-        state.pi_integrator = limit
-    elif state.pi_integrator < -limit:
-        state.pi_integrator = -limit
-    state.omega_est = omega_nom + state.pi_integrator + params.kp * e_q
-    state.theta_est += state.omega_est * dt
+    if pi > limit:
+        pi = limit
+    elif pi < -limit:
+        pi = -limit
+    state.pi_integrator = pi
+    w = state.omega_est = omega_nom + pi + kp * e_q
+    state.theta_est += w * dt
 
-    state.q_filt += dt * params.q_filter_cutoff * (abs(e_q) - state.q_filt)
-    if state.q_filt < params.lock_q_threshold:
+    q_filt = state.q_filt = (
+        state.q_filt + dt * params.q_filter_cutoff * (abs(e_q) - state.q_filt)
+    )
+    lock_q = params.lock_q_threshold
+    if q_filt < lock_q:
         state.lock_timer += dt
     else:
         state.lock_timer = 0.0
@@ -194,12 +209,8 @@ def pll_step(
         state.lock = True
     # remember the frequency only while tracking a healthy voltage, so a
     # collapse freezes at the pre-event value rather than mid-decay garbage
-    if (
-        state.lock
-        and state.q_filt < params.lock_q_threshold
-        and state.v_pos >= params.capture_v
-    ):
-        state.omega_locked = omega_nom + state.pi_integrator
+    if state.lock and q_filt < lock_q and v_mag >= params.capture_v:
+        state.omega_locked = omega_nom + pi
     return state
 
 

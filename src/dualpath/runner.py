@@ -4,8 +4,10 @@ Per control step: apply due events (setpoints pass the guard) -> solve the
 phasor network -> synthesize waveforms and take local measurements -> step the
 following and forming paths -> supervisor shadow-sync and mode arbitration ->
 detectors and autonomous actions -> record.  Only a plugged forming unit
-steps its forming path (shadow_follow overwrites any other's), and island
-frequencies are computed only while a watched breaker is open.
+steps its forming path; any other unit's forming state is the shadow_follow
+copy of its following path, built only when something reads it
+(``_Inverter.forming``).  Island frequencies are computed only while a
+watched breaker is open.
 
 Everything is deterministic: identical config and seed give byte-identical
 output files.  The optional seed only feeds measurement-noise injection on
@@ -61,7 +63,7 @@ from .events import (
     SourceUnbalance,
     TimedEvent,
 )
-from .frames import TWO_PI, phase_samples, wrap_angle
+from .frames import TWO_PI, wrap_angle
 from .guard import GuardAuditRecord, Setpoint, validate_setpoint
 from .network import Network, NonConvergenceError
 from .pll import (
@@ -84,6 +86,7 @@ class _Inverter:
         "cfg", "id", "bus", "rating_pu", "z_c_sys", "params", "pll", "droop",
         "vz", "sup", "det", "recon", "plugged", "inj", "emf", "i_sys", "s_inv",
         "uv_suspended", "bus_idx", "breaker", "from_idx", "to_idx", "ramp_rate",
+        "pll_gains", "shadow_due",
     )
 
     def __init__(self, cfg: InverterConfig, s_base: float, f_nom: float, dt: float,
@@ -101,6 +104,8 @@ class _Inverter:
         self.z_c_sys = cfg.z_c / self.rating_pu
         self.params = replace(cfg.droop)  # runtime setpoints mutate this copy
         self.pll = PllState()
+        p = cfg.pll
+        self.pll_gains = (p.omega_nom, p.kp, p.ki)
         self.droop = DroopState(v_gfm=cfg.droop.v_nom)
         self.vz = replace(cfg.vz, i_filt=0.0)
         self.ramp_rate = (cfg.black_start or BlackStartConfig()).ramp_rate
@@ -113,11 +118,26 @@ class _Inverter:
         self.i_sys = 0j        # solved terminal current, system pu
         self.s_inv = 0j        # terminal power, inverter pu
         self.uv_suspended = False
+        # a step has passed since the forming state was last rebuilt from
+        # the following path (see ``forming``)
+        self.shadow_due = False
 
     def follow_idx(self) -> int:
         """Bus position the following path tracks: the utility side of the
         watched breaker while forming, else the own bus."""
         return self.from_idx if self.sup.mode is GFM else self.bus_idx
+
+    def forming(self) -> DroopState:
+        """The forming state as every reader must see it: for a following or
+        parked unit, the ``shadow_follow`` copy of its PLL, terminal power
+        and setpoints, rebuilt here if a step has passed since the last
+        read (none of the three changes between a step and a read, and a
+        setpoint reads this before it changes the setpoints)."""
+        if self.shadow_due:
+            self.shadow_due = False
+            shadow_follow(self.pll, self.s_inv, self.sup.omega_base, self.droop,
+                          self.params)
+        return self.droop
 
     def start_ramp(self) -> None:
         """Soft-start the forming voltage reference toward ``v_nom``."""
@@ -388,9 +408,9 @@ class Simulation:
 
     def _apply_setpoint(self, t: float, ev: SetpointEvent, inv: _Inverter) -> None:
         sp = Setpoint(p_set=ev.p_set, q_set=ev.q_set, v_nom=ev.v_nom)
+        d = inv.forming()
         verdict = validate_setpoint(
-            sp, inv.params, inv.droop, inv.droop.p_f, inv.droop.q_f,
-            inv.cfg.guard, self.f_nom,
+            sp, inv.params, d, d.p_f, d.q_f, inv.cfg.guard, self.f_nom,
         )
         self.events_log.append(GuardAuditRecord(
             t, inv.id, ev.source_id, verdict.accepted, verdict.reason,
@@ -437,8 +457,9 @@ class Simulation:
                 inv.plugged = True
                 if inv.sup.mode is GFM:
                     # connect at the measured bus state: zero initial current
+                    d = inv.forming()
                     inv.emf = self._v_ref(inv, t)
-                    if inv.droop.v_gfm < 0.5 * inv.params.v_nom:
+                    if d.v_gfm < 0.5 * inv.params.v_nom:
                         inv.start_ramp()
                 self._islands_version = -1
         self.events_log.append(TimedEvent(t, ev))
@@ -454,7 +475,7 @@ class Simulation:
             # phasor sits on v_ref rotated one step at the measured frequency
             i = inv.i_sys
             v_ref = v_bus + (inv.z_c_sys + inv.z_v_sys()) * i
-            d = inv.droop
+            d = inv.forming()
             if abs(v_ref) > 1e-9:
                 frame_next = (
                     inv.pll.theta_est - self.w0 * t - inv.pll.omega_est * self.dt
@@ -568,6 +589,8 @@ class Simulation:
             where = "initialization" if self.init_error is not None else f"step {k}"
             abort_reason = f"NonConvergence at {where} (t={k * self.dt:.6f}): {exc}"
             rows = k  # rows completed before the failing solve
+        for inv in self.invs:
+            inv.forming()  # leave every unit's forming state up to date
         wall = time.perf_counter() - t_start
 
         result = SimResult(
@@ -621,9 +644,10 @@ class Simulation:
         # real part of its phase phasor rotated by the synthesis angle)
         follow = inv.follow_idx()
         pll = inv.pll
-        pll_step(*phase_samples(v[follow], v_neg[follow], rot), dt, pll, inv.cfg.pll)
+        pll_step(v[follow], v_neg[follow], rot, dt, pll, inv.cfg.pll, inv.pll_gains)
 
-        # forming path (a following or parked unit's is overwritten by shadow_follow)
+        # forming path; a following or parked unit's is its shadow copy,
+        # rebuilt when read (_Inverter.forming)
         d = inv.droop
         dp = inv.params
         if inv.plugged and mode is GFM:
@@ -637,12 +661,14 @@ class Simulation:
                 voltage_restoration_step(dp, d, v_bus_mag, dt)
             droop_step(dp, d, dt, self.w0)
             restoration_step(dp, d, dt)
+        else:
+            inv.shadow_due = True
 
-        # supervisor: shadow sync, then the verdict on any mode request
+        # supervisor: sync margins, then the verdict on any mode request
         if inv.plugged:
             sup = inv.sup
             sup.shadow_sync_step(
-                pll, s, v_bus_mag, energized[bus_island[follow]], d, dp, t
+                pll, v_bus_mag, energized[bus_island[follow]], d, t
             )
             br = inv.breaker
             grid_live = br is not None and br.closed and bool(
@@ -654,16 +680,15 @@ class Simulation:
                 if rec.accepted:
                     mode = sup.mode
                     self._switch_mode(inv, mode, t, v_bus)
-        else:
-            # a parked unit listens through its following path so it can
-            # later connect at the measured bus state, whatever its mode
-            shadow_follow(pll, s, self.w0, d, dp)
 
-        # detectors
-        f_local = (
-            d.omega * self.f_nom if mode is GFM
-            else pll.omega_est / TWO_PI
-        )
+        # detectors; a parked unit listens through its following path, so
+        # its forming frequency is the one its shadow copy would hold
+        if mode is GFL:
+            f_local = pll.omega_est / TWO_PI
+        elif inv.plugged:
+            f_local = d.omega * self.f_nom
+        else:
+            f_local = pll.omega_est / self.w0 * self.f_nom
         v_meas_det = v_bus_mag
         f_meas_det = f_local
         if self.noise_std > 0.0:

@@ -4,9 +4,12 @@ Exactly one path drives the inverter at a time; the other is kept perfectly
 synchronized in the background so a mode change never produces a reference
 discontinuity:
 
-* while grid-following, the grid-forming state is overwritten every step with
-  the measured bus angle/magnitude/powers (and the restoration offsets are
-  back-solved so the droop law would reproduce the measured operating point);
+* while grid-following, the grid-forming state is a copy of the measured bus
+  angle/magnitude/powers (``shadow_follow``; the restoration offsets are
+  back-solved so the droop law would reproduce the measured operating point).
+  The copy is a pure function of the PLL, the terminal power and the
+  setpoints, so the runner builds it only when something reads it (a
+  setpoint's guard, a plug-in, a transition, the end of a run);
 * while grid-forming, the PLL keeps running -- on the utility side of the
   watched breaker when one is configured, else on the inverter's own bus --
   so the following path stays locked and ready.
@@ -156,23 +159,21 @@ class Supervisor:
         self.armed = False  # a reclose armed the grid-restored request
 
     def shadow_sync_step(
-        self, gfl: PllState, s: complex, v_own: float, followed_energized: bool,
-        gfm: DroopState, params: DroopParams, t: float,
+        self, gfl: PllState, v_own: float, followed_energized: bool,
+        gfm: DroopState, t: float,
     ) -> SyncStatus:
-        """Synchronize the inactive path with the active one and update the
-        sync margins and the hold timer.
+        """Update the sync margins and the hold timer.
 
-        ``gfl`` is the following path's PLL, read directly; ``s`` is the
-        terminal power (inverter pu), ``v_own`` the own-terminal voltage
-        magnitude and ``followed_energized`` whether the bus the PLL follows
-        is live.  While following, the forming path is overwritten
-        (``shadow_follow``); while forming, the margins compare the PLL's
-        angle, magnitude and frequency with the forming references.
+        ``gfl`` is the following path's PLL, read directly; ``v_own`` is the
+        own-terminal voltage magnitude and ``followed_energized`` whether the
+        bus the PLL follows is live.  While forming, the margins compare the
+        PLL's angle, magnitude and frequency with the forming references
+        ``gfm``.  While following they are zero: the forming path is the
+        ``shadow_follow`` copy of the measured state, which the caller
+        builds whenever something reads it.
         """
         st = self.status
         if self.mode is GFL:
-            # overwrite the inactive forming path with the measured state
-            shadow_follow(gfl, s, self.omega_base, gfm, params)
             st.d_theta = 0.0
             st.d_v = 0.0
             st.d_f = 0.0

@@ -1,6 +1,34 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
+
+# the pool and futures of the scenario-library runs (test_acceptance.py)
+LIBRARY_RUNS = pytest.StashKey[tuple]()
+
+
+@pytest.hookimpl(trylast=True)  # after -k and -m have deselected
+def pytest_collection_modifyitems(config, items):
+    """Start the scenario-library runs when collection ends and run the
+    tests that read them last, so that the rest of the suite runs in this
+    process while worker processes run the library."""
+    readers = [item for item in items if {"library", "canonical"} & set(item.fixturenames)]
+    if readers and not config.option.collectonly:
+        ids = set(map(id, readers))
+        items[:] = [item for item in items if id(item) not in ids] + readers
+        config.stash[LIBRARY_RUNS] = readers[0].module.start_library_runs()
+
+
+def pytest_sessionfinish(session):
+    started = session.config.stash.get(LIBRARY_RUNS, None)
+    if started is not None:
+        started[0].shutdown(cancel_futures=True)
+
+
+@pytest.fixture(scope="session")
+def library_runs(request):
+    return request.config.stash[LIBRARY_RUNS]

@@ -2,12 +2,17 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion.  The scenario library in scenarios/ is executed once per session
-(the canonical testbed twice, for the byte-identity check).
+(the canonical testbed twice, for the byte-identity check), on two worker
+processes while the rest of the suite runs (see ``conftest.py``).
 """
 
+import cmath
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -50,22 +55,46 @@ def _ok(n, text):
     print(f"\nACCEPTANCE {n}: PASS - {text}")
 
 
+def _run_library_scenario(name):
+    """Run one library scenario (in a worker process)."""
+    return run(load_config(SCENARIOS / f"{name}.yaml"))
+
+
+def _run_cost(name):
+    """Expected run time: control steps times (units + 1, for the solve)."""
+    cfg = load_config(SCENARIOS / f"{name}.yaml")
+    return round(cfg.t_end / cfg.dt) * (len(cfg.inverters) + 1)
+
+
+def start_library_runs():
+    """Start every library run, the canonical testbed twice, on two worker
+    processes (one on a one-core host), the longest first; returns the pool
+    and each run's future.  ``conftest.py`` calls this when collection ends
+    and runs the tests that read the runs last, so the rest of the suite
+    runs in this process meanwhile."""
+    names = sorted(["canonical_testbed"] * 2 + LIBRARY, key=_run_cost, reverse=True)
+    pool = ProcessPoolExecutor(
+        max_workers=min(2, os.cpu_count() or 1),
+        mp_context=multiprocessing.get_context("spawn"),
+    )
+    return pool, [(name, pool.submit(_run_library_scenario, name)) for name in names]
+
+
 @pytest.fixture(scope="session")
-def canonical(tmp_path_factory):
-    cfg = load_config(SCENARIOS / "canonical_testbed.yaml")
-    d1 = tmp_path_factory.mktemp("canon1")
-    d2 = tmp_path_factory.mktemp("canon2")
-    r1 = run(cfg, d1)
-    r2 = run(cfg, d2)
+def canonical(library_runs, tmp_path_factory):
+    """The two canonical testbed runs, each written to its own directory."""
+    r1, r2 = (f.result() for name, f in library_runs[1] if name == "canonical_testbed")
+    d1, d2 = tmp_path_factory.mktemp("canon1"), tmp_path_factory.mktemp("canon2")
+    write_outputs(r1, d1)
+    write_outputs(r2, d2)
     return r1, r2, d1, d2
 
 
 @pytest.fixture(scope="session")
-def library(canonical):
-    results = {}
-    for name in LIBRARY:
-        cfg = load_config(SCENARIOS / f"{name}.yaml")
-        results[name] = run(cfg)
+def library(library_runs, canonical):
+    results = {
+        name: f.result() for name, f in library_runs[1] if name != "canonical_testbed"
+    }
     results["canonical_testbed"] = canonical[0]
     return results
 
@@ -230,15 +259,13 @@ def _pll_harness(f_hz, t_end, state=None, phi0=0.5, m_neg=0.0, dt=1e-4):
     n = int(round(t_end / dt))
     err = np.empty(n)
     freq = np.empty(n)
+    gains = (params.omega_nom, params.kp, params.ki)
     for k in range(n):
-        a = math.cos(theta_true) + m_neg * math.cos(-theta_true)
-        b = math.cos(theta_true - 2 * math.pi / 3) + m_neg * math.cos(
-            -theta_true + 2 * math.pi / 3
-        )
-        c = math.cos(theta_true + 2 * math.pi / 3) + m_neg * math.cos(
-            -theta_true - 2 * math.pi / 3
-        )
-        pll_step(a, b, c, dt, state, params)
+        # unit positive sequence at theta_true, negative sequence of peak
+        # m_neg at -theta_true (phase a: cos(theta) + m_neg cos(-theta))
+        v_pos = cmath.rect(1.0, theta_true)
+        v_neg = cmath.rect(m_neg, -theta_true)
+        pll_step(v_pos, v_neg, 1.0, dt, state, params, gains)
         theta_true += 2 * math.pi * f_hz * dt
         err[k] = wrap_angle(state.theta_est - theta_true)
         freq[k] = state.omega_est / (2 * math.pi)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dualpath.frames import PerUnitBase, clarke, phase_samples, wrap_angle
+from sampled_pll import clarke, phase_samples
+
+from dualpath.frames import PerUnitBase, wrap_angle
 from dualpath.pll import gfl_injection
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)

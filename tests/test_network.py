@@ -433,7 +433,7 @@ def test_unbalance_appears_in_negative_sequence_solve():
 
 
 def test_unbalanced_waveform_matches_fortescue_reconstruction_oracle():
-    from dualpath.frames import phase_samples
+    from sampled_pll import phase_samples
 
     net = Network(
         buses=["b"],

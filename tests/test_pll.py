@@ -1,10 +1,12 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sampled_pll import phase_samples, sampled_pll_step
 
 from dualpath.frames import wrap_angle
 from dualpath.pll import (
@@ -19,14 +21,15 @@ from dualpath.pll import (
 
 DT = 1e-4
 PARAMS = PllParams()
+GAINS = (PARAMS.omega_nom, PARAMS.kp, PARAMS.ki)
 
 
-def three_phase(theta, m=1.0, m_neg=0.0, theta_neg=0.0):
-    """Balanced positive-sequence set plus optional negative sequence."""
-    a = m * math.cos(theta) + m_neg * math.cos(theta_neg)
-    b = m * math.cos(theta - 2 * math.pi / 3) + m_neg * math.cos(theta_neg + 2 * math.pi / 3)
-    c = m * math.cos(theta + 2 * math.pi / 3) + m_neg * math.cos(theta_neg - 2 * math.pi / 3)
-    return a, b, c
+def step_on(theta, m=1.0, m_neg=0.0, theta_neg=0.0, state=None, dt=DT):
+    """One PLL step on a positive-sequence set of peak ``m`` at angle
+    ``theta`` plus an optional negative sequence of peak ``m_neg`` at
+    ``theta_neg``: phase a is ``m cos(theta) + m_neg cos(theta_neg)``."""
+    pll_step(cmath.rect(m, theta), cmath.rect(m_neg, theta_neg), 1.0, dt, state,
+             PARAMS, GAINS)
 
 
 def run_pll(f_hz, t_end, state=None, phi0=0.5, m=1.0, m_neg=0.0, f_start=0.0):
@@ -37,8 +40,7 @@ def run_pll(f_hz, t_end, state=None, phi0=0.5, m=1.0, m_neg=0.0, f_start=0.0):
     err, freq = np.empty(n), np.empty(n)
     for k in range(n):
         t = k * DT
-        a, b, c = three_phase(theta_true, m=m, m_neg=m_neg, theta_neg=-theta_true)
-        pll_step(a, b, c, DT, state, PARAMS)
+        step_on(theta_true, m=m, m_neg=m_neg, theta_neg=-theta_true, state=state)
         theta_true += 2 * math.pi * f_hz * DT
         err[k] = wrap_angle(state.theta_est - theta_true)
         freq[k] = state.omega_est / (2 * math.pi)
@@ -63,7 +65,7 @@ def test_pll_zero_input_freezes():
     n = int(0.2 / DT)
     thetas, omegas = [], []
     for k in range(n):
-        pll_step(0.0, 0.0, 0.0, DT, state, PARAMS)
+        pll_step(0j, 0j, 1.0, DT, state, PARAMS, GAINS)
         thetas.append(state.theta_est)
         omegas.append(state.omega_est)
     assert not state.lock
@@ -90,8 +92,7 @@ def test_pll_frequency_step_relock():
     n = int(0.25 / DT)
     fe = np.empty(n)
     for k in range(n):
-        a, b, c = three_phase(theta_true)
-        pll_step(a, b, c, DT, state, PARAMS)
+        step_on(theta_true, state=state)
         theta_true += 2 * math.pi * 60.5 * DT
         fe[k] = state.omega_est / (2 * math.pi) - 60.5
     assert abs(fe[int(0.2 / DT) - 1]) < 0.05
@@ -107,8 +108,7 @@ def test_init_locked_is_equilibrium():
     bias0 = None
     theta_true = 0.3
     for k in range(2000):
-        a, b, c = three_phase(theta_true)
-        pll_step(a, b, c, DT, state, PARAMS)
+        step_on(theta_true, state=state)
         theta_true += w0 * DT
         bias = wrap_angle(state.theta_est - theta_true)
         if bias0 is None:
@@ -164,3 +164,81 @@ def test_gfl_injection_matches_inverse_rotation_oracle(i_d, i_q, theta):
     back = z * cmath.exp(-1j * theta)
     assert back.real == pytest.approx(i_d, abs=1e-12)
     assert back.imag == pytest.approx(i_q, abs=1e-12)
+
+
+# --- pll_step against the sampled-input path it replaced -------------------
+
+W_NOM = PARAMS.omega_nom
+
+
+def _floats(lo, hi, *edges):
+    """Floats in [lo, hi], with the given edge values drawn often."""
+    drawn = st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    return st.one_of(st.sampled_from(edges), drawn) if edges else drawn
+
+
+# SOGI states either of normal size or small enough that the measured
+# magnitude falls under the undervoltage threshold
+_sogi = st.one_of(_floats(-1.6, 1.6, 0.0, 1.6), _floats(-0.03, 0.03))
+
+pll_states = st.builds(
+    PllState,
+    theta_est=_floats(-1e3, 1e3),
+    # the 0.1 * omega_nom floor of the SOGI centre frequency
+    omega_est=_floats(0.0, 1.3 * W_NOM, 0.1 * W_NOM, 0.05 * W_NOM, W_NOM),
+    pi_integrator=_floats(-0.25 * W_NOM, 0.25 * W_NOM, 0.2 * W_NOM, -0.2 * W_NOM),
+    x1a=_sogi, x2a=_sogi, x1b=_sogi, x2b=_sogi,
+    lock=st.booleans(),
+    v_pos=_floats(0.0, 1.5),
+    # the lock edges: the q error threshold and the lock and collapse timers
+    q_filt=_floats(0.0, 0.1, PARAMS.lock_q_threshold),
+    uv_timer=_floats(0.0, 0.2, PARAMS.uv_time, PARAMS.uv_time - 1e-4),
+    lock_timer=_floats(0.0, 0.2, PARAMS.lock_time, PARAMS.lock_time - 1e-4),
+    omega_locked=_floats(0.8 * W_NOM, 1.2 * W_NOM, W_NOM),
+)
+
+# one step's input: positive- and negative-sequence magnitude and angle, and
+# the synthesis angle
+step_inputs = st.tuples(
+    _floats(0.0, 1.5, 0.0, 1.0), _floats(-4.0, 4.0),
+    _floats(0.0, 0.3, 0.0, 0.1), _floats(-4.0, 4.0),
+    _floats(-1e4, 1e4),
+)
+
+
+def _bits(state):
+    """Every PllState field, floats by their exact bit pattern."""
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(state)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    pll_states,
+    st.sampled_from([60.0, 50.0]),
+    st.sampled_from([1e-4, 2e-4, 5e-4, 1e-3]),
+    st.lists(step_inputs, min_size=1, max_size=8),
+)
+# a negative-sequence part on a locked loop
+@example(PllState(omega_est=W_NOM, x1a=1.0, x2b=-1.0, lock=True, lock_timer=0.2,
+                  omega_locked=W_NOM), 60.0, 1e-4, [(1.0, 0.2, 0.1, -0.3, 7.0)] * 4)
+# undervoltage freeze: the collapse timer crosses uv_time
+@example(PllState(omega_est=1.01 * W_NOM, lock=True, uv_timer=0.1 - 1.5e-4,
+                  omega_locked=1.01 * W_NOM), 60.0, 1e-4, [(0.0, 0.0, 0.0, 0.0, 1.0)] * 3)
+# the 0.1 * omega_nom floor
+@example(PllState(omega_est=0.05 * W_NOM, x1a=0.5, x2a=0.2), 50.0, 2e-4,
+         [(1.0, 0.0, 0.0, 0.0, 3.0)] * 3)
+# lock edges: q error at its threshold, the lock timer one step short of
+# lock_time, the measured magnitude at capture_v, the PI limit
+@example(PllState(omega_est=W_NOM, pi_integrator=0.2 * W_NOM, x1a=1.6,
+                  q_filt=PARAMS.lock_q_threshold, lock_timer=PARAMS.lock_time - 1e-4),
+         60.0, 1e-4, [(0.8, 0.0, 0.0, 0.0, 0.0)] * 3)
+def test_pll_step_is_bit_exact_with_the_sampled_path(state, f_nom, dt, inputs):
+    params = PllParams(f_nom=f_nom)
+    gains = (params.omega_nom, params.kp, params.ki)
+    oracle = dataclasses.replace(state)
+    for m, phi, m_neg, phi_neg, theta in inputs:
+        v_pos, v_neg = cmath.rect(m, phi), cmath.rect(m_neg, phi_neg)
+        rot = cmath.exp(1j * theta)
+        pll_step(v_pos, v_neg, rot, dt, state, params, gains)
+        sampled_pll_step(*phase_samples(v_pos, v_neg, rot), dt, oracle, params)
+        assert _bits(state) == _bits(oracle)

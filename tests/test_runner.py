@@ -3,21 +3,24 @@ import copy
 import dataclasses
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from sampled_pll import phase_samples
+from test_robustness import mode_setpoint_doc
 
+import dualpath.cli
 import dualpath.runner
 from dualpath.cli import main as cli_main
 from dualpath.droop import DroopState
 from dualpath.events import AutoReclose, InjectionChange, IslandDeenergized
-from dualpath.frames import phase_samples
 from dualpath.network import Network
 from dualpath.runner import CSV_CHUNK_ROWS, Simulation, run, write_outputs
 from dualpath.scenario import parse_config
-from dualpath.supervisor import Mode, shadow_follow
+from dualpath.supervisor import Mode, Supervisor, shadow_follow
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -199,6 +202,46 @@ def test_batch_validates_first_and_runs_past_an_abort(tmp_path):
         written[workers] = files
     # the same bytes from one process and from two (wall time aside)
     assert written[1] == written[2]
+
+
+def test_batch_workers_capped_by_scenarios_and_cores(monkeypatch, tmp_path):
+    # a pool forks every worker it is given up front, so --workers is capped
+    # at the scenario count and the core count; a recording stand-in for the
+    # pool runs the tasks in this process
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(dualpath.cli, "ProcessPoolExecutor", RecordingPool)
+    scen = tmp_path / "scen"
+    scen.mkdir()
+    for name in ("a", "b", "c"):
+        (scen / f"{name}.yaml").write_text(yaml.safe_dump(doc(name=name, t_end=0.01)))
+    cases = [  # (--workers, os.cpu_count(), pool size or None for serial)
+        (8, 16, 3), (8, 2, 2), (2, 16, 2), (8, None, None), (8, 1, None), (1, 16, None),
+    ]
+    for k, (workers, cores, size) in enumerate(cases):
+        monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
+        del pools[:]
+        out = tmp_path / f"out{k}"
+        assert cli_main(["batch", str(scen), "--out", str(out), "--workers", str(workers)]) == 0
+        assert pools == ([] if size is None else [size])
+        assert sorted(p.name for p in out.iterdir()) == ["a", "b", "c"]
+    for workers in ("0", "-2"):
+        out = tmp_path / f"bad{workers}"
+        assert cli_main(["batch", str(scen), "--out", str(out), "--workers", workers]) == 1
+        assert pools == [] and not out.exists()
 
 def test_black_start_without_voltage_restoration_ends_on_droop_law():
     # with k_v = 0 no integrator washes a voltage offset out, so the end of
@@ -538,26 +581,127 @@ def test_unread_work_is_skipped(monkeypatch):
     assert calls["_island_frequencies"] == 1 + k_reclose + 1
 
 
-@pytest.mark.parametrize("name", ["canonical_testbed", "pulse_plugin"])
+# a forming unit beside a parked forming unit that plugs in mid-run
+PARKED_FORMER_DOC = {
+    "name": "parked-former", "dt": 5e-4, "t_end": 0.4,
+    "buses": ["b1", "b2"],
+    "lines": [{"from": "b1", "to": "b2", "r": 0.01, "x": 0.05}],
+    "loads": [{"id": "ld", "bus": "b2", "kind": "impedance", "r": 2.0, "x": 0.4}],
+    "inverters": [
+        {"id": "inv1", "bus": "b1", "mode": "gfm"},
+        {"id": "inv2", "bus": "b2", "mode": "gfm", "plugged": False},
+    ],
+    "events": [{"t": 0.2, "type": "plug_in", "target": "inv2"}],
+}
+
+# runs that reach every reader of a following or parked unit's forming
+# state: a setpoint's guard and a GFL->GFM transition (mode_setpoint), a
+# plug-in (parked_former), the caller after the run (canonical_testbed,
+# pulse_plugin), and a setpoint on a forming unit (setpoint_barrage)
+SHADOW_DOCS = {
+    "canonical_testbed": lambda: _library_doc("canonical_testbed", 0.3),
+    "pulse_plugin": lambda: _library_doc("pulse_plugin", 0.05),
+    "setpoint_barrage": lambda: _library_doc("setpoint_barrage", 2.5),
+    "mode_setpoint": mode_setpoint_doc,
+    "parked_former": lambda: copy.deepcopy(PARKED_FORMER_DOC),
+}
+# the fields shadow_follow writes (ramp_target is read only while ramping)
+SHADOW_FIELDS = [f.name for f in dataclasses.fields(DroopState) if f.name != "ramp_target"]
+
+
+@pytest.mark.parametrize("name", list(SHADOW_DOCS))
 def test_skipped_forming_path_equals_its_shadow_copy(monkeypatch, name):
-    # after every step, each following or parked unit's forming state is
-    # the one shadow_follow builds from its PLL, terminal power and params,
-    # so not stepping that unit's forming path cannot be observed
-    sim = Simulation(parse_config(_library_doc(name, 0.05)))
-    advance = Network.advance_sources
-    checked = []
+    # a following or parked unit does not step its forming path; whatever
+    # reads that state must see the copy shadow_follow builds from the unit's
+    # PLL, terminal power and params: as they are after its sync step while
+    # it follows (a transition reads it in that step), and at the end of its
+    # step.  From each of those points on, the first access to each field
+    # must read or write that copy's value (only after it may the program
+    # write its own), and the state the run leaves behind must be that copy.
+    pending = {}  # id(forming state) -> {field: copy value} not written since
+    last = {}     # inverter id -> the copy after its last step, if not forming
+    mismatches, seen = [], []
 
-    def after_step(net, *args):
-        advance(net, *args)
-        for inv in sim.invs:
-            if inv.plugged and inv.sup.mode is Mode.GFM:
-                continue
-            expected = DroopState()
-            shadow_follow(inv.pll, inv.s_inv, sim.w0, expected, inv.params)
-            assert dataclasses.asdict(inv.droop) == dataclasses.asdict(expected)
-            checked.append(inv.id)
+    def check(state, field, value, write):
+        want = pending.get(id(state), {})
+        if field in want:
+            seen.append(field)
+            if value != want[field]:
+                mismatches.append((field, value, want[field]))
+            if write:
+                del want[field]
 
-    monkeypatch.setattr(Network, "advance_sources", after_step)
-    res = sim.run()
+    class Watched(DroopState):
+        __slots__ = ()
+
+        def __getattribute__(self, field):
+            value = object.__getattribute__(self, field)
+            check(self, field, value, False)
+            return value
+
+        def __setattr__(self, field, value):
+            check(self, field, value, True)
+            object.__setattr__(self, field, value)
+
+    sim = Simulation(parse_config(SHADOW_DOCS[name]()))
+    for inv in sim.invs:
+        inv.droop.__class__ = Watched
+    by_sup = {inv.sup: inv for inv in sim.invs}
+    step, sync = Simulation._step_inverter, Supervisor.shadow_sync_step
+
+    def expect_shadow(inv):
+        shadow = DroopState()
+        shadow_follow(inv.pll, inv.s_inv, sim.w0, shadow, inv.params)
+        last[inv.id] = {f: getattr(shadow, f) for f in SHADOW_FIELDS}
+        pending[id(inv.droop)] = dict(last[inv.id])
+
+    def forms(inv):
+        return inv.plugged and inv.sup.mode is Mode.GFM
+
+    def watched_sync(sup, *args, **kwargs):
+        status = sync(sup, *args, **kwargs)
+        if sup.mode is Mode.GFL:
+            expect_shadow(by_sup[sup])
+        return status
+
+    def watched_step(self, inv, *args):
+        was_forming = forms(inv)
+        step(self, inv, *args)
+        if was_forming or forms(inv):
+            pending.pop(id(inv.droop), None)
+            last.pop(inv.id, None)
+        else:
+            expect_shadow(inv)
+
+    monkeypatch.setattr(Simulation, "_step_inverter", watched_step)
+    monkeypatch.setattr(Supervisor, "shadow_sync_step", watched_sync)
+    assert not sim.run().aborted
+    assert mismatches == []
+    assert bool(seen) == (name != "setpoint_barrage")  # its one unit forms
     unshadowed = {"canonical_testbed": ["inv2", "inv3", "inv4"], "pulse_plugin": ["inv2"]}
-    assert checked == unshadowed[name] * len(res.t)
+    assert sorted(last) == unshadowed.get(name, [])
+    for inv in sim.invs:
+        if inv.id in last:
+            assert {f: getattr(inv.droop, f) for f in SHADOW_FIELDS} == last[inv.id]
+
+
+@pytest.mark.parametrize("name", list(SHADOW_DOCS))
+def test_forming_state_built_on_demand_writes_the_eager_bytes(
+    monkeypatch, tmp_path, name
+):
+    # building every unit's shadow copy after each of its steps, as the
+    # supervisor did before the copy was built on demand, writes the same files
+    cfg = parse_config(SHADOW_DOCS[name]())
+    write_outputs(Simulation(cfg).run(), tmp_path / "on_demand")
+    step = Simulation._step_inverter
+
+    def eager_step(self, inv, *args):
+        step(self, inv, *args)
+        inv.forming()
+
+    monkeypatch.setattr(Simulation, "_step_inverter", eager_step)
+    write_outputs(Simulation(cfg).run(), tmp_path / "eager")
+    for f in ("timeseries.csv", "events.csv"):
+        assert (tmp_path / "on_demand" / f).read_bytes() == (
+            tmp_path / "eager" / f
+        ).read_bytes(), f

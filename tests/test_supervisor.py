@@ -5,7 +5,7 @@ import pytest
 from dualpath.droop import DroopParams, DroopState
 from dualpath.frames import wrap_angle
 from dualpath.pll import PllState
-from dualpath.supervisor import Mode, Supervisor, TransitionThresholds
+from dualpath.supervisor import Mode, Supervisor, TransitionThresholds, shadow_follow
 
 W0 = 2 * math.pi * 60.0
 S = complex(0.4, 0.1)  # terminal power, inverter pu
@@ -19,7 +19,7 @@ def sync(sup, t):
     """One shadow-sync step with both paths in agreement on a live bus."""
     gfl = PllState(theta_est=0.05, omega_est=W0, v_pos=1.0, lock=True)
     gfm = DroopState(theta_gfm=0.05, omega=1.0)
-    return sup.shadow_sync_step(gfl, S, 1.0, True, gfm, DroopParams(), t=t)
+    return sup.shadow_sync_step(gfl, 1.0, True, gfm, t=t)
 
 
 def test_shadow_copies_measurement_exactly():
@@ -27,7 +27,8 @@ def test_shadow_copies_measurement_exactly():
     gfl = PllState(theta_est=0.3, omega_est=W0, v_pos=1.0)
     gfm = DroopState(theta_gfm=99.0, v_gfm=0.0)
     params = DroopParams()
-    st = sup.shadow_sync_step(gfl, S, 1.0, True, gfm, params, t=0.0)
+    shadow_follow(gfl, S, W0, gfm, params)
+    st = sup.shadow_sync_step(gfl, 1.0, True, gfm, t=0.0)
     assert gfm.theta_gfm == 0.3
     assert gfm.v_gfm == 1.0
     assert wrap_angle(gfm.theta_gfm - 0.3) == 0.0
@@ -41,7 +42,7 @@ def test_shadow_backsolves_restoration_offsets():
     gfl = PllState(theta_est=0.3, v_pos=0.97, omega_est=0.998 * W0)
     gfm = DroopState()
     params = DroopParams(m_p=0.02, n_q=0.05, p_set=0.1, q_set=0.0)
-    sup.shadow_sync_step(gfl, complex(0.6, 0.3), 1.0, True, gfm, params, t=0.0)
+    shadow_follow(gfl, complex(0.6, 0.3), W0, gfm, params)
     omega_droop = 1.0 - params.m_p * (gfm.p_f - params.p_set) + gfm.u
     v_droop = params.v_nom - params.n_q * (gfm.q_f - params.q_set) + gfm.u_v
     assert omega_droop == pytest.approx(0.998, abs=1e-12)
@@ -52,7 +53,7 @@ def test_gfm_mode_dead_grid_marks_stale():
     sup = make_sup(Mode.GFM)
     gfl = PllState(theta_est=0.3, v_pos=1.0, omega_est=W0, lock=False)
     gfm = DroopState()
-    st = sup.shadow_sync_step(gfl, S, 1.0, False, gfm, DroopParams(), t=1.0)
+    st = sup.shadow_sync_step(gfl, 1.0, False, gfm, t=1.0)
     assert st.stale
     assert st.holds_since is None
 
@@ -61,7 +62,7 @@ def test_gfm_mode_margins_read_from_the_pll():
     sup = make_sup(Mode.GFM)
     gfl = PllState(theta_est=0.1, v_pos=1.02, omega_est=1.001 * W0, lock=True)
     gfm = DroopState(theta_gfm=0.05, omega=1.0)
-    st = sup.shadow_sync_step(gfl, S, 1.0, True, gfm, DroopParams(), t=1.0)
+    st = sup.shadow_sync_step(gfl, 1.0, True, gfm, t=1.0)
     assert st.d_theta == pytest.approx(0.05, abs=1e-12)
     assert st.d_v == pytest.approx(0.02, abs=1e-12)
     assert st.d_f == pytest.approx(0.06, abs=1e-9)
@@ -74,7 +75,7 @@ def test_transition_accept_when_synced():
     gfl = PllState(theta_est=0.3, omega_est=W0, v_pos=1.0, lock=True)
     gfm = DroopState()
     for k in range(3):
-        sup.shadow_sync_step(gfl, S, 1.0, True, gfm, DroopParams(), t=k * 0.3)
+        sup.shadow_sync_step(gfl, 1.0, True, gfm, t=k * 0.3)
     ok, reason = sup.request_transition(Mode.GFM, t=0.9)
     assert ok and reason == "none"
     assert sup.mode is Mode.GFM
@@ -112,10 +113,10 @@ def test_transition_requires_hold_time():
     sup = make_sup(Mode.GFL)
     gfl = PllState(theta_est=0.3, omega_est=W0, v_pos=1.0)
     gfm = DroopState()
-    sup.shadow_sync_step(gfl, S, 1.0, True, gfm, DroopParams(), t=0.0)
+    sup.shadow_sync_step(gfl, 1.0, True, gfm, t=0.0)
     ok, reason = sup.request_transition(Mode.GFM, t=0.1)
     assert not ok and reason == "hold"
-    sup.shadow_sync_step(gfl, S, 1.0, True, gfm, DroopParams(), t=0.25)
+    sup.shadow_sync_step(gfl, 1.0, True, gfm, t=0.25)
     ok, _ = sup.request_transition(Mode.GFM, t=0.25)
     assert ok
 
@@ -132,7 +133,8 @@ def test_active_reference_continuous_across_synced_toggle():
     gfl = PllState(theta_est=0.7, omega_est=W0, v_pos=1.01, lock=True)
     gfm = DroopState()
     for k in range(3):
-        sup.shadow_sync_step(gfl, S, 1.0, True, gfm, DroopParams(), t=0.3 * k)
+        shadow_follow(gfl, S, W0, gfm, DroopParams())
+        sup.shadow_sync_step(gfl, 1.0, True, gfm, t=0.3 * k)
     # the (theta, v) reference of the following path before the toggle and
     # of the forming path after it
     before = (gfl.theta_est, gfl.v_pos)
