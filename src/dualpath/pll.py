@@ -119,6 +119,11 @@ def init_locked(
     state.lock_timer = 0.2 if state.lock else 0.0
 
 
+def pll_gains(params: PllParams) -> tuple[float, float, float]:
+    """``(omega_nom, kp, ki)`` of ``params``, as ``pll_step`` takes them."""
+    return params.omega_nom, params.kp, params.ki
+
+
 def pll_step(
     v_pos: complex, v_neg: complex, rot: complex, dt: float, state: PllState,
     params: PllParams, gains: tuple[float, float, float],
@@ -126,7 +131,7 @@ def pll_step(
     """Advance the DSOGI + SRF-PLL by one control step on the bus voltage
     given as its positive- and negative-sequence phasors ``v_pos, v_neg``
     and the synthesis rotation ``rot = exp(j*theta)`` at the sample instant.
-    ``gains`` is ``(omega_nom, kp, ki)`` of ``params``, resolved once.
+    ``gains`` is ``pll_gains(params)``, resolved once per unit.
 
     The input is the amplitude-invariant Clarke transform of the three phase
     samples, each phase being ``Re(phasor * rot)`` of the zero-sequence-free

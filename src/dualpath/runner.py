@@ -6,8 +6,8 @@ following and forming paths -> supervisor shadow-sync and mode arbitration ->
 detectors and autonomous actions -> record.  Only a plugged forming unit
 steps its forming path; any other unit's forming state is the shadow_follow
 copy of its following path, built only when something reads it
-(``_Inverter.forming``).  Island frequencies are computed only while a
-watched breaker is open.
+(``_Inverter.forming``; a parked former's detector reads it every step).
+Island frequencies are computed only while a watched breaker is open.
 
 Everything is deterministic: identical config and seed give byte-identical
 output files.  The optional seed only feeds measurement-noise injection on
@@ -73,6 +73,7 @@ from .pll import (
     current_refs_from_pq,
     gfl_injection,
     init_locked,
+    pll_gains,
     pll_step,
 )
 from .scenario import BlackStartConfig, InverterConfig, ScenarioConfig, resolved_dict
@@ -104,8 +105,7 @@ class _Inverter:
         self.z_c_sys = cfg.z_c / self.rating_pu
         self.params = replace(cfg.droop)  # runtime setpoints mutate this copy
         self.pll = PllState()
-        p = cfg.pll
-        self.pll_gains = (p.omega_nom, p.kp, p.ki)
+        self.pll_gains = pll_gains(cfg.pll)
         self.droop = DroopState(v_gfm=cfg.droop.v_nom)
         self.vz = replace(cfg.vz, i_filt=0.0)
         self.ramp_rate = (cfg.black_start or BlackStartConfig()).ramp_rate
@@ -681,14 +681,11 @@ class Simulation:
                     mode = sup.mode
                     self._switch_mode(inv, mode, t, v_bus)
 
-        # detectors; a parked unit listens through its following path, so
-        # its forming frequency is the one its shadow copy would hold
-        if mode is GFL:
-            f_local = pll.omega_est / TWO_PI
-        elif inv.plugged:
-            f_local = d.omega * self.f_nom
-        else:
-            f_local = pll.omega_est / self.w0 * self.f_nom
+        # detectors (a parked former reads its shadow copy)
+        f_local = (
+            inv.forming().omega * self.f_nom if mode is GFM
+            else pll.omega_est / TWO_PI
+        )
         v_meas_det = v_bus_mag
         f_meas_det = f_local
         if self.noise_std > 0.0:

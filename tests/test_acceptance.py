@@ -3,45 +3,26 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion.  The scenario library in scenarios/ is executed once per session
 (the canonical testbed twice, for the byte-identity check), on two worker
-processes while the rest of the suite runs (see ``conftest.py``).
+processes while the rest of the suite runs (``LIBRARY`` and the runs are in
+``conftest.py``).
 """
 
 import cmath
 import hashlib
 import json
 import math
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dualpath.frames import wrap_angle
-from dualpath.pll import PllParams, PllState, pll_step
-from dualpath.runner import run, write_outputs
-from dualpath.scenario import load_config
+from dualpath.pll import PllParams, PllState, pll_gains, pll_step
+from dualpath.runner import write_outputs
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 # sha256 of each library scenario's timeseries.csv, events.csv and
 # config.resolved.yaml, from ``python scripts/run_library.py --sha256``
 LIBRARY_SHA256 = Path(__file__).resolve().parent / "data" / "library_sha256.json"
-
-LIBRARY = [
-    "flat_equilibrium",
-    "grid_pq_tracking",
-    "islanding_restoration",
-    "islanding_collapse",
-    "sharing_droop",
-    "sharing_restoration",
-    "reconnection",
-    "blackstart",
-    "pulse_plugin",
-    "unbalanced_grid",
-    "setpoint_barrage",
-    "load_steps_grid",
-]
 
 GRID_CONNECTED = [
     "flat_equilibrium",
@@ -53,31 +34,6 @@ GRID_CONNECTED = [
 
 def _ok(n, text):
     print(f"\nACCEPTANCE {n}: PASS - {text}")
-
-
-def _run_library_scenario(name):
-    """Run one library scenario (in a worker process)."""
-    return run(load_config(SCENARIOS / f"{name}.yaml"))
-
-
-def _run_cost(name):
-    """Expected run time: control steps times (units + 1, for the solve)."""
-    cfg = load_config(SCENARIOS / f"{name}.yaml")
-    return round(cfg.t_end / cfg.dt) * (len(cfg.inverters) + 1)
-
-
-def start_library_runs():
-    """Start every library run, the canonical testbed twice, on two worker
-    processes (one on a one-core host), the longest first; returns the pool
-    and each run's future.  ``conftest.py`` calls this when collection ends
-    and runs the tests that read the runs last, so the rest of the suite
-    runs in this process meanwhile."""
-    names = sorted(["canonical_testbed"] * 2 + LIBRARY, key=_run_cost, reverse=True)
-    pool = ProcessPoolExecutor(
-        max_workers=min(2, os.cpu_count() or 1),
-        mp_context=multiprocessing.get_context("spawn"),
-    )
-    return pool, [(name, pool.submit(_run_library_scenario, name)) for name in names]
 
 
 @pytest.fixture(scope="session")
@@ -259,7 +215,7 @@ def _pll_harness(f_hz, t_end, state=None, phi0=0.5, m_neg=0.0, dt=1e-4):
     n = int(round(t_end / dt))
     err = np.empty(n)
     freq = np.empty(n)
-    gains = (params.omega_nom, params.kp, params.ki)
+    gains = pll_gains(params)
     for k in range(n):
         # unit positive sequence at theta_true, negative sequence of peak
         # m_neg at -theta_true (phase a: cos(theta) + m_neg cos(-theta))

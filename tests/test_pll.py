@@ -16,12 +16,13 @@ from dualpath.pll import (
     current_refs_from_pq,
     gfl_injection,
     init_locked,
+    pll_gains,
     pll_step,
 )
 
 DT = 1e-4
 PARAMS = PllParams()
-GAINS = (PARAMS.omega_nom, PARAMS.kp, PARAMS.ki)
+GAINS = pll_gains(PARAMS)
 
 
 def step_on(theta, m=1.0, m_neg=0.0, theta_neg=0.0, state=None, dt=DT):
@@ -234,7 +235,7 @@ def _bits(state):
          60.0, 1e-4, [(0.8, 0.0, 0.0, 0.0, 0.0)] * 3)
 def test_pll_step_is_bit_exact_with_the_sampled_path(state, f_nom, dt, inputs):
     params = PllParams(f_nom=f_nom)
-    gains = (params.omega_nom, params.kp, params.ki)
+    gains = pll_gains(params)
     oracle = dataclasses.replace(state)
     for m, phi, m_neg, phi_neg, theta in inputs:
         v_pos, v_neg = cmath.rect(m, phi), cmath.rect(m_neg, phi_neg)
