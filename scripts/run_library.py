@@ -11,11 +11,13 @@ With ``--compare DIR`` (an earlier ``--out`` directory, say of another
 checkout) the run then lists each ``timeseries.csv``, ``events.csv`` and
 ``config.resolved.yaml`` whose bytes differ from the same file under ``DIR``,
 and each ``metrics.json`` field that differs, ``wall_time_s`` aside, with its
-max |delta| over list entries (inf for a non-numeric change).  It exits 1
-when any of those files differs.
+max |delta| over list entries (inf for a non-numeric change).  A differing
+``config.resolved.yaml`` is followed by its changed lines as a unified diff
+without context.  It exits 1 when any of those files differs.
 """
 
 import argparse
+import difflib
 import hashlib
 import json
 import math
@@ -95,11 +97,17 @@ def compare(out_root: Path, ref_root: Path, names: list[str]) -> int:
     for name in names:
         out, ref = out_root / name, ref_root / name
         for fname in COMPARED_FILES:
-            if not (ref / fname).is_file() or (
-                (out / fname).read_bytes() != (ref / fname).read_bytes()
-            ):
+            new = (out / fname).read_bytes()
+            old = (ref / fname).read_bytes() if (ref / fname).is_file() else None
+            if new != old:
                 print(f"differs: {name}/{fname}")
                 differing += 1
+                if fname == "config.resolved.yaml" and old is not None:
+                    sys.stdout.writelines(difflib.unified_diff(
+                        old.decode().splitlines(keepends=True),
+                        new.decode().splitlines(keepends=True),
+                        str(ref / fname), str(out / fname), n=0,
+                    ))
         deltas: dict[str, float] = {}
         if (ref / "metrics.json").is_file():
             _metric_deltas(

@@ -23,8 +23,8 @@ from .frames import wrap_angle
 
 @dataclass(frozen=True, slots=True)
 class DetectorConfig:
-    f_min: float = 59.3
-    f_max: float = 60.5
+    f_min: float | None = None    # Hz; None: set from base.f_nom by parsing
+    f_max: float | None = None
     v_min: float = 0.88
     v_max: float = 1.10
     rocof_max: float = 3.0        # Hz/s
@@ -36,7 +36,8 @@ class DetectorConfig:
     recon_dtheta: float = math.radians(10.0)
 
     def __post_init__(self) -> None:
-        if self.f_min >= self.f_max or self.v_min >= self.v_max:
+        f_empty = None not in (self.f_min, self.f_max) and self.f_min >= self.f_max
+        if f_empty or self.v_min >= self.v_max:
             raise ValueError("detector windows must be non-empty")
         if self.persist <= 0 or self.recon_hold <= 0:
             raise ValueError("persist and recon_hold must be positive")

@@ -30,10 +30,14 @@ class GuardLimits:
     v_nom_max: float = 1.1
     rate_p: float | None = 0.2    # pu per update; None disables the check
     rate_v: float | None = 0.05
-    f_pred_min: float = 59.5      # Hz
-    f_pred_max: float = 60.5
+    f_pred_min: float | None = None  # Hz; None: set from base.f_nom by parsing
+    f_pred_max: float | None = None
     v_pred_min: float = 0.9       # pu
     v_pred_max: float = 1.1
+
+    def __post_init__(self) -> None:
+        if not (self.v_nom_min <= self.v_nom_max and self.v_pred_min < self.v_pred_max):
+            raise ValueError("guard windows must be non-empty")
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,7 +69,7 @@ def validate_setpoint(
     p_load_est: float,
     q_load_est: float,
     limits: GuardLimits,
-    f_nom: float = 60.0,
+    f_nom: float,
 ) -> GuardVerdict:
     """Screen a setpoint against the plant's droop reference model.
 

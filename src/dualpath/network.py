@@ -91,7 +91,7 @@ class GridSource:
     bus: str
     e: complex
     z_s: complex
-    f_grid: float = 60.0
+    f_grid: float | None = None  # Hz; None: set from base.f_nom by parsing
     rating: float = 30000.0
     e_neg: complex = 0.0
 

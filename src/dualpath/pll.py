@@ -31,7 +31,6 @@ class UnderVoltageError(ValueError):
 class PllParams:
     """SRF-PLL gains from (zeta, natural frequency); SOGI gain k."""
 
-    f_nom: float = 60.0
     zeta: float = 0.7071067811865476
     f_n: float = 20.0          # loop natural frequency, Hz
     sogi_k: float = math.sqrt(2.0)
@@ -41,10 +40,6 @@ class PllParams:
     lock_q_threshold: float = 0.02  # pu filtered q error for lock
     lock_time: float = 0.1      # s the q error must stay small
     q_filter_cutoff: float = TWO_PI * 10.0
-
-    @property
-    def omega_nom(self) -> float:
-        return TWO_PI * self.f_nom
 
     @property
     def kp(self) -> float:
@@ -57,8 +52,9 @@ class PllParams:
 
 @dataclass(slots=True)
 class PllState:
+    omega_est: float             # rad/s
+    omega_locked: float          # rad/s, last frequency seen while locked
     theta_est: float = 0.0       # rad, unwrapped
-    omega_est: float = TWO_PI * 60.0  # rad/s
     pi_integrator: float = 0.0   # rad/s above nominal
     # SOGI states: direct and quadrature signals for the alpha and beta axes
     x1a: float = 0.0
@@ -70,7 +66,6 @@ class PllState:
     q_filt: float = 0.0
     uv_timer: float = 0.0
     lock_timer: float = 0.0
-    omega_locked: float = TWO_PI * 60.0  # last frequency seen while locked
 
 
 def init_locked(
@@ -119,9 +114,9 @@ def init_locked(
     state.lock_timer = 0.2 if state.lock else 0.0
 
 
-def pll_gains(params: PllParams) -> tuple[float, float, float]:
+def pll_gains(params: PllParams, omega_nom: float) -> tuple[float, float, float]:
     """``(omega_nom, kp, ki)`` of ``params``, as ``pll_step`` takes them."""
-    return params.omega_nom, params.kp, params.ki
+    return omega_nom, params.kp, params.ki
 
 
 def pll_step(
@@ -131,7 +126,7 @@ def pll_step(
     """Advance the DSOGI + SRF-PLL by one control step on the bus voltage
     given as its positive- and negative-sequence phasors ``v_pos, v_neg``
     and the synthesis rotation ``rot = exp(j*theta)`` at the sample instant.
-    ``gains`` is ``pll_gains(params)``, resolved once per unit.
+    ``gains`` is ``pll_gains(params, omega_nom)``, resolved once per unit.
 
     The input is the amplitude-invariant Clarke transform of the three phase
     samples, each phase being ``Re(phasor * rot)`` of the zero-sequence-free

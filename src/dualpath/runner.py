@@ -63,7 +63,7 @@ from .events import (
     SourceUnbalance,
     TimedEvent,
 )
-from .frames import TWO_PI, wrap_angle
+from .frames import TWO_PI, PerUnitBase, wrap_angle
 from .guard import GuardAuditRecord, Setpoint, validate_setpoint
 from .network import Network, NonConvergenceError
 from .pll import (
@@ -90,8 +90,7 @@ class _Inverter:
         "pll_gains", "shadow_due",
     )
 
-    def __init__(self, cfg: InverterConfig, s_base: float, f_nom: float, dt: float,
-                 net: Network):
+    def __init__(self, cfg: InverterConfig, base: PerUnitBase, dt: float, net: Network):
         self.cfg = cfg
         self.id = cfg.id
         self.bus = cfg.bus
@@ -101,15 +100,15 @@ class _Inverter:
         self.breaker = br = net.breakers.get(cfg.pcc_breaker)
         self.from_idx = net.bus_index[br.from_bus] if br else self.bus_idx
         self.to_idx = net.bus_index[br.to_bus] if br else self.bus_idx
-        self.rating_pu = cfg.rating / s_base
+        self.rating_pu = cfg.rating / base.s_base
         self.z_c_sys = cfg.z_c / self.rating_pu
         self.params = replace(cfg.droop)  # runtime setpoints mutate this copy
-        self.pll = PllState()
-        self.pll_gains = pll_gains(cfg.pll)
+        self.pll = PllState(omega_est=base.omega_base, omega_locked=base.omega_base)
+        self.pll_gains = pll_gains(cfg.pll, base.omega_base)
         self.droop = DroopState(v_gfm=cfg.droop.v_nom)
         self.vz = replace(cfg.vz, i_filt=0.0)
         self.ramp_rate = (cfg.black_start or BlackStartConfig()).ramp_rate
-        self.sup = Supervisor(cfg.mode, cfg.thresholds, f_nom, cfg.id, cfg.auto)
+        self.sup = Supervisor(cfg.mode, cfg.thresholds, base.f_nom, cfg.id, cfg.auto)
         self.det = IslandingDetector(cfg.detector, dt)
         self.recon = ReconnectionMonitor(cfg.detector) if cfg.pcc_breaker else None
         self.plugged = cfg.plugged
@@ -191,10 +190,7 @@ class Simulation:
             copy.deepcopy(cfg.grid_sources),
             copy.deepcopy(cfg.loads),
         )
-        self.invs = [
-            _Inverter(ic, cfg.base.s_base, self.f_nom, cfg.dt, self.net)
-            for ic in cfg.inverters
-        ]
+        self.invs = [_Inverter(ic, cfg.base, cfg.dt, self.net) for ic in cfg.inverters]
         self.events: list[TimedEvent] = self._expand_events(cfg.events)
         self.events_log: list = []
         self.rng = np.random.default_rng(cfg.seed)
@@ -318,16 +314,13 @@ class Simulation:
             if inv.sup.mode is GFM and not d.ramp_active:
                 d.u_v = uv_handoff(dp, d.v_gfm, d.q_f)
                 d.omega = 1.0 - dp.m_p * (d.p_f - dp.p_set) + d.u
-            # PLL starts locked on whatever voltage it follows
+            # PLL starts locked on whatever voltage it follows (at nominal on a dead bus)
             follow = inv.follow_idx()
             vb = v[follow]
             isl = self._bus_island[follow]
-            omega = 2 * math.pi * freqs[isl] if self._energized[isl] else self.w0
+            omega = TWO_PI * freqs[isl] if self._energized[isl] else self.w0
             if abs(vb) >= 0.05:
                 init_locked(inv.pll, vb, omega, self.w0, self.dt, inv.cfg.pll.sogi_k)
-            else:
-                inv.pll.omega_est = self.w0
-                inv.pll.omega_locked = self.w0
 
     # -- per-step helpers ------------------------------------------------------
 

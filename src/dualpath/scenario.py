@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -321,11 +321,10 @@ def _degrees(arg: str) -> _Key:
     return _Key(arg, _radians, lambda e: math.degrees(getattr(e, arg)))
 
 
-def _grid_source(v=1.0, angle_deg=0.0, r_s=0.0, x_s=0.0, f_grid=None, **kw) -> GridSource:
+def _grid_source(v=1.0, angle_deg=0.0, r_s=0.0, x_s=0.0, **kw) -> GridSource:
     """A source without ``f`` gets ``base.f_nom`` once the base is read."""
     return GridSource(
-        e=cmath.rect(v, math.radians(angle_deg)), z_s=complex(r_s, x_s) or 0.001 + 0.01j,
-        f_grid=f_grid, **kw,
+        e=cmath.rect(v, math.radians(angle_deg)), z_s=complex(r_s, x_s) or 0.001 + 0.01j, **kw
     )
 
 
@@ -350,6 +349,28 @@ def _event(etype: str, cls, keys: dict) -> _Table:
         }},
         ("t", *own.required), cls=cls,
     )
+
+
+# frequencies a document may leave out: their offsets from base.f_nom, Hz
+_F_OFFSETS = {"f_grid": 0.0, "f_min": -0.7, "f_max": 0.5, "f_pred_min": -0.5, "f_pred_max": 0.5}
+
+
+def _at_f_nom(element, f_nom: float, where: str, problems: list[str]):
+    """``element`` with each frequency of ``_F_OFFSETS`` it leaves None at
+    its offset from ``f_nom``.  A window edge (a nonzero offset) that is not
+    strictly on its offset's side of ``f_nom`` is a problem under ``where``,
+    and leaves the element as it is."""
+    fill, held = {}, True
+    for key, d in _F_OFFSETS.items():
+        if hasattr(element, key):
+            f = getattr(element, key)
+            if f is None:
+                f = fill[key] = f_nom + d
+            if d and not (f - f_nom) * d > 0:
+                held = False
+                side = "above" if d > 0 else "below"
+                problems.append(f"{where}.{key}: {f} Hz is not {side} base.f_nom ({f_nom} Hz)")
+    return replace(element, **fill) if fill and held else element
 
 
 _SETPOINTS = ("p_set", "q_set", "v_nom")  # inverter keys held by its droop block
@@ -474,9 +495,11 @@ def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
                 f"{br.from_bus!r} and {br.to_bus!r} to interrupt"
             )
 
-    for src in cfg.grid_sources:
-        if src.f_grid is None:
-            src.f_grid = cfg.base.f_nom
+    f_nom = cfg.base.f_nom
+    cfg.grid_sources = [
+        _at_f_nom(src, f_nom, f"grid_sources[{i}]", problems)
+        for i, src in enumerate(cfg.grid_sources)
+    ]
 
     # id namespace must be unique so event targets are unambiguous
     all_ids: dict[str, str] = {}
@@ -498,6 +521,8 @@ def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
         problems.append(f"inverters: k_r must be identical across units ({detail})")
 
     for i, inv in enumerate(cfg.inverters):
+        inv.detector = _at_f_nom(inv.detector, f_nom, f"inverters[{i}].detector", problems)
+        inv.guard = _at_f_nom(inv.guard, f_nom, f"inverters[{i}].guard", problems)
         if inv.pcc_breaker is not None and all_ids.get(inv.pcc_breaker) != "breaker":
             problems.append(
                 f"inverters[{i}].pcc_breaker: unknown breaker {inv.pcc_breaker!r}"

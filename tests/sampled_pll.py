@@ -38,10 +38,11 @@ def phase_samples(
 
 
 def sampled_pll_step(
-    va: float, vb: float, vc: float, dt: float, state: PllState, params: PllParams
+    va: float, vb: float, vc: float, dt: float, state: PllState, params: PllParams,
+    omega_nom: float,
 ) -> PllState:
     """Advance the DSOGI + SRF-PLL by one control step on the phase samples
-    ``va, vb, vc``.
+    ``va, vb, vc``, at the nominal frequency ``omega_nom`` (rad/s).
 
     The SOGI resonators are discretized trapezoidally (a forward-Euler
     resonator at a 10 kHz step carries enough phase error to break the
@@ -50,7 +51,6 @@ def sampled_pll_step(
     phase detector so ``theta_est`` tracks the true instantaneous angle.
     """
     alpha, beta = clarke(va, vb, vc)
-    omega_nom = params.omega_nom
 
     # phase detector from the pre-update states (everything at sample time),
     # with half-sample delay compensation

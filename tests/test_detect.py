@@ -9,7 +9,8 @@ from dualpath.detect import DetectorConfig, IslandingDetector, ReconnectionMonit
 from dualpath.frames import wrap_angle
 
 DT = 1e-3
-CFG = DetectorConfig()
+F_WINDOW = {"f_min": 59.3, "f_max": 60.5}  # the frequency window at 60 Hz
+CFG = DetectorConfig(**F_WINDOW)
 
 
 # --- batch oracle of IslandingDetector --------------------------------------
@@ -212,7 +213,7 @@ def test_monotone_persistence():
 def test_incremental_matches_batch(seq):
     # persist and lookback chosen off the sample grid so boundary-tie float
     # noise cannot make the two implementations disagree
-    cfg = DetectorConfig(persist=0.0505, rocof_window=0.0205)
+    cfg = DetectorConfig(**F_WINDOW, persist=0.0505, rocof_window=0.0205)
     det = IslandingDetector(cfg, DT)
     w = MeasurementWindow(
         int(math.ceil((cfg.persist + cfg.rocof_window) / DT)) + 8

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sampled_pll import phase_samples, sampled_pll_step
 
-from dualpath.frames import wrap_angle
+from dualpath.frames import TWO_PI, wrap_angle
 from dualpath.pll import (
     PllParams,
     PllState,
@@ -22,7 +22,8 @@ from dualpath.pll import (
 
 DT = 1e-4
 PARAMS = PllParams()
-GAINS = pll_gains(PARAMS)
+W_NOM = TWO_PI * 60.0
+GAINS = pll_gains(PARAMS, W_NOM)
 
 
 def step_on(theta, m=1.0, m_neg=0.0, theta_neg=0.0, state=None, dt=DT):
@@ -35,7 +36,7 @@ def step_on(theta, m=1.0, m_neg=0.0, theta_neg=0.0, state=None, dt=DT):
 
 def run_pll(f_hz, t_end, state=None, phi0=0.5, m=1.0, m_neg=0.0, f_start=0.0):
     """Drive the PLL with a generated phase ramp; return state and histories."""
-    state = state or PllState()
+    state = state or PllState(omega_est=W_NOM, omega_locked=W_NOM)
     n = int(round(t_end / DT))
     theta_true = phi0 + 2 * math.pi * f_start
     err, freq = np.empty(n), np.empty(n)
@@ -102,7 +103,7 @@ def test_pll_frequency_step_relock():
 def test_init_locked_is_equilibrium():
     # initialized on the loop fixed point, frequency and tracking error stay
     # flat from the very first step (tiny constant bias is fine)
-    state = PllState()
+    state = PllState(omega_est=W_NOM, omega_locked=W_NOM)
     v = cmath.rect(1.0, 0.3)
     w0 = 2 * math.pi * 60.0
     init_locked(state, v, w0, w0, DT)
@@ -169,8 +170,6 @@ def test_gfl_injection_matches_inverse_rotation_oracle(i_d, i_q, theta):
 
 # --- pll_step against the sampled-input path it replaced -------------------
 
-W_NOM = PARAMS.omega_nom
-
 
 def _floats(lo, hi, *edges):
     """Floats in [lo, hi], with the given edge values drawn often."""
@@ -226,20 +225,20 @@ def _bits(state):
 @example(PllState(omega_est=1.01 * W_NOM, lock=True, uv_timer=0.1 - 1.5e-4,
                   omega_locked=1.01 * W_NOM), 60.0, 1e-4, [(0.0, 0.0, 0.0, 0.0, 1.0)] * 3)
 # the 0.1 * omega_nom floor
-@example(PllState(omega_est=0.05 * W_NOM, x1a=0.5, x2a=0.2), 50.0, 2e-4,
+@example(PllState(omega_est=0.05 * W_NOM, omega_locked=W_NOM, x1a=0.5, x2a=0.2), 50.0, 2e-4,
          [(1.0, 0.0, 0.0, 0.0, 3.0)] * 3)
 # lock edges: q error at its threshold, the lock timer one step short of
 # lock_time, the measured magnitude at capture_v, the PI limit
-@example(PllState(omega_est=W_NOM, pi_integrator=0.2 * W_NOM, x1a=1.6,
+@example(PllState(omega_est=W_NOM, omega_locked=W_NOM, pi_integrator=0.2 * W_NOM, x1a=1.6,
                   q_filt=PARAMS.lock_q_threshold, lock_timer=PARAMS.lock_time - 1e-4),
          60.0, 1e-4, [(0.8, 0.0, 0.0, 0.0, 0.0)] * 3)
 def test_pll_step_is_bit_exact_with_the_sampled_path(state, f_nom, dt, inputs):
-    params = PllParams(f_nom=f_nom)
-    gains = pll_gains(params)
+    params, omega_nom = PllParams(), TWO_PI * f_nom
+    gains = pll_gains(params, omega_nom)
     oracle = dataclasses.replace(state)
     for m, phi, m_neg, phi_neg, theta in inputs:
         v_pos, v_neg = cmath.rect(m, phi), cmath.rect(m_neg, phi_neg)
         rot = cmath.exp(1j * theta)
         pll_step(v_pos, v_neg, rot, dt, state, params, gains)
-        sampled_pll_step(*phase_samples(v_pos, v_neg, rot), dt, oracle, params)
+        sampled_pll_step(*phase_samples(v_pos, v_neg, rot), dt, oracle, params, omega_nom)
         assert _bits(state) == _bits(oracle)

@@ -16,11 +16,12 @@ import dualpath.cli
 import dualpath.runner
 from dualpath.cli import main as cli_main
 from dualpath.droop import DroopState
-from dualpath.events import AutoReclose, InjectionChange, IslandDeenergized
+from dualpath.events import AutoReclose, DetectorChange, InjectionChange, IslandDeenergized
+from dualpath.guard import GuardAuditRecord
 from dualpath.network import Network
 from dualpath.runner import CSV_CHUNK_ROWS, Simulation, run, write_outputs
 from dualpath.scenario import parse_config
-from dualpath.supervisor import Mode, Supervisor, shadow_follow
+from dualpath.supervisor import Mode, Supervisor, TransitionRecord, shadow_follow
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -453,6 +454,23 @@ def test_setpoint_event_changes_dispatch():
     k = np.searchsorted(res.t, 1.0)
     assert res.p[k, 0] == pytest.approx(0.65, abs=0.01)
     assert res.metrics["guard_audit"]["accepted"] == 1
+
+
+def test_50_hz_grid_with_default_inverter_blocks_runs_as_at_60_hz():
+    # every frequency default follows base.f_nom: a healthy 50 Hz grid trips
+    # no detector, and the setpoints that pass at 60 Hz pass here
+    d = yaml.safe_load((SCENARIOS / "grid_pq_tracking.yaml").read_text())
+    d["base"] = {"f_nom": 50.0}
+    res = run(parse_config(d))
+    assert not res.aborted
+    log = res.events_log
+    assert not [r for r in log if isinstance(r, (DetectorChange, TransitionRecord))]
+    audits = [r for r in log if isinstance(r, GuardAuditRecord)]
+    assert [a.t for a in audits] == [1.0, 2.5, 4.0]
+    assert all(a.accepted for a in audits), audits
+    # the 60 Hz run predicts 60.12, 60.0 and 60.09 Hz: the same per-unit values
+    assert [a.predicted_f for a in audits] == pytest.approx([50.1, 50.0, 50.075], abs=1e-6)
+    assert np.abs(res.f - 50.0).max() < 0.5  # inside the detector's window
 
 
 def test_runtime_config_not_mutated_by_run():

@@ -48,9 +48,54 @@ def test_minimal_config_fills_documented_defaults():
     assert inv.droop.omega_c == pytest.approx(2 * math.pi * 10)
     assert inv.vz.x_v == 0.05 and inv.vz.k_adapt == 0.0
     assert inv.detector.f_min == 59.3 and inv.detector.persist == 0.16
+    # the windows are offsets from base.f_nom that give these Hz to the bit
+    assert inv.detector.f_max == 60.5
+    assert (inv.guard.f_pred_min, inv.guard.f_pred_max) == (59.5, 60.5)
     assert inv.detector.recon_dtheta == pytest.approx(math.radians(10.0))
     assert inv.thresholds.eps_theta == pytest.approx(math.radians(5.0))
     assert inv.z_c == pytest.approx(0.005 + 0.05j)
+
+
+def test_frequency_defaults_follow_base_f_nom():
+    cfg = parse_config(minimal_doc(base={"f_nom": 50.0}))
+    inv = cfg.inverters[0]
+    assert cfg.grid_sources[0].f_grid == 50.0
+    assert (inv.detector.f_min, inv.detector.f_max) == (49.3, 50.5)
+    assert (inv.guard.f_pred_min, inv.guard.f_pred_max) == (49.5, 50.5)
+
+
+@pytest.mark.parametrize("block, window, problems", [
+    ("detector", {"f_min": 59.3, "f_max": 60.5}, ["detector.f_min"]),
+    ("detector", {"f_max": 50.0}, ["detector.f_max"]),
+    ("guard", {"f_pred_min": 59.5, "f_pred_max": 60.5}, ["guard.f_pred_min"]),
+    ("guard", {"f_pred_min": 40.0, "f_pred_max": 49.9}, ["guard.f_pred_max"]),
+    ("guard", {"f_pred_min": 50.0}, ["guard.f_pred_min"]),
+], ids=["detector_60_hz", "detector_max_at_nominal", "guard_60_hz", "guard_below",
+        "guard_min_at_nominal"])
+def test_frequency_window_must_hold_base_f_nom(block, window, problems):
+    doc = minimal_doc(base={"f_nom": 50.0})
+    doc["inverters"][0][block] = window
+    with pytest.raises(ValidationError) as exc:
+        parse_config(doc)
+    wheres = [p.split(": ")[0] for p in exc.value.problems]
+    assert wheres == [f"inverters[0].{key}" for key in problems], exc.value.problems
+    assert "base.f_nom (50.0 Hz)" in exc.value.problems[0]
+
+
+@pytest.mark.parametrize("guard", [
+    {"v_nom_min": 1.05, "v_nom_max": 0.95},
+    {"v_pred_min": 1.0, "v_pred_max": 1.0},
+    {"v_pred_min": 1.1, "v_pred_max": 0.9},
+], ids=["v_nom_reversed", "v_pred_empty", "v_pred_reversed"])
+def test_empty_guard_voltage_window_is_a_problem(guard):
+    doc = minimal_doc()
+    doc["inverters"][0]["guard"] = guard
+    with pytest.raises(ValidationError) as exc:
+        parse_config(doc)
+    assert exc.value.problems == ["inverters[0]: guard windows must be non-empty"]
+    # a one-point setpoint window is allowed
+    doc["inverters"][0]["guard"] = {"v_nom_min": 1.0, "v_nom_max": 1.0}
+    parse_config(doc)
 
 
 def test_mismatched_k_r_names_all_inverters():
@@ -360,7 +405,8 @@ def test_wrong_shaped_block_is_a_problem_under_its_path(where, path, value):
     ("inverters[0].droop.m_pp", ("inverters", 0, "droop"), {"m_pp": 0.01}),
     ("inverters[0].droop.p_set", ("inverters", 0, "droop"), {"p_set": 0.2}),
     ("events[0].dp", ("events", 0, "dp"), 0.1),
-], ids=["top", "line", "source", "inverter", "droop", "droop_setpoint", "event"])
+    ("inverters[0].pll.f_nom", ("inverters", 0, "pll"), {"f_nom": 60.0}),
+], ids=["top", "line", "source", "inverter", "droop", "droop_setpoint", "event", "pll_f_nom"])
 def test_unknown_key_is_a_problem_under_its_path(where, path, value):
     # a misspelt key is reported at every level, never dropped
     doc = minimal_doc(events=[{"t": 0.1, "type": "mode_command", "target": "inv", "mode": "gfm"}])
@@ -469,19 +515,23 @@ def test_junk_in_any_value_key_is_a_problem_under_its_path(data):
     assert [p for p in exc.value.problems if p.startswith(f"{where}: ")], exc.value.problems
 
 
-def _valid(k, value):
-    """Values of the key ``k`` near ``value`` that keep the scenario valid,
-    as numbers or numeric strings; null where the key is optional."""
+def _valid(k, value, around=0.0):
+    """Values of the key ``k`` near ``around + value`` that keep the scenario
+    valid, as numbers or numeric strings; null where the key is optional."""
     if k.parse is scenario._flag:
         return st.booleans()
     if k.parse is scenario._integer:
         return st.integers(1, 5)
     numbers = (
         st.floats(0.0, 0.5) if value is None
-        else st.floats(0.995, 1.005).map(lambda f: value * f)
+        else st.floats(0.995, 1.005).map(lambda f: around + value * f)
     )
     numbers = numbers | numbers.map(str)
     return st.none() | numbers if k.optional else numbers
+
+
+# the frequency window edges, which must hold base.f_nom
+WINDOW_EDGES = {"f_min", "f_max", "f_pred_min", "f_pred_max"}
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -491,11 +541,16 @@ def test_echo_of_valid_values_parses_to_the_same_echo(data):
     assert {"dt", "seed", "base.f_nom", "lines[1].x", "breakers[0].closed",
             "grid_sources[0].angle_deg", "loads[1].q", "inverters[0].coupling.r",
             "inverters[0].pll.sogi_k", "inverters[0].guard.rate_v",
+            "inverters[0].detector.f_max", "inverters[0].guard.f_pred_min",
             "inverters[0].thresholds.eps_theta_deg", "events[3].angle_deg",
             "events[4].v_nom", "output.decimate"} <= wheres
     doc = copy.deepcopy(FULL)
     for where, path, k in VALUE_KEYS:
-        _set(doc, path, data.draw(_valid(k, _get(FULL, path)), label=where))
+        value, around = _get(FULL, path), 0.0
+        if path[-1] in WINDOW_EDGES:  # an offset from the drawn base.f_nom
+            around = float(doc["base"]["f_nom"])
+            value -= FULL["base"]["f_nom"]
+        _set(doc, path, data.draw(_valid(k, value, around), label=where))
     echo = resolved_dict(parse_config(doc))
     again = resolved_dict(parse_config(yaml.safe_load(yaml.safe_dump(echo))))
     assert _equal(again, echo)

@@ -17,14 +17,14 @@ def make_sup(mode=Mode.GFL, auto=False):
 
 def sync(sup, t):
     """One shadow-sync step with both paths in agreement on a live bus."""
-    gfl = PllState(theta_est=0.05, omega_est=W0, v_pos=1.0, lock=True)
+    gfl = PllState(theta_est=0.05, omega_est=W0, v_pos=1.0, lock=True, omega_locked=W0)
     gfm = DroopState(theta_gfm=0.05, omega=1.0)
     return sup.shadow_sync_step(gfl, 1.0, True, gfm, t=t)
 
 
 def test_shadow_copies_measurement_exactly():
     sup = make_sup(Mode.GFL)
-    gfl = PllState(theta_est=0.3, omega_est=W0, v_pos=1.0)
+    gfl = PllState(theta_est=0.3, omega_est=W0, v_pos=1.0, omega_locked=W0)
     gfm = DroopState(theta_gfm=99.0, v_gfm=0.0)
     params = DroopParams()
     shadow_follow(gfl, S, W0, gfm, params)
@@ -39,7 +39,7 @@ def test_shadow_copies_measurement_exactly():
 def test_shadow_backsolves_restoration_offsets():
     # droop law evaluated at the copied state reproduces the measurement
     sup = make_sup(Mode.GFL)
-    gfl = PllState(theta_est=0.3, v_pos=0.97, omega_est=0.998 * W0)
+    gfl = PllState(theta_est=0.3, v_pos=0.97, omega_est=0.998 * W0, omega_locked=W0)
     gfm = DroopState()
     params = DroopParams(m_p=0.02, n_q=0.05, p_set=0.1, q_set=0.0)
     shadow_follow(gfl, complex(0.6, 0.3), W0, gfm, params)
@@ -51,7 +51,7 @@ def test_shadow_backsolves_restoration_offsets():
 
 def test_gfm_mode_dead_grid_marks_stale():
     sup = make_sup(Mode.GFM)
-    gfl = PllState(theta_est=0.3, v_pos=1.0, omega_est=W0, lock=False)
+    gfl = PllState(theta_est=0.3, v_pos=1.0, omega_est=W0, lock=False, omega_locked=W0)
     gfm = DroopState()
     st = sup.shadow_sync_step(gfl, 1.0, False, gfm, t=1.0)
     assert st.stale
@@ -60,7 +60,7 @@ def test_gfm_mode_dead_grid_marks_stale():
 
 def test_gfm_mode_margins_read_from_the_pll():
     sup = make_sup(Mode.GFM)
-    gfl = PllState(theta_est=0.1, v_pos=1.02, omega_est=1.001 * W0, lock=True)
+    gfl = PllState(theta_est=0.1, v_pos=1.02, omega_est=1.001 * W0, lock=True, omega_locked=W0)
     gfm = DroopState(theta_gfm=0.05, omega=1.0)
     st = sup.shadow_sync_step(gfl, 1.0, True, gfm, t=1.0)
     assert st.d_theta == pytest.approx(0.05, abs=1e-12)
@@ -72,7 +72,7 @@ def test_gfm_mode_margins_read_from_the_pll():
 
 def test_transition_accept_when_synced():
     sup = make_sup(Mode.GFL)
-    gfl = PllState(theta_est=0.3, omega_est=W0, v_pos=1.0, lock=True)
+    gfl = PllState(theta_est=0.3, omega_est=W0, v_pos=1.0, lock=True, omega_locked=W0)
     gfm = DroopState()
     for k in range(3):
         sup.shadow_sync_step(gfl, 1.0, True, gfm, t=k * 0.3)
@@ -111,7 +111,7 @@ def test_transition_denied_reasons_in_order():
 
 def test_transition_requires_hold_time():
     sup = make_sup(Mode.GFL)
-    gfl = PllState(theta_est=0.3, omega_est=W0, v_pos=1.0)
+    gfl = PllState(theta_est=0.3, omega_est=W0, v_pos=1.0, omega_locked=W0)
     gfm = DroopState()
     sup.shadow_sync_step(gfl, 1.0, True, gfm, t=0.0)
     ok, reason = sup.request_transition(Mode.GFM, t=0.1)
@@ -130,7 +130,7 @@ def test_transition_same_mode_rejected():
 def test_active_reference_continuous_across_synced_toggle():
     # with the shadow in perfect sync, toggling the mode cannot move the pair
     sup = make_sup(Mode.GFL)
-    gfl = PllState(theta_est=0.7, omega_est=W0, v_pos=1.01, lock=True)
+    gfl = PllState(theta_est=0.7, omega_est=W0, v_pos=1.01, lock=True, omega_locked=W0)
     gfm = DroopState()
     for k in range(3):
         shadow_follow(gfl, S, W0, gfm, DroopParams())
