@@ -12,8 +12,9 @@ checkout) the run then lists each ``timeseries.csv``, ``events.csv`` and
 ``config.resolved.yaml`` whose bytes differ from the same file under ``DIR``,
 and each ``metrics.json`` field that differs, ``wall_time_s`` aside, with its
 max |delta| over list entries (inf for a non-numeric change).  A differing
-``config.resolved.yaml`` is followed by its changed lines as a unified diff
-without context.  It exits 1 when any of those files differs.
+``events.csv`` or ``config.resolved.yaml`` is followed by its changed lines
+as a unified diff without context.  It exits 1 when any of those files
+differs.
 """
 
 import argparse
@@ -31,6 +32,7 @@ from dualpath.scenario import load_config
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 COMPARED_FILES = ("timeseries.csv", "events.csv", "config.resolved.yaml")
+DIFFED_FILES = ("events.csv", "config.resolved.yaml")  # shown line by line
 
 
 def fmt(x, spec=".3f"):
@@ -102,7 +104,7 @@ def compare(out_root: Path, ref_root: Path, names: list[str]) -> int:
             if new != old:
                 print(f"differs: {name}/{fname}")
                 differing += 1
-                if fname == "config.resolved.yaml" and old is not None:
+                if fname in DIFFED_FILES and old is not None:
                     sys.stdout.writelines(difflib.unified_diff(
                         old.decode().splitlines(keepends=True),
                         new.decode().splitlines(keepends=True),

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .frames import wrap_angle
+from .frames import steps, wrap_angle
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,9 +37,9 @@ class DetectorConfig:
 
     def __post_init__(self) -> None:
         f_empty = None not in (self.f_min, self.f_max) and self.f_min >= self.f_max
-        if f_empty or self.v_min >= self.v_max:
+        if f_empty or not self.v_min < self.v_max:
             raise ValueError("detector windows must be non-empty")
-        if self.persist <= 0 or self.recon_hold <= 0:
+        if not (self.persist > 0 and self.recon_hold > 0):
             raise ValueError("persist and recon_hold must be positive")
 
 
@@ -56,7 +56,7 @@ class IslandingDetector:
     def __init__(self, cfg: DetectorConfig, dt: float):
         self.cfg = cfg
         self.dt = dt
-        self._n_rocof = max(1, int(math.ceil(cfg.rocof_window / dt - 1e-9)))
+        self._n_rocof = max(1, steps(cfg.rocof_window, dt))
         self._f_ring = [0.0] * (self._n_rocof + 1)
         self._k = -1  # sample index of the latest push
         self._t_last_ok_f: float | None = None
@@ -89,6 +89,7 @@ class IslandingDetector:
         if not r_bad:
             self._t_last_ok_r = t
 
+        # persistence stays in seconds: step counts move bench/reference.json pins
         tripped = False
         if (f_bad or v_bad or r_bad) and k * self.dt >= cfg.persist:
             first = self._t_first
@@ -105,16 +106,17 @@ class IslandingDetector:
 
 
 class ReconnectionMonitor:
-    """Synch-check across the inverter's own open tie breaker."""
+    """Synch-check across the inverter's own open tie breaker, every ``dt``."""
 
-    def __init__(self, cfg: DetectorConfig):
+    def __init__(self, cfg: DetectorConfig, dt: float):
         self.cfg = cfg
-        self.holds_since: float | None = None
+        self.n_hold = steps(cfg.recon_hold, dt)
+        self.holds_since: int | None = None  # step the windows began to hold
         self.ready = False
 
     def update(
         self,
-        t: float,
+        k: int,
         v_local: complex,
         f_local: float,
         local_energized: bool,
@@ -140,8 +142,8 @@ class ReconnectionMonitor:
         )
         if within:
             if self.holds_since is None:
-                self.holds_since = t
-            self.ready = (t - self.holds_since) >= cfg.recon_hold
+                self.holds_since = k
+            self.ready = k - self.holds_since >= self.n_hold
         else:
             self.holds_since = None
             self.ready = False

@@ -42,6 +42,12 @@ def wrap_angle(theta: float) -> float:
     return w
 
 
+def steps(seconds: float, dt: float) -> int:
+    """The one conversion of a duration to control steps: ceil(seconds/dt - 1e-9),
+    the slack keeping N steps' worth (0.16 s of 1e-4 s) at N.  Raises on NaN, inf."""
+    return math.ceil(seconds / dt - 1e-9)
+
+
 @dataclass(frozen=True, slots=True)
 class PerUnitBase:
     """System base quantities. All three must be strictly positive."""

@@ -17,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .frames import A_OP, A_OP2, SQRT3, TWO_PI
+from .frames import A_OP, A_OP2, SQRT3, TWO_PI, steps
 
 
 I_MAX = 1.2  # pu of the inverter rating, current reference limit
@@ -64,8 +64,8 @@ class PllState:
     lock: bool = False
     v_pos: float = 0.0           # measured positive-sequence magnitude, pu
     q_filt: float = 0.0
-    uv_timer: float = 0.0
-    lock_timer: float = 0.0
+    uv_timer: int = 0            # control steps of input collapse
+    lock_timer: int = 0          # control steps of small q error
 
 
 def init_locked(
@@ -110,23 +110,24 @@ def init_locked(
     state.omega_locked = omega
     state.lock = abs(v_pos) >= 0.05
     state.q_filt = 0.0
-    state.uv_timer = 0.0
-    state.lock_timer = 0.2 if state.lock else 0.0
+    state.uv_timer = 0
+    state.lock_timer = steps(0.2, dt) if state.lock else 0
 
 
-def pll_gains(params: PllParams, omega_nom: float) -> tuple[float, float, float]:
-    """``(omega_nom, kp, ki)`` of ``params``, as ``pll_step`` takes them."""
-    return omega_nom, params.kp, params.ki
+def pll_gains(params: PllParams, omega_nom: float, dt: float) -> tuple:
+    """``(omega_nom, kp, ki, n_lock, n_uv)``: the lock and collapse times in steps."""
+    return (omega_nom, params.kp, params.ki, steps(params.lock_time, dt),
+            steps(params.uv_time, dt))
 
 
 def pll_step(
     v_pos: complex, v_neg: complex, rot: complex, dt: float, state: PllState,
-    params: PllParams, gains: tuple[float, float, float],
+    params: PllParams, gains: tuple,
 ) -> PllState:
     """Advance the DSOGI + SRF-PLL by one control step on the bus voltage
     given as its positive- and negative-sequence phasors ``v_pos, v_neg``
     and the synthesis rotation ``rot = exp(j*theta)`` at the sample instant.
-    ``gains`` is ``pll_gains(params, omega_nom)``, resolved once per unit.
+    ``gains`` is ``pll_gains(params, omega_nom, dt)``, resolved once per unit.
 
     The input is the amplitude-invariant Clarke transform of the three phase
     samples, each phase being ``Re(phasor * rot)`` of the zero-sequence-free
@@ -142,7 +143,7 @@ def pll_step(
     c = ((A_OP * v_pos + A_OP2 * v_neg) * rot).real
     alpha = (2.0 / 3.0) * (a - 0.5 * b - 0.5 * c)
     beta = (b - c) / SQRT3
-    omega_nom, kp, ki = gains
+    omega_nom, kp, ki, n_lock, n_uv = gains
     x1a, x2a, x1b, x2b = state.x1a, state.x2a, state.x1b, state.x2b
 
     # phase detector from the pre-update states (everything at sample time),
@@ -176,15 +177,15 @@ def pll_step(
     if v_mag < params.uv_threshold:
         # input collapse: freeze the loop at the last locked frequency and
         # keep rotating the angle reference; declare lock lost after uv_time
-        state.uv_timer += dt
-        state.lock_timer = 0.0
-        if state.uv_timer > params.uv_time:
+        state.uv_timer += 1
+        state.lock_timer = 0
+        if state.uv_timer > n_uv:
             state.lock = False
         w = state.omega_est = state.omega_locked
         state.pi_integrator = w - omega_nom
         state.theta_est += w * dt
         return state
-    state.uv_timer = 0.0
+    state.uv_timer = 0
 
     pi = state.pi_integrator + ki * e_q * dt
     limit = 0.2 * omega_nom
@@ -201,11 +202,11 @@ def pll_step(
     )
     lock_q = params.lock_q_threshold
     if q_filt < lock_q:
-        state.lock_timer += dt
+        state.lock_timer += 1
     else:
-        state.lock_timer = 0.0
+        state.lock_timer = 0
         state.lock = False
-    if state.lock_timer >= params.lock_time:
+    if state.lock_timer >= n_lock:
         state.lock = True
     # remember the frequency only while tracking a healthy voltage, so a
     # collapse freezes at the pre-event value rather than mid-decay garbage

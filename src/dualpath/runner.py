@@ -63,7 +63,7 @@ from .events import (
     SourceUnbalance,
     TimedEvent,
 )
-from .frames import TWO_PI, PerUnitBase, wrap_angle
+from .frames import TWO_PI, PerUnitBase, steps, wrap_angle
 from .guard import GuardAuditRecord, Setpoint, validate_setpoint
 from .network import Network, NonConvergenceError
 from .pll import (
@@ -104,13 +104,13 @@ class _Inverter:
         self.z_c_sys = cfg.z_c / self.rating_pu
         self.params = replace(cfg.droop)  # runtime setpoints mutate this copy
         self.pll = PllState(omega_est=base.omega_base, omega_locked=base.omega_base)
-        self.pll_gains = pll_gains(cfg.pll, base.omega_base)
+        self.pll_gains = pll_gains(cfg.pll, base.omega_base, dt)
         self.droop = DroopState(v_gfm=cfg.droop.v_nom)
         self.vz = replace(cfg.vz, i_filt=0.0)
         self.ramp_rate = (cfg.black_start or BlackStartConfig()).ramp_rate
-        self.sup = Supervisor(cfg.mode, cfg.thresholds, base.f_nom, cfg.id, cfg.auto)
+        self.sup = Supervisor(cfg.mode, cfg.thresholds, base.f_nom, dt, cfg.id, cfg.auto)
         self.det = IslandingDetector(cfg.detector, dt)
-        self.recon = ReconnectionMonitor(cfg.detector) if cfg.pcc_breaker else None
+        self.recon = ReconnectionMonitor(cfg.detector, dt) if cfg.pcc_breaker else None
         self.plugged = cfg.plugged
         self.inj = 0j          # commanded GFL current, system pu, network frame
         self.emf = 0j          # post-virtual-impedance EMF, network frame
@@ -191,7 +191,7 @@ class Simulation:
             copy.deepcopy(cfg.loads),
         )
         self.invs = [_Inverter(ic, cfg.base, cfg.dt, self.net) for ic in cfg.inverters]
-        self.events: list[TimedEvent] = self._expand_events(cfg.events)
+        self.events = self._expand_events(cfg.events, cfg.dt)
         self.events_log: list = []
         self.rng = np.random.default_rng(cfg.seed)
         self.noise_std = cfg.output.noise_std
@@ -208,7 +208,7 @@ class Simulation:
             self.init_error = exc
 
     @staticmethod
-    def _expand_events(events: list[TimedEvent]) -> list[TimedEvent]:
+    def _expand_events(events: list[TimedEvent], dt: float) -> list[tuple[int, TimedEvent]]:
         out: list[TimedEvent] = []
         for te in events:
             ev = te.event
@@ -220,7 +220,7 @@ class Simulation:
             else:
                 out.append(te)
         out.sort(key=lambda te: te.t)
-        return out
+        return [(steps(te.t, dt), te) for te in out]  # the first step at or after t
 
     # -- initialization ------------------------------------------------------
 
@@ -522,7 +522,7 @@ class Simulation:
 
         events = self.events
         ev_idx = 0
-        next_ev_t = events[0].t if events else math.inf
+        next_ev_k = events[0][0] if events else math.inf
         aborted = False
         abort_reason = ""
         k = 0
@@ -534,10 +534,10 @@ class Simulation:
             for k in range(rows):
                 t = k * self.dt
                 # 1. due events
-                while next_ev_t <= t + 1e-12:
-                    self._apply_event(t, events[ev_idx])
+                while next_ev_k <= k:
+                    self._apply_event(t, events[ev_idx][1])
                     ev_idx += 1
-                    next_ev_t = events[ev_idx].t if ev_idx < len(events) else math.inf
+                    next_ev_k = events[ev_idx][0] if ev_idx < len(events) else math.inf
 
                 if self._islands_version != self.net._version:
                     self._resolve_topology()
@@ -572,7 +572,7 @@ class Simulation:
                 row = k * ni
                 for i, inv in enumerate(self.invs):
                     self._step_inverter(
-                        inv, row + i, t, rot, v, v_neg, energized, freqs,
+                        inv, row + i, k, t, rot, v, v_neg, energized, freqs,
                     )
 
                 # rotate off-nominal source EMF phasors toward the next step
@@ -620,12 +620,12 @@ class Simulation:
         return result
 
     def _step_inverter(
-        self, inv, j, t, rot, v, v_neg, energized, freqs,
+        self, inv, j, k, t, rot, v, v_neg, energized, freqs,
     ) -> None:
-        """One control step of one inverter.  ``v``/``v_neg`` are the solved
-        bus voltages by bus position, ``rot`` the synthesis rotation at ``t``,
-        ``freqs`` the island frequencies (None while no watched breaker is
-        open) and ``j`` the inverter's element in the flat record views."""
+        """Step ``k`` (time ``t``) of one inverter.  ``v``/``v_neg`` are the
+        solved bus voltages by bus position, ``rot`` the synthesis rotation at
+        ``t``, ``freqs`` the island frequencies (None while no watched breaker
+        is open) and ``j`` the inverter's element in the flat record views."""
         dt = self.dt
         mode = inv.sup.mode
         bus_island = self._bus_island
@@ -661,13 +661,13 @@ class Simulation:
         if inv.plugged:
             sup = inv.sup
             sup.shadow_sync_step(
-                pll, v_bus_mag, energized[bus_island[follow]], d, t
+                pll, v_bus_mag, energized[bus_island[follow]], d, k
             )
             br = inv.breaker
             grid_live = br is not None and br.closed and bool(
                 self._island_grid[bus_island[inv.bus_idx]]
             )
-            rec = sup.arbitrate(t, inv.det.tripped, grid_live)
+            rec = sup.arbitrate(k, inv.det.tripped, grid_live)
             if rec is not None:
                 self.events_log.append(rec)
                 if rec.accepted:
@@ -700,7 +700,7 @@ class Simulation:
                 k_to = bus_island[inv.to_idx]
                 was_ready = inv.recon.ready
                 inv.recon.update(
-                    t,
+                    k,
                     v[inv.to_idx], freqs[k_to], energized[k_to],
                     v[inv.from_idx], freqs[k_from], energized[k_from],
                 )

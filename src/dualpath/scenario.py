@@ -131,6 +131,22 @@ def _float(value) -> float:
     return float(value)
 
 
+def _positive(value) -> float:
+    """A finite number > 0: a duration a control step counts (NaN is not)."""
+    x = _float(value)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{x} is not a finite number > 0")
+    return x
+
+
+def _non_negative(value) -> float:
+    """A finite number >= 0: a hold time or a sync threshold (NaN is not)."""
+    x = _float(value)
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"{x} is not a finite number >= 0")
+    return x
+
+
 def _flag(value) -> bool:
     """A YAML boolean (``bool("false")`` would read a quoted false as True)."""
     if not isinstance(value, bool):
@@ -316,9 +332,14 @@ def _radians(degrees) -> float:
     return math.radians(_float(degrees))
 
 
-def _degrees(arg: str) -> _Key:
-    """A key in degrees for the angle argument ``arg`` in radians."""
-    return _Key(arg, _radians, lambda e: math.degrees(getattr(e, arg)))
+def _non_negative_radians(degrees) -> float:
+    return math.radians(_non_negative(degrees))
+
+
+def _degrees(arg: str, parse=_radians) -> _Key:
+    """A key in degrees, read by ``parse``, for the angle argument ``arg`` in
+    radians."""
+    return _Key(arg, parse, lambda e: math.degrees(getattr(e, arg)))
 
 
 def _grid_source(v=1.0, angle_deg=0.0, r_s=0.0, x_s=0.0, **kw) -> GridSource:
@@ -387,7 +408,7 @@ _EVENTS = {
     "setpoint": (SetpointEvent, "inverter", {"source": _Key("source_id"), "mode": _mode_name}),
     "mode_command": (ModeCommand, "inverter", {"mode": _mode_name}),
     "plug_in": (PlugIn, "inverter", {}),
-    "pulse_load": (PulseLoad, "load", {}),
+    "pulse_load": (PulseLoad, "load", {"duration": _positive}),
 }
 
 _INVERTER = _Table(_inverter, {
@@ -405,13 +426,17 @@ _INVERTER = _Table(_inverter, {
         DroopParams, *_SETPOINTS, f_c=_Key("omega_c", lambda f: TWO_PI * _float(f), False)
     )._replace(make=dict)),
     "virtual_impedance": _Key("vz", _table(VirtualImpedance, "i_filt", block=True)),
-    "pll": _Key("pll", _table(PllParams, block=True)),
+    "pll": _Key("pll", _table(
+        PllParams, block=True, uv_time=_non_negative, lock_time=_non_negative
+    )),
     "detector": _Key("detector", _table(
-        DetectorConfig, block=True, recon_dtheta_deg=_degrees("recon_dtheta")
+        DetectorConfig, block=True, rocof_window=_positive, persist=_positive,
+        recon_hold=_positive, recon_dtheta_deg=_degrees("recon_dtheta"),
     )),
     "guard": _Key("guard", _table(GuardLimits, block=True)),
     "thresholds": _Key("thresholds", _table(
-        TransitionThresholds, block=True, eps_theta_deg=_degrees("eps_theta")
+        TransitionThresholds, block=True, eps_v=_non_negative, eps_f=_non_negative,
+        hold=_non_negative, eps_theta_deg=_degrees("eps_theta", _non_negative_radians),
     )),
     # BlackStartConfig checks the type of its rate itself
     "black_start": _Key("black_start", _table(
@@ -421,6 +446,7 @@ _INVERTER = _Table(_inverter, {
 
 _SCENARIO = _table(
     ScenarioConfig,
+    t_end=_positive,
     base=_table(PerUnitBase),
     buses=_List(_text),
     lines=_List(_table(Line, **_ENDS)),
@@ -469,8 +495,6 @@ def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
     problems: list[str] = []
     if not (0.0 < dt <= 1e-3):
         problems.append(f"dt: {dt} outside (0, 1e-3]")
-    if cfg.t_end <= 0:
-        problems.append("t_end: must be positive")
 
     if not cfg.buses:
         problems.append("buses: at least one bus required")

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .droop import U_CLAMP, DroopParams, DroopState, uv_handoff
-from .frames import TWO_PI, wrap_angle
+from .frames import TWO_PI, steps, wrap_angle
 from .pll import PllState
 
 
@@ -69,7 +69,7 @@ class SyncStatus:
     d_theta: float = 0.0   # rad, wrapped difference between path angles
     d_v: float = 0.0       # pu
     d_f: float = 0.0       # Hz
-    holds_since: float | None = None
+    holds_since: int | None = None  # step the margins began to hold
     stale: bool = False    # followed voltage dead or PLL unlocked
 
 
@@ -93,9 +93,9 @@ _GRID_RESTORED = ModeRequest(GFL, "auto:grid-restored", False)
 @dataclass(frozen=True, slots=True)
 class TransitionRecord:
     """The verdict on one mode request and the sync margins it was judged on:
-    the ``SyncStatus`` values and the hold time elapsed (s), next to the
-    thresholds.  A parked unit computes no margins, so they are None on its
-    ``unplugged`` denials."""
+    the ``SyncStatus`` values and the hold elapsed (whole steps, in s), next
+    to the thresholds.  A parked unit computes no margins, so they are None
+    on its ``unplugged`` denials."""
 
     t: float
     inverter: str
@@ -142,14 +142,15 @@ def shadow_follow(
 
 
 class Supervisor:
-    """Mode state machine for one inverter: the sync gate and the arbitration
-    of its mode requests.  ``unit`` names the inverter in its records and
-    ``auto`` enables the autonomous requests."""
+    """Mode state machine for one inverter, stepped every ``dt``: the sync
+    gate and the arbitration of its mode requests.  ``unit`` names the
+    inverter in its records and ``auto`` enables the autonomous requests."""
 
     def __init__(self, mode: Mode, thresholds: TransitionThresholds, f_nom: float,
-                 unit: str = "", auto: bool = False):
+                 dt: float, unit: str = "", auto: bool = False):
         self.mode = mode
         self.thresholds = thresholds
+        self.dt, self.n_hold = dt, steps(thresholds.hold, dt)
         self.f_nom = f_nom
         self.omega_base = TWO_PI * f_nom
         self.status = SyncStatus()
@@ -160,9 +161,9 @@ class Supervisor:
 
     def shadow_sync_step(
         self, gfl: PllState, v_own: float, followed_energized: bool,
-        gfm: DroopState, t: float,
+        gfm: DroopState, k: int,
     ) -> SyncStatus:
-        """Update the sync margins and the hold timer.
+        """Update the sync margins and the hold timer at step ``k``.
 
         ``gfl`` is the following path's PLL, read directly; ``v_own`` is the
         own-terminal voltage magnitude and ``followed_energized`` whether the
@@ -186,7 +187,7 @@ class Supervisor:
 
         if self.mode is GFL or self._margin_fault() is None:
             if st.holds_since is None:
-                st.holds_since = t
+                st.holds_since = k
         else:
             st.holds_since = None
         return st
@@ -205,8 +206,8 @@ class Supervisor:
             return "frequency"
         return None
 
-    def request_transition(self, target: Mode, t: float) -> tuple[bool, str]:
-        """Gate a mode change on the synchronization status.
+    def request_transition(self, target: Mode, k: int) -> tuple[bool, str]:
+        """Gate a mode change at step ``k`` on the synchronization status.
 
         Returns (accepted, reason); denial is a normal outcome, not an error.
         """
@@ -216,7 +217,7 @@ class Supervisor:
         if fault is not None:
             return False, fault
         st = self.status
-        if st.holds_since is None or (t - st.holds_since) < self.thresholds.hold:
+        if st.holds_since is None or k - st.holds_since < self.n_hold:
             return False, "hold"
         self.mode = target
         self.status.holds_since = None
@@ -243,12 +244,12 @@ class Supervisor:
             "unplugged", source, self.thresholds,
         )
 
-    def arbitrate(self, t: float, tripped: bool,
+    def arbitrate(self, k: int, tripped: bool,
                   grid_live: bool) -> TransitionRecord | None:
-        """Raise any autonomous request and judge the pending one; returns
-        the verdict to record, or None.  ``tripped`` is the islanding
-        detector's state and ``grid_live`` whether the watched breaker is
-        closed with a grid source in the unit's island."""
+        """Raise any autonomous request and judge the pending one at step
+        ``k``; returns the verdict to record, or None.  ``tripped`` is the
+        islanding detector's state and ``grid_live`` whether the watched
+        breaker is closed with a grid source in the unit's island."""
         req = self.pending
         if req is None and self.auto:
             if self.mode is GFL:
@@ -262,15 +263,15 @@ class Supervisor:
             self.pending = None
             return None
         st = self.status
-        held = None if st.holds_since is None else t - st.holds_since
-        ok, reason = self.request_transition(req.target, t)
+        held = None if st.holds_since is None else (k - st.holds_since) * self.dt
+        ok, reason = self.request_transition(req.target, k)
         if not (ok or req.scripted):
             return None  # an autonomous request retries next step
         self.pending = None
         if ok and req.target is GFL:
             self.armed = False
         return TransitionRecord(
-            t, self.unit, "gfm" if req.target is GFL else "gfl",
+            k * self.dt, self.unit, "gfm" if req.target is GFL else "gfl",
             req.target.name.lower(), ok, reason, req.source, self.thresholds,
             st.d_theta, st.d_v, st.d_f, st.stale, held,
         )

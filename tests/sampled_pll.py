@@ -1,16 +1,17 @@
 """The PLL's sampled-input path as it was before ``pll_step`` took phasors:
 phase samples -> Clarke transform -> DSOGI + SRF-PLL update.
 
-Kept verbatim as the oracle that ``pll_step`` must match bit for bit
+Kept as the oracle that ``pll_step`` must match bit for bit
 (``tests/test_pll.py``), and as the synthesis the frame tests check against
-matrix oracles (``tests/test_frames.py``).
+matrix oracles (``tests/test_frames.py``).  Its lock and collapse timers count
+control steps, as ``pll_step``'s do.
 """
 
 from __future__ import annotations
 
 import math
 
-from dualpath.frames import A_OP, A_OP2, SQRT3
+from dualpath.frames import A_OP, A_OP2, SQRT3, steps
 from dualpath.pll import PllParams, PllState
 
 
@@ -83,15 +84,15 @@ def sampled_pll_step(
     if state.v_pos < params.uv_threshold:
         # input collapse: freeze the loop at the last locked frequency and
         # keep rotating the angle reference; declare lock lost after uv_time
-        state.uv_timer += dt
-        state.lock_timer = 0.0
-        if state.uv_timer > params.uv_time:
+        state.uv_timer += 1
+        state.lock_timer = 0
+        if state.uv_timer > steps(params.uv_time, dt):
             state.lock = False
         state.omega_est = state.omega_locked
         state.pi_integrator = state.omega_locked - omega_nom
         state.theta_est += state.omega_est * dt
         return state
-    state.uv_timer = 0.0
+    state.uv_timer = 0
 
     state.pi_integrator += params.ki * e_q * dt
     limit = 0.2 * omega_nom
@@ -104,11 +105,11 @@ def sampled_pll_step(
 
     state.q_filt += dt * params.q_filter_cutoff * (abs(e_q) - state.q_filt)
     if state.q_filt < params.lock_q_threshold:
-        state.lock_timer += dt
+        state.lock_timer += 1
     else:
-        state.lock_timer = 0.0
+        state.lock_timer = 0
         state.lock = False
-    if state.lock_timer >= params.lock_time:
+    if state.lock_timer >= steps(params.lock_time, dt):
         state.lock = True
     # remember the frequency only while tracking a healthy voltage, so a
     # collapse freezes at the pre-event value rather than mid-decay garbage

@@ -16,9 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dualpath.events import AutoReclose, TimedEvent
 from dualpath.frames import TWO_PI, wrap_angle
 from dualpath.pll import PllParams, PllState, pll_gains, pll_step
 from dualpath.runner import write_outputs
+from dualpath.supervisor import TransitionRecord
 
 # sha256 of each library scenario's timeseries.csv, events.csv and
 # config.resolved.yaml, from ``python scripts/run_library.py --sha256``
@@ -215,6 +217,25 @@ def test_criterion_06_reconnection(library):
     )
 
 
+@pytest.mark.parametrize("name, restart, after", [
+    # the breaker opening restarts the hold at its own step
+    ("islanding_restoration", lambda rec: isinstance(rec, TimedEvent), 0),
+    # the auto-reclose restarts it after the step's sync, so from the next step
+    ("reconnection", lambda rec: isinstance(rec, AutoReclose), 1),
+])
+def test_held_transition_comes_whole_hold_steps_after_the_hold_began(
+    library, name, restart, after
+):
+    res = library[name]
+    dt = res.cfg.dt
+    began = round(next(filter(restart, res.events_log)).t / dt) + after
+    (tr,) = [rec for rec in res.events_log if isinstance(rec, TransitionRecord)]
+    hold = tr.thresholds.hold
+    assert round(tr.t / dt) == began + round(hold / dt)
+    assert tr.hold_elapsed == hold == 0.2
+    assert res.metrics["transitions"][0]["hold_elapsed"] == 0.2
+
+
 def _pll_harness(f_hz, t_end, state=None, phi0=0.5, m_neg=0.0, dt=1e-4):
     params, w_nom = PllParams(), TWO_PI * 60.0
     state = state or PllState(omega_est=w_nom, omega_locked=w_nom)
@@ -222,7 +243,7 @@ def _pll_harness(f_hz, t_end, state=None, phi0=0.5, m_neg=0.0, dt=1e-4):
     n = int(round(t_end / dt))
     err = np.empty(n)
     freq = np.empty(n)
-    gains = pll_gains(params, w_nom)
+    gains = pll_gains(params, w_nom, dt)
     for k in range(n):
         # unit positive sequence at theta_true, negative sequence of peak
         # m_neg at -theta_true (phase a: cos(theta) + m_neg cos(-theta))

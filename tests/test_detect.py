@@ -227,28 +227,28 @@ def test_incremental_matches_batch(seq):
 
 
 def test_reconnection_identical_sides_ready_after_hold():
-    mon = ReconnectionMonitor(CFG)
+    mon = ReconnectionMonitor(CFG, DT)
     v = 1.0 + 0j
     ready_at = None
     for k in range(1000):
         t = k * DT
-        if mon.update(t, v, 60.0, True, v, 60.0, True) and ready_at is None:
+        if mon.update(k, v, 60.0, True, v, 60.0, True) and ready_at is None:
             ready_at = t
     assert ready_at == pytest.approx(CFG.recon_hold, abs=2 * DT)
 
 
 def test_reconnection_angle_gate():
-    mon = ReconnectionMonitor(CFG)
+    mon = ReconnectionMonitor(CFG, DT)
     va = 1.0 + 0j
     vb = complex(math.cos(math.radians(25)), math.sin(math.radians(25)))
     for k in range(1000):
-        assert mon.update(k * DT, va, 60.0, True, vb, 60.0, True) is False
+        assert mon.update(k, va, 60.0, True, vb, 60.0, True) is False
 
 
 def test_reconnection_requires_both_energized():
-    mon = ReconnectionMonitor(CFG)
+    mon = ReconnectionMonitor(CFG, DT)
     for k in range(1000):
-        assert mon.update(k * DT, 1 + 0j, 60.0, True, 0j, 60.0, False) is False
+        assert mon.update(k, 1 + 0j, 60.0, True, 0j, 60.0, False) is False
 
 
 def test_reconnection_beat_crossing_matches_analytic_oracle():
@@ -258,7 +258,7 @@ def test_reconnection_beat_crossing_matches_analytic_oracle():
     cfg = CFG
     df = 0.05
     theta0 = math.radians(170.0)
-    mon = ReconnectionMonitor(cfg)
+    mon = ReconnectionMonitor(cfg, 1e-3)
     ready_at = None
     t_end = 1.0 / df + 5.0
     n = int(t_end / 1e-3)
@@ -266,7 +266,7 @@ def test_reconnection_beat_crossing_matches_analytic_oracle():
         t = k * 1e-3
         dth = theta0 + 2 * math.pi * df * t
         vb = complex(math.cos(dth), math.sin(dth))
-        if mon.update(t, 1 + 0j, 60.0 + df, True, vb, 60.0, True) and ready_at is None:
+        if mon.update(k, 1 + 0j, 60.0 + df, True, vb, 60.0, True) and ready_at is None:
             ready_at = t
             break
     # analytic oracle: first t with wrap(theta0 + 2*pi*df*t) inside the window

@@ -23,7 +23,7 @@ from dualpath.pll import (
 DT = 1e-4
 PARAMS = PllParams()
 W_NOM = TWO_PI * 60.0
-GAINS = pll_gains(PARAMS, W_NOM)
+GAINS = pll_gains(PARAMS, W_NOM, DT)
 
 
 def step_on(theta, m=1.0, m_neg=0.0, theta_neg=0.0, state=None, dt=DT):
@@ -31,7 +31,7 @@ def step_on(theta, m=1.0, m_neg=0.0, theta_neg=0.0, state=None, dt=DT):
     ``theta`` plus an optional negative sequence of peak ``m_neg`` at
     ``theta_neg``: phase a is ``m cos(theta) + m_neg cos(theta_neg)``."""
     pll_step(cmath.rect(m, theta), cmath.rect(m_neg, theta_neg), 1.0, dt, state,
-             PARAMS, GAINS)
+             PARAMS, GAINS if dt == DT else pll_gains(PARAMS, W_NOM, dt))
 
 
 def run_pll(f_hz, t_end, state=None, phi0=0.5, m=1.0, m_neg=0.0, f_start=0.0):
@@ -171,10 +171,20 @@ def test_gfl_injection_matches_inverse_rotation_oracle(i_d, i_q, theta):
 # --- pll_step against the sampled-input path it replaced -------------------
 
 
+DTS = (1e-4, 2e-4, 5e-4, 1e-3)  # the step sizes the property draws
+
+
 def _floats(lo, hi, *edges):
     """Floats in [lo, hi], with the given edge values drawn often."""
     drawn = st.floats(lo, hi, allow_nan=False, allow_infinity=False)
     return st.one_of(st.sampled_from(edges), drawn) if edges else drawn
+
+
+def _counts(seconds):
+    """Step counts up to 2000, drawing often the counts one short of, at and
+    one past ``seconds`` at each step size the property draws."""
+    edges = [n + d for dt in DTS for n in [round(seconds / dt)] for d in (-1, 0, 1)]
+    return st.one_of(st.sampled_from(edges), st.integers(0, 2000))
 
 
 # SOGI states either of normal size or small enough that the measured
@@ -192,8 +202,8 @@ pll_states = st.builds(
     v_pos=_floats(0.0, 1.5),
     # the lock edges: the q error threshold and the lock and collapse timers
     q_filt=_floats(0.0, 0.1, PARAMS.lock_q_threshold),
-    uv_timer=_floats(0.0, 0.2, PARAMS.uv_time, PARAMS.uv_time - 1e-4),
-    lock_timer=_floats(0.0, 0.2, PARAMS.lock_time, PARAMS.lock_time - 1e-4),
+    uv_timer=_counts(PARAMS.uv_time),
+    lock_timer=_counts(PARAMS.lock_time),
     omega_locked=_floats(0.8 * W_NOM, 1.2 * W_NOM, W_NOM),
 )
 
@@ -215,26 +225,26 @@ def _bits(state):
 @given(
     pll_states,
     st.sampled_from([60.0, 50.0]),
-    st.sampled_from([1e-4, 2e-4, 5e-4, 1e-3]),
+    st.sampled_from(DTS),
     st.lists(step_inputs, min_size=1, max_size=8),
 )
 # a negative-sequence part on a locked loop
-@example(PllState(omega_est=W_NOM, x1a=1.0, x2b=-1.0, lock=True, lock_timer=0.2,
+@example(PllState(omega_est=W_NOM, x1a=1.0, x2b=-1.0, lock=True, lock_timer=2000,
                   omega_locked=W_NOM), 60.0, 1e-4, [(1.0, 0.2, 0.1, -0.3, 7.0)] * 4)
-# undervoltage freeze: the collapse timer crosses uv_time
-@example(PllState(omega_est=1.01 * W_NOM, lock=True, uv_timer=0.1 - 1.5e-4,
+# undervoltage freeze: the collapse timer crosses uv_time (1000 steps)
+@example(PllState(omega_est=1.01 * W_NOM, lock=True, uv_timer=998,
                   omega_locked=1.01 * W_NOM), 60.0, 1e-4, [(0.0, 0.0, 0.0, 0.0, 1.0)] * 3)
 # the 0.1 * omega_nom floor
 @example(PllState(omega_est=0.05 * W_NOM, omega_locked=W_NOM, x1a=0.5, x2a=0.2), 50.0, 2e-4,
          [(1.0, 0.0, 0.0, 0.0, 3.0)] * 3)
 # lock edges: q error at its threshold, the lock timer one step short of
-# lock_time, the measured magnitude at capture_v, the PI limit
+# lock_time (1000 steps), the measured magnitude at capture_v, the PI limit
 @example(PllState(omega_est=W_NOM, omega_locked=W_NOM, pi_integrator=0.2 * W_NOM, x1a=1.6,
-                  q_filt=PARAMS.lock_q_threshold, lock_timer=PARAMS.lock_time - 1e-4),
+                  q_filt=PARAMS.lock_q_threshold, lock_timer=999),
          60.0, 1e-4, [(0.8, 0.0, 0.0, 0.0, 0.0)] * 3)
 def test_pll_step_is_bit_exact_with_the_sampled_path(state, f_nom, dt, inputs):
     params, omega_nom = PllParams(), TWO_PI * f_nom
-    gains = pll_gains(params, omega_nom)
+    gains = pll_gains(params, omega_nom, dt)
     oracle = dataclasses.replace(state)
     for m, phi, m_neg, phi_neg, theta in inputs:
         v_pos, v_neg = cmath.rect(m, phi), cmath.rect(m_neg, phi_neg)

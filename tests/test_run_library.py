@@ -12,11 +12,15 @@ def _load_script():
     return module
 
 
-def _write(root: Path, echo: str, metrics: dict) -> None:
+EVENTS = "t,type,target,detail\n"
+
+
+def _write(root: Path, echo: str, metrics: dict, events: str = EVENTS,
+           timeseries: str = "t,f\n0,60\n") -> None:
     out = root / "case"
     out.mkdir(parents=True)
-    (out / "timeseries.csv").write_text("t,f\n0,60\n")
-    (out / "events.csv").write_text("t,type,target,detail\n")
+    (out / "timeseries.csv").write_text(timeseries)
+    (out / "events.csv").write_text(events)
     (out / "config.resolved.yaml").write_text(echo)
     (out / "metrics.json").write_text(json.dumps(metrics))
 
@@ -44,4 +48,36 @@ def test_compare_prints_the_changed_lines_of_a_differing_echo(tmp_path, capsys):
         "@@ -7 +6,0 @@",
         "-    f_nom: 60.0",
         f"1 compared file(s) differ from {tmp_path / 'ref'}",
+    ]
+
+
+def test_compare_prints_the_moved_lines_of_differing_events_only(tmp_path, capsys):
+    compare = _load_script().compare
+    metrics = {"transitions": [{"t": 10.5585, "hold_elapsed": 0.2005}]}
+    moved = '10.5585,transition,inv1,"gfm->gfl source=auto:grid-restored"\n'
+    ready = '10.3575,reconnection_ready,inv1,"breaker=pcc_brk"\n'
+    _write(tmp_path / "ref", ECHO, metrics, EVENTS + ready + moved)
+    _write(
+        tmp_path / "new", ECHO,
+        {"transitions": [{"t": 10.558, "hold_elapsed": 0.2}]},
+        EVENTS + ready + moved.replace("10.5585", "10.558"),
+        timeseries="t,f\n0,60.5\n",
+    )
+
+    assert compare(tmp_path / "new", tmp_path / "ref", ["case"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    # a differing timeseries is named, not diffed; the events show the one moved line
+    assert lines[:6] == [
+        "differs: case/timeseries.csv",
+        "differs: case/events.csv",
+        f"--- {tmp_path / 'ref' / 'case' / 'events.csv'}",
+        f"+++ {tmp_path / 'new' / 'case' / 'events.csv'}",
+        "@@ -3 +3 @@",
+        "-" + moved.rstrip("\n"),
+    ]
+    assert lines[6:] == [
+        "+" + moved.replace("10.5585", "10.558").rstrip("\n"),
+        "metric:  case transitions[].hold_elapsed: max |delta| 0.0005",
+        "metric:  case transitions[].t: max |delta| 0.0005",
+        f"2 compared file(s) differ from {tmp_path / 'ref'}",
     ]

@@ -266,6 +266,50 @@ def test_events_sorted_by_time():
     assert [te.t for te in cfg.events] == [0.2, 0.8]
 
 
+INF, NAN = math.inf, math.nan
+# (field path in the problem, path into the document, value): durations a
+# control step counts and thresholds it compares must be finite, NaN failing
+# every bound
+NOT_FINITE_OR_OUT_OF_RANGE = [
+    ("t_end", ("t_end",), INF),
+    ("t_end", ("t_end",), NAN),
+    ("inverters[0].detector.rocof_window", ("inverters", 0, "detector", "rocof_window"), NAN),
+    ("inverters[0].detector.persist", ("inverters", 0, "detector", "persist"), 0.0),
+    ("inverters[0].detector.persist", ("inverters", 0, "detector", "persist"), INF),
+    ("inverters[0].detector.recon_hold", ("inverters", 0, "detector", "recon_hold"), NAN),
+    ("inverters[0]", ("inverters", 0, "detector", "v_min"), NAN),
+    ("inverters[0]", ("inverters", 0, "detector", "v_max"), NAN),
+    ("inverters[0].thresholds.hold", ("inverters", 0, "thresholds", "hold"), NAN),
+    ("inverters[0].thresholds.hold", ("inverters", 0, "thresholds", "hold"), -0.2),
+    ("inverters[0].thresholds.eps_v", ("inverters", 0, "thresholds", "eps_v"), INF),
+    ("inverters[0].thresholds.eps_f", ("inverters", 0, "thresholds", "eps_f"), -0.1),
+    ("inverters[0].thresholds.eps_theta_deg",
+     ("inverters", 0, "thresholds", "eps_theta_deg"), NAN),
+    ("inverters[0].pll.lock_time", ("inverters", 0, "pll", "lock_time"), NAN),
+    ("inverters[0].pll.uv_time", ("inverters", 0, "pll", "uv_time"), INF),
+    ("events[0].duration", ("events", 0, "duration"), NAN),
+    ("events[0].duration", ("events", 0, "duration"), -0.2),
+    ("events[0].duration", ("events", 0, "duration"), 0.0),
+]
+
+
+@pytest.mark.parametrize(
+    "where, path, value", NOT_FINITE_OR_OUT_OF_RANGE,
+    ids=[f"{c[1][-1]}={c[2]}" for c in NOT_FINITE_OR_OUT_OF_RANGE],
+)
+def test_non_finite_duration_or_threshold_is_a_problem_under_its_path(where, path, value):
+    doc = minimal_doc(
+        loads=[{"id": "ld", "bus": "b", "kind": "power", "p": 0.1}],
+        events=[{"t": 0.2, "type": "pulse_load", "target": "ld", "dp": 0.1, "duration": 0.2}],
+    )
+    doc["inverters"][0].update(detector={}, thresholds={}, pll={})
+    parse_config(doc)
+    _set(doc, path, value)
+    with pytest.raises(ValidationError) as exc:
+        parse_config(doc)
+    assert [p for p in exc.value.problems if p.startswith(f"{where}: ")], exc.value.problems
+
+
 def test_breaker_without_line_rejected():
     doc = minimal_doc(
         breakers=[{"id": "br", "from": "b", "to": "b"}],
@@ -467,7 +511,10 @@ def _rich_doc():
     )
 
 
-NUMBERS = (scenario._float, scenario._integer, scenario._radians)
+NUMBERS = (
+    scenario._float, scenario._integer, scenario._radians, scenario._positive,
+    scenario._non_negative, scenario._non_negative_radians,
+)
 
 
 def _value_keys(parse, doc, path=()):
