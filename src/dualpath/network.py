@@ -364,6 +364,7 @@ class Network:
         ]
         cp_bus = list(dict.fromkeys(eidx[ld.bus] for ld in cp_loads))
         cp_slot = [(ld, cp_bus.index(eidx[ld.bus])) for ld in cp_loads]
+        cp_pos = [self.bus_index[ld.bus] for ld in cp_loads]
 
         pos = self.bus_index
         self._cache = {
@@ -389,6 +390,7 @@ class Network:
                       for ln in e_lines],
             "cp_bus": cp_bus,
             "cp_slot": cp_slot,
+            "cp_pos": cp_pos,  # each energized CP load's bus position
             # one CP bus: its inverse-admittance entry as a Python complex
             # and its column as a contiguous vector
             "z_cp": (complex(yinv[cp_bus[0], cp_bus[0]]) if len(cp_bus) == 1
@@ -434,6 +436,10 @@ class Network:
         yinv: np.ndarray = c["yinv"]
         n = c["n"]
 
+        # plain loops: a comprehension is a function call per solve.  Every
+        # array operation stays a NumPy call on the same operands: Python
+        # arithmetic differs from BLAS products and NumPy's complex ufuncs
+        # in the last bits, and the outputs are pinned to the bit
         base = [0j] * n
         for src, k, _ in c["sources"]:
             base[k] += src.e / src.z_s
@@ -462,13 +468,13 @@ class Network:
                 s[j] += complex(ld.p, ld.q)
             if len(cp_bus) == 1:
                 k = cp_bus[0]
-                w_c = complex(v[k])
+                w_c = v.item(k)
                 x, iterations = _newton_cp_scalar(
                     w_c, self._cp_start(w_c), c["z_cp"], s[0]
                 )
                 i_cp = -s[0].conjugate() / x.conjugate()
                 v += c["yinv_cp"] * i_cp
-                i_base[k] += i_cp
+                i_base[k] = base[k] + i_cp
                 x_bus = [x]
             else:
                 w_c = v[cp_bus]
@@ -480,13 +486,16 @@ class Network:
                 i_base[cp_bus] += i_cp
                 x_bus = x.tolist()
             self._cp_warm = (x, w_c)
-            cp_currents = [-complex(ld.p, -ld.q) / x_bus[j].conjugate()
-                           for ld, j in c["cp_slot"]]
+            for ld, j in c["cp_slot"]:
+                cp_currents.append(-complex(ld.p, -ld.q) / x_bus[j].conjugate())
         if n:
             # one refinement pass; the pre-refinement residual bounds the
             # returned solution's residual from above
             r = i_base - y @ v
-            residual = float(np.abs(r).max())
+            err = np.abs(r).tolist()
+            residual = max(err)
+            if math.isnan(sum(err)):  # max() passes over a NaN after the first entry
+                residual = math.nan
             v += yinv @ r
 
         # negative-sequence pass shares the same admittance matrix
@@ -499,7 +508,9 @@ class Network:
 
         v_full = self._on_buses(v)
         vl = v_full.tolist()
-        former_currents = [(e - vl[p]) / z for (_, p, z), e in zip(c["formers"], emfs)]
+        former_currents = []
+        for (_, p, z), e in zip(c["formers"], emfs):
+            former_currents.append((e - vl[p]) / z)
         state = NetworkState(
             v_full, vl, v_neg, emfs, injections, former_currents, cp_currents
         )
@@ -536,8 +547,8 @@ class Network:
             s += (e - z * i) * i.conjugate()
         for p, inj in state.injections:
             s += v[p] * inj.conjugate()
-        for (ld, _), i in zip(c["cp_slot"], state.cp_currents):
-            s += v[self.bus_index[ld.bus]] * i.conjugate()
+        for p, i in zip(c["cp_pos"], state.cp_currents):
+            s += v[p] * i.conjugate()
         for b, y_conj in c["z_loads"]:
             vb = v[b]
             s -= (vb.real * vb.real + vb.imag * vb.imag) * y_conj
@@ -564,7 +575,8 @@ def _newton_cp_scalar(
     """
     sb = s.conjugate()
     for it in range(1, CP_MAX_ITERS + 1):
-        _check_collapse(abs(x), it)
+        if not abs(x) >= CP_V_COLLAPSE:
+            raise _collapsed(abs(x), it)
         xb = x.conjugate()
         u = sb / xb
         g = w - x - z * u
@@ -572,7 +584,8 @@ def _newton_cp_scalar(
             return x, it
         beta = -z * u / xb
         det = 1.0 - (beta.real * beta.real + beta.imag * beta.imag)
-        _check_singular(det, it)
+        if not det > CP_DET_MIN:
+            raise _singular(det, it)
         x += (g - beta * g.conjugate()) / det
     raise _not_converged(abs(g))
 
@@ -592,7 +605,9 @@ def _newton_cp_block(
     sb = np.conj(s)
     eye = np.eye(m)
     for it in range(1, CP_MAX_ITERS + 1):
-        _check_collapse(float(np.min(np.abs(x))), it)
+        v_min = float(np.min(np.abs(x)))
+        if not v_min >= CP_V_COLLAPSE:
+            raise _collapsed(v_min, it)
         xb = np.conj(x)
         u = sb / xb
         g = w - x - z @ u
@@ -600,7 +615,9 @@ def _newton_cp_block(
             return x, it
         beta = -z * (u / xb)
         jac = np.block([[eye + beta.real, beta.imag], [beta.imag, eye - beta.real]])
-        _check_singular(float(np.linalg.det(jac)), it)
+        det = float(np.linalg.det(jac))
+        if not det > CP_DET_MIN:
+            raise _singular(det, it)
         step = np.linalg.solve(jac, np.concatenate((g.real, g.imag)))
         x = x + (step[:m] + 1j * step[m:])
     raise _not_converged(float(np.max(np.abs(g))))
@@ -615,20 +632,18 @@ def _not_converged(last_mismatch: float) -> NonConvergenceError:
     )
 
 
-def _check_collapse(v_min: float, it: int) -> None:
-    if not v_min >= CP_V_COLLAPSE:
-        raise NonConvergenceError(
-            f"constant-power bus voltage collapsed to {v_min:.3e} pu: "
-            "load beyond the loadability limit",
-            it,
-        )
+def _collapsed(v_min: float, it: int) -> NonConvergenceError:
+    return NonConvergenceError(
+        f"constant-power bus voltage collapsed to {v_min:.3e} pu: "
+        "load beyond the loadability limit",
+        it,
+    )
 
 
-def _check_singular(det: float, it: int) -> None:
-    if not det > CP_DET_MIN:
-        raise NonConvergenceError(
-            f"Newton Jacobian singular (det={det:.3e}): constant-power load "
-            "at or beyond the loadability limit (nose of the P-V curve)",
-            it,
-        )
+def _singular(det: float, it: int) -> NonConvergenceError:
+    return NonConvergenceError(
+        f"Newton Jacobian singular (det={det:.3e}): constant-power load "
+        "at or beyond the loadability limit (nose of the P-V curve)",
+        it,
+    )
 

@@ -193,8 +193,9 @@ class Simulation:
         self.invs = [_Inverter(ic, cfg.base, cfg.dt, self.net) for ic in cfg.inverters]
         self.events = self._expand_events(cfg.events, cfg.dt)
         self.events_log: list = []
-        self.rng = np.random.default_rng(cfg.seed)
         self.noise_std = cfg.output.noise_std
+        # built only when used: importing numpy.random costs memory
+        self.rng = np.random.default_rng(cfg.seed) if self.noise_std > 0.0 else None
         self._dead_seen: set = set()
         self._by_id = {inv.id: inv for inv in self.invs}
         self.init_rounds = 0
@@ -350,11 +351,16 @@ class Simulation:
     def _solve(self):
         """Solve the network with the plugged formers' EMFs and the
         followers' nonzero commanded currents, and store each former's
-        solved current on it; returns the state and the solve report."""
-        state, report = self.net.solve(
-            [inv.emf for inv in self._formers],
-            [(inv.bus_idx, inv.inj) for inv in self._followers if inv.inj != 0j],
-        )
+        solved current on it; returns the state and the solve report.  Plain
+        loops: a comprehension is a function call per step."""
+        emfs = []
+        for inv in self._formers:
+            emfs.append(inv.emf)
+        injections = []
+        for inv in self._followers:
+            if inv.inj != 0j:
+                injections.append((inv.bus_idx, inv.inj))
+        state, report = self.net.solve(emfs, injections)
         for inv, i in zip(self._formers, state.former_currents):
             inv.i_sys = i
         return state, report
@@ -519,6 +525,10 @@ class Simulation:
         self._isl_rec = isl_arr.reshape(-1).data
         self._recon_rec = rec_arr.reshape(-1).data
         no_neg = [0j] * nb
+        # bus voltages of the rows since bus_mag/bus_ang were last filled
+        # (from row k0); one NumPy call per block fills each
+        v_rows: list[list[complex]] = []
+        k0 = 0
 
         events = self.events
         ev_idx = 0
@@ -558,14 +568,16 @@ class Simulation:
                         self.events_log.append(IslandDeenergized(t, key))
 
                 # 3. record
-                v_pos = state.v_pos
+                v = state.v_list
                 t_rec[k] = t
-                np.absolute(v_pos, out=bus_mag[k])
-                np.arctan2(v_pos.imag, v_pos.real, out=bus_ang[k])
+                v_rows.append(v)
+                if len(v_rows) == RECORD_BLOCK:
+                    _record_buses(v_rows, bus_mag, bus_ang, k0)
+                    v_rows = []
+                    k0 = k + 1
                 res_rec[k] = self.net.power_balance_residual(state)
 
                 # 4..7 controllers, supervisor, detectors per inverter
-                v = state.v_list
                 v_neg = state.v_neg.tolist() if state.v_neg is not None else no_neg
                 # synthesis rotation of the phase phasors at this instant
                 rot = cmath.exp(1j * (self.w0 * t))
@@ -582,6 +594,7 @@ class Simulation:
             where = "initialization" if self.init_error is not None else f"step {k}"
             abort_reason = f"NonConvergence at {where} (t={k * self.dt:.6f}): {exc}"
             rows = k  # rows completed before the failing solve
+        _record_buses(v_rows, bus_mag, bus_ang, k0)
         for inv in self.invs:
             inv.forming()  # leave every unit's forming state up to date
         wall = time.perf_counter() - t_start
@@ -745,6 +758,23 @@ class Simulation:
         self._recon_rec[j] = 1 if recon_ready else 0
 
 
+# bus-voltage rows recorded by one np.absolute and one np.arctan2 call: a
+# call per row costs more in call overhead than the arithmetic, and the
+# held rows of Python complexes stay small
+RECORD_BLOCK = 256
+
+
+def _record_buses(v_rows: list[list[complex]], bus_mag: np.ndarray,
+                  bus_ang: np.ndarray, k0: int) -> None:
+    """Write the magnitudes and angles of the bus-voltage rows ``v_rows``
+    into rows ``k0`` on of ``bus_mag`` and ``bus_ang``."""
+    if v_rows:
+        v = np.array(v_rows, dtype=complex)
+        k1 = k0 + len(v_rows)
+        np.absolute(v, out=bus_mag[k0:k1])
+        np.arctan2(v.imag, v.real, out=bus_ang[k0:k1])
+
+
 def _event_detail(ev) -> str:
     # every field but the target is a number, a flag or a mode name
     fields = [
@@ -796,6 +826,8 @@ def _log_row(rec) -> tuple[str, str, str]:
 # chunks raised a repeated testbed process's peak RSS by 0.4 MB; 128 rows
 # keep it below formatting the whole file at once)
 CSV_CHUNK_ROWS = 128
+# libyaml's dumper writes the same bytes as the pure-Python one, faster
+_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 def write_outputs(result: SimResult, out_dir: str | Path) -> None:
@@ -849,7 +881,7 @@ def write_outputs(result: SimResult, out_dir: str | Path) -> None:
         json.dumps(result.metrics, indent=2, sort_keys=True) + "\n"
     )
     (out / "config.resolved.yaml").write_text(
-        yaml.safe_dump(resolved_dict(cfg), sort_keys=False)
+        yaml.dump(resolved_dict(cfg), Dumper=_YAML_DUMPER, sort_keys=False)
     )
 
 

@@ -1,0 +1,203 @@
+"""``Network.solve`` and ``Network.power_balance_residual`` as they were
+before the solve dropped its per-step comprehensions, reductions and
+helper calls: the bodies word for word, as functions of the network
+(``self``), with the Newton step and its two checks they called.
+
+Kept as the oracle the solve must match bit for bit
+(``tests/test_network.py``).  It reads the network's per-topology cache,
+so it runs on any ``Network``; run it on a second network built like the
+one under test, since a solve warm-starts the next one.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+
+import numpy as np
+
+from dualpath.network import (
+    CP_DET_MIN,
+    CP_MAX_ITERS,
+    CP_TOL,
+    CP_V_COLLAPSE,
+    NetworkState,
+    NonConvergenceError,
+    SolveReport,
+    _newton_cp_block,
+    _not_converged,
+)
+
+
+def solve(
+    self,
+    emfs: Sequence[complex] = (),
+    injections: Sequence[tuple[int, complex]] = (),
+) -> tuple[NetworkState, SolveReport]:
+    """Solve the network; see module docstring for the device models.
+
+    ``emfs`` are the formers' EMF phasors in ``set_formers`` order (grid
+    sources supply their own), one per former or ValueError;
+    ``injections`` are grid-following currents as ``(bus position,
+    phasor)`` pairs (one on a dead bus flows nowhere).  Returns the state,
+    holding the formers' currents in ``emfs`` order, and the report.
+    """
+    if len(emfs) != len(self.formers):
+        raise ValueError(f"{len(emfs)} EMFs for {len(self.formers)} formers")
+    if self._cache_version != self._version:
+        self._refresh_cache()
+    c = self._cache
+    y: np.ndarray = c["y"]
+    yinv: np.ndarray = c["yinv"]
+    n = c["n"]
+
+    base = [0j] * n
+    for src, k, _ in c["sources"]:
+        base[k] += src.e / src.z_s
+    for (k, _, z), e in zip(c["formers"], emfs):
+        base[k] += e / z
+    e_at = c["e_at"]
+    for p, inj in injections:
+        k = e_at[p]
+        if k is not None:
+            base[k] += inj
+    i_base = np.array(base, dtype=complex)
+
+    cp_currents: list[complex] = []
+    iterations = 0
+    residual = 0.0
+    v = yinv @ i_base
+    if c["cp_bus"]:
+        # v so far has the CP loads drawing nothing (its CP entries are
+        # the open-circuit voltages w_c); their currents correct v and
+        # i_base in place.  Setpoints are read every solve: a load step
+        # on a CP load does not change the topology, so nothing about
+        # them is cached
+        cp_bus = c["cp_bus"]
+        s = [0j] * len(cp_bus)
+        for ld, j in c["cp_slot"]:
+            s[j] += complex(ld.p, ld.q)
+        if len(cp_bus) == 1:
+            k = cp_bus[0]
+            w_c = complex(v[k])
+            x, iterations = _newton_cp_scalar(
+                w_c, self._cp_start(w_c), c["z_cp"], s[0]
+            )
+            i_cp = -s[0].conjugate() / x.conjugate()
+            v += c["yinv_cp"] * i_cp
+            i_base[k] += i_cp
+            x_bus = [x]
+        else:
+            w_c = v[cp_bus]
+            x, iterations = _newton_cp_block(
+                w_c, self._cp_start(w_c), c["z_cp"], np.array(s)
+            )
+            i_cp = -np.conj(s) / np.conj(x)
+            v += c["yinv_cp"] @ i_cp
+            i_base[cp_bus] += i_cp
+            x_bus = x.tolist()
+        self._cp_warm = (x, w_c)
+        cp_currents = [-complex(ld.p, -ld.q) / x_bus[j].conjugate()
+                       for ld, j in c["cp_slot"]]
+    if n:
+        # one refinement pass; the pre-refinement residual bounds the
+        # returned solution's residual from above
+        r = i_base - y @ v
+        residual = float(np.abs(r).max())
+        v += yinv @ r
+
+    # negative-sequence pass shares the same admittance matrix
+    i_neg = None
+    for src, k, _ in c["sources"]:
+        if src.e_neg != 0:
+            i_neg = i_neg or [0j] * n
+            i_neg[k] += src.e_neg / src.z_s
+    v_neg = None if i_neg is None else self._on_buses(yinv @ np.array(i_neg, dtype=complex))
+
+    v_full = self._on_buses(v)
+    vl = v_full.tolist()
+    former_currents = [(e - vl[p]) / z for (_, p, z), e in zip(c["formers"], emfs)]
+    state = NetworkState(
+        v_full, vl, v_neg, emfs, injections, former_currents, cp_currents
+    )
+    return state, SolveReport(iterations, residual, c["de_energized_with_load"])
+
+
+def power_balance_residual(self, state: NetworkState) -> float:
+    """|sum(sources) - sum(loads) - sum(losses)| for the solved state,
+    from the inputs, voltages and currents it holds.
+
+    Each voltage source delivers its EMF's power less the loss in its own
+    impedance, ``(E - z I) conj(I)``, a grid source's ``I`` being
+    ``(E - V) / z`` as in the solve; injections and constant-power loads
+    are currents into their bus, ``V conj(I)``; impedance loads and lines
+    dissipate ``|V|^2 conj(y)``, which for a line is its ``|I|^2 z`` with
+    ``V`` the drop across it.  One Python pass over element lists built
+    per topology, with no array operation.
+    """
+    c = self._cache
+    v = state.v_list
+    s = 0j
+    for src, _, p in c["sources"]:
+        i = (src.e - v[p]) / src.z_s
+        s += (src.e - src.z_s * i) * i.conjugate()
+    for (_, _, z), e, i in zip(c["formers"], state.emfs, state.former_currents):
+        s += (e - z * i) * i.conjugate()
+    for p, inj in state.injections:
+        s += v[p] * inj.conjugate()
+    for (ld, _), i in zip(c["cp_slot"], state.cp_currents):
+        s += v[self.bus_index[ld.bus]] * i.conjugate()
+    for b, y_conj in c["z_loads"]:
+        vb = v[b]
+        s -= (vb.real * vb.real + vb.imag * vb.imag) * y_conj
+    for p, q, y_conj in c["lines"]:
+        s -= abs(v[p] - v[q]) ** 2 * y_conj
+    return abs(s)
+
+
+def _newton_cp_scalar(
+    w: complex, x: complex, z: complex, s: complex
+) -> tuple[complex, int]:
+    """Newton-Raphson on the voltage of a single constant-power bus.
+
+    Solves ``F(x) = x - w + z * conj(s) / conj(x) = 0``: ``w`` is the voltage
+    the rest of the network gives the bus with the CP load removed, ``z``
+    the bus's own entry of the inverse admittance matrix and ``s`` the power
+    the bus draws; ``x`` is the starting voltage.  The CP current
+    ``-conj(s)/conj(x)`` is not holomorphic, so each step solves
+    ``d + beta * conj(d) = g`` with ``g = -F`` and
+    ``beta = -z * conj(s) / conj(x)**2``, whose closed form is
+    ``d = (g - beta * conj(g)) / (1 - |beta|^2)`` (Tinney & Hart 1967).
+    Stops when ``|F| <= CP_TOL`` (pu volts) and returns the voltage and
+    the number of evaluations of ``F``: 1 when the start already solves it.
+    """
+    sb = s.conjugate()
+    for it in range(1, CP_MAX_ITERS + 1):
+        _check_collapse(abs(x), it)
+        xb = x.conjugate()
+        u = sb / xb
+        g = w - x - z * u
+        if abs(g) <= CP_TOL:
+            return x, it
+        beta = -z * u / xb
+        det = 1.0 - (beta.real * beta.real + beta.imag * beta.imag)
+        _check_singular(det, it)
+        x += (g - beta * g.conjugate()) / det
+    raise _not_converged(abs(g))
+
+
+def _check_collapse(v_min: float, it: int) -> None:
+    if not v_min >= CP_V_COLLAPSE:
+        raise NonConvergenceError(
+            f"constant-power bus voltage collapsed to {v_min:.3e} pu: "
+            "load beyond the loadability limit",
+            it,
+        )
+
+
+def _check_singular(det: float, it: int) -> None:
+    if not det > CP_DET_MIN:
+        raise NonConvergenceError(
+            f"Newton Jacobian singular (det={det:.3e}): constant-power load "
+            "at or beyond the loadability limit (nose of the P-V curve)",
+            it,
+        )

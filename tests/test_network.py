@@ -1,8 +1,10 @@
 import cmath
+import copy
 import math
 
 import numpy as np
 import pytest
+import solve_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -562,3 +564,120 @@ def test_set_formers_moves_the_topology_only_on_change(monkeypatch):
     assert len(state.former_currents) == 2
     with pytest.raises(UnknownElementError):
         net.set_formers([("nope", 0.01j)])
+
+
+# -- bit-for-bit against the solve as it was (tests/solve_oracle.py) --------
+
+# what each random network holds besides a grid source, an impedance load
+# and a chain of lines: constant-power loads on one bus (the scalar Newton,
+# sometimes two loads sharing it) or two buses (the block Newton), an open
+# breaker that leaves the last bus dead with a load (and, with an
+# injection, a current into a dead bus), a negative-sequence source EMF
+SOLVE_CASES = {
+    "linear": {},
+    "cp_one_bus": {"cp_buses": 1},
+    "cp_two_buses": {"cp_buses": 2},
+    "dead_island": {"dead": True, "cp_buses": 1},
+    "negative_sequence": {"e_neg": True},
+    "dead_bus_injection": {"dead": True, "dead_injection": True},
+}
+
+
+def random_network(data, case: dict) -> tuple[Network, list, list]:
+    """A network of 3 to 5 buses drawn for ``case``, its formers set, with
+    the EMFs and injections of its first solve."""
+    draw = data.draw
+    nb = draw(st.integers(3, 5))
+    buses = [f"b{i}" for i in range(nb)]
+    lines = [
+        Line(a, b, draw(st.floats(0.0, 0.05)), draw(st.floats(0.02, 0.1)))
+        for a, b in zip(buses, buses[1:])
+    ]
+    dead = case.get("dead", False)
+    breakers = [Breaker("brk", buses[-2], buses[-1], closed=not dead)]
+    e_src = cmath.rect(draw(st.floats(0.95, 1.05)), draw(st.floats(-0.2, 0.2)))
+    source = GridSource("g", "b0", e_src, complex(0.0, draw(st.floats(0.005, 0.05))),
+                        f_grid=draw(st.sampled_from([60.0, 59.9, 60.2])))
+    if case.get("e_neg"):
+        source.e_neg = cmath.rect(draw(st.floats(0.01, 0.1)), draw(st.floats(-3.0, 3.0)))
+    live = buses[1:-1] if dead else buses[1:]
+    z_load = complex(draw(st.floats(1.0, 5.0)), draw(st.floats(0.0, 1.0)))
+    loads = [ConstantImpedanceLoad("z0", draw(st.sampled_from(live)), z_load)]
+    if dead:
+        loads.append(ConstantImpedanceLoad("z_dead", buses[-1], 2.0 + 0.5j))
+    cp_buses = draw(st.permutations(live))[:case.get("cp_buses", 0)]
+    for j, bus in enumerate(cp_buses + cp_buses[:draw(st.integers(0, 1))]):
+        loads.append(ConstantPowerLoad(f"cp{j}", bus, draw(st.floats(0.0, 0.3)),
+                                       draw(st.floats(-0.1, 0.1))))
+    net = Network(buses, lines, breakers, [source], loads)
+    former = draw(st.sampled_from([None, *live]))
+    if former is not None:
+        net.set_formers([(former, complex(0.005, draw(st.floats(0.02, 0.1))))])
+    emfs = [cmath.rect(draw(st.floats(0.95, 1.05)), draw(st.floats(-0.2, 0.2)))
+            for _ in net.formers]
+    injections = [
+        (net.bus_index[b], complex(draw(st.floats(-0.3, 0.3)), draw(st.floats(-0.1, 0.1))))
+        for b in draw(st.lists(st.sampled_from(live), max_size=2))
+    ]
+    if case.get("dead_injection"):
+        injections.append((nb - 1, 0.2 - 0.05j))
+    return net, emfs, injections
+
+
+def solve_both(net, twin, emfs, injections):
+    """Solve ``net`` with ``Network.solve`` and its twin with the oracle;
+    (state, report, power-balance residual) each, or the error raised."""
+    out = []
+    for solve, residual, target in (
+        (Network.solve, Network.power_balance_residual, net),
+        (solve_oracle.solve, solve_oracle.power_balance_residual, twin),
+    ):
+        try:
+            state, report = solve(target, emfs, injections)
+        except NonConvergenceError as exc:
+            out.append((str(exc), exc.iterations))
+        else:
+            out.append((state, report, residual(target, state)))
+    return out
+
+
+def assert_same_solve(new, old):
+    if isinstance(old[0], str):  # the same non-convergence
+        assert new == old
+        return
+    (sa, ra, pa), (sb, rb, pb) = new, old
+    assert np.array_equal(sa.v_pos, sb.v_pos) and sa.v_list == sb.v_list
+    assert (sa.v_neg is None) == (sb.v_neg is None)
+    assert sa.v_neg is None or np.array_equal(sa.v_neg, sb.v_neg)
+    assert sa.former_currents == sb.former_currents
+    assert sa.cp_currents == sb.cp_currents
+    assert (ra.cp_iterations, ra.residual, ra.de_energized_with_load) == (
+        rb.cp_iterations, rb.residual, rb.de_energized_with_load)
+    assert pa == pb
+
+
+@pytest.mark.parametrize("case", list(SOLVE_CASES))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_solve_matches_the_pre_change_solve_bit_for_bit(case, data):
+    # three solves warm-start each other: the sources rotate off nominal,
+    # the former's EMF turns and a CP load steps between them
+    net, emfs, injections = random_network(data, SOLVE_CASES[case])
+    twin = copy.deepcopy(net)
+    for _ in range(3):
+        assert_same_solve(*solve_both(net, twin, emfs, injections))
+        for target in (net, twin):
+            target.advance_sources(1e-3, 60.0)
+            if "cp0" in target.loads:
+                target.step_load("cp0", 0.01, 0.0)
+        emfs = [e * cmath.exp(0.01j) for e in emfs]
+
+
+def test_nan_emf_gives_a_nan_residual_as_before():
+    # without the CP load, whose Newton would stop at the NaN voltage
+    net, twin = breaker_isolated_load_net(), breaker_isolated_load_net()
+    for target in (net, twin):
+        del target.loads["cp"]
+    new, old = solve_both(net, twin, [complex(math.nan, 0.0)], [])
+    assert math.isnan(new[1].residual) and math.isnan(old[1].residual)
+    assert new[1].cp_iterations == old[1].cp_iterations

@@ -1,8 +1,14 @@
 """Edge-case topologies and event sequences that must not break the runner."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from dualpath.detect import IslandingDetector
 from dualpath.events import LoadStep, TimedEvent
 from dualpath.runner import run, write_outputs
 from dualpath.scenario import parse_config
@@ -185,6 +191,55 @@ def test_noise_injection_seeded_and_optional(tmp_path):
     # noise only feeds the detectors; the physical signals stay clean
     assert np.abs(r1.p - r1.p[0]).max() < 1e-9
     assert r1.island.max() == 0 and r3.island.max() == 0
+
+
+def test_noise_draws_come_from_the_seeded_generator(monkeypatch):
+    # each step's detector inputs are the clean measurements plus the next
+    # two draws of default_rng(seed), frequency first
+    doc = {
+        "name": "noisy", "dt": 5e-4, "t_end": 0.1, "seed": 7,
+        "buses": ["g", "b"],
+        "lines": [{"from": "g", "to": "b", "r": 0.005, "x": 0.05}],
+        "grid_sources": [{"id": "src", "bus": "g", "v": 1.0, "r_s": 0.001, "x_s": 0.01}],
+        "loads": [{"id": "ld", "bus": "b", "kind": "impedance", "r": 2.0, "x": 0.4}],
+        "inverters": [{"id": "inv1", "bus": "b", "mode": "gfl", "p_set": 0.3}],
+        "events": [],
+    }
+    pushed = []
+    push = IslandingDetector.push
+    monkeypatch.setattr(
+        IslandingDetector, "push",
+        lambda det, t, f, v: pushed.append((f, v)) or push(det, t, f, v),
+    )
+    run(parse_config(doc))
+    clean, pushed[:] = pushed[:], []
+    assert len(clean) == 201  # one push per step
+    run(parse_config(dict(doc, output={"noise_std": 0.001})))
+    rng = np.random.default_rng(7)
+    assert pushed == [
+        (f + rng.normal(0.0, 0.001), v + rng.normal(0.0, 0.001)) for f, v in clean
+    ]
+
+
+def test_noise_free_run_does_not_import_numpy_random():
+    # the generator is built only for noisy runs; importing numpy.random
+    # costs about 2 MB of peak memory
+    code = (
+        "import sys\n"
+        "from dualpath.runner import run\n"
+        "from dualpath.scenario import parse_config\n"
+        "run(parse_config({'dt': 1e-4, 't_end': 0.01, 'buses': ['g', 'b'],\n"
+        "    'lines': [{'from': 'g', 'to': 'b', 'r': 0.01, 'x': 0.05}],\n"
+        "    'grid_sources': [{'id': 'src', 'bus': 'g', 'v': 1.0, 'x_s': 0.01}],\n"
+        "    'inverters': [{'id': 'inv', 'bus': 'b', 'mode': 'gfl', 'p_set': 0.2}]}))\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       cwd=str(root), env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
 
 
 def test_simultaneous_events_apply_in_script_order():

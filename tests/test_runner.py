@@ -19,7 +19,7 @@ from dualpath.droop import DroopState
 from dualpath.events import AutoReclose, DetectorChange, InjectionChange, IslandDeenergized
 from dualpath.guard import GuardAuditRecord
 from dualpath.network import Network
-from dualpath.runner import CSV_CHUNK_ROWS, Simulation, run, write_outputs
+from dualpath.runner import CSV_CHUNK_ROWS, RECORD_BLOCK, Simulation, run, write_outputs
 from dualpath.scenario import parse_config
 from dualpath.supervisor import Mode, Supervisor, TransitionRecord, shadow_follow
 
@@ -728,3 +728,61 @@ def test_forming_state_built_on_demand_writes_the_eager_bytes(
         assert (tmp_path / "on_demand" / f).read_bytes() == (
             tmp_path / "eager" / f
         ).read_bytes(), f
+
+
+def _per_row_record(monkeypatch, sim):
+    """Run ``sim`` keeping each step's solved bus voltages; returns the
+    result and the magnitudes and angles taken one row at a time."""
+    states = []
+    solve = sim._solve
+
+    def kept():
+        state, report = solve()
+        states.append(state.v_pos.copy())
+        return state, report
+
+    monkeypatch.setattr(sim, "_solve", kept)
+    res = sim.run()
+    mag = np.array([np.absolute(v) for v in states]).reshape(-1, len(sim.cfg.buses))
+    ang = np.array([np.arctan2(v.imag, v.real) for v in states]).reshape(mag.shape)
+    return res, mag, ang
+
+
+# a grid-fed bus whose source turns off nominal, beside a dead island where
+# a forming unit plugs in at 0.2 s onto a constant-power load: the load's bus
+# voltage starts at zero, so the solve aborts on a collapse at that step
+COLLAPSE_DOC = {
+    "name": "plug-in-collapse", "dt": 5e-4, "t_end": 0.4,
+    "buses": ["g", "b1", "b2"],
+    "lines": [
+        {"from": "g", "to": "b1", "r": 0.01, "x": 0.05},
+        {"from": "b1", "to": "b2", "r": 0.01, "x": 0.05},
+    ],
+    "breakers": [{"id": "brk", "from": "g", "to": "b1", "closed": False}],
+    "grid_sources": [{"id": "src", "bus": "g", "v": 1.0, "x_s": 0.01, "f": 59.7}],
+    "loads": [
+        {"id": "zl", "bus": "g", "kind": "impedance", "r": 2.0, "x": 0.5},
+        {"id": "cp", "bus": "b2", "kind": "power", "p": 0.1},
+    ],
+    "inverters": [{"id": "inv1", "bus": "b1", "mode": "gfm", "plugged": False}],
+    "events": [{"t": 0.2, "type": "plug_in", "target": "inv1"}],
+}
+
+
+def test_block_record_equals_per_row_calls(monkeypatch):
+    # 602 rows, not a multiple of RECORD_BLOCK
+    sim = Simulation(parse_config(doc(t_end=0.0601)))
+    res, mag, ang = _per_row_record(monkeypatch, sim)
+    assert len(res.t) == 602 and len(res.t) % RECORD_BLOCK
+    assert np.array_equal(res.bus_mag, mag) and np.array_equal(res.bus_ang, ang)
+
+
+def test_block_record_stops_at_a_collapse_abort(monkeypatch):
+    sim = Simulation(parse_config(copy.deepcopy(COLLAPSE_DOC)))
+    res, mag, ang = _per_row_record(monkeypatch, sim)
+    assert res.aborted and "collapsed" in res.abort_reason
+    assert res.abort_step == 400 and 400 % RECORD_BLOCK
+    assert res.bus_mag.shape == (400, 3) == mag.shape
+    assert np.array_equal(res.bus_mag, mag) and np.array_equal(res.bus_ang, ang)
+    # the grid bus turns at -0.3 Hz: its angles differ row to row
+    assert len(set(res.bus_ang[:, 0].tolist())) == 400

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dualpath import scenario
 from dualpath.cli import main as cli_main
 from dualpath.events import BreakerSet, LoadStep
+from dualpath.runner import run
 from dualpath.scenario import (
     ParseError,
     ValidationError,
@@ -252,6 +253,26 @@ def test_event_time_outside_run_rejected():
     )
     with pytest.raises(ValidationError, match="outside"):
         parse_config(doc)
+
+
+def test_event_after_the_last_control_step_rejected():
+    # t_end off the step grid: the last step is round(t_end / dt) = 1000, at
+    # t = 0.1, so an event at t_end would never apply
+    late = {"t": 0.10004, "type": "load_step", "target": "ld", "dp": 0.1}
+    doc = minimal_doc(
+        t_end=0.10004, loads=[{"id": "ld", "bus": "b", "kind": "power", "p": 0.1}],
+        events=[late],
+    )
+    with pytest.raises(ValidationError) as exc:
+        parse_config(doc)
+    assert exc.value.problems == [
+        "events[0].t: 0.10004 after the last control step (t = 0.1)"
+    ]
+    # at the last step's time it applies
+    doc["events"] = [dict(late, t=0.1)]
+    res = run(parse_config(doc))
+    assert len(res.t) == 1001
+    assert [type(rec.event) for rec in res.events_log] == [LoadStep]
 
 
 def test_events_sorted_by_time():
