@@ -68,24 +68,29 @@ def compute_metrics(result) -> dict:
         out.update(dict.fromkeys(_PER_STEP_KEYS), transitions=[])
         return out
 
-    f_min_per_step = result.f.min(axis=1)
-    k_nadir = int(np.argmin(f_min_per_step))
-    out["frequency_nadir_hz"] = float(f_min_per_step[k_nadir])
+    f_min = result.f.min(axis=1)
+    k_nadir = int(np.argmin(f_min))
+    out["frequency_nadir_hz"] = float(f_min[k_nadir])
     out["frequency_nadir_t"] = float(t[k_nadir])
 
     # settling relative to the last scripted event
     event_times = [te.t for te in cfg.events if te.t <= t[-1]]
     t_ref = max(event_times) if event_times else 0.0
-    dev = np.abs(result.f - f_nom).max(axis=1)
-    out_of_band = np.nonzero(dev > SETTLE_BAND_HZ)[0]
-    if out_of_band.size == 0:
+    # worst |f - f_nom| per step from the row extremes, in place: it is the
+    # same float as np.abs(f - f_nom).max(axis=1), NaN included, since
+    # f - f_nom rounds monotonically in f and f_nom - f is its negation
+    dev = result.f.max(axis=1)
+    np.subtract(dev, f_nom, out=dev)
+    np.subtract(f_nom, f_min, out=f_min)
+    np.maximum(dev, f_min, out=dev)
+    out_of_band = dev > SETTLE_BAND_HZ
+    k_last = len(t) - 1 - int(np.argmax(out_of_band[::-1]))  # last True
+    if not out_of_band[k_last]:
         out["settling_time_s"] = 0.0
+    elif k_last == len(t) - 1:
+        out["settling_time_s"] = None  # never settles within the run
     else:
-        k_last = int(out_of_band[-1])
-        if k_last == len(t) - 1:
-            out["settling_time_s"] = None  # never settles within the run
-        else:
-            out["settling_time_s"] = max(0.0, float(t[k_last + 1] - t_ref))
+        out["settling_time_s"] = max(0.0, float(t[k_last + 1] - t_ref))
 
     trs = []
     for rec in _records(result, TransitionRecord):
@@ -162,17 +167,12 @@ def _reconnection(result) -> tuple[float | None, float | None]:
 def _sharing_error(result) -> float | None:
     """Worst pairwise droop-sharing ratio deviation over the final window."""
     cfg = result.cfg
-    t = result.t
-    if t[-1] - t[0] < SHARE_WINDOW_S:
-        window = slice(0, len(t))
-    else:
-        window = t >= (t[-1] - SHARE_WINDOW_S)
     gfm_idx = [
         i for i in range(len(result.inv_ids)) if result.mode[-1, i] == 1
     ]
     if len(gfm_idx) < 2:
         return None
-    p_avg = result.p[window].mean(axis=0)
+    p_avg = result.p[_share_window(result.t)].mean(axis=0)
     worst = 0.0
     for a in range(len(gfm_idx)):
         for b in range(a + 1, len(gfm_idx)):
@@ -183,6 +183,15 @@ def _sharing_error(result) -> float | None:
             m_j = cfg.inverters[j].droop.m_p
             worst = max(worst, abs(p_avg[i] / p_avg[j] - m_j / m_i))
     return worst
+
+
+def _share_window(t) -> slice:
+    """The rows of the final ``SHARE_WINDOW_S`` of the increasing times ``t``
+    (all of them in a shorter run), as a slice, so the rows are read in
+    place."""
+    if t[-1] - t[0] < SHARE_WINDOW_S:
+        return slice(0, len(t))
+    return slice(int(np.searchsorted(t, t[-1] - SHARE_WINDOW_S)), len(t))
 
 
 def _guard_summary(result) -> dict:

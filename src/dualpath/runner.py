@@ -837,35 +837,30 @@ def write_outputs(result: SimResult, out_dir: str | Path) -> None:
     cfg = result.cfg
 
     header = ["t"]
-    # (column, formatted as a float) in header order
-    columns = [(result.t, True)]
+    columns = [result.t]
     for b, bus in enumerate(cfg.buses):
         header += [f"v_mag_{bus}", f"v_ang_{bus}"]
-        columns += [(result.bus_mag[:, b], True), (result.bus_ang[:, b], True)]
+        columns += [result.bus_mag[:, b], result.bus_ang[:, b]]
     for i, inv_id in enumerate(result.inv_ids):
         header += [
             f"f_{inv_id}", f"p_{inv_id}", f"q_{inv_id}", f"mode_{inv_id}",
             f"lock_{inv_id}", f"island_{inv_id}", f"recon_{inv_id}",
         ]
         columns += [
-            (result.f[:, i], True), (result.p[:, i], True), (result.q[:, i], True),
-            (result.mode[:, i], False), (result.lock[:, i], False),
-            (result.island[:, i], False), (result.recon[:, i], False),
+            result.f[:, i], result.p[:, i], result.q[:, i],
+            result.mode[:, i], result.lock[:, i], result.island[:, i],
+            result.recon[:, i],
         ]
+    # one string per row: "%.9g" % x is format(x, ".9g") for every float
+    # (nan, inf and -0.0 too), and "%d" % k is str(k) for the int8 flags
+    row = ",".join("%.9g" if col.dtype.kind == "f" else "%d" for col in columns).__mod__
     dec = max(1, cfg.output.decimate)
     span = CSV_CHUNK_ROWS * dec
     with (out / "timeseries.csv").open("w") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, result.t.size, span):
-            # "%.9g" % x is format(x, ".9g"), a little faster
-            texts = [
-                list(map(
-                    "%.9g".__mod__ if is_float else str,
-                    col[start:start + span:dec].tolist(),
-                ))
-                for col, is_float in columns
-            ]
-            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+            chunk = [col[start:start + span:dec].tolist() for col in columns]
+            fh.write("\n".join(map(row, zip(*chunk))) + "\n")
 
     rows = [(rec.t, *_log_row(rec)) for rec in result.events_log]
     if result.aborted:  # after the last record, at the failed step

@@ -1,10 +1,19 @@
 import csv
+import functools
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualpath.runner import run, write_outputs
+from dualpath.metrics import SETTLE_BAND_HZ, SHARE_WINDOW_S, _share_window, compute_metrics
+from dualpath.runner import SimResult, run, write_outputs
 from dualpath.scenario import parse_config
 
 
@@ -126,3 +135,151 @@ def test_metrics_json_serializable(tmp_path):
     loaded = json.loads((tmp_path / "metrics.json").read_text())
     assert loaded["scenario"] == "flat"
     assert loaded["aborted"] is False
+
+
+def formers_doc(n_inv, f_nom=60.0):
+    """``n_inv`` forming units on a star around one load bus, with a load
+    step at 1 s; it is only parsed, as the configuration of made-up records."""
+    return {
+        "name": "formers", "dt": 1e-4, "t_end": 20.0, "base": {"f_nom": f_nom},
+        "buses": ["mid"] + [f"b{i}" for i in range(n_inv)],
+        "lines": [{"from": f"b{i}", "to": "mid", "r": 0.002, "x": 0.02}
+                  for i in range(n_inv)],
+        "loads": [{"id": "ld", "bus": "mid", "kind": "impedance", "r": 2.0, "x": 0.4}],
+        "inverters": [{"id": f"inv{i}", "bus": f"b{i}", "mode": "gfm"}
+                      for i in range(n_inv)],
+        "events": [{"t": 1.0, "type": "load_step", "target": "ld", "dp": 0.1}],
+    }
+
+
+@functools.cache
+def formers_cfg(n_inv, f_nom=60.0):
+    return parse_config(formers_doc(n_inv, f_nom))
+
+
+def made_up_result(cfg, t, f, p=None, mode=None):
+    """A ``SimResult`` of ``cfg`` holding the given records and zeros."""
+    n, k = f.shape
+    flags = np.zeros((n, k), dtype=np.int8)
+    buses = np.zeros((n, len(cfg.buses)))
+    return SimResult(
+        cfg=cfg, t=t, bus_mag=buses, bus_ang=buses,
+        inv_ids=[inv.id for inv in cfg.inverters], f=f,
+        p=np.zeros((n, k)) if p is None else p, q=np.zeros((n, k)),
+        mode=flags if mode is None else mode, lock=flags, island=flags,
+        recon=flags, residual=np.zeros(n), events_log=[],
+    )
+
+
+def frequency_metrics_oracle(t, f, f_nom, t_ref):
+    """Nadir, its time and the settling time as ``compute_metrics`` took
+    them from a full-size |f - f_nom| array and the index of every
+    out-of-band step."""
+    f_min_per_step = f.min(axis=1)
+    k_nadir = int(np.argmin(f_min_per_step))
+    dev = np.abs(f - f_nom).max(axis=1)
+    out_of_band = np.nonzero(dev > SETTLE_BAND_HZ)[0]
+    if out_of_band.size == 0:
+        settling = 0.0
+    elif int(out_of_band[-1]) == len(t) - 1:
+        settling = None
+    else:
+        settling = max(0.0, float(t[int(out_of_band[-1]) + 1] - t_ref))
+    return float(f_min_per_step[k_nadir]), float(t[k_nadir]), settling
+
+
+def same(a, b):
+    return a == b or (a != a and b != b)  # NaN where the oracle is NaN
+
+
+@st.composite
+def frequency_records(draw):
+    """(f_nom, t, f): 1-300 steps of 1-5 units near f_nom, with entries at
+    f_nom, on and just past the settling band, +-0.0, NaN and +-inf, and an
+    in-band tail from a drawn step on."""
+    f_nom = draw(st.sampled_from([50.0, 60.0]))
+    n, k = draw(st.integers(1, 300)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    band = SETTLE_BAND_HZ
+    f = f_nom + rng.uniform(-3.0, 3.0, size=(n, k)) * band
+    settled_from = draw(st.integers(0, n))
+    f[settled_from:] = f_nom + (f[settled_from:] - f_nom) / 3.0
+    special = np.array([
+        f_nom, f_nom + band, f_nom - band, np.nextafter(f_nom + band, np.inf),
+        np.nextafter(f_nom - band, -np.inf), 0.0, -0.0, np.nan, np.inf, -np.inf,
+    ])
+    share = draw(st.sampled_from([0.0, 0.01, 0.1, 0.5]))
+    pick = rng.random((n, k)) < share
+    f[pick] = rng.choice(special, size=int(pick.sum()))
+    dt = draw(st.sampled_from([1e-3, 5e-3, 0.02]))
+    return f_nom, np.arange(n) * dt, f
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(frequency_records())
+def test_frequency_metrics_match_the_full_size_oracle(record):
+    f_nom, t, f = record
+    cfg = formers_cfg(f.shape[1], f_nom)
+    m = compute_metrics(made_up_result(cfg, t, f.copy()))
+    t_ref = 1.0 if t[-1] >= 1.0 else 0.0  # the load step at 1 s
+    want = frequency_metrics_oracle(t, f, f_nom, t_ref)
+    got = (m["frequency_nadir_hz"], m["frequency_nadir_t"], m["settling_time_s"])
+    assert all(map(same, got, want)), (got, want)
+
+
+def share_window_oracle(t):
+    """The boolean mask ``_sharing_error`` selected its rows with."""
+    if t[-1] - t[0] < SHARE_WINDOW_S:
+        return slice(0, len(t))
+    return t >= (t[-1] - SHARE_WINDOW_S)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 300),
+    dt=st.sampled_from([1e-4, 5e-4, 1e-3, 0.01, 0.1, 0.3]),
+    t0=st.sampled_from([0.0, 0.5, 7.0]),
+    data=st.data(),
+)
+def test_share_window_slice_selects_the_mask_rows(n, dt, t0, data):
+    if data.draw(st.booleans(), label="uneven"):  # repeated and uneven times
+        steps = data.draw(st.lists(st.sampled_from([0.0, dt, 3 * dt, 0.25]),
+                                   min_size=n - 1, max_size=n - 1))
+        t = t0 + np.cumsum([0.0, *steps])
+    else:
+        t = t0 + np.arange(n) * dt
+    p = np.random.default_rng(n).normal(size=(n, 3)) * 10.0 ** np.arange(-3, 3, 2)
+    rows = np.arange(n)
+    assert np.array_equal(rows[_share_window(t)], rows[share_window_oracle(t)])
+    assert np.array_equal(p[_share_window(t)].mean(axis=0),
+                          p[share_window_oracle(t)].mean(axis=0))
+
+
+def compute_metrics_peak_bytes(n=200_000, k=4):
+    """(traced peak of ``compute_metrics``, ``f.nbytes``) on an ``n``-step
+    record of ``k`` formers that settles after the load step."""
+    cfg = formers_cfg(k)
+    t = np.arange(n) * cfg.dt
+    decay = 0.05 * np.exp(-np.maximum(t - 1.0, 0.0))[:, None]
+    f = 60.0 - decay * np.linspace(1.0, 2.0, k)
+    p = 0.25 + decay * np.arange(k)
+    result = made_up_result(cfg, t, f, p=p, mode=np.ones((n, k), dtype=np.int8))
+    tracemalloc.start()
+    try:
+        compute_metrics(result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, f.nbytes
+
+
+def test_compute_metrics_peak_memory_is_below_one_frequency_record():
+    # in a fresh process, since this one unpickles library runs on a thread
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).parent), *sys.path]))
+    code = "import test_metrics as m; print(*m.compute_metrics_peak_bytes())"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    peak, f_bytes = map(int, out.split())
+    assert f_bytes == 200_000 * 4 * 8
+    assert peak < f_bytes, (peak, f_bytes)

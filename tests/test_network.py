@@ -337,6 +337,26 @@ def test_power_balance_residual_small():
     assert net.power_balance_residual(state) < 1e-8
 
 
+@pytest.mark.parametrize("z_abs", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    e=st.tuples(st.floats(0.95, 1.05), st.floats(-0.2, 0.2)),
+    line=st.tuples(st.floats(0.0, 0.05), st.floats(0.02, 0.1)),
+    load=st.tuples(st.floats(0.5, 5.0), st.floats(0.0, 1.0)),
+)
+def test_stiff_source_residual_grows_as_one_over_its_impedance(z_abs, e, line, load):
+    # the source current (E - V) / z_s loses digits as 1/|z_s| grows: the
+    # residual is bounded by about 2e-15 / |z_s| (near 1e-9 at 1e-7 pu)
+    net = Network(
+        buses=["g", "b"],
+        lines=[Line("g", "b", *line)],
+        grid_sources=[GridSource("s", "g", cmath.rect(*e), z_abs * (0.1 + 1j))],
+        loads=[ConstantImpedanceLoad("zl", "b", complex(*load))],
+    )
+    state, _ = net.solve()
+    assert net.power_balance_residual(state) * z_abs <= 2e-15
+
+
 def test_former_voltage_source():
     net = Network(
         buses=["b", "l"],

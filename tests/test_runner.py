@@ -298,6 +298,9 @@ def _random_result(base, n_rows: int, decimate: int, rng):
         x = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 12, size=shape)
         x.flat[::7] = 0.0
         x.flat[3::11] = -0.0
+        x.flat[5::13] = np.nan  # and the other values "%.9g" spells specially
+        x.flat[6::17] = np.inf
+        x.flat[9::19] = -np.inf
         return x
 
     def flags():
