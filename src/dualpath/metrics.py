@@ -1,4 +1,5 @@
-"""Run metrics computed from the full-rate recorded arrays.
+"""Run metrics computed from the arrays recorded per control step, never
+from the ones kept per output row.
 
 Every metric is either computed or explicitly null (not applicable for the
 scenario).  Definitions:
@@ -13,8 +14,8 @@ scenario).  Definitions:
   thresholds (null where the unit computed none);
 * per-transition discontinuity: one-step bus-voltage phase jump (degrees)
   and magnitude jump (pu) at the inverter's bus, from the step of each
-  accepted mode transition to the next (phase is not evaluated across a
-  de-energized handover);
+  accepted mode transition to the next, whose solved voltages the run keeps
+  (``transition_v``); phase is not evaluated across a de-energized handover;
 * islanding detection latency: first detector trip minus the nearest
   preceding breaker-opening event;
 * reconnection readiness time: first readiness instant and its latency from
@@ -125,10 +126,12 @@ def _jumps(result, rec) -> tuple[float | None, float | None]:
         return None, None
     cfg = result.cfg
     b = cfg.buses.index(cfg.inverters[result.inv_ids.index(rec.inverter)].bus)
-    m0, m1 = result.bus_mag[k, b], result.bus_mag[k + 1, b]
+    # the magnitudes and angles as the record takes them
+    v = np.array([result.transition_v[k], result.transition_v[k + 1]], dtype=complex)
+    (m0, m1), (a0, a1) = np.absolute(v)[:, b], np.arctan2(v.imag, v.real)[:, b]
     if min(m0, m1) < 0.05:
         return 0.0, float(abs(m1 - m0))
-    d_ang = wrap_angle(result.bus_ang[k + 1, b] - result.bus_ang[k, b])
+    d_ang = wrap_angle(a1 - a0)
     return float(abs(math.degrees(d_ang))), float(abs(m1 - m0))
 
 

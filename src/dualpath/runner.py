@@ -149,6 +149,9 @@ class _Inverter:
 
 @dataclass(slots=True)
 class SimResult:
+    """A run's record (``_Record`` says which arrays are per control step
+    and which per output row) and its outcome."""
+
     cfg: ScenarioConfig
     t: np.ndarray
     bus_mag: np.ndarray
@@ -163,6 +166,8 @@ class SimResult:
     recon: np.ndarray
     residual: np.ndarray
     events_log: list  # typed records in log order (see dualpath.events)
+    # solved bus voltages by step, at each accepted transition and the next
+    transition_v: dict = field(default_factory=dict)
     solver: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
     aborted: bool = False
@@ -500,33 +505,15 @@ class Simulation:
         cfg = self.cfg
         n_steps = int(round(cfg.t_end / self.dt))
         rows = n_steps + 1
-        nb = len(cfg.buses)
         ni = len(self.invs)
-        t_arr = np.empty(rows)
-        bus_mag = np.empty((rows, nb))
-        bus_ang = np.empty((rows, nb))
-        f_arr = np.empty((rows, ni))
-        p_arr = np.empty((rows, ni))
-        q_arr = np.empty((rows, ni))
-        mode_arr = np.empty((rows, ni), dtype=np.int8)
-        lock_arr = np.empty((rows, ni), dtype=np.int8)
-        isl_arr = np.empty((rows, ni), dtype=np.int8)
-        rec_arr = np.empty((rows, ni), dtype=np.int8)
-        res_arr = np.empty(rows)
-        # flat memoryviews: element k * ni + i is row k, inverter i; writing
-        # through them is about half the cost of numpy item assignment
-        t_rec = t_arr.data
-        res_rec = res_arr.data
-        self._f_rec = f_arr.reshape(-1).data
-        self._p_rec = p_arr.reshape(-1).data
-        self._q_rec = q_arr.reshape(-1).data
-        self._mode_rec = mode_arr.reshape(-1).data
-        self._lock_rec = lock_arr.reshape(-1).data
-        self._isl_rec = isl_arr.reshape(-1).data
-        self._recon_rec = rec_arr.reshape(-1).data
-        no_neg = [0j] * nb
-        # bus voltages of the rows since bus_mag/bus_ang were last filled
-        # (from row k0); one NumPy call per block fills each
+        record = _Record(rows, len(cfg.buses), ni, cfg.output.decimate)
+        t_rec, res_rec = record.t.data, record.residual.data
+        (self._f_rec, self._p_rec, self._mode_rec, self._q_rec, self._lock_rec,
+         self._isl_rec, self._recon_rec) = record.views
+        self._keep_v = record.keep
+        no_neg = [0j] * len(cfg.buses)
+        # the solved bus voltages of the steps since the record was last
+        # flushed (from step k0)
         v_rows: list[list[complex]] = []
         k0 = 0
 
@@ -571,21 +558,21 @@ class Simulation:
                 v = state.v_list
                 t_rec[k] = t
                 v_rows.append(v)
-                if len(v_rows) == RECORD_BLOCK:
-                    _record_buses(v_rows, bus_mag, bus_ang, k0)
-                    v_rows = []
-                    k0 = k + 1
                 res_rec[k] = self.net.power_balance_residual(state)
 
                 # 4..7 controllers, supervisor, detectors per inverter
                 v_neg = state.v_neg.tolist() if state.v_neg is not None else no_neg
                 # synthesis rotation of the phase phasors at this instant
                 rot = cmath.exp(1j * (self.w0 * t))
-                row = k * ni
+                row = (k - k0) * ni
                 for i, inv in enumerate(self.invs):
                     self._step_inverter(
                         inv, row + i, k, t, rot, v, v_neg, energized, freqs,
                     )
+                if len(v_rows) == RECORD_BLOCK:
+                    record.flush(v_rows, k0)
+                    v_rows = []
+                    k0 = k + 1
 
                 # rotate off-nominal source EMF phasors toward the next step
                 self.net.advance_sources(self.dt, self.f_nom)
@@ -594,25 +581,15 @@ class Simulation:
             where = "initialization" if self.init_error is not None else f"step {k}"
             abort_reason = f"NonConvergence at {where} (t={k * self.dt:.6f}): {exc}"
             rows = k  # rows completed before the failing solve
-        _record_buses(v_rows, bus_mag, bus_ang, k0)
+        record.flush(v_rows, k0)
         for inv in self.invs:
             inv.forming()  # leave every unit's forming state up to date
         wall = time.perf_counter() - t_start
 
         result = SimResult(
             cfg=cfg,
-            t=t_arr[:rows],
-            bus_mag=bus_mag[:rows],
-            bus_ang=bus_ang[:rows],
             inv_ids=[inv.id for inv in self.invs],
-            f=f_arr[:rows],
-            p=p_arr[:rows],
-            q=q_arr[:rows],
-            mode=mode_arr[:rows],
-            lock=lock_arr[:rows],
-            island=isl_arr[:rows],
-            recon=rec_arr[:rows],
-            residual=res_arr[:rows],
+            **record.arrays(rows),
             events_log=self.events_log,
             solver={
                 "cp_iterations_mean": cp_iters_sum / rows if rows else 0.0,
@@ -686,6 +663,7 @@ class Simulation:
                 if rec.accepted:
                     mode = sup.mode
                     self._switch_mode(inv, mode, t, v_bus)
+                    self._keep_v.update((k, k + 1))  # for the jump metric
 
         # detectors (a parked former reads its shadow copy)
         f_local = (
@@ -758,21 +736,67 @@ class Simulation:
         self._recon_rec[j] = 1 if recon_ready else 0
 
 
-# bus-voltage rows recorded by one np.absolute and one np.arctan2 call: a
-# call per row costs more in call overhead than the arithmetic, and the
-# held rows of Python complexes stay small
+# control steps flushed into the record at a time: one np.absolute and one
+# np.arctan2 call fill the block's bus-voltage rows (a call per row costs
+# more in call overhead than the arithmetic), and the held rows of Python
+# complexes stay small
 RECORD_BLOCK = 256
+# the inverter columns recorded per control step (the rest per output row)
+STEP_COLUMNS = ("f", "p", "mode")
 
 
-def _record_buses(v_rows: list[list[complex]], bus_mag: np.ndarray,
-                  bus_ang: np.ndarray, k0: int) -> None:
-    """Write the magnitudes and angles of the bus-voltage rows ``v_rows``
-    into rows ``k0`` on of ``bus_mag`` and ``bus_ang``."""
-    if v_rows:
-        v = np.array(v_rows, dtype=complex)
-        k1 = k0 + len(v_rows)
-        np.absolute(v, out=bus_mag[k0:k1])
-        np.arctan2(v.imag, v.real, out=bus_ang[k0:k1])
+class _Record:
+    """A run's record at two rates: per control step ``t``, ``residual``,
+    ``f``, ``p`` and ``mode``, which the metrics read; per output row (the
+    steps 0, dec, 2 * dec, ...) ``bus_mag``, ``bus_ang``, ``q``, ``lock``,
+    ``island`` and ``recon``, which only timeseries.csv reads; and the
+    solved bus voltages at the steps in ``keep``.  The loop writes ``t`` and
+    ``residual`` in place and the inverter columns through ``views``, flat
+    memoryviews of a block of RECORD_BLOCK steps (element (k - k0) * ni + i
+    is step k, inverter i; about half the cost of numpy item assignment),
+    which ``flush`` moves into the record."""
+
+    def __init__(self, rows: int, nb: int, ni: int, dec: int):
+        self.dec = dec
+        n_out = len(range(0, rows, dec))
+        self.t, self.residual = np.empty(rows), np.empty(rows)
+        self.bus_mag, self.bus_ang = np.empty((n_out, nb)), np.empty((n_out, nb))
+        self.cols = {  # the inverter columns, in view order
+            c: np.empty((rows if c in STEP_COLUMNS else n_out, ni),
+                        float if c in ("f", "p", "q") else np.int8)
+            for c in ("f", "p", "mode", "q", "lock", "island", "recon")
+        }
+        self.blocks = [np.empty((RECORD_BLOCK, ni), a.dtype) for a in self.cols.values()]
+        self.views = [b.reshape(-1).data for b in self.blocks]
+        self.keep: set[int] = set()
+        self.kept: dict[int, list[complex]] = {}
+
+    def flush(self, v_rows: list[list[complex]], k0: int) -> None:
+        """Move the block of steps ``k0`` on, whose solved bus voltages are
+        ``v_rows``, into the record."""
+        n, dec = len(v_rows), self.dec
+        out = slice(-(-k0 // dec), -(-(k0 + n) // dec))
+        sel = slice(-k0 % dec, n, dec)  # the block's output rows
+        for (c, a), b in zip(self.cols.items(), self.blocks):
+            if c in STEP_COLUMNS:
+                a[k0:k0 + n] = b[:n]
+            else:
+                a[out] = b[sel]
+        if v_rows[sel]:
+            v = np.array(v_rows[sel], dtype=complex)
+            np.absolute(v, out=self.bus_mag[out])
+            np.arctan2(v.imag, v.real, out=self.bus_ang[out])
+        self.kept.update((k, v_rows[k - k0]) for k in self.keep if k0 <= k < k0 + n)
+
+    def arrays(self, rows: int) -> dict:
+        """The ``SimResult`` fields of the first ``rows`` steps."""
+        n_out = len(range(0, rows, self.dec))
+        return {
+            "t": self.t[:rows], "residual": self.residual[:rows],
+            "bus_mag": self.bus_mag[:n_out], "bus_ang": self.bus_ang[:n_out],
+            **{c: a[:rows if c in STEP_COLUMNS else n_out] for c, a in self.cols.items()},
+            "transition_v": self.kept,
+        }
 
 
 def _event_detail(ev) -> str:
@@ -836,30 +860,32 @@ def write_outputs(result: SimResult, out_dir: str | Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     cfg = result.cfg
 
+    # the per-step columns are read at every dec-th step, the per-row ones
+    # row by row (see _Record)
+    dec = cfg.output.decimate
     header = ["t"]
-    columns = [result.t]
+    columns = [(result.t, dec)]
     for b, bus in enumerate(cfg.buses):
         header += [f"v_mag_{bus}", f"v_ang_{bus}"]
-        columns += [result.bus_mag[:, b], result.bus_ang[:, b]]
+        columns += [(result.bus_mag[:, b], 1), (result.bus_ang[:, b], 1)]
     for i, inv_id in enumerate(result.inv_ids):
         header += [
             f"f_{inv_id}", f"p_{inv_id}", f"q_{inv_id}", f"mode_{inv_id}",
             f"lock_{inv_id}", f"island_{inv_id}", f"recon_{inv_id}",
         ]
         columns += [
-            result.f[:, i], result.p[:, i], result.q[:, i],
-            result.mode[:, i], result.lock[:, i], result.island[:, i],
-            result.recon[:, i],
+            (result.f[:, i], dec), (result.p[:, i], dec), (result.q[:, i], 1),
+            (result.mode[:, i], dec), (result.lock[:, i], 1),
+            (result.island[:, i], 1), (result.recon[:, i], 1),
         ]
     # one string per row: "%.9g" % x is format(x, ".9g") for every float
     # (nan, inf and -0.0 too), and "%d" % k is str(k) for the int8 flags
-    row = ",".join("%.9g" if col.dtype.kind == "f" else "%d" for col in columns).__mod__
-    dec = max(1, cfg.output.decimate)
-    span = CSV_CHUNK_ROWS * dec
+    row = ",".join("%.9g" if col.dtype.kind == "f" else "%d" for col, _ in columns).__mod__
     with (out / "timeseries.csv").open("w") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, result.t.size, span):
-            chunk = [col[start:start + span:dec].tolist() for col in columns]
+        for start in range(0, len(range(0, result.t.size, dec)), CSV_CHUNK_ROWS):
+            stop = start + CSV_CHUNK_ROWS
+            chunk = [col[start * s:stop * s:s].tolist() for col, s in columns]
             fh.write("\n".join(map(row, zip(*chunk))) + "\n")
 
     rows = [(rec.t, *_log_row(rec)) for rec in result.events_log]

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_runner import two_rate_docs
 
+from dualpath.frames import wrap_angle
 from dualpath.metrics import SETTLE_BAND_HZ, SHARE_WINDOW_S, _share_window, compute_metrics
 from dualpath.runner import SimResult, run, write_outputs
 from dualpath.scenario import parse_config
@@ -112,6 +114,46 @@ def test_metrics_match_independent_csv_recompute(tmp_path):
     assert settle_ref == pytest.approx(res.metrics["settling_time_s"], abs=1e-9)
 
 
+def full_rate_jumps(full, tr):
+    """The jumps of transition ``tr`` as ``compute_metrics`` took them from
+    the bus voltages recorded at every step (``full`` is a decimate-1
+    run)."""
+    k = int(np.searchsorted(full.t, tr["t"]))
+    if not tr["accepted"] or k + 1 >= full.t.size:
+        return None, None
+    cfg = full.cfg
+    b = cfg.buses.index(cfg.inverters[full.inv_ids.index(tr["inverter"])].bus)
+    m0, m1 = full.bus_mag[k, b], full.bus_mag[k + 1, b]
+    if min(m0, m1) < 0.05:
+        return 0.0, float(abs(m1 - m0))
+    d_ang = wrap_angle(full.bus_ang[k + 1, b] - full.bus_ang[k, b])
+    return float(abs(math.degrees(d_ang))), float(abs(m1 - m0))
+
+
+@pytest.mark.parametrize("name, phase", [
+    ("handover", "evaluated"),      # mid-run, between output rows
+    ("islanded_end", None),         # at the last step
+    ("islanded", 0.0),              # onto a dead bus
+])
+def test_max_jumps_match_the_full_rate_formula(name, phase):
+    d = two_rate_docs()[name]
+    d["output"] = {"decimate": 1}
+    full = run(parse_config(d))
+    for dec in (1, 10):
+        d["output"] = {"decimate": dec}
+        m = run(parse_config(d)).metrics
+        jumps = [full_rate_jumps(full, tr) for tr in m["transitions"]]
+        assert [(tr["phase_jump_deg"], tr["mag_jump_pu"]) for tr in m["transitions"]] == jumps
+        accepted = [j for j in jumps if j[1] is not None]
+        assert m["max_phase_jump_deg"] == max((j[0] for j in accepted), default=None)
+        assert m["max_mag_jump_pu"] == max((j[1] for j in accepted), default=None)
+        if phase == "evaluated":
+            assert 0.0 < m["max_phase_jump_deg"] < 1e-9, m["max_phase_jump_deg"]
+        else:
+            assert m["max_phase_jump_deg"] == phase
+        assert (m["max_mag_jump_pu"] is None) == (phase is None)
+
+
 def test_guard_summary_counts():
     doc = flat_doc()
     doc["t_end"] = 1.0
@@ -158,16 +200,19 @@ def formers_cfg(n_inv, f_nom=60.0):
 
 
 def made_up_result(cfg, t, f, p=None, mode=None):
-    """A ``SimResult`` of ``cfg`` holding the given records and zeros."""
+    """A ``SimResult`` of ``cfg`` holding the given per-step records and
+    zeros, with a row per output row in the others."""
     n, k = f.shape
-    flags = np.zeros((n, k), dtype=np.int8)
-    buses = np.zeros((n, len(cfg.buses)))
+    n_out = len(range(0, n, cfg.output.decimate))
+    flags = np.zeros((n_out, k), dtype=np.int8)
+    buses = np.zeros((n_out, len(cfg.buses)))
     return SimResult(
         cfg=cfg, t=t, bus_mag=buses, bus_ang=buses,
         inv_ids=[inv.id for inv in cfg.inverters], f=f,
-        p=np.zeros((n, k)) if p is None else p, q=np.zeros((n, k)),
-        mode=flags if mode is None else mode, lock=flags, island=flags,
-        recon=flags, residual=np.zeros(n), events_log=[],
+        p=np.zeros((n, k)) if p is None else p, q=np.zeros((n_out, k)),
+        mode=np.zeros((n, k), dtype=np.int8) if mode is None else mode,
+        lock=flags, island=flags, recon=flags, residual=np.zeros(n),
+        events_log=[],
     )
 
 

@@ -4,6 +4,9 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -94,17 +97,16 @@ def test_same_config_object_runs_byte_identical(tmp_path):
 def test_decimation_changes_rows_not_metrics(tmp_path):
     cfg1 = parse_config(doc(t_end=0.2))
     cfg10 = parse_config(doc(t_end=0.2, output={"decimate": 10}))
-    r1 = run(cfg1, tmp_path / "full")
-    r10 = run(cfg10, tmp_path / "dec")
+    run(cfg1, tmp_path / "full")
+    run(cfg10, tmp_path / "dec")
     full_rows = (tmp_path / "full/timeseries.csv").read_text().count("\n")
     dec_rows = (tmp_path / "dec/timeseries.csv").read_text().count("\n")
     assert dec_rows < full_rows
-    for key in ("frequency_nadir_hz", "settling_time_s", "power_balance_max_residual"):
-        a, b = r1.metrics[key], r10.metrics[key]
-        if a is None or b is None:
-            assert a == b
-        else:
-            assert abs(a - b) <= 1e-9
+    # every metrics.json field but the wall time is the same, to the bit
+    m1, m10 = (json.loads((tmp_path / d / "metrics.json").read_text())
+               for d in ("full", "dec"))
+    del m1["wall_time_s"], m10["wall_time_s"]
+    assert m1 == m10
 
 
 def test_abort_flushes_partial_outputs(tmp_path):
@@ -263,8 +265,10 @@ def test_black_start_without_voltage_restoration_ends_on_droop_law():
 
 def _reference_timeseries(result) -> str:
     """timeseries.csv as the row-by-row formatter wrote it before the
-    column-wise chunked writer (the oracle for write_outputs)."""
+    column-wise chunked writer (the oracle for write_outputs); output row
+    ``o`` is step ``k = o * decimate``."""
     cfg = result.cfg
+    dec = cfg.output.decimate
     fmt = "{:.9g}".format
     header = ["t"]
     for b in cfg.buses:
@@ -275,23 +279,25 @@ def _reference_timeseries(result) -> str:
             f"lock_{inv_id}", f"island_{inv_id}", f"recon_{inv_id}",
         ]
     lines = [",".join(header)]
-    for k in range(0, result.t.size, max(1, cfg.output.decimate)):
+    for o, k in enumerate(range(0, result.t.size, dec)):
         row = [fmt(result.t[k])]
         for b in range(len(cfg.buses)):
-            row.append(fmt(result.bus_mag[k, b]))
-            row.append(fmt(result.bus_ang[k, b]))
+            row.append(fmt(result.bus_mag[o, b]))
+            row.append(fmt(result.bus_ang[o, b]))
         for i in range(len(result.inv_ids)):
             row += [
-                fmt(result.f[k, i]), fmt(result.p[k, i]), fmt(result.q[k, i]),
-                str(int(result.mode[k, i])), str(int(result.lock[k, i])),
-                str(int(result.island[k, i])), str(int(result.recon[k, i])),
+                fmt(result.f[k, i]), fmt(result.p[k, i]), fmt(result.q[o, i]),
+                str(int(result.mode[k, i])), str(int(result.lock[o, i])),
+                str(int(result.island[o, i])), str(int(result.recon[o, i])),
             ]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 
 def _random_result(base, n_rows: int, decimate: int, rng):
-    """``base`` with ``n_rows`` rows of random data in every recorded column."""
+    """``base`` with ``n_rows`` steps of random data in every recorded
+    column: a row per step in the per-step arrays, a row per output row
+    (every ``decimate``-th step) in the others."""
     nb, ni = base.bus_mag.shape[1], base.f.shape[1]
 
     def floats(*shape):
@@ -303,16 +309,18 @@ def _random_result(base, n_rows: int, decimate: int, rng):
         x.flat[9::19] = -np.inf
         return x
 
-    def flags():
-        return rng.integers(0, 2, size=(n_rows, ni)).astype(np.int8)
+    def flags(n):
+        return rng.integers(0, 2, size=(n, ni)).astype(np.int8)
 
+    n_out = len(range(0, n_rows, decimate))
     cfg = copy.deepcopy(base.cfg)
     cfg.output.decimate = decimate
     return dataclasses.replace(
         base, cfg=cfg, t=np.arange(n_rows) * cfg.dt,
-        bus_mag=floats(n_rows, nb), bus_ang=floats(n_rows, nb),
-        f=floats(n_rows, ni), p=floats(n_rows, ni), q=floats(n_rows, ni),
-        mode=flags(), lock=flags(), island=flags(), recon=flags(),
+        bus_mag=floats(n_out, nb), bus_ang=floats(n_out, nb),
+        f=floats(n_rows, ni), p=floats(n_rows, ni), q=floats(n_out, ni),
+        mode=flags(n_rows), lock=flags(n_out), island=flags(n_out),
+        recon=flags(n_out),
     )
 
 
@@ -773,19 +781,109 @@ COLLAPSE_DOC = {
 
 
 def test_block_record_equals_per_row_calls(monkeypatch):
-    # 602 rows, not a multiple of RECORD_BLOCK
-    sim = Simulation(parse_config(doc(t_end=0.0601)))
-    res, mag, ang = _per_row_record(monkeypatch, sim)
-    assert len(res.t) == 602 and len(res.t) % RECORD_BLOCK
-    assert np.array_equal(res.bus_mag, mag) and np.array_equal(res.bus_ang, ang)
+    # 602 rows, not a multiple of RECORD_BLOCK nor of dec > 1; the bus
+    # voltages are kept at steps 0, dec, 2 * dec, ... (520: a block with
+    # no output row)
+    for dec in (1, 3, 10, 520):
+        sim = Simulation(parse_config(doc(t_end=0.0601, output={"decimate": dec})))
+        res, mag, ang = _per_row_record(monkeypatch, sim)
+        assert len(res.t) == 602 and len(res.t) % RECORD_BLOCK
+        assert np.array_equal(res.bus_mag, mag[::dec]) and np.array_equal(res.bus_ang, ang[::dec])
 
 
 def test_block_record_stops_at_a_collapse_abort(monkeypatch):
-    sim = Simulation(parse_config(copy.deepcopy(COLLAPSE_DOC)))
-    res, mag, ang = _per_row_record(monkeypatch, sim)
-    assert res.aborted and "collapsed" in res.abort_reason
-    assert res.abort_step == 400 and 400 % RECORD_BLOCK
-    assert res.bus_mag.shape == (400, 3) == mag.shape
-    assert np.array_equal(res.bus_mag, mag) and np.array_equal(res.bus_ang, ang)
-    # the grid bus turns at -0.3 Hz: its angles differ row to row
-    assert len(set(res.bus_ang[:, 0].tolist())) == 400
+    for dec in (1, 3, 10):
+        cfg = parse_config(copy.deepcopy(COLLAPSE_DOC))
+        cfg.output.decimate = dec
+        res, mag, ang = _per_row_record(monkeypatch, Simulation(cfg))
+        assert res.aborted and "collapsed" in res.abort_reason
+        assert res.abort_step == 400 and 400 % RECORD_BLOCK
+        assert mag.shape == (400, 3)
+        assert res.bus_mag.shape == (len(range(0, 400, dec)), 3)
+        assert np.array_equal(res.bus_mag, mag[::dec]) and np.array_equal(res.bus_ang, ang[::dec])
+        # the grid bus turns at -0.3 Hz: its angles differ row to row
+        assert len(set(res.bus_ang[:, 0].tolist())) == len(res.bus_ang)
+
+
+# what a run may hold beyond its record arrays: its other objects (about
+# 120 KB on a 0.2 s testbed slice), one block of held bus-voltage rows
+# (about 90 KB on testbed) and compute_metrics' temporaries (17 B a step)
+RECORD_SLACK = 384 * 1024
+
+
+def record_peak_bytes(t_end=0.2):
+    """(traced peak of ``Simulation.run``, steps, output rows, bytes per
+    step, bytes per output row) on ``canonical_testbed`` cut at ``t_end``,
+    after a short warm-up run that does the one-time imports."""
+    Simulation(parse_config(_library_doc("canonical_testbed", 0.01))).run()
+    sim = Simulation(parse_config(_library_doc("canonical_testbed", t_end)))
+    tracemalloc.start()
+    try:
+        res = sim.run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_step = res.t.itemsize + res.residual.itemsize + sum(
+        getattr(res, a)[0].nbytes for a in ("f", "p", "mode"))
+    per_row = sum(getattr(res, a)[0].nbytes
+                  for a in ("bus_mag", "bus_ang", "q", "lock", "island", "recon"))
+    return peak, res.t.size, len(res.q), per_step, per_row
+
+
+def test_run_peak_memory_holds_the_csv_only_columns_per_output_row():
+    # in a fresh process, since this one unpickles library runs on a thread;
+    # recording the CSV-only columns at every step would add 156 B a step
+    # (711 KB against this bound's 577 KB)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).parent), *sys.path]))
+    code = "import test_runner as m; print(*m.record_peak_bytes())"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    peak, rows, out_rows, per_step, per_row = map(int, out.split())
+    assert (rows, out_rows, per_step, per_row) == (2001, 101, 84, 156)
+    assert peak < rows * per_step + out_rows * per_row + RECORD_SLACK, peak
+
+
+def two_rate_docs():
+    """Runs that the two-rate record must not change: an accepted
+    transition at step 467 (its next step, 468, writes a row at
+    decimate 3 but not at 10) and a denied one, in 602 steps; a forming
+    takeover of a dead island at the last step (3000) and one step
+    before the end; a collapse abort at step 400."""
+    handover = doc(t_end=0.0601)
+    handover["inverters"][0]["thresholds"] = {"hold": 0.01}
+    handover["events"] = [
+        {"t": 0.0467, "type": "mode_command", "target": "inv1", "mode": "gfm"},
+        {"t": 0.0553, "type": "mode_command", "target": "inv1", "mode": "gfl"},
+    ]
+    islanded = [doc(t_end=t_end) for t_end in (0.3, 0.3001)]
+    for d in islanded:
+        d["events"] = [
+            {"t": 0.1, "type": "breaker_set", "target": "pcc_brk", "closed": False}
+        ]
+    return {"handover": handover, "islanded_end": islanded[0],
+            "islanded": islanded[1], "collapse": copy.deepcopy(COLLAPSE_DOC)}
+
+
+@pytest.mark.parametrize("name", list(two_rate_docs()))
+def test_two_rate_record_matches_the_full_rate_run(tmp_path, name):
+    d = two_rate_docs()[name]
+    d["output"] = {"decimate": 1}
+    full = run(parse_config(d), tmp_path / "1")
+    accepted = [tr for tr in full.metrics["transitions"] if tr["accepted"]]
+    assert full.aborted == (name == "collapse") and len(accepted) == (name != "collapse")
+    full_csv = (tmp_path / "1/timeseries.csv").read_text().splitlines()
+    for dec in (3, 10):
+        d["output"] = {"decimate": dec}
+        res = run(parse_config(d), tmp_path / str(dec))
+        assert (res.aborted, res.abort_step) == (full.aborted, full.abort_step)
+        for a in ("t", "f", "p", "mode", "residual"):  # per control step
+            assert np.array_equal(getattr(res, a), getattr(full, a)), (dec, a)
+        for a in ("bus_mag", "bus_ang", "q", "lock", "island", "recon"):
+            assert np.array_equal(getattr(res, a), getattr(full, a)[::dec]), (dec, a)
+        assert res.transition_v == full.transition_v
+        assert res.metrics | {"wall_time_s": 0} == full.metrics | {"wall_time_s": 0}
+        csv = (tmp_path / str(dec) / "timeseries.csv").read_text().splitlines()
+        assert csv == full_csv[:1] + full_csv[1::dec]
+        assert (tmp_path / str(dec) / "events.csv").read_text() == (
+            tmp_path / "1/events.csv").read_text()
