@@ -65,7 +65,7 @@ from .events import (
 )
 from .frames import TWO_PI, PerUnitBase, steps, wrap_angle
 from .guard import GuardAuditRecord, Setpoint, validate_setpoint
-from .network import Network, NonConvergenceError
+from .network import Network, NonConvergenceError, StateBlock
 from .pll import (
     I_MAX,
     PllState,
@@ -507,14 +507,14 @@ class Simulation:
         rows = n_steps + 1
         ni = len(self.invs)
         record = _Record(rows, len(cfg.buses), ni, cfg.output.decimate)
-        t_rec, res_rec = record.t.data, record.residual.data
+        t_rec = record.t.data
         (self._f_rec, self._p_rec, self._mode_rec, self._q_rec, self._lock_rec,
          self._isl_rec, self._recon_rec) = record.views
         self._keep_v = record.keep
         no_neg = [0j] * len(cfg.buses)
-        # the solved bus voltages of the steps since the record was last
-        # flushed (from step k0)
-        v_rows: list[list[complex]] = []
+        # the solved states of the steps since the record was last flushed
+        # (from step k0), as the power-balance check reads them
+        held = StateBlock()
         k0 = 0
 
         events = self.events
@@ -554,11 +554,10 @@ class Simulation:
                         self._dead_seen.add(key)
                         self.events_log.append(IslandDeenergized(t, key))
 
-                # 3. record
+                # 3. record (the power balance is checked per block)
                 v = state.v_list
                 t_rec[k] = t
-                v_rows.append(v)
-                res_rec[k] = self.net.power_balance_residual(state)
+                held.append(state)
 
                 # 4..7 controllers, supervisor, detectors per inverter
                 v_neg = state.v_neg.tolist() if state.v_neg is not None else no_neg
@@ -569,9 +568,9 @@ class Simulation:
                     self._step_inverter(
                         inv, row + i, k, t, rot, v, v_neg, energized, freqs,
                     )
-                if len(v_rows) == RECORD_BLOCK:
-                    record.flush(v_rows, k0)
-                    v_rows = []
+                if len(held.v) == RECORD_BLOCK:
+                    record.flush(held.voltages(), k0, self.net.power_balance_residual(held))
+                    held = StateBlock()
                     k0 = k + 1
 
                 # rotate off-nominal source EMF phasors toward the next step
@@ -581,7 +580,8 @@ class Simulation:
             where = "initialization" if self.init_error is not None else f"step {k}"
             abort_reason = f"NonConvergence at {where} (t={k * self.dt:.6f}): {exc}"
             rows = k  # rows completed before the failing solve
-        record.flush(v_rows, k0)
+        if held.groups:
+            record.flush(held.voltages(), k0, self.net.power_balance_residual(held))
         for inv in self.invs:
             inv.forming()  # leave every unit's forming state up to date
         wall = time.perf_counter() - t_start
@@ -737,9 +737,10 @@ class Simulation:
 
 
 # control steps flushed into the record at a time: one np.absolute and one
-# np.arctan2 call fill the block's bus-voltage rows (a call per row costs
-# more in call overhead than the arithmetic), and the held rows of Python
-# complexes stay small
+# np.arctan2 call fill the block's bus-voltage rows and one power-balance
+# check its residuals (a call per row costs more in call overhead than the
+# arithmetic; 64-step blocks lost most of the check's gain), and the held
+# states stay small
 RECORD_BLOCK = 256
 # the inverter columns recorded per control step (the rest per output row)
 STEP_COLUMNS = ("f", "p", "mode")
@@ -750,11 +751,11 @@ class _Record:
     ``f``, ``p`` and ``mode``, which the metrics read; per output row (the
     steps 0, dec, 2 * dec, ...) ``bus_mag``, ``bus_ang``, ``q``, ``lock``,
     ``island`` and ``recon``, which only timeseries.csv reads; and the
-    solved bus voltages at the steps in ``keep``.  The loop writes ``t`` and
-    ``residual`` in place and the inverter columns through ``views``, flat
+    solved bus voltages at the steps in ``keep``.  The loop writes ``t`` in
+    place and the inverter columns through ``views``, flat
     memoryviews of a block of RECORD_BLOCK steps (element (k - k0) * ni + i
     is step k, inverter i; about half the cost of numpy item assignment),
-    which ``flush`` moves into the record."""
+    which ``flush`` moves into the record with the block's residuals."""
 
     def __init__(self, rows: int, nb: int, ni: int, dec: int):
         self.dec = dec
@@ -771,10 +772,12 @@ class _Record:
         self.keep: set[int] = set()
         self.kept: dict[int, list[complex]] = {}
 
-    def flush(self, v_rows: list[list[complex]], k0: int) -> None:
+    def flush(self, v: np.ndarray, k0: int, residual: np.ndarray) -> None:
         """Move the block of steps ``k0`` on, whose solved bus voltages are
-        ``v_rows``, into the record."""
-        n, dec = len(v_rows), self.dec
+        the rows of ``v`` and power-balance residuals ``residual``, into the
+        record."""
+        n, dec = len(v), self.dec
+        self.residual[k0:k0 + n] = residual
         out = slice(-(-k0 // dec), -(-(k0 + n) // dec))
         sel = slice(-k0 % dec, n, dec)  # the block's output rows
         for (c, a), b in zip(self.cols.items(), self.blocks):
@@ -782,11 +785,9 @@ class _Record:
                 a[k0:k0 + n] = b[:n]
             else:
                 a[out] = b[sel]
-        if v_rows[sel]:
-            v = np.array(v_rows[sel], dtype=complex)
-            np.absolute(v, out=self.bus_mag[out])
-            np.arctan2(v.imag, v.real, out=self.bus_ang[out])
-        self.kept.update((k, v_rows[k - k0]) for k in self.keep if k0 <= k < k0 + n)
+        np.absolute(v[sel], out=self.bus_mag[out])
+        np.arctan2(v[sel].imag, v[sel].real, out=self.bus_ang[out])
+        self.kept.update((k, v[k - k0].tolist()) for k in self.keep if k0 <= k < k0 + n)
 
     def arrays(self, rows: int) -> dict:
         """The ``SimResult`` fields of the first ``rows`` steps."""

@@ -593,10 +593,14 @@ def output_problems(output: OutputConfig) -> list[str]:
     return ["output.decimate: must be >= 1"] if output.decimate < 1 else []
 
 
+# libyaml's loader builds the same documents as the pure-Python one, faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     try:
-        doc = yaml.safe_load(path.read_text())
+        doc = yaml.load(path.read_text(), Loader=_YAML_LOADER)
     except (OSError, yaml.YAMLError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if doc is None:

@@ -1,6 +1,8 @@
 import cmath
 import copy
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +18,15 @@ from dualpath.network import (
     Line,
     Network,
     NonConvergenceError,
+    StateBlock,
     UnknownElementError,
     build_ybus,
 )
+
+
+def balance_residual(net, state):
+    """The power-balance residual of one solved state."""
+    return net.power_balance_residual(StateBlock([state]))[0]
 
 
 def bus_v(net, state, bus):
@@ -246,7 +254,7 @@ def test_cp_newton_block_matches_fixed_point_oracle():
         ld = net.loads[i]
         s = bus_v(net, state, ld.bus) * (-cp[i]).conjugate()
         assert abs(s - complex(ld.p, ld.q)) < 1e-10
-    assert net.power_balance_residual(state) < 1e-10
+    assert balance_residual(net, state) < 1e-10
 
 
 def test_cp_load_step_is_seen_by_the_next_solve():
@@ -334,7 +342,7 @@ def test_power_balance_residual_small():
         ],
     )
     state, rep = net.solve(injections=[(net.bus_index["c"], 0.2 - 0.05j)])
-    assert net.power_balance_residual(state) < 1e-8
+    assert balance_residual(net, state) < 1e-8
 
 
 @pytest.mark.parametrize("z_abs", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
@@ -354,7 +362,7 @@ def test_stiff_source_residual_grows_as_one_over_its_impedance(z_abs, e, line, l
         loads=[ConstantImpedanceLoad("zl", "b", complex(*load))],
     )
     state, _ = net.solve()
-    assert net.power_balance_residual(state) * z_abs <= 2e-15
+    assert balance_residual(net, state) * z_abs <= 2e-15
 
 
 def test_former_voltage_source():
@@ -366,7 +374,7 @@ def test_former_voltage_source():
     net.set_formers([("b", 0.005 + 0.05j)])
     state, rep = net.solve([1.0 + 0j])
     assert 0.9 < abs(bus_v(net, state, "l")) < 1.0
-    assert net.power_balance_residual(state) < 1e-8
+    assert balance_residual(net, state) < 1e-8
 
 
 @settings(max_examples=25, deadline=None)
@@ -436,7 +444,7 @@ def test_load_stepped_to_zero_admittance_drops_out():
     net.step_load("zl", -0.5, 0.0)
     state, _ = net.solve()
     assert np.array_equal(state.v_pos, two_bus().solve()[0].v_pos)
-    assert net.power_balance_residual(state) < 1e-10
+    assert balance_residual(net, state) < 1e-10
     net.step_load("zl", 0.25, 0.0)
     assert 1.0 / net.loads["zl"].z == pytest.approx(0.25)
 
@@ -549,7 +557,7 @@ def test_dead_bus_scatter_and_line_losses_match_oracles():
         else:
             assert state.v_pos[dead] == 0 and state.v_list[dead] == 0
             assert report.de_energized_with_load == [["d"]]
-        residual = net.power_balance_residual(state)
+        residual = balance_residual(net, state)
         assert residual <= 1e-12
         assert abs(residual - array_loss_residual(net, state)) <= 1e-15
     fresh, _ = breaker_isolated_load_net().solve(emfs, injections)
@@ -649,7 +657,7 @@ def solve_both(net, twin, emfs, injections):
     (state, report, power-balance residual) each, or the error raised."""
     out = []
     for solve, residual, target in (
-        (Network.solve, Network.power_balance_residual, net),
+        (Network.solve, balance_residual, net),
         (solve_oracle.solve, solve_oracle.power_balance_residual, twin),
     ):
         try:
@@ -701,3 +709,227 @@ def test_nan_emf_gives_a_nan_residual_as_before():
     new, old = solve_both(net, twin, [complex(math.nan, 0.0)], [])
     assert math.isnan(new[1].residual) and math.isnan(old[1].residual)
     assert new[1].cp_iterations == old[1].cp_iterations
+
+
+def test_a_state_is_checked_against_its_own_inputs():
+    # the check reads the source EMFs and the topology the state was solved
+    # with, not the network's at the time of the check
+    net = breaker_isolated_load_net()
+    net.set_source_freq("s", 60.5)
+    emfs = [1.01 * cmath.exp(0.02j)]
+    first, _ = net.solve(emfs)
+    net.advance_sources(0.01, 60.0)  # the source turns by 0.031 rad
+    assert balance_residual(net, first) < 1e-12
+    net.set_breaker("brk", False)
+    second, _ = net.solve(emfs)  # the next solve rebuilds the topology
+    assert second.topology is not first.topology
+    assert second.source_emfs != first.source_emfs
+    block = net.power_balance_residual(StateBlock([first, second, first]))
+    assert block.max() < 1e-12
+    assert block[0] == block[2] == balance_residual(net, first)
+
+
+def oracle_sequence_net():
+    """5 buses: a rotating grid source at b0, an impedance load at b2, a
+    former and a CP load at b3 behind ``brk_a``, a CP load at b4 behind
+    ``brk_b``."""
+    net = Network(
+        buses=["b0", "b1", "b2", "b3", "b4"],
+        lines=[Line("b0", "b1", 0.01, 0.05), Line("b1", "b2", 0.01, 0.05),
+               Line("b2", "b3", 0.02, 0.06), Line("b1", "b4", 0.015, 0.04)],
+        breakers=[Breaker("brk_a", "b2", "b3"), Breaker("brk_b", "b1", "b4")],
+        grid_sources=[GridSource("g", "b0", 1.0 + 0j, 0.002 + 0.02j, f_grid=60.5)],
+        loads=[ConstantImpedanceLoad("zl", "b2", 2.0 + 0.5j),
+               ConstantPowerLoad("cp3", "b3", 0.1, 0.02),
+               ConstantPowerLoad("cp4", "b4", 0.15, 0.03)],
+    )
+    net.set_formers([("b3", 0.005 + 0.05j)])
+    return net
+
+
+def test_block_check_matches_the_oracle_state_by_state():
+    # one block of solves across a breaker toggle, an impedance-load step,
+    # injections that drop to zero or sit on a dead bus, negative-sequence
+    # sources, two, one and no CP buses and a NaN EMF; the oracle checks
+    # each state right after its own solve
+    net = oracle_sequence_net()
+    twin = copy.deepcopy(net)
+    b2, b4 = net.bus_index["b2"], net.bus_index["b4"]
+    z_f = 0.005 + 0.05j
+    steps = [
+        ([], [(b2, 0.1 - 0.02j)]),
+        ([], [(b2, 0.1 - 0.02j), (b4, 0.05 + 0.01j)]),
+        ([("step_load", "zl", 0.1, 0.02)], [(b2, 0.1 - 0.02j)]),
+        ([], [(b2, 0j)]),  # an injection at zero
+        ([], []),  # and gone
+        ([("set_breaker", "brk_b", False)], [(b2, 0.1), (b4, 0.2 - 0.05j)]),  # b4 dead
+        ([("set_source_unbalance", "g", 0.05, 0.3)], [(b4, 0.2 - 0.05j)]),
+        ([("set_breaker", "brk_b", True)], [(b2, 0.1)]),
+        ([("set_breaker", "brk_b", False), ("set_breaker", "brk_a", False),
+          ("set_formers", [("b2", z_f)])], [(b4, 0.1 + 0j)]),  # no CP bus live
+        ([], [(b2, 0.05 - 0.01j)]),
+    ]
+    held, oracle, cp_buses = StateBlock(), [], []
+    for k, (changes, injections) in enumerate(steps):
+        for target in (net, twin):
+            for name, *args in changes:
+                getattr(target, name)(*args)
+        emfs = [cmath.rect(1.02, 0.05 + 0.01 * k)]
+        if k == len(steps) - 2:
+            emfs = [complex(math.nan, 0.0)]
+        state, _ = net.solve(emfs, injections)
+        twin_state, _ = solve_oracle.solve(twin, emfs, injections)
+        oracle.append(solve_oracle.power_balance_residual(twin, twin_state))
+        held.append(state)
+        cp_buses.append(len(state.cp_currents))
+        for target in (net, twin):
+            target.advance_sources(1e-3, 60.0)
+    assert cp_buses == [2, 2, 2, 2, 2, 1, 1, 2, 0, 0]
+    assert len(held.groups) == 5 and held.n_inj == [1, 2, 1, 1, 0, 2, 1, 1, 1, 1]
+    block = net.power_balance_residual(held).tolist()
+    assert math.isnan(block[-2]) and math.isnan(oracle[-2])
+    del block[-2], oracle[-2]
+    assert block == oracle
+    assert max(block) < 1e-12
+
+
+def test_block_check_squares_each_line_drop_as_python_does():
+    # line drops whose float square differs from x * x in the last bit, on
+    # states whose only nonzero term is the line loss: a check that squared
+    # by multiplying would read them differently from the oracle
+    x = np.random.default_rng(3).uniform(0.01, 1.0, 50_000)
+    x = x[x * x != np.array([h ** 2 for h in x.tolist()])][:20]
+    assert len(x) == 20
+    net = Network(["a", "b"], [Line("a", "b", 0.01, 0.1)])
+    net.set_formers([("a", 0.005 + 0.05j)])
+    state, _ = net.solve([1.0 + 0j])
+    states = []
+    for h in x.tolist():
+        v = np.array([0j, complex(h, 0.0)])
+        states.append(dataclasses.replace(
+            state, v_pos=v, v_list=v.tolist(), emfs=[0j], former_currents=[0j]))
+    block = net.power_balance_residual(StateBlock(states)).tolist()
+    assert block == [solve_oracle.power_balance_residual(net, s) for s in states]
+
+
+def test_nan_emf_gives_a_nan_residual_without_a_warning():
+    net = breaker_isolated_load_net()
+    del net.loads["cp"]  # whose Newton would stop at the NaN voltage
+    state, _ = net.solve([complex(math.nan, 0.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(balance_residual(net, state))
+
+
+def test_an_overflowing_state_gives_a_non_finite_residual_and_raises_nothing():
+    # a 1e200 pu EMF: the line drop's square overflows, where the per-step
+    # Python check raised OverflowError
+    net = Network(buses=["b", "l"], lines=[Line("b", "l", 0.005, 0.05)],
+                  loads=[ConstantImpedanceLoad("zl", "l", 2.0 + 0j)])
+    net.set_formers([("b", 0.005 + 0.05j)])
+    state, _ = net.solve([1e200 + 0j])
+    assert abs(state.v_list[0]) > 1e199
+    with pytest.raises(OverflowError):
+        solve_oracle.power_balance_residual(net, state)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not math.isfinite(balance_residual(net, state))
+
+
+# -- the rules the block check replays CPython's complex arithmetic by ----
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e154, 1.34e154,
+           -1.35e154, 1e300, -1e-300, math.inf, -math.inf, math.nan, 1.0, -2.5]
+
+
+def replay_operands(seed, n=100_000):
+    """``n`` float64 operands: finite values over 20 decades, with one in
+    ten taken from ``SPECIAL``."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n) * 10.0 ** rng.uniform(-10, 10, size=n)
+    pick = rng.random(n) < 0.1
+    x[pick] = rng.choice(SPECIAL, size=int(pick.sum()))
+    return x
+
+
+def same_bits(a, b) -> bool:
+    """Equal to the bit, a NaN matching any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return bool(np.array_equal(nan, np.isnan(b))
+                and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+def python_parts(fn, *columns):
+    """Real and imaginary parts of ``fn`` applied in Python to each row of
+    ``columns``; inf where Python raises OverflowError."""
+    re, im = [], []
+    for args in zip(*(c.tolist() for c in columns)):
+        try:
+            z = complex(fn(*args))
+        except OverflowError:
+            z = complex(math.inf, 0.0)
+        re.append(z.real)
+        im.append(z.imag)
+    return np.array(re), np.array(im)
+
+
+def divisors(seed, by_real: bool, n=100_000):
+    """Nonzero divisors whose larger part (in magnitude) is the real one,
+    or the imaginary one."""
+    a, b = replay_operands(seed, n), replay_operands(seed + 1, n)
+    a[(a == 0) & (b == 0)] = 1.0
+    big = np.abs(a) >= np.abs(b)
+    keep = big if by_real else ~big & ~np.isnan(a) & ~np.isnan(b)
+    return a[keep], b[keep]
+
+
+def complex_array(re, im):
+    """The complex array of parts ``re`` and ``im``, bit for bit."""
+    z = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), complex)
+    z.real, z.imag = re, im
+    return z
+
+
+@pytest.mark.parametrize("rule", [
+    "product", "quotient_by_real_part", "quotient_by_imaginary_part",
+    "float_times_complex", "abs_is_hypot", "square_is_float_power",
+    "sequential_sum",
+])
+def test_replay_rule_matches_python(rule):
+    from dualpath.network import _prod, _quot, _quotient
+
+    ar, ai, br, bi = (replay_operands(seed) for seed in (1, 2, 3, 4))
+    with np.errstate(all="ignore"):
+        if rule == "product":
+            got = _prod(complex_array(ar, ai), complex_array(br, bi))
+            want = python_parts(lambda a, b, c, d: complex(a, b) * complex(c, d), ar, ai, br, bi)
+        elif rule.startswith("quotient"):
+            zr, zi = divisors(5, rule == "quotient_by_real_part")
+            assert len(zr) > 30_000
+            ar, ai = ar[:len(zr)], ai[:len(zr)]
+            got = _quot(complex_array(ar, ai), _quotient(complex_array(zr, zi)))
+            want = python_parts(lambda a, b, c, d: complex(a, b) / complex(c, d), ar, ai, zr, zi)
+        elif rule == "float_times_complex":
+            got = _prod(complex_array(ar, 0.0), complex_array(br, bi))
+            want = python_parts(lambda a, c, d: a * complex(c, d), ar, br, bi)
+        elif rule == "abs_is_hypot":
+            got = complex_array(np.hypot(ar, ai), 0.0)
+            want = python_parts(lambda a, b: abs(complex(a, b)), ar, ai)
+        elif rule == "square_is_float_power":
+            x = np.concatenate((np.abs(ar), ar))
+            got = complex_array(np.float_power(x, 2.0), 0.0)
+            want = python_parts(lambda a: a ** 2, x)
+        else:  # s = 0j, then s += each of 8 terms: a zero row accumulated
+            terms = np.concatenate((np.zeros((1, len(ar) // 8), complex),
+                                    complex_array(ar, ai).reshape(-1, 8).T))
+            got = np.add.accumulate(terms, axis=0)[-1]
+
+            def python_sum(*parts):
+                s = 0j
+                for re, im in zip(parts[:8], parts[8:]):
+                    s += complex(re, im)
+                return s
+
+            want = python_parts(python_sum, *ar.reshape(-1, 8).T, *ai.reshape(-1, 8).T)
+    assert same_bits(got.real, want[0]) and same_bits(got.imag, want[1]), rule

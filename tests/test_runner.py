@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import solve_oracle
 import yaml
 from sampled_pll import phase_samples
 from test_robustness import mode_setpoint_doc
@@ -19,7 +20,9 @@ import dualpath.cli
 import dualpath.runner
 from dualpath.cli import main as cli_main
 from dualpath.droop import DroopState
-from dualpath.events import AutoReclose, DetectorChange, InjectionChange, IslandDeenergized
+from dualpath.events import (
+    AutoReclose, BreakerSet, DetectorChange, InjectionChange, IslandDeenergized,
+)
 from dualpath.guard import GuardAuditRecord
 from dualpath.network import Network
 from dualpath.runner import CSV_CHUNK_ROWS, RECORD_BLOCK, Simulation, run, write_outputs
@@ -806,8 +809,11 @@ def test_block_record_stops_at_a_collapse_abort(monkeypatch):
 
 
 # what a run may hold beyond its record arrays: its other objects (about
-# 120 KB on a 0.2 s testbed slice), one block of held bus-voltage rows
-# (about 90 KB on testbed) and compute_metrics' temporaries (17 B a step)
+# 120 KB on a 0.2 s testbed slice), one block of held solved states (about
+# 110 KB on testbed: the bus-voltage rows, the EMFs and the injections; the
+# rows give way to one array when the block is checked), the block
+# power-balance check's temporaries (about 120 KB) and compute_metrics'
+# temporaries (17 B a step)
 RECORD_SLACK = 384 * 1024
 
 
@@ -887,3 +893,27 @@ def test_two_rate_record_matches_the_full_rate_run(tmp_path, name):
         assert csv == full_csv[:1] + full_csv[1::dec]
         assert (tmp_path / str(dec) / "events.csv").read_text() == (
             tmp_path / "1/events.csv").read_text()
+
+
+@pytest.mark.parametrize("name", ["islanded", "collapse"])
+def test_run_residuals_match_the_oracle_at_every_step(monkeypatch, name):
+    # the run checks the power balance at each block's end and at the
+    # abort; the oracle checks each state right after its own solve.  The
+    # breaker opens at step 1000, inside a block; the collapse aborts at 400
+    sim = Simulation(parse_config(two_rate_docs()[name]))
+    oracle, solve = [], Network.solve
+
+    def solve_and_check(net, *args):
+        state, report = solve(net, *args)
+        oracle.append(solve_oracle.power_balance_residual(net, state))
+        return state, report
+
+    monkeypatch.setattr(Network, "solve", solve_and_check)
+    res = sim.run()
+    if name == "collapse":
+        assert res.aborted and res.abort_step == 400 and len(oracle) == 400
+    else:
+        opened = [ev.t for ev in res.events_log
+                  if isinstance(getattr(ev, "event", None), BreakerSet)]
+        assert opened == [0.1] and 1000 % RECORD_BLOCK and len(oracle) == 3002
+    assert res.residual.tolist() == oracle

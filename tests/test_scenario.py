@@ -631,3 +631,24 @@ def test_droop_cutoff_is_given_in_hz_or_rad_per_s_not_both():
     doc["inverters"][0]["droop"] = {"omega_c": 20.0, "f_c": 5.0}
     with pytest.raises(ValidationError, match=r"inverters\[0\]\.droop\.f_c: sets omega_c"):
         parse_config(doc)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_library_loads_the_same_under_both_yaml_loaders():
+    assert scenario._YAML_LOADER is yaml.CSafeLoader
+    paths = sorted(SCENARIOS.glob("*.yaml"))
+    assert len(paths) == 13
+    for path in paths:
+        text = path.read_text()
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+def test_malformed_file_is_a_parse_error_under_either_loader(tmp_path, monkeypatch, loader):
+    if not hasattr(yaml, loader):
+        pytest.skip("PyYAML built without libyaml")
+    monkeypatch.setattr(scenario, "_YAML_LOADER", getattr(yaml, loader))
+    p = tmp_path / "bad.yaml"
+    p.write_text("name: x\nbuses: [a, b\n")
+    with pytest.raises(ParseError, match="bad.yaml"):
+        load_config(p)
