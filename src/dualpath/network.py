@@ -25,7 +25,6 @@ import cmath
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -570,118 +569,54 @@ class Network:
 
     def power_balance_residual(self, held: StateBlock) -> np.ndarray:
         """|sum(sources) - sum(loads) - sum(losses)| of each state in
-        ``held``, from its inputs and the topology it was solved with, the
-        states of a topology summed at once on (term, state) arrays that
-        replay CPython's complex arithmetic (``_prod``, ``_quot``; the
-        README gives the rules), so each residual has the bits of the
-        per-state Python sum.  NaN gives NaN and overflow inf, unwarned."""
-        out = np.empty(len(held.v))
+        ``held``, from its inputs and the topology it was solved with.
+
+        Each voltage source delivers its EMF's power less the loss in its
+        own impedance, ``(E - z I) conj(I)`` with ``I = (E - V) / z`` as in
+        the solve; injections and constant-power loads are currents into
+        their bus, ``V conj(I)``; impedance loads and lines dissipate
+        ``|V|^2 conj(y)``, ``V`` being a line's drop.  The states of a
+        topology are summed at once in NumPy complex arithmetic, so each
+        residual equals the per-state Python sum within a few
+        eps * sum(|term|).  NaN gives NaN and overflow inf, unwarned."""
+        if not held.groups:
+            return np.empty(0)
+        out = np.zeros(len(held.v), complex)
         ends = [a for a, _ in held.groups[1:]] + [len(held.v)]
-        v = held.voltages().T if held.groups else None
-        e0 = i0 = c0 = 0
+        v = held.voltages()
+        e0 = c0 = 0
         with np.errstate(all="ignore"):
             for (a, c), b in zip(held.groups, ends):
-                vs_pos, z, quotient, cp_pos, zl_pos, ln_from, ln_to, y = c["balance"]
-                n, vg = b - a, v[:, a:b]
-                counts = np.fromiter(islice(held.n_inj, a, b), np.intp, n)
-                e1, i1, c1 = e0 + n * len(z), i0 + int(counts.sum()), c0 + n * len(cp_pos)
-                k1 = 1 + len(z)  # the rows of s: 0j, then the terms in order
-                k2 = k1 + int(counts.max())
-                k3 = k2 + len(cp_pos)
-                s = np.empty((k3 + len(y), n), complex)
-                s[0] = 0.0
-                # voltage sources (grid sources, then formers): (E - z I)
-                # conj(I), I = (E - V) / z as in the solve
-                e = _rows(held.emfs, e0, e1, n)
-                i = _quot(e - vg[vs_pos], quotient)
-                _prod(np.subtract(e, _prod(z, i), out=e), np.conjugate(i, out=i), out=s[1:k1])
-                del e, i
-                if k2 > k1:  # injections: V conj(I)
-                    _prod(*_injections(vg, counts, held, i0, i1), out=s[k1:k2])
-                if k3 > k2:  # CP loads: V conj(I)
-                    _prod(vg[cp_pos], _rows(held.cp_currents, c0, c1, n).conj(), out=s[k2:k3])
-                # impedance loads and lines: -(|V|^2, 0.0) conj(y)
-                m, d = s[k3:], vg[zl_pos]
-                m.imag = 0.0
-                m.real[:len(d)] = d.real * d.real + d.imag * d.imag
-                d = vg[ln_from] - vg[ln_to]
-                m.real[len(zl_pos):] = np.float_power(np.hypot(d.real, d.imag), 2.0)
-                del d
-                np.negative(_prod(m, y, out=m), out=m)
-                np.add.accumulate(s, axis=0, out=s)
-                out[a:b] = np.hypot(s[-1].real, s[-1].imag)
-                e0, i0, c0 = e1, i1, c1
-        return out
+                vs_pos, z, cp_pos, zl_pos, ln_from, ln_to, y = c["balance"]
+                n, vg = b - a, v[a:b]
+                e1, c1 = e0 + n * len(z), c0 + n * len(cp_pos)
+                e = np.array(held.emfs[e0:e1], complex).reshape(n, len(z))
+                i = (e - vg[:, vs_pos]) / z
+                s = ((e - z * i) * i.conj()).sum(axis=1)
+                i = np.array(held.cp_currents[c0:c1], complex).reshape(n, len(cp_pos))
+                s += (vg[:, cp_pos] * i.conj()).sum(axis=1)
+                d = np.concatenate((vg[:, zl_pos], vg[:, ln_from] - vg[:, ln_to]), axis=1)
+                d *= d.conj()  # |V|^2, in place
+                out[a:b] = s - (d * y).sum(axis=1)
+                e0, c0 = e1, c1
+            step = np.repeat(np.arange(len(held.v)), held.n_inj)
+            np.add.at(out, step, v[step, held.inj_pos] * np.conj(held.inj_val))
+        return np.abs(out)
 
 
 def _balance_terms(c: dict) -> tuple:
     """The terms of cache ``c``'s topology as the power-balance check reads
     them: the voltage sources' (grid sources, then formers) bus positions
-    and impedances (with their ``_quotient``), the CP and impedance loads'
-    positions, the lines' ends, and the loads' then lines' ``conj(y)``;
-    values as columns."""
+    and impedances, the CP and impedance loads' positions, the lines' ends,
+    and the impedance loads' then lines' ``conj(y)``."""
     vs = [(p, src.z_s) for src, _, p in c["sources"]]
     vs += [(p, z) for _, p, z in c["formers"]]
     pos = ([p for p, _ in vs], c["cp_pos"], [b for b, _ in c["z_loads"]],
            [p for p, _, _ in c["lines"]], [q for _, q, _ in c["lines"]])
     y = [y for _, y in c["z_loads"]] + [y for _, _, y in c["lines"]]
     vs_pos, cp_pos, zl_pos, ln_from, ln_to = (np.array(p, np.intp) for p in pos)
-    z, y = (np.array(w, complex)[:, None] for w in ([z for _, z in vs], y))
-    return vs_pos, z, _quotient(z), cp_pos, zl_pos, ln_from, ln_to, y
-
-
-def _injections(v, counts, held, i0, i1) -> tuple[np.ndarray, np.ndarray]:
-    """The bus voltages and the conjugate currents of ``held``'s injections
-    ``i0:i1``, ``counts`` of them a state, a row per place in a state's
-    list; a state with fewer has 0 in the places it lacks, adding 0 * 0 =
-    +0.0, which moves no sum but a zero's sign."""
-    n, width = len(counts), int(counts.max())
-    pos = np.fromiter(islice(held.inj_pos, i0, i1), np.intp, i1 - i0)
-    val = np.fromiter(islice(held.inj_val, i0, i1), complex, i1 - i0).conj()
-    if i1 - i0 == n * width and (pos.reshape(n, width) == pos[:width]).all():
-        return v[pos[:width]], np.ascontiguousarray(val.reshape(n, width).T)
-    step = np.repeat(np.arange(n), counts)
-    slot = np.arange(i1 - i0) - np.repeat(np.cumsum(counts) - counts, counts)
-    at, i = np.zeros((2, width, n), complex)
-    at[slot, step], i[slot, step] = v[pos, step], val
-    return at, i
-
-
-def _rows(values: list[complex], start: int, stop: int, n: int) -> np.ndarray:
-    """``values[start:stop]``, ``n`` states' worth, as (value, state)."""
-    flat = np.fromiter(islice(values, start, stop), complex, stop - start)
-    return np.ascontiguousarray(flat.reshape(n, (stop - start) // n).T)
-
-
-def _prod(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``a * b`` as CPython multiplies complexes, into ``out`` (may be ``a``)."""
-    im = a.real * b.imag
-    im += a.imag * b.real
-    out = np.empty(im.shape, complex) if out is None else out
-    np.multiply(a.real, b.real, out=out.real)
-    out.real -= a.imag * b.imag
-    out.imag = im
-    return out
-
-
-def _quotient(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """How CPython divides by each ``z``: through by its real part where
-    ``|z.real| >= |z.imag|``, else by its imaginary part; the other part's
-    ratio to it; and the denominator."""
-    by_real = np.abs(z.real) >= np.abs(z.imag)
-    p, q = np.where(by_real, z.real, z.imag), np.where(by_real, z.imag, z.real)
-    r = q / p
-    return by_real, r, p + q * r
-
-
-def _quot(a: np.ndarray, quotient: tuple) -> np.ndarray:
-    """``a / z`` as CPython divides complexes, for ``quotient = _quotient(z)``."""
-    by_real, r, d = quotient
-    x, y = np.where(by_real, a.real, a.imag), np.where(by_real, a.imag, a.real)
-    out, t = np.empty(x.shape, complex), x * r
-    np.divide(x + y * r, d, out=out.real)
-    np.divide(np.where(by_real, y - t, t - y), d, out=out.imag)
-    return out
+    z, y = (np.array(w, complex) for w in ([z for _, z in vs], y))
+    return vs_pos, z, cp_pos, zl_pos, ln_from, ln_to, y
 
 
 def _newton_cp_scalar(

@@ -3,14 +3,17 @@ before the solve dropped its per-step comprehensions, reductions and
 helper calls: the bodies word for word, as functions of the network
 (``self``), with the Newton step and its two checks they called.
 
-Kept as the oracle the solve must match bit for bit
-(``tests/test_network.py``).  It reads the network's per-topology cache,
-so it runs on any ``Network``; run it on a second network built like the
-one under test, since a solve warm-starts the next one.
+Kept as the oracle the solve must match bit for bit, and the block
+power-balance check within ``ROUNDING * power_balance_scale``
+(``tests/test_network.py``, ``tests/test_runner.py``).  It reads the
+network's per-topology cache, so it runs on any ``Network``; run it on a
+second network built like the one under test, since a solve warm-starts
+the next one.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -152,6 +155,30 @@ def power_balance_residual(self, state: NetworkState) -> float:
     for p, q, y_conj in c["lines"]:
         s -= abs(v[p] - v[q]) ** 2 * y_conj
     return abs(s)
+
+
+# |check - oracle| <= ROUNDING * power_balance_scale: both sum the same
+# terms in float64, each rounded within a few eps of its size (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., section 4.2)
+ROUNDING = 4 * np.finfo(float).eps
+
+
+def power_balance_scale(self, state: NetworkState) -> float:
+    """sum(|term|) over the terms ``power_balance_residual`` adds up for
+    the solved state, the scale of the rounding in its sum."""
+    c = self._cache
+    v = state.v_list
+    terms = []
+    for src, _, p in c["sources"]:
+        i = (src.e - v[p]) / src.z_s
+        terms.append((src.e - src.z_s * i) * i.conjugate())
+    for (_, _, z), e, i in zip(c["formers"], state.emfs, state.former_currents):
+        terms.append((e - z * i) * i.conjugate())
+    terms += [v[p] * inj.conjugate() for p, inj in state.injections]
+    terms += [v[p] * i.conjugate() for p, i in zip(c["cp_pos"], state.cp_currents)]
+    terms += [abs(v[b]) ** 2 * y_conj for b, y_conj in c["z_loads"]]
+    terms += [abs(v[p] - v[q]) ** 2 * y_conj for p, q, y_conj in c["lines"]]
+    return math.fsum(abs(t) for t in terms)
 
 
 def _newton_cp_scalar(

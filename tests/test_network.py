@@ -1,6 +1,5 @@
 import cmath
 import copy
-import dataclasses
 import math
 import warnings
 
@@ -654,7 +653,8 @@ def random_network(data, case: dict) -> tuple[Network, list, list]:
 
 def solve_both(net, twin, emfs, injections):
     """Solve ``net`` with ``Network.solve`` and its twin with the oracle;
-    (state, report, power-balance residual) each, or the error raised."""
+    (state, report, power-balance residual, the oracle's sum of |term|)
+    each, or the error raised."""
     out = []
     for solve, residual, target in (
         (Network.solve, balance_residual, net),
@@ -665,7 +665,8 @@ def solve_both(net, twin, emfs, injections):
         except NonConvergenceError as exc:
             out.append((str(exc), exc.iterations))
         else:
-            out.append((state, report, residual(target, state)))
+            out.append((state, report, residual(target, state),
+                        solve_oracle.power_balance_scale(target, state)))
     return out
 
 
@@ -673,7 +674,7 @@ def assert_same_solve(new, old):
     if isinstance(old[0], str):  # the same non-convergence
         assert new == old
         return
-    (sa, ra, pa), (sb, rb, pb) = new, old
+    (sa, ra, pa, _), (sb, rb, pb, scale) = new, old
     assert np.array_equal(sa.v_pos, sb.v_pos) and sa.v_list == sb.v_list
     assert (sa.v_neg is None) == (sb.v_neg is None)
     assert sa.v_neg is None or np.array_equal(sa.v_neg, sb.v_neg)
@@ -681,7 +682,7 @@ def assert_same_solve(new, old):
     assert sa.cp_currents == sb.cp_currents
     assert (ra.cp_iterations, ra.residual, ra.de_energized_with_load) == (
         rb.cp_iterations, rb.residual, rb.de_energized_with_load)
-    assert pa == pb
+    assert abs(pa - pb) <= solve_oracle.ROUNDING * scale
 
 
 @pytest.mark.parametrize("case", list(SOLVE_CASES))
@@ -759,6 +760,7 @@ def test_block_check_matches_the_oracle_state_by_state():
     steps = [
         ([], [(b2, 0.1 - 0.02j)]),
         ([], [(b2, 0.1 - 0.02j), (b4, 0.05 + 0.01j)]),
+        ([], [(b2, 0.1 - 0.02j), (b2, 0.05 + 0.01j)]),  # two on one bus
         ([("step_load", "zl", 0.1, 0.02)], [(b2, 0.1 - 0.02j)]),
         ([], [(b2, 0j)]),  # an injection at zero
         ([], []),  # and gone
@@ -769,7 +771,7 @@ def test_block_check_matches_the_oracle_state_by_state():
           ("set_formers", [("b2", z_f)])], [(b4, 0.1 + 0j)]),  # no CP bus live
         ([], [(b2, 0.05 - 0.01j)]),
     ]
-    held, oracle, cp_buses = StateBlock(), [], []
+    held, oracle, scale, cp_buses = StateBlock(), [], [], []
     for k, (changes, injections) in enumerate(steps):
         for target in (net, twin):
             for name, *args in changes:
@@ -780,36 +782,19 @@ def test_block_check_matches_the_oracle_state_by_state():
         state, _ = net.solve(emfs, injections)
         twin_state, _ = solve_oracle.solve(twin, emfs, injections)
         oracle.append(solve_oracle.power_balance_residual(twin, twin_state))
+        scale.append(solve_oracle.power_balance_scale(twin, twin_state))
         held.append(state)
         cp_buses.append(len(state.cp_currents))
         for target in (net, twin):
             target.advance_sources(1e-3, 60.0)
-    assert cp_buses == [2, 2, 2, 2, 2, 1, 1, 2, 0, 0]
-    assert len(held.groups) == 5 and held.n_inj == [1, 2, 1, 1, 0, 2, 1, 1, 1, 1]
+    assert cp_buses == [2, 2, 2, 2, 2, 2, 1, 1, 2, 0, 0]
+    assert len(held.groups) == 5 and held.n_inj == [1, 2, 2, 1, 1, 0, 2, 1, 1, 1, 1]
     block = net.power_balance_residual(held).tolist()
     assert math.isnan(block[-2]) and math.isnan(oracle[-2])
-    del block[-2], oracle[-2]
-    assert block == oracle
+    del block[-2], oracle[-2], scale[-2]
+    for got, want, m in zip(block, oracle, scale):
+        assert abs(got - want) <= solve_oracle.ROUNDING * m
     assert max(block) < 1e-12
-
-
-def test_block_check_squares_each_line_drop_as_python_does():
-    # line drops whose float square differs from x * x in the last bit, on
-    # states whose only nonzero term is the line loss: a check that squared
-    # by multiplying would read them differently from the oracle
-    x = np.random.default_rng(3).uniform(0.01, 1.0, 50_000)
-    x = x[x * x != np.array([h ** 2 for h in x.tolist()])][:20]
-    assert len(x) == 20
-    net = Network(["a", "b"], [Line("a", "b", 0.01, 0.1)])
-    net.set_formers([("a", 0.005 + 0.05j)])
-    state, _ = net.solve([1.0 + 0j])
-    states = []
-    for h in x.tolist():
-        v = np.array([0j, complex(h, 0.0)])
-        states.append(dataclasses.replace(
-            state, v_pos=v, v_list=v.tolist(), emfs=[0j], former_currents=[0j]))
-    block = net.power_balance_residual(StateBlock(states)).tolist()
-    assert block == [solve_oracle.power_balance_residual(net, s) for s in states]
 
 
 def test_nan_emf_gives_a_nan_residual_without_a_warning():
@@ -834,102 +819,3 @@ def test_an_overflowing_state_gives_a_non_finite_residual_and_raises_nothing():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert not math.isfinite(balance_residual(net, state))
-
-
-# -- the rules the block check replays CPython's complex arithmetic by ----
-
-SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e154, 1.34e154,
-           -1.35e154, 1e300, -1e-300, math.inf, -math.inf, math.nan, 1.0, -2.5]
-
-
-def replay_operands(seed, n=100_000):
-    """``n`` float64 operands: finite values over 20 decades, with one in
-    ten taken from ``SPECIAL``."""
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=n) * 10.0 ** rng.uniform(-10, 10, size=n)
-    pick = rng.random(n) < 0.1
-    x[pick] = rng.choice(SPECIAL, size=int(pick.sum()))
-    return x
-
-
-def same_bits(a, b) -> bool:
-    """Equal to the bit, a NaN matching any NaN."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    nan = np.isnan(a)
-    return bool(np.array_equal(nan, np.isnan(b))
-                and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
-
-
-def python_parts(fn, *columns):
-    """Real and imaginary parts of ``fn`` applied in Python to each row of
-    ``columns``; inf where Python raises OverflowError."""
-    re, im = [], []
-    for args in zip(*(c.tolist() for c in columns)):
-        try:
-            z = complex(fn(*args))
-        except OverflowError:
-            z = complex(math.inf, 0.0)
-        re.append(z.real)
-        im.append(z.imag)
-    return np.array(re), np.array(im)
-
-
-def divisors(seed, by_real: bool, n=100_000):
-    """Nonzero divisors whose larger part (in magnitude) is the real one,
-    or the imaginary one."""
-    a, b = replay_operands(seed, n), replay_operands(seed + 1, n)
-    a[(a == 0) & (b == 0)] = 1.0
-    big = np.abs(a) >= np.abs(b)
-    keep = big if by_real else ~big & ~np.isnan(a) & ~np.isnan(b)
-    return a[keep], b[keep]
-
-
-def complex_array(re, im):
-    """The complex array of parts ``re`` and ``im``, bit for bit."""
-    z = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), complex)
-    z.real, z.imag = re, im
-    return z
-
-
-@pytest.mark.parametrize("rule", [
-    "product", "quotient_by_real_part", "quotient_by_imaginary_part",
-    "float_times_complex", "abs_is_hypot", "square_is_float_power",
-    "sequential_sum",
-])
-def test_replay_rule_matches_python(rule):
-    from dualpath.network import _prod, _quot, _quotient
-
-    ar, ai, br, bi = (replay_operands(seed) for seed in (1, 2, 3, 4))
-    with np.errstate(all="ignore"):
-        if rule == "product":
-            got = _prod(complex_array(ar, ai), complex_array(br, bi))
-            want = python_parts(lambda a, b, c, d: complex(a, b) * complex(c, d), ar, ai, br, bi)
-        elif rule.startswith("quotient"):
-            zr, zi = divisors(5, rule == "quotient_by_real_part")
-            assert len(zr) > 30_000
-            ar, ai = ar[:len(zr)], ai[:len(zr)]
-            got = _quot(complex_array(ar, ai), _quotient(complex_array(zr, zi)))
-            want = python_parts(lambda a, b, c, d: complex(a, b) / complex(c, d), ar, ai, zr, zi)
-        elif rule == "float_times_complex":
-            got = _prod(complex_array(ar, 0.0), complex_array(br, bi))
-            want = python_parts(lambda a, c, d: a * complex(c, d), ar, br, bi)
-        elif rule == "abs_is_hypot":
-            got = complex_array(np.hypot(ar, ai), 0.0)
-            want = python_parts(lambda a, b: abs(complex(a, b)), ar, ai)
-        elif rule == "square_is_float_power":
-            x = np.concatenate((np.abs(ar), ar))
-            got = complex_array(np.float_power(x, 2.0), 0.0)
-            want = python_parts(lambda a: a ** 2, x)
-        else:  # s = 0j, then s += each of 8 terms: a zero row accumulated
-            terms = np.concatenate((np.zeros((1, len(ar) // 8), complex),
-                                    complex_array(ar, ai).reshape(-1, 8).T))
-            got = np.add.accumulate(terms, axis=0)[-1]
-
-            def python_sum(*parts):
-                s = 0j
-                for re, im in zip(parts[:8], parts[8:]):
-                    s += complex(re, im)
-                return s
-
-            want = python_parts(python_sum, *ar.reshape(-1, 8).T, *ai.reshape(-1, 8).T)
-    assert same_bits(got.real, want[0]) and same_bits(got.imag, want[1]), rule
