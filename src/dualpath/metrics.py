@@ -1,5 +1,6 @@
-"""Run metrics computed from the arrays recorded per control step, never
-from the ones kept per output row.
+"""Run metrics, computed from ``t`` and the residuals of every control step
+and from the ``StepFold`` of each step's ``f``, ``p`` and ``mode``, never
+from the columns kept per output row.
 
 Every metric is either computed or explicitly null (not applicable for the
 scenario).  Definitions:
@@ -50,9 +51,63 @@ _PER_STEP_KEYS = (
 )
 
 
+class StepFold:
+    """What the metrics read of each step's ``f``, ``p`` and ``mode``,
+    folded a block of steps at a time (``add``), so that a run keeps no
+    per-inverter array that grows with its steps: the frequency nadir and
+    its first step (a NaN wins, as with ``np.argmin``), the last step
+    outside the settling band, the blocks of ``p`` that cover the final
+    ``SHARE_WINDOW_S`` and the last step's modes.  A block goes through the
+    NumPy calls whole-run arrays would, in the run's order, so every metric
+    keeps its bits."""
+
+    __slots__ = ("f_nom", "n", "nadir", "k_nadir", "k_out", "window_k0", "p_blocks", "modes")
+
+    def __init__(self, f_nom: float):
+        self.f_nom, self.nadir = f_nom, math.nan
+        self.n = self.window_k0 = 0  # steps folded; the first step of p_blocks
+        self.k_nadir = self.k_out = None  # k_out: the last step out of the band
+        self.p_blocks: list = []  # (last time, p rows) of each kept block
+        self.modes: list[int] = []
+
+    def add(self, t: np.ndarray, f: np.ndarray, p: np.ndarray, mode: np.ndarray) -> None:
+        """Fold the next steps: their times ``t`` and their (step, unit)
+        rows of ``f``, ``p`` and ``mode``, which may be reused afterwards."""
+        k0, self.n = self.n, self.n + len(f)
+        if not f.size:  # no unit
+            return
+        f_min = f.min(axis=1)
+        k = int(np.argmin(f_min))
+        # not >=: the block's minimum wins if it is NaN or lower
+        if self.k_nadir is None or (self.nadir == self.nadir and not f_min[k] >= self.nadir):
+            self.nadir, self.k_nadir = float(f_min[k]), k0 + k
+        # worst |f - f_nom| per step from the row extremes, in place: it is the
+        # same float as np.abs(f - f_nom).max(axis=1), NaN included, since
+        # f - f_nom rounds monotonically in f and f_nom - f is its negation
+        dev = f.max(axis=1)
+        np.subtract(dev, self.f_nom, out=dev)
+        np.subtract(self.f_nom, f_min, out=f_min)
+        np.maximum(dev, f_min, out=dev)
+        out_of_band = np.flatnonzero(dev > SETTLE_BAND_HZ)
+        if out_of_band.size:
+            self.k_out = k0 + int(out_of_band[-1])
+        # drop the blocks that end before the window of a run ending now,
+        # which lie before the final window too (t - SHARE_WINDOW_S, 1 s, is
+        # exact for t >= 1 s, so the run is then longer than the window)
+        self.p_blocks.append((t[-1], p.copy()))
+        while self.p_blocks[0][0] < t[-1] - SHARE_WINDOW_S:
+            self.window_k0 += len(self.p_blocks.pop(0)[1])
+        self.modes = mode[-1].tolist()
+
+    def window(self, t: np.ndarray) -> np.ndarray:
+        """The ``p`` rows of the final ``SHARE_WINDOW_S`` of the run whose
+        per-step times are ``t`` (all rows in a shorter run), contiguous."""
+        w = _share_window(t)
+        return np.concatenate([b for _, b in self.p_blocks])[w.start - self.window_k0:]
+
+
 def compute_metrics(result) -> dict:
     cfg = result.cfg
-    f_nom = cfg.base.f_nom
     t = result.t
     out: dict = {
         "scenario": cfg.name,
@@ -69,29 +124,19 @@ def compute_metrics(result) -> dict:
         out.update(dict.fromkeys(_PER_STEP_KEYS), transitions=[])
         return out
 
-    f_min = result.f.min(axis=1)
-    k_nadir = int(np.argmin(f_min))
-    out["frequency_nadir_hz"] = float(f_min[k_nadir])
-    out["frequency_nadir_t"] = float(t[k_nadir])
+    fold = result.fold
+    out["frequency_nadir_hz"] = fold.nadir
+    out["frequency_nadir_t"] = float(t[fold.k_nadir])
 
     # settling relative to the last scripted event
     event_times = [te.t for te in cfg.events if te.t <= t[-1]]
     t_ref = max(event_times) if event_times else 0.0
-    # worst |f - f_nom| per step from the row extremes, in place: it is the
-    # same float as np.abs(f - f_nom).max(axis=1), NaN included, since
-    # f - f_nom rounds monotonically in f and f_nom - f is its negation
-    dev = result.f.max(axis=1)
-    np.subtract(dev, f_nom, out=dev)
-    np.subtract(f_nom, f_min, out=f_min)
-    np.maximum(dev, f_min, out=dev)
-    out_of_band = dev > SETTLE_BAND_HZ
-    k_last = len(t) - 1 - int(np.argmax(out_of_band[::-1]))  # last True
-    if not out_of_band[k_last]:
+    if fold.k_out is None:
         out["settling_time_s"] = 0.0
-    elif k_last == len(t) - 1:
+    elif fold.k_out == len(t) - 1:
         out["settling_time_s"] = None  # never settles within the run
     else:
-        out["settling_time_s"] = max(0.0, float(t[k_last + 1] - t_ref))
+        out["settling_time_s"] = max(0.0, float(t[fold.k_out + 1] - t_ref))
 
     trs = []
     for rec in _records(result, TransitionRecord):
@@ -170,12 +215,10 @@ def _reconnection(result) -> tuple[float | None, float | None]:
 def _sharing_error(result) -> float | None:
     """Worst pairwise droop-sharing ratio deviation over the final window."""
     cfg = result.cfg
-    gfm_idx = [
-        i for i in range(len(result.inv_ids)) if result.mode[-1, i] == 1
-    ]
+    gfm_idx = [i for i, m in enumerate(result.fold.modes) if m == 1]
     if len(gfm_idx) < 2:
         return None
-    p_avg = result.p[_share_window(result.t)].mean(axis=0)
+    p_avg = result.fold.window(result.t).mean(axis=0)
     worst = 0.0
     for a in range(len(gfm_idx)):
         for b in range(a + 1, len(gfm_idx)):
@@ -190,8 +233,7 @@ def _sharing_error(result) -> float | None:
 
 def _share_window(t) -> slice:
     """The rows of the final ``SHARE_WINDOW_S`` of the increasing times ``t``
-    (all of them in a shorter run), as a slice, so the rows are read in
-    place."""
+    (all of them in a shorter run), as a slice."""
     if t[-1] - t[0] < SHARE_WINDOW_S:
         return slice(0, len(t))
     return slice(int(np.searchsorted(t, t[-1] - SHARE_WINDOW_S)), len(t))

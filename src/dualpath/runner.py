@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from . import metrics
 from .detect import IslandingDetector, ReconnectionMonitor
 from .droop import (
     U_CLAMP,
@@ -65,6 +66,7 @@ from .events import (
 )
 from .frames import TWO_PI, PerUnitBase, steps, wrap_angle
 from .guard import GuardAuditRecord, Setpoint, validate_setpoint
+from .metrics import StepFold
 from .network import Network, NonConvergenceError, StateBlock
 from .pll import (
     I_MAX,
@@ -149,8 +151,8 @@ class _Inverter:
 
 @dataclass(slots=True)
 class SimResult:
-    """A run's record (``_Record`` says which arrays are per control step
-    and which per output row) and its outcome."""
+    """A run's record (``_Record`` says what is kept per control step and
+    what per output row), its ``StepFold`` and its outcome."""
 
     cfg: ScenarioConfig
     t: np.ndarray
@@ -165,6 +167,7 @@ class SimResult:
     island: np.ndarray
     recon: np.ndarray
     residual: np.ndarray
+    fold: StepFold
     events_log: list  # typed records in log order (see dualpath.events)
     # solved bus voltages by step, at each accepted transition and the next
     transition_v: dict = field(default_factory=dict)
@@ -503,10 +506,9 @@ class Simulation:
     def run(self) -> SimResult:
         t_start = time.perf_counter()
         cfg = self.cfg
-        n_steps = int(round(cfg.t_end / self.dt))
-        rows = n_steps + 1
+        rows = steps(cfg.t_end, self.dt) + 1
         ni = len(self.invs)
-        record = _Record(rows, len(cfg.buses), ni, cfg.output.decimate)
+        record = _Record(rows, len(cfg.buses), ni, cfg.output.decimate, self.f_nom)
         t_rec = record.t.data
         (self._f_rec, self._p_rec, self._mode_rec, self._q_rec, self._lock_rec,
          self._isl_rec, self._recon_rec) = record.views
@@ -603,9 +605,8 @@ class Simulation:
             abort_step=k if aborted else -1,
             wall_time_s=wall,
         )
-        from .metrics import compute_metrics
-
-        result.metrics = compute_metrics(result)
+        # looked up at call time, where a layer trace may have wrapped it
+        result.metrics = metrics.compute_metrics(result)
         result.metrics["wall_time_s"] = wall
         return result
 
@@ -737,54 +738,51 @@ class Simulation:
 
 
 # control steps flushed into the record at a time: one np.absolute and one
-# np.arctan2 call fill the block's bus-voltage rows and one power-balance
-# check its residuals (a call per row costs more in call overhead than the
-# arithmetic; 64-step blocks lost most of the check's gain), and the held
-# states stay small
+# np.arctan2 call fill the block's bus-voltage rows, one power-balance check
+# its residuals and one StepFold.add its metric values (a call per row costs
+# more in call overhead than the arithmetic; 64-step blocks lost most of the
+# check's gain), and the held states stay small
 RECORD_BLOCK = 256
-# the inverter columns recorded per control step (the rest per output row)
-STEP_COLUMNS = ("f", "p", "mode")
 
 
 class _Record:
-    """A run's record at two rates: per control step ``t``, ``residual``,
-    ``f``, ``p`` and ``mode``, which the metrics read; per output row (the
-    steps 0, dec, 2 * dec, ...) ``bus_mag``, ``bus_ang``, ``q``, ``lock``,
-    ``island`` and ``recon``, which only timeseries.csv reads; and the
-    solved bus voltages at the steps in ``keep``.  The loop writes ``t`` in
-    place and the inverter columns through ``views``, flat
-    memoryviews of a block of RECORD_BLOCK steps (element (k - k0) * ni + i
-    is step k, inverter i; about half the cost of numpy item assignment),
-    which ``flush`` moves into the record with the block's residuals."""
+    """A run's record: per control step only ``t`` and ``residual`` (16 B a
+    step); per output row (the steps 0, dec, 2 * dec, ...) the bus voltages
+    and every inverter column, which timeseries.csv reads (16 B a bus and
+    28 B an inverter a row); the solved bus voltages at the steps in
+    ``keep``; and ``fold``, the metrics' fold of each step's ``f``, ``p``
+    and ``mode``.  The loop writes ``t`` in place and the inverter columns
+    through ``views``, flat memoryviews of a block of RECORD_BLOCK steps
+    (element (k - k0) * ni + i is step k, inverter i; about half the cost
+    of numpy item assignment), which ``flush`` folds and moves into the
+    record with the block's residuals."""
 
-    def __init__(self, rows: int, nb: int, ni: int, dec: int):
+    def __init__(self, rows: int, nb: int, ni: int, dec: int, f_nom: float):
         self.dec = dec
         n_out = len(range(0, rows, dec))
         self.t, self.residual = np.empty(rows), np.empty(rows)
         self.bus_mag, self.bus_ang = np.empty((n_out, nb)), np.empty((n_out, nb))
         self.cols = {  # the inverter columns, in view order
-            c: np.empty((rows if c in STEP_COLUMNS else n_out, ni),
-                        float if c in ("f", "p", "q") else np.int8)
+            c: np.empty((n_out, ni), float if c in ("f", "p", "q") else np.int8)
             for c in ("f", "p", "mode", "q", "lock", "island", "recon")
         }
         self.blocks = [np.empty((RECORD_BLOCK, ni), a.dtype) for a in self.cols.values()]
         self.views = [b.reshape(-1).data for b in self.blocks]
         self.keep: set[int] = set()
         self.kept: dict[int, list[complex]] = {}
+        self.fold = StepFold(f_nom)
 
     def flush(self, v: np.ndarray, k0: int, residual: np.ndarray) -> None:
-        """Move the block of steps ``k0`` on, whose solved bus voltages are
-        the rows of ``v`` and power-balance residuals ``residual``, into the
-        record."""
+        """Fold the block of steps ``k0`` on, whose solved bus voltages are
+        the rows of ``v`` and power-balance residuals ``residual``, and move
+        its residuals and output rows into the record."""
         n, dec = len(v), self.dec
         self.residual[k0:k0 + n] = residual
+        self.fold.add(self.t[k0:k0 + n], *(b[:n] for b in self.blocks[:3]))  # f, p, mode
         out = slice(-(-k0 // dec), -(-(k0 + n) // dec))
         sel = slice(-k0 % dec, n, dec)  # the block's output rows
-        for (c, a), b in zip(self.cols.items(), self.blocks):
-            if c in STEP_COLUMNS:
-                a[k0:k0 + n] = b[:n]
-            else:
-                a[out] = b[sel]
+        for a, b in zip(self.cols.values(), self.blocks):
+            a[out] = b[sel]
         np.absolute(v[sel], out=self.bus_mag[out])
         np.arctan2(v[sel].imag, v[sel].real, out=self.bus_ang[out])
         self.kept.update((k, v[k - k0].tolist()) for k in self.keep if k0 <= k < k0 + n)
@@ -795,8 +793,8 @@ class _Record:
         return {
             "t": self.t[:rows], "residual": self.residual[:rows],
             "bus_mag": self.bus_mag[:n_out], "bus_ang": self.bus_ang[:n_out],
-            **{c: a[:rows if c in STEP_COLUMNS else n_out] for c, a in self.cols.items()},
-            "transition_v": self.kept,
+            **{c: a[:n_out] for c, a in self.cols.items()},
+            "transition_v": self.kept, "fold": self.fold,
         }
 
 
@@ -861,32 +859,28 @@ def write_outputs(result: SimResult, out_dir: str | Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     cfg = result.cfg
 
-    # the per-step columns are read at every dec-th step, the per-row ones
-    # row by row (see _Record)
-    dec = cfg.output.decimate
+    # t is kept per control step, every other column per output row (_Record)
     header = ["t"]
-    columns = [(result.t, dec)]
+    columns = [result.t[::cfg.output.decimate]]
     for b, bus in enumerate(cfg.buses):
         header += [f"v_mag_{bus}", f"v_ang_{bus}"]
-        columns += [(result.bus_mag[:, b], 1), (result.bus_ang[:, b], 1)]
+        columns += [result.bus_mag[:, b], result.bus_ang[:, b]]
     for i, inv_id in enumerate(result.inv_ids):
         header += [
             f"f_{inv_id}", f"p_{inv_id}", f"q_{inv_id}", f"mode_{inv_id}",
             f"lock_{inv_id}", f"island_{inv_id}", f"recon_{inv_id}",
         ]
         columns += [
-            (result.f[:, i], dec), (result.p[:, i], dec), (result.q[:, i], 1),
-            (result.mode[:, i], dec), (result.lock[:, i], 1),
-            (result.island[:, i], 1), (result.recon[:, i], 1),
+            result.f[:, i], result.p[:, i], result.q[:, i], result.mode[:, i],
+            result.lock[:, i], result.island[:, i], result.recon[:, i],
         ]
     # one string per row: "%.9g" % x is format(x, ".9g") for every float
     # (nan, inf and -0.0 too), and "%d" % k is str(k) for the int8 flags
-    row = ",".join("%.9g" if col.dtype.kind == "f" else "%d" for col, _ in columns).__mod__
+    row = ",".join("%.9g" if col.dtype.kind == "f" else "%d" for col in columns).__mod__
     with (out / "timeseries.csv").open("w") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(range(0, result.t.size, dec)), CSV_CHUNK_ROWS):
-            stop = start + CSV_CHUNK_ROWS
-            chunk = [col[start * s:stop * s:s].tolist() for col, s in columns]
+        for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+            chunk = [col[start:start + CSV_CHUNK_ROWS].tolist() for col in columns]
             fh.write("\n".join(map(row, zip(*chunk))) + "\n")
 
     rows = [(rec.t, *_log_row(rec)) for rec in result.events_log]

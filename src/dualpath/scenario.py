@@ -39,7 +39,7 @@ from .events import (
     SourceUnbalance,
     TimedEvent,
 )
-from .frames import TWO_PI, PerUnitBase, steps
+from .frames import TWO_PI, PerUnitBase
 from .guard import GuardLimits
 from .network import (
     Breaker,
@@ -563,17 +563,10 @@ def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
             problems.append(f"inverters[{i}].droop: k_r*dt > 0.1")
 
     target_kind = {cls: kind for cls, kind, _ in _EVENTS.values()}
-    # the run's last control step; an event due after it would never apply
-    n_last = round(cfg.t_end / dt) if 0.0 < dt <= 1e-3 else math.inf
     for i, te in enumerate(cfg.events):
         target, want = te.event.target, target_kind[type(te.event)]
         if not (0.0 <= te.t <= cfg.t_end):
             problems.append(f"events[{i}].t: {te.t} outside [0, t_end]")
-        elif steps(te.t, dt) > n_last:
-            problems.append(
-                f"events[{i}].t: {te.t} after the last control step "
-                f"(t = {n_last * dt:.9g})"
-            )
         elif target not in all_ids:
             problems.append(f"events[{i}].target: unknown element {target!r}")
         elif all_ids[target] != want:

@@ -10,6 +10,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from dualpath.frames import steps  # noqa: E402
 from dualpath.runner import run  # noqa: E402
 from dualpath.scenario import load_config  # noqa: E402
 
@@ -38,7 +39,7 @@ LIBRARY_RUNS = pytest.StashKey[tuple]()
 
 def _run_cost(cfg):
     """Expected run time: control steps times (units + 1, for the solve)."""
-    return round(cfg.t_end / cfg.dt) * (len(cfg.inverters) + 1)
+    return steps(cfg.t_end, cfg.dt) * (len(cfg.inverters) + 1)
 
 
 def start_library_runs(with_library):

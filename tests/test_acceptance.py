@@ -18,6 +18,7 @@ import pytest
 
 from dualpath.events import AutoReclose, BreakerSet, DetectorChange, SourceFreq, TimedEvent
 from dualpath.frames import TWO_PI, wrap_angle
+from dualpath.metrics import SETTLE_BAND_HZ
 from dualpath.pll import PllParams, PllState, pll_gains, pll_step
 from dualpath.runner import write_outputs
 from dualpath.supervisor import TransitionRecord
@@ -121,11 +122,20 @@ def test_initialization_rounds_reported(library):
     assert flat["init_mismatch"] <= 1e-11
 
 
+def final_second_p(res):
+    """The mean P of each unit over the steps of the final second, from the
+    window the run's fold kept: exactly the rows of t >= t[-1] - 1.0."""
+    window = res.fold.window(res.t)
+    assert len(window) == np.count_nonzero(res.t >= res.t[-1] - 1.0)
+    return window.mean(axis=0)
+
+
 def test_criterion_02_droop_sharing(library):
     res = library["sharing_droop"]
-    tail = res.t >= res.t[-1] - 1.0
-    p = res.p[tail].mean(axis=0)
+    p = final_second_p(res)
     ratio = p[0] / p[1]
+    # the last output row is the last control step
+    assert (res.t.size - 1) % res.cfg.output.decimate == 0
     f_final = res.f[-1]
     assert ratio == pytest.approx(2.0, rel=0.01)
     assert np.all(np.abs(f_final - 59.4) <= 0.01)
@@ -136,10 +146,12 @@ def test_criterion_03_frequency_restoration(library):
     res = library["sharing_restoration"]
     step_t = 4.0
     k10 = np.searchsorted(res.t, step_t + 10.0) - 1
-    dev = np.abs(res.f[k10:] - 60.0).max()
-    assert dev < 0.01
-    tail = res.t >= res.t[-1] - 1.0
-    p = res.p[tail].mean(axis=0)
+    # every |f - 60| from k10 on is within 0.01 Hz: the fold's last step out
+    # of that band comes before k10, and no f is NaN (a NaN would be the nadir)
+    fold = res.fold
+    assert res.cfg.base.f_nom == 60.0 and SETTLE_BAND_HZ == 0.01
+    assert fold.k_out is not None and fold.k_out < k10 and not math.isnan(fold.nadir)
+    p = final_second_p(res)
     ratio = p[0] / p[1]
     assert ratio == pytest.approx(2.0, rel=0.02)
     # sharing preservation: at restored frequency the offsets u_i = m_p_i*P_i
@@ -150,7 +162,8 @@ def test_criterion_03_frequency_restoration(library):
     assert du <= 1e-4
     _ok(
         3,
-        f"|f-60| = {dev:.4f} Hz within 10 s of the step, ratio {ratio:.3f}, "
+        f"|f-60| <= 0.01 Hz from t = {res.t[fold.k_out + 1]:.3f} s, within 10 s "
+        f"of the step; ratio {ratio:.3f}, "
         f"|u1-u2| = {du:.1e}",
     )
 
@@ -305,15 +318,14 @@ def test_criterion_07_pll_under_asymmetry():
 
 def test_criterion_08_black_start(library):
     res = library["blackstart"]
-    tail = res.t >= res.t[-1] - 1.0
-    p = res.p[tail].mean(axis=0)
+    p = final_second_p(res)
     ratio = p[0] / p[1]
     assert ratio == pytest.approx(2.0, rel=0.02)
     for tr in res.metrics["transitions"]:
         if tr["accepted"]:
             assert tr["phase_jump_deg"] < 1.0
             assert tr["mag_jump_pu"] < 0.02
-    assert res.mode[-1].tolist() == [1, 1]
+    assert res.fold.modes == [1, 1]  # at the last step
     _ok(8, f"final sharing ratio {ratio:.3f}; transitions seamless")
 
 

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 from test_runner import two_rate_docs
 
 from dualpath.frames import wrap_angle
-from dualpath.metrics import SETTLE_BAND_HZ, SHARE_WINDOW_S, _share_window, compute_metrics
-from dualpath.runner import SimResult, run, write_outputs
+from dualpath.metrics import (
+    SETTLE_BAND_HZ, SHARE_WINDOW_S, StepFold, _share_window, compute_metrics,
+)
+from dualpath.runner import RECORD_BLOCK, SimResult, run, write_outputs
 from dualpath.scenario import parse_config
 
 
@@ -199,19 +201,36 @@ def formers_cfg(n_inv, f_nom=60.0):
     return parse_config(formers_doc(n_inv, f_nom))
 
 
-def made_up_result(cfg, t, f, p=None, mode=None):
-    """A ``SimResult`` of ``cfg`` holding the given per-step records and
-    zeros, with a row per output row in the others."""
+def fold_of(cfg, t, f, p, mode, block):
+    """The ``StepFold`` of the per-step records fed ``block`` steps at a
+    time, each block through the same reused buffers, as the run's record
+    feeds it."""
+    fold = StepFold(cfg.base.f_nom)
+    bufs = [np.empty((block, a.shape[1]), a.dtype) for a in (f, p, mode)]
+    for k0 in range(0, len(t), block):
+        n = len(t[k0:k0 + block])
+        for buf, a in zip(bufs, (f, p, mode)):
+            buf[:n] = a[k0:k0 + n]
+        fold.add(t[k0:k0 + n], *(buf[:n] for buf in bufs))
+    return fold
+
+
+def made_up_result(cfg, t, f, p=None, mode=None, block=RECORD_BLOCK):
+    """A ``SimResult`` of ``cfg`` whose fold took the given per-step records
+    (zeros where none is given) ``block`` steps at a time, with each output
+    row's values in the per-row arrays and zeros in the bus voltages."""
     n, k = f.shape
-    n_out = len(range(0, n, cfg.output.decimate))
+    p = np.zeros((n, k)) if p is None else p
+    mode = np.zeros((n, k), dtype=np.int8) if mode is None else mode
+    dec = cfg.output.decimate
+    n_out = len(range(0, n, dec))
     flags = np.zeros((n_out, k), dtype=np.int8)
     buses = np.zeros((n_out, len(cfg.buses)))
     return SimResult(
         cfg=cfg, t=t, bus_mag=buses, bus_ang=buses,
-        inv_ids=[inv.id for inv in cfg.inverters], f=f,
-        p=np.zeros((n, k)) if p is None else p, q=np.zeros((n_out, k)),
-        mode=np.zeros((n, k), dtype=np.int8) if mode is None else mode,
-        lock=flags, island=flags, recon=flags, residual=np.zeros(n),
+        inv_ids=[inv.id for inv in cfg.inverters], f=f[::dec], p=p[::dec],
+        q=np.zeros((n_out, k)), mode=mode[::dec], lock=flags, island=flags,
+        recon=flags, residual=np.zeros(n), fold=fold_of(cfg, t, f, p, mode, block),
         events_log=[],
     )
 
@@ -233,20 +252,54 @@ def frequency_metrics_oracle(t, f, f_nom, t_ref):
     return float(f_min_per_step[k_nadir]), float(t[k_nadir]), settling
 
 
-def same(a, b):
-    return a == b or (a != a and b != b)  # NaN where the oracle is NaN
+def share_window_oracle(t):
+    """The boolean mask ``_sharing_error`` selected its rows with."""
+    if t[-1] - t[0] < SHARE_WINDOW_S:
+        return slice(0, len(t))
+    return t >= (t[-1] - SHARE_WINDOW_S)
+
+
+def sharing_error_oracle(cfg, t, p, mode):
+    """The power sharing error as ``compute_metrics`` took it from the
+    whole-run ``p`` and ``mode`` arrays."""
+    gfm_idx = [i for i in range(p.shape[1]) if mode[-1, i] == 1]
+    if len(gfm_idx) < 2:
+        return None
+    p_avg = p[share_window_oracle(t)].mean(axis=0)
+    worst = 0.0
+    for a in range(len(gfm_idx)):
+        for b in range(a + 1, len(gfm_idx)):
+            i, j = gfm_idx[a], gfm_idx[b]
+            if abs(p_avg[j]) < 1e-6:
+                continue
+            m_i = cfg.inverters[i].droop.m_p
+            m_j = cfg.inverters[j].droop.m_p
+            worst = max(worst, abs(p_avg[i] / p_avg[j] - m_j / m_i))
+    return worst
+
+
+def same_bits(a, b):
+    """Equal to the bit (NaN to NaN, -0.0 only to -0.0), or both None."""
+    if a is None or b is None:
+        return a is b
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 @st.composite
-def frequency_records(draw):
-    """(f_nom, t, f): 1-300 steps of 1-5 units near f_nom, with entries at
-    f_nom, on and just past the settling band, +-0.0, NaN and +-inf, and an
-    in-band tail from a drawn step on."""
+def step_records(draw):
+    """(f_nom, t, f, p, mode): 1-600 steps of 1-5 units.  ``f`` lies near
+    f_nom, on a grid of ties at times, with entries at f_nom, on and just
+    past the settling band, +-0.0, NaN and +-inf, an in-band tail from a
+    drawn step on (all of the run at times) and at times a last step out of
+    band; ``p`` has entries near zero, +-0.0, NaN and +-inf; the units form
+    or follow at random."""
     f_nom = draw(st.sampled_from([50.0, 60.0]))
-    n, k = draw(st.integers(1, 300)), draw(st.integers(1, 5))
+    n, k = draw(st.integers(1, 600)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     band = SETTLE_BAND_HZ
     f = f_nom + rng.uniform(-3.0, 3.0, size=(n, k)) * band
+    if draw(st.booleans(), label="ties"):
+        f = f_nom + np.round((f - f_nom) / band * 2.0) * (band / 2.0)
     settled_from = draw(st.integers(0, n))
     f[settled_from:] = f_nom + (f[settled_from:] - f_nom) / 3.0
     special = np.array([
@@ -256,27 +309,33 @@ def frequency_records(draw):
     share = draw(st.sampled_from([0.0, 0.01, 0.1, 0.5]))
     pick = rng.random((n, k)) < share
     f[pick] = rng.choice(special, size=int(pick.sum()))
+    if draw(st.booleans(), label="leaves the band at the last step"):
+        f[-1, rng.integers(k)] = f_nom + rng.choice([-2.0, 2.0]) * band
+    p = rng.normal(0.3, 0.2, size=(n, k)) * 10.0 ** rng.integers(-8, 1, size=k)
+    pick = rng.random((n, k)) < share
+    p[pick] = rng.choice([0.0, -0.0, 1e-7, np.nan, np.inf, -np.inf], size=int(pick.sum()))
+    mode = (rng.random((n, k)) < draw(st.sampled_from([0.5, 0.9, 1.0]))).astype(np.int8)
     dt = draw(st.sampled_from([1e-3, 5e-3, 0.02]))
-    return f_nom, np.arange(n) * dt, f
+    return f_nom, np.arange(n) * dt, f, p, mode
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(frequency_records())
+@given(step_records())
 def test_frequency_metrics_match_the_full_size_oracle(record):
-    f_nom, t, f = record
+    # the fold, fed 1, 255, 256 or 257 steps at a time (RECORD_BLOCK and
+    # either side), gives every per-step metric of the whole-run arrays
+    f_nom, t, f, p, mode = record
     cfg = formers_cfg(f.shape[1], f_nom)
-    m = compute_metrics(made_up_result(cfg, t, f.copy()))
     t_ref = 1.0 if t[-1] >= 1.0 else 0.0  # the load step at 1 s
-    want = frequency_metrics_oracle(t, f, f_nom, t_ref)
-    got = (m["frequency_nadir_hz"], m["frequency_nadir_t"], m["settling_time_s"])
-    assert all(map(same, got, want)), (got, want)
-
-
-def share_window_oracle(t):
-    """The boolean mask ``_sharing_error`` selected its rows with."""
-    if t[-1] - t[0] < SHARE_WINDOW_S:
-        return slice(0, len(t))
-    return t >= (t[-1] - SHARE_WINDOW_S)
+    with np.errstate(invalid="ignore"):
+        want = (*frequency_metrics_oracle(t, f, f_nom, t_ref),
+                sharing_error_oracle(cfg, t, p, mode))
+    for block in (1, RECORD_BLOCK - 1, RECORD_BLOCK, RECORD_BLOCK + 1):
+        with np.errstate(invalid="ignore"):  # the NaN and inf entries
+            m = compute_metrics(made_up_result(cfg, t, f, p, mode, block))
+        got = (m["frequency_nadir_hz"], m["frequency_nadir_t"], m["settling_time_s"],
+               m["power_sharing_error"])
+        assert all(map(same_bits, got, want)), (block, got, want)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -298,9 +357,20 @@ def test_share_window_slice_selects_the_mask_rows(n, dt, t0, data):
     assert np.array_equal(rows[_share_window(t)], rows[share_window_oracle(t)])
     assert np.array_equal(p[_share_window(t)].mean(axis=0),
                           p[share_window_oracle(t)].mean(axis=0))
+    # the fold keeps those rows whatever its block size
+    cfg = formers_cfg(3)
+    for block in (1, 7, RECORD_BLOCK):
+        fold = fold_of(cfg, t, p, p, np.ones((n, 3), dtype=np.int8), block)
+        assert np.array_equal(fold.window(t), p[share_window_oracle(t)])
 
 
-def compute_metrics_peak_bytes(n=200_000, k=4):
+# compute_metrics' own allocation beyond its arguments: the concatenated
+# blocks that cover the final sharing window of its records (10,001 steps of
+# 4 units here, and less than one more block), and a few small arrays
+COMPUTE_METRICS_BOUND = (10_001 + RECORD_BLOCK) * 4 * 8 + 32 * 1024
+
+
+def compute_metrics_peak_bytes(n, k=4):
     """(traced peak of ``compute_metrics``, ``f.nbytes``) on an ``n``-step
     record of ``k`` formers that settles after the load step."""
     cfg = formers_cfg(k)
@@ -311,20 +381,23 @@ def compute_metrics_peak_bytes(n=200_000, k=4):
     result = made_up_result(cfg, t, f, p=p, mode=np.ones((n, k), dtype=np.int8))
     tracemalloc.start()
     try:
-        compute_metrics(result)
+        m = compute_metrics(result)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert m["power_sharing_error"] is not None  # the window was read
     return peak, f.nbytes
 
 
 def test_compute_metrics_peak_memory_is_below_one_frequency_record():
-    # in a fresh process, since this one unpickles library runs on a thread
+    # in a fresh process, since this one unpickles library runs on a thread;
+    # the bound holds at a record ten times the length of another
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(__file__).parent), *sys.path]))
-    code = "import test_metrics as m; print(*m.compute_metrics_peak_bytes())"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    peak, f_bytes = map(int, out.split())
-    assert f_bytes == 200_000 * 4 * 8
-    assert peak < f_bytes, (peak, f_bytes)
+    for n in (20_000, 200_000):
+        code = f"import test_metrics as m; print(*m.compute_metrics_peak_bytes({n}))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        peak, f_bytes = map(int, out.split())
+        assert f_bytes == n * 4 * 8
+        assert peak < min(f_bytes, COMPUTE_METRICS_BOUND), (n, peak, f_bytes)

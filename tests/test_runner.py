@@ -24,6 +24,7 @@ from dualpath.events import (
     AutoReclose, BreakerSet, DetectorChange, InjectionChange, IslandDeenergized,
 )
 from dualpath.guard import GuardAuditRecord
+from dualpath.metrics import SETTLE_BAND_HZ
 from dualpath.network import Network
 from dualpath.runner import CSV_CHUNK_ROWS, RECORD_BLOCK, Simulation, run, write_outputs
 from dualpath.scenario import parse_config
@@ -269,7 +270,7 @@ def test_black_start_without_voltage_restoration_ends_on_droop_law():
 def _reference_timeseries(result) -> str:
     """timeseries.csv as the row-by-row formatter wrote it before the
     column-wise chunked writer (the oracle for write_outputs); output row
-    ``o`` is step ``k = o * decimate``."""
+    ``o`` is step ``k = o * decimate``, and ``t`` is kept per step."""
     cfg = result.cfg
     dec = cfg.output.decimate
     fmt = "{:.9g}".format
@@ -289,8 +290,8 @@ def _reference_timeseries(result) -> str:
             row.append(fmt(result.bus_ang[o, b]))
         for i in range(len(result.inv_ids)):
             row += [
-                fmt(result.f[k, i]), fmt(result.p[k, i]), fmt(result.q[o, i]),
-                str(int(result.mode[k, i])), str(int(result.lock[o, i])),
+                fmt(result.f[o, i]), fmt(result.p[o, i]), fmt(result.q[o, i]),
+                str(int(result.mode[o, i])), str(int(result.lock[o, i])),
                 str(int(result.island[o, i])), str(int(result.recon[o, i])),
             ]
         lines.append(",".join(row))
@@ -299,8 +300,8 @@ def _reference_timeseries(result) -> str:
 
 def _random_result(base, n_rows: int, decimate: int, rng):
     """``base`` with ``n_rows`` steps of random data in every recorded
-    column: a row per step in the per-step arrays, a row per output row
-    (every ``decimate``-th step) in the others."""
+    column: a row per step in ``t``, a row per output row (every
+    ``decimate``-th step) in the others."""
     nb, ni = base.bus_mag.shape[1], base.f.shape[1]
 
     def floats(*shape):
@@ -321,8 +322,8 @@ def _random_result(base, n_rows: int, decimate: int, rng):
     return dataclasses.replace(
         base, cfg=cfg, t=np.arange(n_rows) * cfg.dt,
         bus_mag=floats(n_out, nb), bus_ang=floats(n_out, nb),
-        f=floats(n_rows, ni), p=floats(n_rows, ni), q=floats(n_out, ni),
-        mode=flags(n_rows), lock=flags(n_out), island=flags(n_out),
+        f=floats(n_out, ni), p=floats(n_out, ni), q=floats(n_out, ni),
+        mode=flags(n_out), lock=flags(n_out), island=flags(n_out),
         recon=flags(n_out),
     )
 
@@ -358,6 +359,9 @@ def test_breaker_event_deenergizes_island():
     k = np.searchsorted(res.t, 0.31)
     assert res.bus_mag[k, 2] == 0.0
     assert any(isinstance(e, IslandDeenergized) for e in res.events_log)
+    # with no inverter the fold holds nothing and the per-step metrics are null
+    assert res.fold.k_nadir is None and res.fold.p_blocks == []
+    assert res.metrics["frequency_nadir_hz"] is None and res.metrics["settling_time_s"] is None
 
 
 def test_load_step_event_applies():
@@ -593,10 +597,12 @@ def test_unread_work_is_skipped(monkeypatch):
         (dualpath.runner, "power_filter_step"), (dualpath.runner, "droop_step"),
         (Simulation, "_island_frequencies"),
     ])
-    res = Simulation(parse_config(_library_doc("canonical_testbed", 0.05))).run()
+    testbed = _library_doc("canonical_testbed", 0.05)
+    testbed["output"] = {"decimate": 1}  # a mode row per step
+    res = Simulation(parse_config(testbed)).run()
     steps = len(res.t)
     # inv1 forms and inv2..inv4 follow throughout; pcc_brk stays closed
-    assert (res.mode == [1, 0, 0, 0]).all()
+    assert len(res.mode) == steps and (res.mode == [1, 0, 0, 0]).all()
     assert calls == {
         "power_filter_step": steps, "droop_step": steps,
         "_island_frequencies": 1,  # from _initialize
@@ -808,19 +814,21 @@ def test_block_record_stops_at_a_collapse_abort(monkeypatch):
         assert len(set(res.bus_ang[:, 0].tolist())) == len(res.bus_ang)
 
 
-# what a run may hold beyond its record arrays: its other objects (about
-# 120 KB on a 0.2 s testbed slice), one block of held solved states (about
-# 110 KB on testbed: the bus-voltage rows, the EMFs and the injections; the
-# rows give way to one array when the block is checked), the block
-# power-balance check's temporaries (about 120 KB) and compute_metrics'
-# temporaries (17 B a step)
-RECORD_SLACK = 384 * 1024
+# what a run may hold beyond its record arrays and the fold's kept sharing
+# window: its other objects (about 120 KB on a 0.2 s testbed slice), one
+# block of held solved states (about 110 KB on testbed: the bus-voltage
+# rows, the EMFs and the injections; the rows give way to one array when the
+# block is checked) and the block power-balance check's temporaries (about
+# 120 KB); compute_metrics allocates only small arrays on testbed, whose one
+# former leaves no sharing window to read
+RECORD_SLACK = 352 * 1024
 
 
 def record_peak_bytes(t_end=0.2):
     """(traced peak of ``Simulation.run``, steps, output rows, bytes per
-    step, bytes per output row) on ``canonical_testbed`` cut at ``t_end``,
-    after a short warm-up run that does the one-time imports."""
+    step, bytes per output row, bytes of the fold's kept sharing window) on
+    ``canonical_testbed`` cut at ``t_end``, after a short warm-up run that
+    does the one-time imports."""
     Simulation(parse_config(_library_doc("canonical_testbed", 0.01))).run()
     sim = Simulation(parse_config(_library_doc("canonical_testbed", t_end)))
     tracemalloc.start()
@@ -829,25 +837,27 @@ def record_peak_bytes(t_end=0.2):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    per_step = res.t.itemsize + res.residual.itemsize + sum(
-        getattr(res, a)[0].nbytes for a in ("f", "p", "mode"))
-    per_row = sum(getattr(res, a)[0].nbytes
-                  for a in ("bus_mag", "bus_ang", "q", "lock", "island", "recon"))
-    return peak, res.t.size, len(res.q), per_step, per_row
+    per_step = res.t.itemsize + res.residual.itemsize
+    per_row = sum(getattr(res, a)[0].nbytes for a in (
+        "bus_mag", "bus_ang", "f", "p", "q", "mode", "lock", "island", "recon"))
+    window = sum(b.nbytes for _, b in res.fold.p_blocks)
+    return peak, res.t.size, len(res.q), per_step, per_row, window
 
 
 def test_run_peak_memory_holds_the_csv_only_columns_per_output_row():
     # in a fresh process, since this one unpickles library runs on a thread;
-    # recording the CSV-only columns at every step would add 156 B a step
-    # (711 KB against this bound's 577 KB)
+    # recording f, p and mode at every step as well would add 68 B a step
+    # (136 KB: about 584 KB against this bound's 479 KB)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(__file__).parent), *sys.path]))
     code = "import test_runner as m; print(*m.record_peak_bytes())"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    peak, rows, out_rows, per_step, per_row = map(int, out.split())
-    assert (rows, out_rows, per_step, per_row) == (2001, 101, 84, 156)
-    assert peak < rows * per_step + out_rows * per_row + RECORD_SLACK, peak
+    peak, rows, out_rows, per_step, per_row, window = map(int, out.split())
+    assert (rows, out_rows, per_step, per_row) == (2001, 101, 16, 224)
+    # the whole 0.2 s slice is inside the 1 s window: every step of 4 units
+    assert window == rows * 4 * 8
+    assert peak < rows * per_step + out_rows * per_row + window + RECORD_SLACK, peak
 
 
 def two_rate_docs():
@@ -883,16 +893,38 @@ def test_two_rate_record_matches_the_full_rate_run(tmp_path, name):
         d["output"] = {"decimate": dec}
         res = run(parse_config(d), tmp_path / str(dec))
         assert (res.aborted, res.abort_step) == (full.aborted, full.abort_step)
-        for a in ("t", "f", "p", "mode", "residual"):  # per control step
+        for a in ("t", "residual"):  # per control step
             assert np.array_equal(getattr(res, a), getattr(full, a)), (dec, a)
-        for a in ("bus_mag", "bus_ang", "q", "lock", "island", "recon"):
+        for a in ("bus_mag", "bus_ang", "f", "p", "q", "mode", "lock", "island", "recon"):
             assert np.array_equal(getattr(res, a), getattr(full, a)[::dec]), (dec, a)
+        # the fold took the per-step values of the decimate-1 run
+        f_min = full.f.min(axis=1)
+        out_of_band = np.flatnonzero(np.abs(full.f - 60.0).max(axis=1) > SETTLE_BAND_HZ)
+        assert (res.fold.nadir, res.fold.k_nadir) == (f_min.min(), np.argmin(f_min))
+        assert res.fold.k_out == (out_of_band[-1] if out_of_band.size else None)
+        assert res.fold.modes == full.mode[-1].tolist()
+        assert np.array_equal(res.fold.window(res.t), full.p[full.t >= full.t[-1] - 1.0])
         assert res.transition_v == full.transition_v
         assert res.metrics | {"wall_time_s": 0} == full.metrics | {"wall_time_s": 0}
         csv = (tmp_path / str(dec) / "timeseries.csv").read_text().splitlines()
         assert csv == full_csv[:1] + full_csv[1::dec]
         assert (tmp_path / str(dec) / "events.csv").read_text() == (
             tmp_path / "1/events.csv").read_text()
+
+
+@pytest.mark.parametrize("name", ["handover", "collapse"])
+def test_t_holds_one_entry_per_control_step(monkeypatch, name):
+    # the benchmark divides a run's time by result.t.size; each completed
+    # step ends by advancing the sources, and the collapse aborts in the
+    # solve of step 400
+    calls = _count_calls(monkeypatch, [(Network, "advance_sources")])
+    for dec in (1, 3, 10):
+        calls["advance_sources"] = 0
+        d = two_rate_docs()[name]
+        d["output"] = {"decimate": dec}
+        res = run(parse_config(d))
+        assert res.t.size == calls["advance_sources"] == (400 if res.aborted else 602)
+        assert res.aborted == (name == "collapse")
 
 
 @pytest.mark.parametrize("name", ["islanded", "collapse"])

@@ -255,24 +255,20 @@ def test_event_time_outside_run_rejected():
         parse_config(doc)
 
 
-def test_event_after_the_last_control_step_rejected():
-    # t_end off the step grid: the last step is round(t_end / dt) = 1000, at
-    # t = 0.1, so an event at t_end would never apply
-    late = {"t": 0.10004, "type": "load_step", "target": "ld", "dp": 0.1}
+def test_event_at_an_off_grid_t_end_applies_at_the_last_step():
+    # t_end off the step grid: the run's last step is frames.steps(t_end, dt)
+    # = 1001, at t = 0.1001, the first step at or after t_end, so an event at
+    # t_end is due at that step
     doc = minimal_doc(
         t_end=0.10004, loads=[{"id": "ld", "bus": "b", "kind": "power", "p": 0.1}],
-        events=[late],
+        events=[{"t": 0.10004, "type": "load_step", "target": "ld", "dp": 0.1}],
     )
-    with pytest.raises(ValidationError) as exc:
-        parse_config(doc)
-    assert exc.value.problems == [
-        "events[0].t: 0.10004 after the last control step (t = 0.1)"
-    ]
-    # at the last step's time it applies
-    doc["events"] = [dict(late, t=0.1)]
     res = run(parse_config(doc))
-    assert len(res.t) == 1001
+    assert len(res.t) == 1002 and res.t[-1] == 1001 * 1e-4
     assert [type(rec.event) for rec in res.events_log] == [LoadStep]
+    # the last step's solve carries the doubled load; the steps before are flat
+    v = res.bus_mag[:, 1]
+    assert v[-1] < v[-2] - 1e-3 and v[-2] == pytest.approx(v[-3], abs=1e-9)
 
 
 def test_events_sorted_by_time():
