@@ -77,17 +77,14 @@ class VirtualImpedance:
 
 def power_filter_step(
     p_raw: float, q_raw: float, dt: float, state: DroopState, omega_c: float
-) -> DroopState:
+) -> None:
     """First-order low-pass of the measured powers."""
     a = dt * omega_c
     state.p_f += a * (p_raw - state.p_f)
     state.q_f += a * (q_raw - state.q_f)
-    return state
 
 
-def droop_step(
-    params: DroopParams, state: DroopState, dt: float, omega_base: float
-) -> DroopState:
+def droop_step(params: DroopParams, state: DroopState, dt: float, omega_base: float) -> None:
     """P-f / Q-V droop algebra and angle integration."""
     state.omega = 1.0 - params.m_p * (state.p_f - params.p_set) + state.u
     # during a black-start ramp the voltage comes from the ramp, not the droop
@@ -95,7 +92,6 @@ def droop_step(
         v = params.v_nom - params.n_q * (state.q_f - params.q_set) + state.u_v
         state.v_gfm = min(max(v, 0.0), V_MAX)
     state.theta_gfm += state.omega * omega_base * dt
-    return state
 
 
 def uv_handoff(params: DroopParams, v: float, q: float) -> float:
@@ -113,7 +109,7 @@ def uv_handoff(params: DroopParams, v: float, q: float) -> float:
     return UV_CLAMP if uv > UV_CLAMP else (-UV_CLAMP if uv < -UV_CLAMP else uv)
 
 
-def restoration_step(params: DroopParams, state: DroopState, dt: float) -> DroopState:
+def restoration_step(params: DroopParams, state: DroopState, dt: float) -> None:
     """Integrate the local frequency error into the restoration offset.
 
     The integrator halts at the anti-windup clamp.
@@ -124,12 +120,11 @@ def restoration_step(params: DroopParams, state: DroopState, dt: float) -> Droop
     elif u < -U_CLAMP:
         u = -U_CLAMP
     state.u = u
-    return state
 
 
 def voltage_restoration_step(
     params: DroopParams, state: DroopState, v_meas: float, dt: float
-) -> DroopState:
+) -> None:
     """Slow local integral driving the measured bus voltage toward v_nom."""
     uv = state.u_v + dt * params.k_v * (params.v_nom - v_meas)
     if uv > UV_CLAMP:
@@ -137,7 +132,6 @@ def voltage_restoration_step(
     elif uv < -UV_CLAMP:
         uv = -UV_CLAMP
     state.u_v = uv
-    return state
 
 
 def virtual_impedance_step(
@@ -161,14 +155,12 @@ def virtual_impedance_step(
     return v_out
 
 
-def black_start_ramp(
-    state: DroopState, dt: float, ramp_rate: float, target: float
-) -> DroopState:
+def black_start_ramp(state: DroopState, dt: float, ramp_rate: float, target: float) -> None:
     """Soft-start: ramp the voltage reference toward the target, then hand
     control back to the droop voltage law."""
     if state.v_gfm >= target:
         state.ramp_active = False
-        return state
+        return
     state.ramp_active = True
     state.ramp_target = target
     v = state.v_gfm + ramp_rate * dt
@@ -176,4 +168,3 @@ def black_start_ramp(
         v = target
         state.ramp_active = False
     state.v_gfm = v
-    return state

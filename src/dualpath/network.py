@@ -325,8 +325,8 @@ class Network:
             if frozenset((ln.from_bus, ln.to_bus)) not in open_pairs
         ]
 
-    def islands(self) -> list[list[str]]:
-        """Connected components of the bus graph under current breaker states."""
+    def islands(self, lines: list[Line]) -> list[list[str]]:
+        """Connected components of the bus graph joined by ``lines``."""
         parent = list(range(len(self.buses)))
 
         def find(i: int) -> int:
@@ -335,7 +335,7 @@ class Network:
                 i = parent[i]
             return i
 
-        for ln in self.effective_lines():
+        for ln in lines:
             a = find(self.bus_index[ln.from_bus])
             b = find(self.bus_index[ln.to_bus])
             if a != b:
@@ -355,7 +355,8 @@ class Network:
     # -- solve -------------------------------------------------------------
 
     def _refresh_cache(self) -> None:
-        islands = self.islands()
+        eff_lines = self.effective_lines()
+        islands = self.islands(eff_lines)
         source_buses = {src.bus for src in self.grid_sources.values()}
         source_buses.update(bus for bus, _ in self.formers)
         loaded = {ld.bus for ld in self.loads.values()}
@@ -376,7 +377,6 @@ class Network:
         eidx = {b: i for i, b in enumerate(energized)}
 
         n = len(energized)
-        eff_lines = self.effective_lines()
         # a line lies inside one island, so both or neither end is energized
         e_lines = [ln for ln in eff_lines if ln.from_bus in eidx]
         y = build_ybus(energized, e_lines)

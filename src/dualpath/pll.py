@@ -74,7 +74,7 @@ def init_locked(
     omega: float,
     omega_nom: float,
     dt: float,
-    sogi_k: float = math.sqrt(2.0),
+    sogi_k: float,
 ) -> None:
     """Initialize the PLL at exact lock on a positive-sequence phasor.
 
@@ -123,7 +123,7 @@ def pll_gains(params: PllParams, omega_nom: float, dt: float) -> tuple:
 def pll_step(
     v_pos: complex, v_neg: complex, rot: complex, dt: float, state: PllState,
     params: PllParams, gains: tuple,
-) -> PllState:
+) -> None:
     """Advance the DSOGI + SRF-PLL by one control step on the bus voltage
     given as its positive- and negative-sequence phasors ``v_pos, v_neg``
     and the synthesis rotation ``rot = exp(j*theta)`` at the sample instant.
@@ -184,7 +184,7 @@ def pll_step(
         w = state.omega_est = state.omega_locked
         state.pi_integrator = w - omega_nom
         state.theta_est += w * dt
-        return state
+        return
     state.uv_timer = 0
 
     pi = state.pi_integrator + ki * e_q * dt
@@ -212,7 +212,6 @@ def pll_step(
     # collapse freezes at the pre-event value rather than mid-decay garbage
     if state.lock and q_filt < lock_q and v_mag >= params.capture_v:
         state.omega_locked = omega_nom + pi
-    return state
 
 
 def current_refs_from_pq(

@@ -1,4 +1,6 @@
-"""Fixed-step scenario simulation.
+"""Fixed-step scenario simulation.  A ``Simulation`` holds the whole state of
+a run: ``step()`` runs one control step and ``run()`` steps to the end, so a
+run can be stepped, copied or pickled between steps and then finished.
 
 Per control step: apply due events (setpoints pass the guard) -> solve the
 phasor network -> synthesize waveforms and take local measurements -> step the
@@ -26,7 +28,6 @@ from __future__ import annotations
 import cmath
 import copy
 import json
-import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -199,7 +200,8 @@ class Simulation:
             copy.deepcopy(cfg.loads),
         )
         self.invs = [_Inverter(ic, cfg.base, cfg.dt, self.net) for ic in cfg.inverters]
-        self.events = self._expand_events(cfg.events, cfg.dt)
+        # the (step, event) pairs not yet applied, the next due last
+        self.events = self._expand_events(cfg.events, cfg.dt)[::-1]
         self.events_log: list = []
         self.noise_std = cfg.output.noise_std
         # built only when used: importing numpy.random costs memory
@@ -215,6 +217,13 @@ class Simulation:
             self._initialize()
         except NonConvergenceError as exc:
             self.init_error = exc
+        # the run's progress: the next step of ``rows``, the record, solve tallies
+        self.k, self.rows = 0, steps(cfg.t_end, self.dt) + 1
+        self.record = _Record(self.rows, len(cfg.buses), len(self.invs),
+                              cfg.output.decimate, self.f_nom)
+        self.cp_iters_sum = self.cp_iters_max = 0
+        self.solve_residual_max = 0.0
+        self._no_neg = [0j] * len(cfg.buses)
 
     @staticmethod
     def _expand_events(events: list[TimedEvent], dt: float) -> list[tuple[int, TimedEvent]]:
@@ -222,10 +231,8 @@ class Simulation:
         for te in events:
             ev = te.event
             if isinstance(ev, PulseLoad):
-                out.append(TimedEvent(te.t, LoadStep(ev.target, ev.dp, ev.dq)))
-                out.append(
-                    TimedEvent(te.t + ev.duration, LoadStep(ev.target, -ev.dp, -ev.dq))
-                )
+                out += [TimedEvent(te.t, LoadStep(ev.target, ev.dp, ev.dq)),
+                        TimedEvent(te.t + ev.duration, LoadStep(ev.target, -ev.dp, -ev.dq))]
             else:
                 out.append(te)
         out.sort(key=lambda te: te.t)
@@ -425,12 +432,9 @@ class Simulation:
         ))
         if not verdict.accepted:
             return
-        if ev.p_set is not None:
-            inv.params.p_set = ev.p_set
-        if ev.q_set is not None:
-            inv.params.q_set = ev.q_set
-        if ev.v_nom is not None:
-            inv.params.v_nom = ev.v_nom
+        for name in ("p_set", "q_set", "v_nom"):
+            if getattr(ev, name) is not None:
+                setattr(inv.params, name, getattr(ev, name))
         if ev.mode is not None:
             self._request(t, inv, ev.mode, f"setpoint:{ev.source_id}")
 
@@ -503,106 +507,91 @@ class Simulation:
 
     # -- main loop -------------------------------------------------------------
 
-    def run(self) -> SimResult:
-        t_start = time.perf_counter()
-        cfg = self.cfg
-        rows = steps(cfg.t_end, self.dt) + 1
-        ni = len(self.invs)
-        record = _Record(rows, len(cfg.buses), ni, cfg.output.decimate, self.f_nom)
-        t_rec = record.t.data
-        (self._f_rec, self._p_rec, self._mode_rec, self._q_rec, self._lock_rec,
-         self._isl_rec, self._recon_rec) = record.views
-        self._keep_v = record.keep
-        no_neg = [0j] * len(cfg.buses)
-        # the solved states of the steps since the record was last flushed
-        # (from step k0), as the power-balance check reads them
-        held = StateBlock()
-        k0 = 0
-
+    def step(self) -> None:
+        """Run control step ``self.k`` and advance ``self.k``; a failed solve
+        raises ``NonConvergenceError`` and leaves ``self.k`` at that step."""
+        k = self.k
+        t = k * self.dt
+        # 1. due events
         events = self.events
-        ev_idx = 0
-        next_ev_k = events[0][0] if events else math.inf
-        aborted = False
+        while events and events[-1][0] <= k:
+            self._apply_event(t, events.pop()[1])
+
+        if self._islands_version != self.net._version:
+            self._resolve_topology()
+
+        # 2. network solve with the references computed last step
+        state, report = self._solve()
+        iters = report.cp_iterations
+        if iters:
+            self.cp_iters_sum += iters
+            if iters > self.cp_iters_max:
+                self.cp_iters_max = iters
+        if report.residual > self.solve_residual_max:
+            self.solve_residual_max = report.residual
+        energized = self._energized
+        freqs = self._island_frequencies() if self._recon_open else None
+        for isl in report.de_energized_with_load:
+            key = ",".join(isl)
+            if key not in self._dead_seen:
+                self._dead_seen.add(key)
+                self.events_log.append(IslandDeenergized(t, key))
+
+        # 3. record (the power balance is checked per block)
+        record = self.record
+        record.t_view[k] = t
+        held = record.held
+        held.append(state)
+
+        # 4..7 controllers, supervisor, detectors per inverter
+        v = state.v_list
+        v_neg = state.v_neg.tolist() if state.v_neg is not None else self._no_neg
+        # synthesis rotation of the phase phasors at this instant
+        rot = cmath.exp(1j * (self.w0 * t))
+        row = (k - record.k0) * len(self.invs)
+        for i, inv in enumerate(self.invs):
+            self._step_inverter(inv, row + i, k, t, rot, v, v_neg, energized, freqs)
+        if len(held.v) == RECORD_BLOCK:
+            record.flush(self.net)
+
+        # rotate off-nominal source EMF phasors toward the next step
+        self.net.advance_sources(self.dt, self.f_nom)
+        self.k = k + 1
+
+    def run(self) -> SimResult:
+        """Step from ``self.k`` to the end, or to a failed solve (an abort),
+        and return the result."""
+        t_start = time.perf_counter()
         abort_reason = ""
-        k = 0
-        cp_iters_sum = cp_iters_max = 0
-        solve_residual_max = 0.0
         try:
             if self.init_error is not None:
                 raise self.init_error
-            for k in range(rows):
-                t = k * self.dt
-                # 1. due events
-                while next_ev_k <= k:
-                    self._apply_event(t, events[ev_idx][1])
-                    ev_idx += 1
-                    next_ev_k = events[ev_idx][0] if ev_idx < len(events) else math.inf
-
-                if self._islands_version != self.net._version:
-                    self._resolve_topology()
-
-                # 2. network solve with the references computed last step
-                state, report = self._solve()
-                cp_iters_sum += report.cp_iterations
-                if report.cp_iterations > cp_iters_max:
-                    cp_iters_max = report.cp_iterations
-                if report.residual > solve_residual_max:
-                    solve_residual_max = report.residual
-                energized = self._energized
-                freqs = self._island_frequencies() if self._recon_open else None
-                for isl in report.de_energized_with_load:
-                    key = ",".join(isl)
-                    if key not in self._dead_seen:
-                        self._dead_seen.add(key)
-                        self.events_log.append(IslandDeenergized(t, key))
-
-                # 3. record (the power balance is checked per block)
-                v = state.v_list
-                t_rec[k] = t
-                held.append(state)
-
-                # 4..7 controllers, supervisor, detectors per inverter
-                v_neg = state.v_neg.tolist() if state.v_neg is not None else no_neg
-                # synthesis rotation of the phase phasors at this instant
-                rot = cmath.exp(1j * (self.w0 * t))
-                row = (k - k0) * ni
-                for i, inv in enumerate(self.invs):
-                    self._step_inverter(
-                        inv, row + i, k, t, rot, v, v_neg, energized, freqs,
-                    )
-                if len(held.v) == RECORD_BLOCK:
-                    record.flush(held.voltages(), k0, self.net.power_balance_residual(held))
-                    held = StateBlock()
-                    k0 = k + 1
-
-                # rotate off-nominal source EMF phasors toward the next step
-                self.net.advance_sources(self.dt, self.f_nom)
+            step = self.step
+            for _ in range(self.k, self.rows):
+                step()
         except NonConvergenceError as exc:
-            aborted = True
-            where = "initialization" if self.init_error is not None else f"step {k}"
-            abort_reason = f"NonConvergence at {where} (t={k * self.dt:.6f}): {exc}"
-            rows = k  # rows completed before the failing solve
-        if held.groups:
-            record.flush(held.voltages(), k0, self.net.power_balance_residual(held))
+            where = "initialization" if self.init_error is not None else f"step {self.k}"
+            abort_reason = f"NonConvergence at {where} (t={self.k * self.dt:.6f}): {exc}"
+        self.record.flush(self.net)
         for inv in self.invs:
             inv.forming()  # leave every unit's forming state up to date
         wall = time.perf_counter() - t_start
 
         result = SimResult(
-            cfg=cfg,
+            cfg=self.cfg,
             inv_ids=[inv.id for inv in self.invs],
-            **record.arrays(rows),
+            **self.record.arrays(self.k),  # the steps completed
             events_log=self.events_log,
             solver={
-                "cp_iterations_mean": cp_iters_sum / rows if rows else 0.0,
-                "cp_iterations_max": cp_iters_max,
-                "residual_max": solve_residual_max,
+                "cp_iterations_mean": self.cp_iters_sum / self.k if self.k else 0.0,
+                "cp_iterations_max": self.cp_iters_max,
+                "residual_max": self.solve_residual_max,
                 "init_rounds": self.init_rounds,
                 "init_mismatch": self.init_mismatch,
             },
-            aborted=aborted,
+            aborted=bool(abort_reason),
             abort_reason=abort_reason,
-            abort_step=k if aborted else -1,
+            abort_step=self.k if abort_reason else -1,
             wall_time_s=wall,
         )
         # looked up at call time, where a layer trace may have wrapped it
@@ -664,7 +653,7 @@ class Simulation:
                 if rec.accepted:
                     mode = sup.mode
                     self._switch_mode(inv, mode, t, v_bus)
-                    self._keep_v.update((k, k + 1))  # for the jump metric
+                    self.record.keep.update((k, k + 1))  # for the jump metric
 
         # detectors (a parked former reads its shadow copy)
         f_local = (
@@ -728,13 +717,14 @@ class Simulation:
                 self._v_ref(inv, t + dt), inv.i_sys / inv.rating_pu, inv.vz, dt
             )
 
-        self._f_rec[j] = f_local
-        self._p_rec[j] = s.real
-        self._q_rec[j] = s.imag
-        self._mode_rec[j] = 1 if mode is GFM else 0
-        self._lock_rec[j] = 1 if pll.lock else 0
-        self._isl_rec[j] = 1 if inv.det.tripped else 0
-        self._recon_rec[j] = 1 if recon_ready else 0
+        f_rec, p_rec, mode_rec, q_rec, lock_rec, isl_rec, recon_rec = self.record.views
+        f_rec[j] = f_local
+        p_rec[j] = s.real
+        q_rec[j] = s.imag
+        mode_rec[j] = 1 if mode is GFM else 0
+        lock_rec[j] = 1 if pll.lock else 0
+        isl_rec[j] = 1 if inv.det.tripped else 0
+        recon_rec[j] = 1 if recon_ready else 0
 
 
 # control steps flushed into the record at a time: one np.absolute and one
@@ -751,11 +741,13 @@ class _Record:
     and every inverter column, which timeseries.csv reads (16 B a bus and
     28 B an inverter a row); the solved bus voltages at the steps in
     ``keep``; and ``fold``, the metrics' fold of each step's ``f``, ``p``
-    and ``mode``.  The loop writes ``t`` in place and the inverter columns
-    through ``views``, flat memoryviews of a block of RECORD_BLOCK steps
-    (element (k - k0) * ni + i is step k, inverter i; about half the cost
-    of numpy item assignment), which ``flush`` folds and moves into the
-    record with the block's residuals."""
+    and ``mode``.  It holds the open block of the steps from ``k0`` on:
+    ``held``, their solved states as the power-balance check reads them, and
+    ``blocks``, their inverter columns, which the step writes through
+    ``views``, flat memoryviews (element (k - k0) * ni + i is step k,
+    inverter i; about half the cost of numpy item assignment), as it writes
+    ``t`` through ``t_view``.  ``flush`` closes the block.  A copied or
+    unpickled record rebuilds the views, which neither copy nor pickle."""
 
     def __init__(self, rows: int, nb: int, ni: int, dec: int, f_nom: float):
         self.dec = dec
@@ -767,17 +759,33 @@ class _Record:
             for c in ("f", "p", "mode", "q", "lock", "island", "recon")
         }
         self.blocks = [np.empty((RECORD_BLOCK, ni), a.dtype) for a in self.cols.values()]
-        self.views = [b.reshape(-1).data for b in self.blocks]
+        self.held, self.k0 = StateBlock(), 0
         self.keep: set[int] = set()
         self.kept: dict[int, list[complex]] = {}
         self.fold = StepFold(f_nom)
+        self._make_views()
 
-    def flush(self, v: np.ndarray, k0: int, residual: np.ndarray) -> None:
-        """Fold the block of steps ``k0`` on, whose solved bus voltages are
-        the rows of ``v`` and power-balance residuals ``residual``, and move
-        its residuals and output rows into the record."""
-        n, dec = len(v), self.dec
-        self.residual[k0:k0 + n] = residual
+    def _make_views(self) -> None:
+        self.t_view = self.t.data
+        self.views = [b.reshape(-1).data for b in self.blocks]
+
+    def __getstate__(self) -> dict:
+        return {a: v for a, v in self.__dict__.items() if a not in ("t_view", "views")}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._make_views()
+
+    def flush(self, net: Network) -> None:
+        """Check the power balance of the held steps on ``net``, fold them,
+        move their residuals and output rows into the record and open the
+        next block; nothing when no step is held."""
+        held = self.held
+        if not held.groups:
+            return
+        v = held.voltages()
+        k0, n, dec = self.k0, len(v), self.dec
+        self.residual[k0:k0 + n] = net.power_balance_residual(held)
         self.fold.add(self.t[k0:k0 + n], *(b[:n] for b in self.blocks[:3]))  # f, p, mode
         out = slice(-(-k0 // dec), -(-(k0 + n) // dec))
         sel = slice(-k0 % dec, n, dec)  # the block's output rows
@@ -786,6 +794,7 @@ class _Record:
         np.absolute(v[sel], out=self.bus_mag[out])
         np.arctan2(v[sel].imag, v[sel].real, out=self.bus_ang[out])
         self.kept.update((k, v[k - k0].tolist()) for k in self.keep if k0 <= k < k0 + n)
+        self.held, self.k0 = StateBlock(), k0 + n
 
     def arrays(self, rows: int) -> dict:
         """The ``SimResult`` fields of the first ``rows`` steps."""
@@ -800,12 +809,7 @@ class _Record:
 
 def _event_detail(ev) -> str:
     # every field but the target is a number, a flag or a mode name
-    fields = [
-        f"{name}={getattr(ev, name)}"
-        for name in ev.__dataclass_fields__
-        if name != "target"
-    ]
-    return " ".join(fields)
+    return " ".join(f"{n}={getattr(ev, n)}" for n in ev.__dataclass_fields__ if n != "target")
 
 
 def _log_row(rec) -> tuple[str, str, str]:

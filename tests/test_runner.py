@@ -824,17 +824,29 @@ def test_block_record_stops_at_a_collapse_abort(monkeypatch):
 RECORD_SLACK = 352 * 1024
 
 
+def _array_bytes(obj) -> int:
+    """Bytes of the arrays ``obj`` is, or holds in a list or dict."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, (list, dict)):
+        return sum(map(_array_bytes, obj.values() if isinstance(obj, dict) else obj))
+    return 0
+
+
 def record_peak_bytes(t_end=0.2):
-    """(traced peak of ``Simulation.run``, steps, output rows, bytes per
-    step, bytes per output row, bytes of the fold's kept sharing window) on
+    """(peak of ``Simulation.run``: its traced peak plus the arrays the
+    record was built with, steps, output rows, bytes per step, bytes per
+    output row, bytes of the fold's kept sharing window) on
     ``canonical_testbed`` cut at ``t_end``, after a short warm-up run that
     does the one-time imports."""
     Simulation(parse_config(_library_doc("canonical_testbed", 0.01))).run()
     sim = Simulation(parse_config(_library_doc("canonical_testbed", t_end)))
+    # allocated when the Simulation is built, filled by run
+    record_bytes = sum(map(_array_bytes, vars(sim.record).values()))
     tracemalloc.start()
     try:
         res = sim.run()
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1] + record_bytes
     finally:
         tracemalloc.stop()
     per_step = res.t.itemsize + res.residual.itemsize
