@@ -12,8 +12,10 @@ checkout) the run then lists each ``timeseries.csv``, ``events.csv`` and
 ``config.resolved.yaml`` whose bytes differ from the same file under ``DIR``,
 and each ``metrics.json`` field that differs, ``wall_time_s`` aside, with its
 max |delta| over list entries (inf for a non-numeric change).  A differing
-``events.csv`` or ``config.resolved.yaml`` is followed by its changed lines
-as a unified diff without context.  It exits 1 when any of those files
+``timeseries.csv`` is followed by its largest |delta| and the column it is
+in, or by a note that the headers or the row counts differ; a differing
+``events.csv`` or ``config.resolved.yaml`` by its changed lines as a
+unified diff without context.  It exits 1 when any of those files
 differs.
 """
 
@@ -104,6 +106,8 @@ def compare(out_root: Path, ref_root: Path, names: list[str]) -> int:
             if new != old:
                 print(f"differs: {name}/{fname}")
                 differing += 1
+                if fname == "timeseries.csv" and old is not None:
+                    print(f"delta:   {name}/{fname}: {_csv_delta(old, new)}")
                 if fname in DIFFED_FILES and old is not None:
                     sys.stdout.writelines(difflib.unified_diff(
                         old.decode().splitlines(keepends=True),
@@ -123,6 +127,32 @@ def compare(out_root: Path, ref_root: Path, names: list[str]) -> int:
             print(f"metric:  {name} {field}: max |delta| {d:.3g}")
     print(f"{differing} compared file(s) differ from {ref_root}")
     return 1 if differing else 0
+
+
+def _csv_delta(old: bytes, new: bytes) -> str:
+    """The largest |new - old| over the cells of two CSV files and its
+    column (inf for a non-numeric change), or which of header and row count
+    differs."""
+    a, b = old.decode().splitlines(), new.decode().splitlines()
+    if a[:1] != b[:1]:
+        return "headers differ"
+    if len(a) != len(b):
+        return f"row counts differ ({len(a) - 1} -> {len(b) - 1})"
+    columns = a[0].split(",")
+    worst, column = 0.0, None
+    for row_a, row_b in zip(a[1:], b[1:]):
+        if row_a != row_b:
+            for col, x, y in zip(columns, row_a.split(","), row_b.split(",")):
+                if x != y:
+                    try:
+                        d = abs(float(y) - float(x))
+                    except ValueError:
+                        d = math.nan
+                    if math.isnan(d):  # a non-numeric cell or a NaN
+                        d = math.inf
+                    if column is None or d > worst:
+                        worst, column = d, col
+    return f"max |delta| {worst:.3g} in column {column}"
 
 
 def _metric_deltas(a, b, path: str, deltas: dict[str, float]) -> None:

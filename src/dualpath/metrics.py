@@ -24,9 +24,10 @@ scenario).  Definitions:
 * power sharing error: worst-pair |(P_i/P_j) - (m_pj/m_pi)| over the final
   second, across inverters ending the run in forming mode;
 * guard audit summary and the power-balance worst residual;
-* ``solver``: constant-power Newton iterations per control step (mean and
-  max; 1 when the warm start already solves it, 0 without CP loads) and the
-  worst pre-refinement nodal residual of the network solve.
+* ``solver``: constant-power evaluations per control step (mean and max;
+  1 with one CP bus, solved in closed form, Newton iterations with two or
+  more, 0 without CP loads) and the worst pre-refinement nodal residual of
+  the network solve.
 """
 
 from __future__ import annotations

@@ -3,11 +3,12 @@
 Buses, lines, breakers, loads and voltage sources are solved algebraically at
 every control step.  Voltage sources (the utility "grid emulator" and
 grid-forming inverters) are folded in as Norton equivalents; grid-following
-inverters enter as current injections; constant-power loads are resolved by
-Newton-Raphson on the voltages of the buses that carry them, warm-started
-from the previous step.  A constant-power demand beyond what the network can
-deliver (past the nose of the P-V curve) aborts the solve with a
-NonConvergenceError that names the loadability limit.
+inverters enter as current injections; constant-power loads enter first,
+as currents into the buses that carry them: one such bus solved in closed
+form, two or more by Newton-Raphson on their voltages, warm-started from the
+previous step.  A constant-power demand beyond what the network can deliver
+(past the nose of the P-V curve) aborts the solve with a NonConvergenceError
+that names the loadability limit.
 
 All impedances and powers here are in system per-unit.  Phasors live in a
 common reference frame rotating at the nominal frequency; off-nominal
@@ -36,12 +37,11 @@ class UnknownElementError(KeyError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Newton on the constant-power bus voltages found no solution.
-
-    Raised when its Jacobian goes singular, a CP-bus voltage collapses below
-    ``CP_V_COLLAPSE`` or ``CP_MAX_ITERS`` steps run out; each means the
-    demand is at or beyond the loadability limit.
-    """
+    """The constant-power bus voltages have no solution: at or beyond the
+    loadability limit.  With one CP bus, raised after one evaluation when
+    the P-V quadratic has no positive root or a voltage is below
+    ``CP_V_COLLAPSE``; with more, when Newton's Jacobian goes singular, a
+    voltage collapses or ``CP_MAX_ITERS`` steps run out."""
 
     def __init__(self, message: str, iterations: int = 0):
         super().__init__(message)
@@ -248,6 +248,7 @@ class Network:
         self._cache_version = -1
         self._cache: dict = {}
         # (CP-bus voltages, their open-circuit voltages) of the last solve
+        # with two or more CP buses
         self._cp_warm: tuple | None = None
 
     def _check_bus(self, bus: str) -> None:
@@ -393,7 +394,7 @@ class Network:
                 z_loads.append((self.bus_index[ld.bus], (1.0 / ld.z).conjugate()))
         yinv = np.linalg.inv(y) if n else np.zeros((0, 0), dtype=complex)
 
-        # constant-power loads: Newton works on the voltages of the buses
+        # constant-power loads: the solve works on the voltages of the buses
         # that carry them (loads sharing a bus are summed)
         cp_loads = [
             ld
@@ -429,12 +430,11 @@ class Network:
             "cp_bus": cp_bus,
             "cp_slot": cp_slot,
             "cp_pos": cp_pos,  # each energized CP load's bus position
-            # one CP bus: its inverse-admittance entry as a Python complex
-            # and its column as a contiguous vector
+            # the CP buses' block of the inverse admittance matrix (one CP
+            # bus: its entry as a Python complex) and their rows as lists
             "z_cp": (complex(yinv[cp_bus[0], cp_bus[0]]) if len(cp_bus) == 1
                      else yinv[np.ix_(cp_bus, cp_bus)]),
-            "yinv_cp": (yinv[:, cp_bus[0]].copy() if len(cp_bus) == 1
-                        else yinv[:, cp_bus]),
+            "yinv_cp": yinv[cp_bus].tolist(),
             "de_energized_with_load": dead_loaded,
         }
         self._cache["balance"] = _balance_terms(self._cache)
@@ -442,11 +442,11 @@ class Network:
         self._cp_warm = None
 
     def _cp_start(self, w_c):
-        """Newton's starting CP-bus voltages for open-circuit voltages ``w_c``.
-
-        The last solve's voltages, carried along with the change in the
-        open-circuit voltage (sources rotate a little every step in an
-        island off nominal frequency); ``w_c`` itself after a topology change.
+        """The block Newton's starting CP-bus voltages for open-circuit
+        voltages ``w_c``: the last solve's voltages, carried along with the
+        change in the open-circuit voltage (sources rotate a little every
+        step in an island off nominal frequency); ``w_c`` itself after a
+        topology change.
         """
         if self._cp_warm is None:
             return w_c
@@ -475,10 +475,10 @@ class Network:
         yinv: np.ndarray = c["yinv"]
         n = c["n"]
 
-        # plain loops: a comprehension is a function call per solve.  Every
-        # array operation stays a NumPy call on the same operands: Python
+        # plain loops: a comprehension is a function call per solve.  Python
         # arithmetic differs from BLAS products and NumPy's complex ufuncs
-        # in the last bits, and the outputs are pinned to the bit
+        # in the last bits, and the outputs are pinned to the bit: the CP
+        # buses' open-circuit voltages are Python sums, the rest NumPy calls
         base = [0j] * n
         source_emfs = []
         for src, k, _ in c["sources"]:
@@ -491,44 +491,42 @@ class Network:
             k = e_at[p]
             if k is not None:
                 base[k] += inj
-        i_base = np.array(base, dtype=complex)
 
         cp_currents: list[complex] = []
         iterations = 0
         residual = 0.0
-        v = yinv @ i_base
         if c["cp_bus"]:
-            # v so far has the CP loads drawing nothing (its CP entries are
-            # the open-circuit voltages w_c); their currents correct v and
-            # i_base in place.  Setpoints are read every solve: a load step
-            # on a CP load does not change the topology, so nothing about
-            # them is cached
+            # the CP loads' currents first, from the voltages w the rest of
+            # the network gives their buses with them drawing nothing; they
+            # then join the injections.  Setpoints are read every solve: a
+            # load step on a CP load does not change the topology, so
+            # nothing about them is cached
             cp_bus = c["cp_bus"]
             s = [0j] * len(cp_bus)
             for ld, j in c["cp_slot"]:
                 s[j] += complex(ld.p, ld.q)
+            w = []
+            for row in c["yinv_cp"]:
+                wk = 0j
+                for a, b in zip(row, base):
+                    wk += a * b
+                w.append(wk)
             if len(cp_bus) == 1:
-                k = cp_bus[0]
-                w_c = v.item(k)
-                x, iterations = _newton_cp_scalar(
-                    w_c, self._cp_start(w_c), c["z_cp"], s[0]
-                )
-                i_cp = -s[0].conjugate() / x.conjugate()
-                v += c["yinv_cp"] * i_cp
-                i_base[k] = base[k] + i_cp
-                x_bus = [x]
+                x_bus = [_cp_voltage(w[0], c["z_cp"], s[0])]
+                iterations = 1
             else:
-                w_c = v[cp_bus]
+                w_c = np.array(w)
                 x, iterations = _newton_cp_block(
                     w_c, self._cp_start(w_c), c["z_cp"], np.array(s)
                 )
-                i_cp = -np.conj(s) / np.conj(x)
-                v += c["yinv_cp"] @ i_cp
-                i_base[cp_bus] += i_cp
+                self._cp_warm = (x, w_c)
                 x_bus = x.tolist()
-            self._cp_warm = (x, w_c)
             for ld, j in c["cp_slot"]:
-                cp_currents.append(-complex(ld.p, -ld.q) / x_bus[j].conjugate())
+                i_cp = -complex(ld.p, -ld.q) / x_bus[j].conjugate()
+                cp_currents.append(i_cp)
+                base[cp_bus[j]] += i_cp
+        i_base = np.array(base, dtype=complex)
+        v = yinv @ i_base
         if n:
             # one refinement pass; the pre-refinement residual bounds the
             # returned solution's residual from above
@@ -619,37 +617,32 @@ def _balance_terms(c: dict) -> tuple:
     return vs_pos, z, cp_pos, zl_pos, ln_from, ln_to, y
 
 
-def _newton_cp_scalar(
-    w: complex, x: complex, z: complex, s: complex
-) -> tuple[complex, int]:
-    """Newton-Raphson on the voltage of a single constant-power bus.
+def _cp_voltage(w: complex, z: complex, s: complex) -> complex:
+    """The voltage of a single constant-power bus, in closed form.
 
-    Solves ``F(x) = x - w + z * conj(s) / conj(x) = 0``: ``w`` is the voltage
-    the rest of the network gives the bus with the CP load removed, ``z``
-    the bus's own entry of the inverse admittance matrix and ``s`` the power
-    the bus draws; ``x`` is the starting voltage.  The CP current
-    ``-conj(s)/conj(x)`` is not holomorphic, so each step solves
-    ``d + beta * conj(d) = g`` with ``g = -F`` and
-    ``beta = -z * conj(s) / conj(x)**2``, whose closed form is
-    ``d = (g - beta * conj(g)) / (1 - |beta|^2)`` (Tinney & Hart 1967).
-    Stops when ``|F| <= CP_TOL`` (pu volts) and returns the voltage and
-    the number of evaluations of ``F``: 1 when the start already solves it.
+    Solves ``x = w - z * conj(s) / conj(x)``: ``w`` is the voltage the rest
+    of the network gives the bus with the CP load removed, ``z`` the bus's
+    own entry of the inverse admittance matrix and ``s`` the power the bus
+    draws.  With ``c = conj(z) * s``, ``a = |x|^2`` solves
+    ``a^2 - (|w|^2 - 2 Re c) a + |c|^2 = 0`` and ``x = (a + c) / conj(w)``;
+    the upper root is the stable branch of the P-V curve (Van Cutsem &
+    Vournas, Voltage Stability of Electric Power Systems, 1998, ch. 2).  No
+    real positive root is the loadability abort; ``|w|`` or ``|x|`` below
+    ``CP_V_COLLAPSE`` the collapse abort.
     """
-    sb = s.conjugate()
-    for it in range(1, CP_MAX_ITERS + 1):
-        if not abs(x) >= CP_V_COLLAPSE:
-            raise _collapsed(abs(x), it)
-        xb = x.conjugate()
-        u = sb / xb
-        g = w - x - z * u
-        if abs(g) <= CP_TOL:
-            return x, it
-        beta = -z * u / xb
-        det = 1.0 - (beta.real * beta.real + beta.imag * beta.imag)
-        if not det > CP_DET_MIN:
-            raise _singular(det, it)
-        x += (g - beta * g.conjugate()) / det
-    raise _not_converged(abs(g))
+    if not abs(w) >= CP_V_COLLAPSE:
+        raise _collapsed(abs(w), 1)
+    c = z.conjugate() * s
+    b = w.real * w.real + w.imag * w.imag - 2.0 * c.real
+    h = 2.0 * abs(c)
+    d = (b - h) * (b + h)  # b^2 - 4 |c|^2
+    if not (d >= 0.0 and b > 0.0):
+        raise NonConvergenceError("constant-power load beyond the loadability limit (nose "
+                                  f"of the P-V curve): |V|^2 discriminant {d:.3e}", 1)
+    x = (0.5 * (b + math.sqrt(d)) + c) / w.conjugate()
+    if not abs(x) >= CP_V_COLLAPSE:
+        raise _collapsed(abs(x), 1)
+    return x
 
 
 def _newton_cp_block(
@@ -657,11 +650,14 @@ def _newton_cp_block(
 ) -> tuple[np.ndarray, int]:
     """Newton-Raphson on the voltages of m > 1 constant-power buses.
 
-    The same iteration as ``_newton_cp_scalar`` with ``z`` the m x m block of
-    the inverse admittance matrix between the CP buses.  The step equation
-    ``d + beta @ conj(d) = g``, ``beta[i, j] = -z[i, j] conj(s[j]) /
-    conj(x[j])**2``, is solved as the real 2m x 2m system
-    ``[[I + Re beta, Im beta], [Im beta, I - Re beta]] [Re d; Im d] = [Re g; Im g]``.
+    Solves ``F(x) = x - w + z @ (conj(s) / conj(x)) = 0`` (``_cp_voltage``
+    with ``z`` the CP buses' m x m block of the inverse admittance matrix)
+    from the voltages ``x``.  The CP currents are not holomorphic, so each
+    step solves ``d + beta @ conj(d) = g``, ``g = -F``, ``beta[i, j] =
+    -z[i, j] conj(s[j]) / conj(x[j])**2`` (Tinney & Hart 1967), as the real
+    2m x 2m system ``[[I + Re beta, Im beta], [Im beta, I - Re beta]] [Re d;
+    Im d] = [Re g; Im g]``, until ``max |F| <= CP_TOL`` (pu volts); returns
+    the voltages and the number of evaluations of ``F``.
     """
     m = len(x)
     sb = np.conj(s)

@@ -1,7 +1,10 @@
 """``Network.solve`` and ``Network.power_balance_residual`` as they were
 before the solve dropped its per-step comprehensions, reductions and
 helper calls: the bodies word for word, as functions of the network
-(``self``), with the Newton step and its two checks they called.
+(``self``).  The solve's constant-power branch follows the closed-form
+rule: the CP currents first, from the open-circuit voltages, then one
+product; it is the library's branch word for word, with the closed form
+for one CP bus and its collapse check.
 
 Kept as the oracle the solve must match bit for bit, and the block
 power-balance check within ``ROUNDING * power_balance_scale``
@@ -19,15 +22,11 @@ from collections.abc import Sequence
 import numpy as np
 
 from dualpath.network import (
-    CP_DET_MIN,
-    CP_MAX_ITERS,
-    CP_TOL,
     CP_V_COLLAPSE,
     NetworkState,
     NonConvergenceError,
     SolveReport,
     _newton_cp_block,
-    _not_converged,
 )
 
 
@@ -63,44 +62,42 @@ def solve(
         k = e_at[p]
         if k is not None:
             base[k] += inj
-    i_base = np.array(base, dtype=complex)
 
     cp_currents: list[complex] = []
     iterations = 0
     residual = 0.0
-    v = yinv @ i_base
     if c["cp_bus"]:
-        # v so far has the CP loads drawing nothing (its CP entries are
-        # the open-circuit voltages w_c); their currents correct v and
-        # i_base in place.  Setpoints are read every solve: a load step
-        # on a CP load does not change the topology, so nothing about
-        # them is cached
+        # the CP loads' currents first, from the voltages w the rest of
+        # the network gives their buses with them drawing nothing; they
+        # then join the injections.  Setpoints are read every solve: a
+        # load step on a CP load does not change the topology, so
+        # nothing about them is cached
         cp_bus = c["cp_bus"]
         s = [0j] * len(cp_bus)
         for ld, j in c["cp_slot"]:
             s[j] += complex(ld.p, ld.q)
+        w = []
+        for row in c["yinv_cp"]:
+            wk = 0j
+            for a, b in zip(row, base):
+                wk += a * b
+            w.append(wk)
         if len(cp_bus) == 1:
-            k = cp_bus[0]
-            w_c = complex(v[k])
-            x, iterations = _newton_cp_scalar(
-                w_c, self._cp_start(w_c), c["z_cp"], s[0]
-            )
-            i_cp = -s[0].conjugate() / x.conjugate()
-            v += c["yinv_cp"] * i_cp
-            i_base[k] += i_cp
-            x_bus = [x]
+            x_bus = [_cp_voltage(w[0], c["z_cp"], s[0])]
+            iterations = 1
         else:
-            w_c = v[cp_bus]
+            w_c = np.array(w)
             x, iterations = _newton_cp_block(
                 w_c, self._cp_start(w_c), c["z_cp"], np.array(s)
             )
-            i_cp = -np.conj(s) / np.conj(x)
-            v += c["yinv_cp"] @ i_cp
-            i_base[cp_bus] += i_cp
+            self._cp_warm = (x, w_c)
             x_bus = x.tolist()
-        self._cp_warm = (x, w_c)
-        cp_currents = [-complex(ld.p, -ld.q) / x_bus[j].conjugate()
-                       for ld, j in c["cp_slot"]]
+        for ld, j in c["cp_slot"]:
+            i_cp = -complex(ld.p, -ld.q) / x_bus[j].conjugate()
+            cp_currents.append(i_cp)
+            base[cp_bus[j]] += i_cp
+    i_base = np.array(base, dtype=complex)
+    v = yinv @ i_base
     if n:
         # one refinement pass; the pre-refinement residual bounds the
         # returned solution's residual from above
@@ -181,50 +178,35 @@ def power_balance_scale(self, state: NetworkState) -> float:
     return math.fsum(abs(t) for t in terms)
 
 
-def _newton_cp_scalar(
-    w: complex, x: complex, z: complex, s: complex
-) -> tuple[complex, int]:
-    """Newton-Raphson on the voltage of a single constant-power bus.
+def _cp_voltage(w: complex, z: complex, s: complex) -> complex:
+    """The voltage of a single constant-power bus, in closed form.
 
-    Solves ``F(x) = x - w + z * conj(s) / conj(x) = 0``: ``w`` is the voltage
-    the rest of the network gives the bus with the CP load removed, ``z``
-    the bus's own entry of the inverse admittance matrix and ``s`` the power
-    the bus draws; ``x`` is the starting voltage.  The CP current
-    ``-conj(s)/conj(x)`` is not holomorphic, so each step solves
-    ``d + beta * conj(d) = g`` with ``g = -F`` and
-    ``beta = -z * conj(s) / conj(x)**2``, whose closed form is
-    ``d = (g - beta * conj(g)) / (1 - |beta|^2)`` (Tinney & Hart 1967).
-    Stops when ``|F| <= CP_TOL`` (pu volts) and returns the voltage and
-    the number of evaluations of ``F``: 1 when the start already solves it.
+    Solves ``x = w - z * conj(s) / conj(x)``: ``w`` is the voltage the rest
+    of the network gives the bus with the CP load removed, ``z`` the bus's
+    own entry of the inverse admittance matrix and ``s`` the power the bus
+    draws.  With ``c = conj(z) * s``, ``a = |x|^2`` solves
+    ``a^2 - (|w|^2 - 2 Re c) a + |c|^2 = 0`` and ``x = (a + c) / conj(w)``;
+    the upper root is the stable branch of the P-V curve.  No real positive
+    root is the loadability abort; ``|w|`` or ``|x|`` below
+    ``CP_V_COLLAPSE`` the collapse abort.
     """
-    sb = s.conjugate()
-    for it in range(1, CP_MAX_ITERS + 1):
-        _check_collapse(abs(x), it)
-        xb = x.conjugate()
-        u = sb / xb
-        g = w - x - z * u
-        if abs(g) <= CP_TOL:
-            return x, it
-        beta = -z * u / xb
-        det = 1.0 - (beta.real * beta.real + beta.imag * beta.imag)
-        _check_singular(det, it)
-        x += (g - beta * g.conjugate()) / det
-    raise _not_converged(abs(g))
+    _check_collapse(abs(w))
+    c = z.conjugate() * s
+    b = w.real * w.real + w.imag * w.imag - 2.0 * c.real
+    h = 2.0 * abs(c)
+    d = (b - h) * (b + h)  # b^2 - 4 |c|^2
+    if not (d >= 0.0 and b > 0.0):
+        raise NonConvergenceError("constant-power load beyond the loadability limit (nose "
+                                  f"of the P-V curve): |V|^2 discriminant {d:.3e}", 1)
+    x = (0.5 * (b + math.sqrt(d)) + c) / w.conjugate()
+    _check_collapse(abs(x))
+    return x
 
 
-def _check_collapse(v_min: float, it: int) -> None:
+def _check_collapse(v_min: float) -> None:
     if not v_min >= CP_V_COLLAPSE:
         raise NonConvergenceError(
             f"constant-power bus voltage collapsed to {v_min:.3e} pu: "
             "load beyond the loadability limit",
-            it,
-        )
-
-
-def _check_singular(det: float, it: int) -> None:
-    if not det > CP_DET_MIN:
-        raise NonConvergenceError(
-            f"Newton Jacobian singular (det={det:.3e}): constant-power load "
-            "at or beyond the loadability limit (nose of the P-V curve)",
-            it,
+            1,
         )

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualpath.network import (
+    CP_V_COLLAPSE,
     Breaker,
     ConstantImpedanceLoad,
     ConstantPowerLoad,
@@ -141,7 +142,7 @@ def test_solve_constant_power_matches_bisection_oracle():
     state, rep = net.solve()
     v_ref = cp_bisection_oracle(0.5, 0.1 + 1e-6)
     assert abs(abs(bus_v(net, state, "ld")) - v_ref) < 1e-8
-    assert rep.cp_iterations > 0
+    assert rep.cp_iterations == 1  # one CP bus: the closed form
     # delivered power equals the setpoint
     s = bus_v(net, state, "ld") * (-state.cp_currents[0]).conjugate()
     assert s.real == pytest.approx(0.5, abs=1e-8)
@@ -159,7 +160,9 @@ X_EDGE = 0.1 + 1e-6  # source reactance plus the two_bus line
 P_MAX = 1 / (2 * X_EDGE)  # loadability limit of two_bus at unity pf
 
 
-@pytest.mark.parametrize("frac", [0.5, 0.9, 0.95, 0.99])
+# the 1e-6 line's admittance of 1e6 pu limits any CP solver on two_bus to
+# about 1e-11, so the bound stays at 1e-8 up to the nose
+@pytest.mark.parametrize("frac", [0.5, 0.9, 0.95, 0.99, 0.999, 0.9999])
 def test_cp_newton_reaches_the_loadability_limit(frac):
     # high root of V^4 - V^2 + (x p)^2 = 0 (E = 1, unity pf)
     p = frac * P_MAX
@@ -170,9 +173,43 @@ def test_cp_newton_reaches_the_loadability_limit(frac):
 
 
 def test_cp_beyond_the_loadability_limit_aborts_naming_it():
-    net = two_bus(ConstantPowerLoad("cp", "ld", 1.01 * P_MAX, 0.0))
-    with pytest.raises(NonConvergenceError, match="loadability limit"):
+    for frac in (1.01, 1.0001):  # just past the nose too, after one evaluation
+        net = two_bus(ConstantPowerLoad("cp", "ld", frac * P_MAX, 0.0))
+        with pytest.raises(NonConvergenceError, match="loadability limit") as exc:
+            net.solve()
+        assert exc.value.iterations == 1
+
+
+@pytest.mark.parametrize("e", [5e-4, 0.0])
+def test_cp_bus_below_the_collapse_voltage_aborts(e):
+    # the source holds the CP bus at |w| = e with the load drawing nothing
+    net = Network(buses=["src", "ld"], lines=[Line("src", "ld", 0.0, 0.05)],
+                  grid_sources=[GridSource("g", "src", complex(e), 0.1j)],
+                  loads=[ConstantPowerLoad("cp", "ld", 1e-9, 0.0)])
+    with pytest.raises(NonConvergenceError, match="collapsed to .* loadability limit") as exc:
         net.solve()
+    assert exc.value.iterations == 1
+    assert CP_V_COLLAPSE > e
+
+
+def test_one_cp_bus_solve_does_not_depend_on_the_solve_before():
+    # a fresh network and one that solved other loads and source angles
+    # first give the same bits: nothing carries over from one solve
+    def build():
+        net = two_bus(ConstantPowerLoad("cp", "ld", 0.3, 0.1))
+        net.grid_sources["g"].f_grid = 60.5
+        return net
+
+    used, fresh = build(), build()
+    for p in (4.5, 0.01, 2.0):
+        used.loads["cp"].p = p
+        used.solve()
+        for net in (used, fresh):
+            net.advance_sources(1e-3, 60.0)
+    used.loads["cp"].p = 0.3
+    (a, ra), (b, rb) = used.solve(), fresh.solve()
+    assert np.array_equal(a.v_pos, b.v_pos) and a.cp_currents == b.cp_currents
+    assert ra == rb and ra.cp_iterations == 1
 
 
 def cp_fixed_point_oracle(net, damping=0.7, tol=1e-14, max_iters=5000):
@@ -253,6 +290,22 @@ def test_cp_newton_block_matches_fixed_point_oracle():
         ld = net.loads[i]
         s = bus_v(net, state, ld.bus) * (-cp[i]).conjugate()
         assert abs(s - complex(ld.p, ld.q)) < 1e-10
+    assert balance_residual(net, state) < 1e-10
+
+
+def test_cp_newton_block_warm_started_matches_fixed_point_oracle():
+    # the block Newton starts from the last solve's voltages: after a load
+    # step and a source turn it still lands on the oracle's fixed point
+    net = multi_cp_network()
+    net.grid_sources["g"].f_grid = 60.5
+    net.solve()
+    net.step_load("p2", 0.05, 0.01)
+    net.advance_sources(1e-3, 60.0)
+    state, rep = net.solve()
+    assert 0 < rep.cp_iterations <= 5
+    v_ref = cp_fixed_point_oracle(net)
+    for bus in net.buses:
+        assert abs(bus_v(net, state, bus) - v_ref[net.bus_index[bus]]) < 1e-9
     assert balance_residual(net, state) < 1e-10
 
 

@@ -66,18 +66,41 @@ def test_compare_prints_the_moved_lines_of_differing_events_only(tmp_path, capsy
 
     assert compare(tmp_path / "new", tmp_path / "ref", ["case"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    # a differing timeseries is named, not diffed; the events show the one moved line
-    assert lines[:6] == [
+    # a differing timeseries is named with its largest change, not diffed;
+    # the events show the one moved line
+    assert lines[:7] == [
         "differs: case/timeseries.csv",
+        "delta:   case/timeseries.csv: max |delta| 0.5 in column f",
         "differs: case/events.csv",
         f"--- {tmp_path / 'ref' / 'case' / 'events.csv'}",
         f"+++ {tmp_path / 'new' / 'case' / 'events.csv'}",
         "@@ -3 +3 @@",
         "-" + moved.rstrip("\n"),
     ]
-    assert lines[6:] == [
+    assert lines[7:] == [
         "+" + moved.replace("10.5585", "10.558").rstrip("\n"),
         "metric:  case transitions[].hold_elapsed: max |delta| 0.0005",
         "metric:  case transitions[].t: max |delta| 0.0005",
         f"2 compared file(s) differ from {tmp_path / 'ref'}",
     ]
+
+
+def test_compare_names_the_largest_timeseries_change_and_its_column(tmp_path, capsys):
+    compare = _load_script().compare
+    ref = "t,v,f\n0,1,60\n0.5,0.99,60.01\n1,0.98,60\n"
+    cases = {
+        # the largest |delta| wins over an earlier, smaller one
+        "t,v,f\n0,1,60\n0.5,0.99,60.0100002\n1,0.9799,60\n": "max |delta| 0.0001 in column v",
+        "t,v,f\n0,1,60\n0.5,nan,60.01\n1,0.98,60\n": "max |delta| inf in column v",
+        "t,v,f\n0,1,60\n0.5,0.99,60.01\n": "row counts differ (3 -> 2)",
+        "t,v,f,p\n0,1,60,0\n0.5,0.99,60.01,0\n1,0.98,60,0\n": "headers differ",
+    }
+    _write(tmp_path / "ref", ECHO, {}, timeseries=ref)
+    for k, (new, line) in enumerate(cases.items()):
+        _write(tmp_path / f"new{k}", ECHO, {}, timeseries=new)
+        assert compare(tmp_path / f"new{k}", tmp_path / "ref", ["case"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "differs: case/timeseries.csv",
+            f"delta:   case/timeseries.csv: {line}",
+            f"1 compared file(s) differ from {tmp_path / 'ref'}",
+        ]
