@@ -152,9 +152,19 @@ def build_ybus(buses: list[str], lines: list[Line]) -> np.ndarray:
 
 @dataclass(slots=True)
 class SolveReport:
+    """One solve's CP-load evaluations, its KCL mismatch ``i - Y v`` before
+    the refinement pass (one entry per energized bus) and the dead islands
+    that carry load."""
+
     cp_iterations: int
-    residual: float
+    mismatch: np.ndarray
     de_energized_with_load: list[list[str]]
+
+    @property
+    def residual(self) -> float:
+        """max |mismatch|, which bounds the refined solution's; NaN if any
+        entry is NaN, 0.0 with no energized bus.  Reduced when read."""
+        return float(np.abs(self.mismatch).max(initial=0.0))
 
 
 @dataclass(slots=True)
@@ -464,7 +474,9 @@ class Network:
         sources supply their own), one per former or ValueError;
         ``injections`` are grid-following currents as ``(bus position,
         phasor)`` pairs (one on a dead bus flows nowhere).  Returns the state,
-        holding the formers' currents in ``emfs`` order, and the report.
+        holding the formers' currents in ``emfs`` order, and the report.  The
+        report carries the KCL mismatch unreduced: the runner folds its worst
+        |entry| into ``solver.residual_max`` once per record block.
         """
         if len(emfs) != len(self.formers):
             raise ValueError(f"{len(emfs)} EMFs for {len(self.formers)} formers")
@@ -494,7 +506,6 @@ class Network:
 
         cp_currents: list[complex] = []
         iterations = 0
-        residual = 0.0
         if c["cp_bus"]:
             # the CP loads' currents first, from the voltages w the rest of
             # the network gives their buses with them drawing nothing; they
@@ -527,15 +538,10 @@ class Network:
                 base[cp_bus[j]] += i_cp
         i_base = np.array(base, dtype=complex)
         v = yinv @ i_base
-        if n:
-            # one refinement pass; the pre-refinement residual bounds the
-            # returned solution's residual from above
-            r = i_base - y @ v
-            err = np.abs(r).tolist()
-            residual = max(err)
-            if math.isnan(sum(err)):  # max() passes over a NaN after the first entry
-                residual = math.nan
-            v += yinv @ r
+        # one refinement pass; the mismatch before it bounds the returned
+        # solution's from above
+        r = i_base - y @ v
+        v += yinv @ r
 
         # negative-sequence pass shares the same admittance matrix
         i_neg = None
@@ -554,7 +560,7 @@ class Network:
             v_full, vl, v_neg, emfs, injections, former_currents, cp_currents,
             source_emfs, c,
         )
-        return state, SolveReport(iterations, residual, c["de_energized_with_load"])
+        return state, SolveReport(iterations, r, c["de_energized_with_load"])
 
     def _on_buses(self, v: np.ndarray) -> np.ndarray:
         """The energized-order vector ``v`` in bus order, zero on dead buses."""

@@ -190,11 +190,12 @@ class Simulation:
         self.f_nom = cfg.base.f_nom
         self.w0 = cfg.base.omega_base
         self.dt = cfg.dt
-        # the network and controllers mutate their elements; run on copies so
-        # the same config object can be run again byte-identically
+        # events mutate breakers, sources and loads (lines are only read);
+        # run on copies of those so the same config object can be run again
+        # byte-identically
         self.net = Network(
             cfg.buses,
-            copy.deepcopy(cfg.lines),
+            cfg.lines,
             copy.deepcopy(cfg.breakers),
             copy.deepcopy(cfg.grid_sources),
             copy.deepcopy(cfg.loads),
@@ -222,7 +223,6 @@ class Simulation:
         self.record = _Record(self.rows, len(cfg.buses), len(self.invs),
                               cfg.output.decimate, self.f_nom)
         self.cp_iters_sum = self.cp_iters_max = 0
-        self.solve_residual_max = 0.0
         self._no_neg = [0j] * len(cfg.buses)
 
     @staticmethod
@@ -527,8 +527,6 @@ class Simulation:
             self.cp_iters_sum += iters
             if iters > self.cp_iters_max:
                 self.cp_iters_max = iters
-        if report.residual > self.solve_residual_max:
-            self.solve_residual_max = report.residual
         energized = self._energized
         freqs = self._island_frequencies() if self._recon_open else None
         for isl in report.de_energized_with_load:
@@ -537,11 +535,13 @@ class Simulation:
                 self._dead_seen.add(key)
                 self.events_log.append(IslandDeenergized(t, key))
 
-        # 3. record (the power balance is checked per block)
+        # 3. record (the power balance and the solve's mismatch are checked
+        # per block)
         record = self.record
         record.t_view[k] = t
         held = record.held
         held.append(state)
+        record.mismatch.append(report.mismatch)
 
         # 4..7 controllers, supervisor, detectors per inverter
         v = state.v_list
@@ -585,7 +585,7 @@ class Simulation:
             solver={
                 "cp_iterations_mean": self.cp_iters_sum / self.k if self.k else 0.0,
                 "cp_iterations_max": self.cp_iters_max,
-                "residual_max": self.solve_residual_max,
+                "residual_max": self.record.mismatch_max,
                 "init_rounds": self.init_rounds,
                 "init_mismatch": self.init_mismatch,
             },
@@ -740,9 +740,11 @@ class _Record:
     step); per output row (the steps 0, dec, 2 * dec, ...) the bus voltages
     and every inverter column, which timeseries.csv reads (16 B a bus and
     28 B an inverter a row); the solved bus voltages at the steps in
-    ``keep``; and ``fold``, the metrics' fold of each step's ``f``, ``p``
-    and ``mode``.  It holds the open block of the steps from ``k0`` on:
-    ``held``, their solved states as the power-balance check reads them, and
+    ``keep``; ``fold``, the metrics' fold of each step's ``f``, ``p`` and
+    ``mode``; and ``mismatch_max``, the largest |entry| of any step's solve
+    mismatch (NaN once one is NaN).  It holds the open block of the steps
+    from ``k0`` on: ``held``, their solved states as the power-balance check
+    reads them, ``mismatch``, their solves' KCL mismatch vectors, and
     ``blocks``, their inverter columns, which the step writes through
     ``views``, flat memoryviews (element (k - k0) * ni + i is step k,
     inverter i; about half the cost of numpy item assignment), as it writes
@@ -760,6 +762,8 @@ class _Record:
         }
         self.blocks = [np.empty((RECORD_BLOCK, ni), a.dtype) for a in self.cols.values()]
         self.held, self.k0 = StateBlock(), 0
+        self.mismatch: list[np.ndarray] = []
+        self.mismatch_max = 0.0
         self.keep: set[int] = set()
         self.kept: dict[int, list[complex]] = {}
         self.fold = StepFold(f_nom)
@@ -777,12 +781,18 @@ class _Record:
         self._make_views()
 
     def flush(self, net: Network) -> None:
-        """Check the power balance of the held steps on ``net``, fold them,
-        move their residuals and output rows into the record and open the
-        next block; nothing when no step is held."""
+        """Check the power balance of the held steps on ``net``, fold them
+        and their solve mismatches, move their residuals and output rows
+        into the record and open the next block; nothing when no step is
+        held."""
         held = self.held
         if not held.groups:
             return
+        # max() propagates a NaN, from the block or from the running
+        # maximum; the mismatches go before the check allocates
+        self.mismatch_max = float(np.abs(np.concatenate(self.mismatch)).max(
+            initial=self.mismatch_max))
+        self.mismatch = []
         v = held.voltages()
         k0, n, dec = self.k0, len(v), self.dec
         self.residual[k0:k0 + n] = net.power_balance_residual(held)

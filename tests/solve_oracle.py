@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +26,17 @@ from dualpath.network import (
     CP_V_COLLAPSE,
     NetworkState,
     NonConvergenceError,
-    SolveReport,
     _newton_cp_block,
 )
+
+
+@dataclass
+class SolveReport:
+    """The report as it was, with the residual reduced in the solve."""
+
+    cp_iterations: int
+    residual: float
+    de_energized_with_load: list[list[str]]
 
 
 def solve(

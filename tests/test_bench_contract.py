@@ -3,6 +3,7 @@ functions by the names the program calls them through; a rename must not
 leave one of its layers empty."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import yaml
@@ -53,8 +54,10 @@ def test_traced_library_runs_call_every_span_target(monkeypatch):
             assert not Simulation(parse_config(doc)).run().aborted
     assert [f"{o.__name__}.{a}" for (o, a), n in calls.items() if n == 0] == []
     assert all(trace.tally.calls[name] > 0 for name in layertrace.SPANS)
-    # a counter read from return values saw the runs too
+    # the counters read from return values saw the runs too; the solve's
+    # residual is the report's, reduced when the trace reads it
     assert trace.tally.counts["cp_iters"] > 0
+    assert 0.0 < trace.tally.residual_max < math.inf
 
 
 def test_arbitration_requests_through_the_counted_method():

@@ -209,7 +209,9 @@ def test_one_cp_bus_solve_does_not_depend_on_the_solve_before():
     used.loads["cp"].p = 0.3
     (a, ra), (b, rb) = used.solve(), fresh.solve()
     assert np.array_equal(a.v_pos, b.v_pos) and a.cp_currents == b.cp_currents
-    assert ra == rb and ra.cp_iterations == 1
+    assert np.array_equal(ra.mismatch, rb.mismatch)
+    assert ra.cp_iterations == rb.cp_iterations == 1
+    assert ra.de_energized_with_load == rb.de_energized_with_load
 
 
 def cp_fixed_point_oracle(net, damping=0.7, tol=1e-14, max_iters=5000):

@@ -818,9 +818,10 @@ def test_block_record_stops_at_a_collapse_abort(monkeypatch):
 # window: its other objects (about 120 KB on a 0.2 s testbed slice), one
 # block of held solved states (about 110 KB on testbed: the bus-voltage
 # rows, the EMFs and the injections; the rows give way to one array when the
-# block is checked) and the block power-balance check's temporaries (about
-# 120 KB); compute_metrics allocates only small arrays on testbed, whose one
-# former leaves no sharing window to read
+# block is checked) and their solves' mismatch vectors (about 60 KB, folded
+# and dropped before the check), and the block power-balance check's
+# temporaries (about 120 KB); compute_metrics allocates only small arrays on
+# testbed, whose one former leaves no sharing window to read
 RECORD_SLACK = 352 * 1024
 
 
@@ -962,3 +963,56 @@ def test_run_residuals_match_the_oracle_at_every_step(monkeypatch, name):
                   if isinstance(getattr(ev, "event", None), BreakerSet)]
         assert opened == [0.1] and 1000 % RECORD_BLOCK and len(oracle) == 3002
     assert (np.abs(res.residual - oracle) <= solve_oracle.ROUNDING * np.array(scale)).all()
+
+
+def _every_step_residual(monkeypatch) -> list[float]:
+    """``SolveReport.residual`` of every solve made from now on (so, built
+    before this, a ``Simulation``'s start-up solves are left out)."""
+    residuals, solve = [], Network.solve
+
+    def solve_and_reduce(net, *args):
+        state, report = solve(net, *args)
+        residuals.append(report.residual)
+        return state, report
+
+    monkeypatch.setattr(Network, "solve", solve_and_reduce)
+    return residuals
+
+
+def residual_max_docs():
+    """The breaker opens at step 1000, inside a block, and the island's
+    three energized buses drop to one; a dead island with a constant-power
+    load beside a grid-fed bus for 801 steps, and the same aborting at
+    step 400; a run of 101 steps, shorter than one block; no energized bus
+    (every solve's mismatch is empty)."""
+    dead_island = copy.deepcopy(COLLAPSE_DOC)
+    dead_island["events"] = []
+    dead = doc(t_end=0.03, grid_sources=[], inverters=[])
+    return {"islanded": two_rate_docs()["islanded"], "dead_island": dead_island,
+            "collapse": copy.deepcopy(COLLAPSE_DOC), "short": doc(t_end=0.01),
+            "dead": dead}
+
+
+@pytest.mark.parametrize("name", list(residual_max_docs()))
+def test_solver_residual_max_is_the_largest_step_residual(monkeypatch, name):
+    sim = Simulation(parse_config(residual_max_docs()[name]))
+    residuals = _every_step_residual(monkeypatch)
+    res = sim.run()
+    assert res.aborted == (name == "collapse")
+    assert len(residuals) == len(res.t)  # the failed solve returns no report
+    if name == "short":
+        assert len(res.t) == 101 < RECORD_BLOCK
+    assert res.solver["residual_max"] == max(residuals)
+    assert (max(residuals) > 0.0) == (name != "dead")
+
+
+def test_a_nan_solve_mismatch_reaches_solver_residual_max():
+    # the forming unit's EMF turns NaN inside the first block; the linear
+    # solve does not abort on it, and both residuals must report it
+    sim = Simulation(parse_config(_library_doc("canonical_testbed", 0.05)))
+    for _ in range(10):
+        sim.step()
+    sim._formers[0].emf = complex(math.nan)
+    res = sim.run()
+    assert math.isnan(res.metrics["power_balance_max_residual"])
+    assert math.isnan(res.solver["residual_max"])

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from test_runner import COLLAPSE_DOC
+from test_runner import COLLAPSE_DOC, _every_step_residual
 
 from dualpath.events import DetectorChange
 from dualpath.runner import RECORD_BLOCK, Simulation, write_outputs
@@ -107,3 +107,21 @@ def test_run_copied_before_a_failing_solve_aborts_the_same(tmp_path):
         assert (res.aborted, res.abort_step, res.abort_reason) == (
             True, 400, whole.abort_reason), how
         assert _outputs(res, tmp_path / how) == expected, how
+
+
+def test_run_copied_mid_block_keeps_the_solve_residual_max(monkeypatch):
+    # copied just after the step whose solve mismatch is the run's largest,
+    # before its block is folded: a copy that lost the block's held
+    # mismatches would report a smaller solver.residual_max
+    doc, _ = CASES["islanding_restoration"]
+    sim = Simulation(parse_config(doc))
+    residuals = _every_step_residual(monkeypatch)
+    whole = sim.run()
+    monkeypatch.undo()
+    largest = max(residuals)
+    k_copy = residuals.index(largest) + 1
+    k0 = k_copy - k_copy % RECORD_BLOCK  # the open block's first step
+    assert k_copy % RECORD_BLOCK and max(residuals[:k0] + residuals[k_copy:]) < largest
+    assert whole.solver["residual_max"] == largest
+    for how, res in _copied_runs(doc, k_copy).items():
+        assert res.solver["residual_max"] == largest, how
