@@ -37,11 +37,14 @@ class UnknownElementError(KeyError):
 
 
 class NonConvergenceError(RuntimeError):
-    """The constant-power bus voltages have no solution: at or beyond the
-    loadability limit.  With one CP bus, raised after one evaluation when
-    the P-V quadratic has no positive root or a voltage is below
-    ``CP_V_COLLAPSE``; with more, when Newton's Jacobian goes singular, a
-    voltage collapses or ``CP_MAX_ITERS`` steps run out."""
+    """The network has no usable solution.  Either the constant-power bus
+    voltages have none, at or beyond the loadability limit: with one CP bus,
+    raised after one evaluation when the P-V quadratic has no positive root
+    or a voltage is below ``CP_V_COLLAPSE``; with more, when Newton's
+    Jacobian goes singular, a voltage collapses or ``CP_MAX_ITERS`` steps run
+    out.  Or a topology refresh finds the admittance matrix or its inverse
+    with a non-finite entry (say, a line of subnormal impedance), or the
+    matrix singular."""
 
     def __init__(self, message: str, iterations: int = 0):
         super().__init__(message)
@@ -402,7 +405,14 @@ class Network:
                     and ld.z != OPEN):
                 y[eidx[ld.bus], eidx[ld.bus]] += 1.0 / ld.z
                 z_loads.append((self.bus_index[ld.bus], (1.0 / ld.z).conjugate()))
-        yinv = np.linalg.inv(y) if n else np.zeros((0, 0), dtype=complex)
+        if not np.isfinite(y).all():
+            raise NonConvergenceError("admittance matrix has a non-finite entry")
+        try:
+            yinv = np.linalg.inv(y) if n else np.zeros((0, 0), dtype=complex)
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergenceError(f"admittance matrix not invertible: {exc}") from None
+        if not np.isfinite(yinv).all():
+            raise NonConvergenceError("inverse admittance matrix has a non-finite entry")
 
         # constant-power loads: the solve works on the voltages of the buses
         # that carry them (loads sharing a bus are summed)

@@ -1,10 +1,10 @@
 """Grid-following control path.
 
 A dual second-order-generalized-integrator (SOGI) positive-sequence extractor
-feeds a synchronous-frame PLL.  The PLL output pair (theta, measured
-positive-sequence magnitude) is the GFL voltage reference; active/reactive
-power tracking is achieved by inverting the per-unit power relations into dq
-current references, clamped to the converter rating.
+feeds a synchronous-frame PLL, whose angle and frequency the detector, the
+supervisor and the forming handover read.  P/Q tracking inverts the per-unit
+power relations into dq current references, clamped to the converter rating,
+with the d axis on the bus voltage (grid-voltage-oriented current control).
 
 The estimated angle is kept unwrapped; the loop integrates at the estimated
 frequency when the input collapses (under-voltage freeze) so that the angle
@@ -236,6 +236,7 @@ def current_refs_from_pq(
     return i_d, i_q
 
 
-def gfl_injection(i_d: float, i_q: float, theta: float) -> complex:
-    """Rotate dq current references into the network phasor frame."""
-    return complex(i_d, i_q) * cmath.exp(1j * theta)
+def gfl_injection(i_d: float, i_q: float, frame: complex) -> complex:
+    """The dq current references as a network-frame phasor, the d axis along
+    the unit phasor ``frame`` (``V / |V|`` to orient it on the voltage ``V``)."""
+    return complex(i_d, i_q) * frame

@@ -70,7 +70,6 @@ from .guard import GuardAuditRecord, Setpoint, validate_setpoint
 from .metrics import StepFold
 from .network import Network, NonConvergenceError, StateBlock
 from .pll import (
-    I_MAX,
     PllState,
     UnderVoltageError,
     current_refs_from_pq,
@@ -269,16 +268,15 @@ class Simulation:
             for inv in self._formers:
                 inv.emf = self._v_ref(inv, 0.0) - inv.z_v_sys() * inv.i_sys
             if v is not None:
+                # the step's rule (_step_inverter), without its event log
                 for inv in self._followers:
                     vb = v[inv.bus_idx]
-                    if abs(vb) >= 0.05:
-                        i = (complex(inv.params.p_set, inv.params.q_set)
-                             * inv.rating_pu / vb).conjugate()
-                        i_max = I_MAX * inv.rating_pu
-                        if abs(i) > i_max:
-                            i *= i_max / abs(i)
-                        inv.inj = i
-                    else:
+                    vb_mag = abs(vb)
+                    try:
+                        i_d, i_q = current_refs_from_pq(
+                            inv.params.p_set, inv.params.q_set, vb_mag, 0.0)
+                        inv.inj = gfl_injection(i_d, i_q, vb / vb_mag) * inv.rating_pu
+                    except UnderVoltageError:
                         inv.inj = 0j
             v = self._solve()[0].v_list
             for inv in self._formers + self._followers:
@@ -305,9 +303,11 @@ class Simulation:
                 if grid_tied:
                     delta = 0.0
                 else:
-                    total = sum(m.droop.p_f for m in members)
-                    p_sets = sum(m.params.p_set for m in members)
-                    inv_sum = sum(1.0 / m.params.m_p for m in members)
+                    total = p_sets = inv_sum = 0.0
+                    for m in members:  # not sum(): compensated from Python 3.12
+                        total += m.droop.p_f
+                        p_sets += m.params.p_set
+                        inv_sum += 1.0 / m.params.m_p
                     delta = (total - p_sets) / inv_sum
                 u = min(max(delta, -U_CLAMP), U_CLAMP)
                 for m in members:
@@ -401,11 +401,13 @@ class Simulation:
         else delivered-power-weighted forming-inverter internal frequencies."""
         freqs = []
         for grid, gfm in zip(self._island_grid, self._island_gfm):
+            wsum = acc = 0.0  # loops, not sum(): compensated from Python 3.12
             if grid:
-                wsum = sum(src.rating for src in grid)
-                freqs.append(sum(src.rating * src.f_grid for src in grid) / wsum)
+                for src in grid:
+                    wsum += src.rating
+                    acc += src.rating * src.f_grid
+                freqs.append(acc / wsum)
             elif gfm:
-                wsum = acc = 0.0
                 for inv in gfm:
                     w = abs(inv.s_inv) * inv.rating_pu + 1e-6
                     wsum += w
@@ -693,20 +695,16 @@ class Simulation:
                     inv.sup.breaker_moved(True)
             recon_ready = inv.recon.ready
 
-        # references for the next step's solve; the same frame angle is used
-        # to measure v_dq and to rotate the references back, so the delivered
-        # power reproduces the setpoint exactly regardless of PLL bias
+        # references for the next step's solve, the d axis on the bus
+        # voltage: the inner current loop is ideal, so the delivered power
+        # reproduces the setpoint whatever the PLL angle
         if inv.plugged and mode is GFL:
-            frame = pll.theta_est - self.w0 * (t + dt)
-            vdq_c = v_bus * cmath.exp(-1j * frame)
             try:
-                i_d, i_q = current_refs_from_pq(
-                    dp.p_set, dp.q_set, vdq_c.real, vdq_c.imag
-                )
+                i_d, i_q = current_refs_from_pq(dp.p_set, dp.q_set, v_bus_mag, 0.0)
                 if inv.uv_suspended:
                     inv.uv_suspended = False
                     self.events_log.append(InjectionChange(t, inv.id, False))
-                inv.inj = gfl_injection(i_d, i_q, frame) * inv.rating_pu
+                inv.inj = gfl_injection(i_d, i_q, v_bus / v_bus_mag) * inv.rating_pu
             except UnderVoltageError:
                 if not inv.uv_suspended:
                     inv.uv_suspended = True

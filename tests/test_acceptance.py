@@ -109,7 +109,13 @@ def test_library_outputs_match_pinned_sha256(library, tmp_path):
             data = (tmp_path / name / fname).read_bytes()
             if hashlib.sha256(data).hexdigest() != digest:
                 differ.append(f"{name}/{fname}")
-    assert not differ, f"differ from {LIBRARY_SHA256.name}: {', '.join(differ)}"
+    assert not differ, (
+        f"differ from {LIBRARY_SHA256.name}: {', '.join(differ)}.  If the change "
+        "is meant, re-pin with `python scripts/run_library.py --sha256 > "
+        "tests/data/library_sha256.json` and quote in CHANGES.md the list that "
+        "`python scripts/run_library.py --out NEW --compare PARENT_OUT` prints "
+        "against the parent's `--out PARENT_OUT`"
+    )
 
 
 def test_initialization_rounds_reported(library):

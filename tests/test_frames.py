@@ -54,15 +54,15 @@ def test_clarke_matches_matrix_oracle(a, b, c):
 
 def test_park_identity_and_quarter_turn():
     # the GFL path rotates dq references into the network frame at theta
-    assert gfl_injection(1.0, 0.0, 0.0) == pytest.approx(1.0)
-    assert gfl_injection(0.0, -1.0, math.pi / 2) == pytest.approx(1.0, abs=1e-15)
+    assert gfl_injection(1.0, 0.0, cmath.exp(0j)) == pytest.approx(1.0)
+    assert gfl_injection(0.0, -1.0, cmath.exp(1j * math.pi / 2)) == pytest.approx(1.0, abs=1e-15)
 
 
 @given(finite, finite, angles)
 def test_park_roundtrip(alpha, beta, theta):
     # the runner's forward rotation d + jq = (alpha + j beta) e^{-j theta}
     dq = complex(alpha, beta) * cmath.exp(-1j * theta)
-    back = gfl_injection(dq.real, dq.imag, theta)
+    back = gfl_injection(dq.real, dq.imag, cmath.exp(1j * theta))
     assert back.real == pytest.approx(alpha, abs=1e-12)
     assert back.imag == pytest.approx(beta, abs=1e-12)
 

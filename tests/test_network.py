@@ -192,6 +192,31 @@ def test_cp_bus_below_the_collapse_voltage_aborts(e):
     assert CP_V_COLLAPSE > e
 
 
+CHAIN = ["b0", "b1", "b2", "b3", "b4"]
+
+
+@pytest.mark.parametrize("buses, lines, z_s, match", [
+    # a subnormal reactance: its admittance overflows to infinity
+    (["src", "ld"], [Line("src", "ld", 0.0, 1e-320)], 0.1j,
+     "admittance matrix has a non-finite entry"),
+    # parallel reactances that cancel leave the far bus no admittance at all
+    (["src", "ld"], [Line("src", "ld", 0.0, 0.1), Line("src", "ld", 0.0, -0.1)],
+     0.1j, "admittance matrix not invertible"),
+    # finite admittances whose driving-point impedance at the chain's end,
+    # 5 * 4e307, overflows
+    (CHAIN, [Line(a, b, 0.0, 4e307) for a, b in zip(CHAIN, CHAIN[1:])], 4e307j,
+     "inverse admittance matrix has a non-finite entry"),
+])
+def test_unusable_admittance_matrix_aborts_naming_it(buses, lines, z_s, match):
+    net = Network(buses=buses, lines=lines,
+                  grid_sources=[GridSource("g", buses[0], 1.0 + 0j, z_s)])
+    with pytest.raises(NonConvergenceError, match=match):
+        net.solve()
+    # the cache stays stale, so the next solve fails the same way
+    with pytest.raises(NonConvergenceError, match=match):
+        net.partition()
+
+
 def test_one_cp_bus_solve_does_not_depend_on_the_solve_before():
     # a fresh network and one that solved other loads and source angles
     # first give the same bits: nothing carries over from one solve

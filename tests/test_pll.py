@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sampled_pll import phase_samples, sampled_pll_step
 
 from dualpath.frames import TWO_PI, wrap_angle
 from dualpath.pll import (
+    I_MAX,
     PllParams,
     PllState,
     UnderVoltageError,
@@ -24,6 +26,7 @@ DT = 1e-4
 PARAMS = PllParams()
 W_NOM = TWO_PI * 60.0
 GAINS = pll_gains(PARAMS, W_NOM, DT)
+EPS = sys.float_info.epsilon
 
 
 def step_on(theta, m=1.0, m_neg=0.0, theta_neg=0.0, state=None, dt=DT):
@@ -155,17 +158,48 @@ def test_current_refs_undervoltage():
 
 
 def test_gfl_injection_rotation():
-    assert gfl_injection(1.0, 0.0, 0.0) == pytest.approx(1.0 + 0j)
-    assert gfl_injection(0.0, 0.0, 1.23) == 0j
+    assert gfl_injection(1.0, 0.0, cmath.exp(0j)) == pytest.approx(1.0 + 0j)
+    assert gfl_injection(0.0, 0.0, cmath.exp(1.23j)) == 0j
 
 
 @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(-10, 10))
 def test_gfl_injection_matches_inverse_rotation_oracle(i_d, i_q, theta):
-    z = gfl_injection(i_d, i_q, theta)
+    z = gfl_injection(i_d, i_q, cmath.exp(1j * theta))
     assert abs(z) == pytest.approx(math.hypot(i_d, i_q), abs=1e-12)
     back = z * cmath.exp(-1j * theta)
     assert back.real == pytest.approx(i_d, abs=1e-12)
     assert back.imag == pytest.approx(i_q, abs=1e-12)
+
+
+def pll_frame_injection(p, q, v, theta):
+    """The following unit's current by the PLL-frame round trip: the bus
+    voltage ``v`` measured in a dq frame at angle ``theta``, the references
+    rotated back out of it."""
+    v_dq = v * cmath.exp(-1j * theta)
+    i_d, i_q = current_refs_from_pq(p, q, v_dq.real, v_dq.imag)
+    return complex(i_d, i_q) * cmath.exp(1j * theta)
+
+
+@settings(max_examples=500)
+@given(
+    st.just(0.0) | st.floats(1e-9, 2.0),  # setpoints, not subnormals
+    st.floats(-math.pi, math.pi),
+    st.floats(0.06, 1.3),
+    st.floats(-math.pi, math.pi),
+    st.floats(-50.0, 50.0),
+)
+def test_bus_voltage_frame_matches_the_pll_frame_round_trip(s_mag, s_ang, v_mag, v_ang, theta):
+    # the two rotations of the round trip cancel whatever the PLL angle, so
+    # the d axis can sit on the bus voltage itself; |S| / |V| reaches 33 pu,
+    # so the I_MAX clamp engages
+    s = cmath.rect(s_mag, s_ang)
+    v = cmath.rect(v_mag, v_ang)
+    i_d, i_q = current_refs_from_pq(s.real, s.imag, abs(v), 0.0)
+    i = gfl_injection(i_d, i_q, v / abs(v))
+    oracle = pll_frame_injection(s.real, s.imag, v, theta)
+    assert abs(i - oracle) <= 8 * EPS * abs(oracle)
+    if abs(i) < I_MAX * (1 - 1e-9):  # unclamped: the current delivers S
+        assert abs(v * i.conjugate() - s) <= 8 * EPS * s_mag
 
 
 # --- pll_step against the sampled-input path it replaced -------------------

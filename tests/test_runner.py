@@ -26,11 +26,13 @@ from dualpath.events import (
 from dualpath.guard import GuardAuditRecord
 from dualpath.metrics import SETTLE_BAND_HZ
 from dualpath.network import Network
+from dualpath.pll import current_refs_from_pq, gfl_injection
 from dualpath.runner import CSV_CHUNK_ROWS, RECORD_BLOCK, Simulation, run, write_outputs
 from dualpath.scenario import parse_config
 from dualpath.supervisor import Mode, Supervisor, TransitionRecord, shadow_follow
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+EPS = sys.float_info.epsilon
 
 DIVIDER_DOC = {
     "name": "flat",
@@ -170,6 +172,42 @@ def test_failed_initial_solve_is_an_abort(tmp_path):
     assert cli_main(["run", str(scen), "--out", str(tmp_path / "cli")]) == 2
     assert (tmp_path / "cli/timeseries.csv").read_text() == "\n".join(csv) + "\n"
 
+
+def _subnormal_line_doc() -> dict:
+    """flat_equilibrium cut at 10 ms with a line of reactance 1e-320 pu:
+    valid, but its admittance overflows to infinity."""
+    d = yaml.safe_load((SCENARIOS / "flat_equilibrium.yaml").read_text())
+    d["t_end"] = 0.01
+    d["lines"][0].update(r=0, x=1e-320)
+    return d
+
+
+def test_non_finite_admittance_aborts_at_start_up(tmp_path):
+    d = _subnormal_line_doc()
+    res = run(parse_config(d))
+    assert res.aborted
+    assert res.t.size == 0 and res.abort_step == 0
+    assert res.abort_reason == (
+        "NonConvergence at initialization (t=0.000000): "
+        "admittance matrix has a non-finite entry"
+    )
+    assert res.metrics["solver"]["init_mismatch"] is None
+    scen = tmp_path / "scen.yaml"
+    scen.write_text(yaml.safe_dump(d))
+    assert cli_main(["run", str(scen), "--out", str(tmp_path / "cli")]) == 2
+
+
+def test_non_finite_admittance_after_a_refresh_aborts_at_that_step():
+    # the subnormal line sits behind the open breaker until 5 ms
+    d = _subnormal_line_doc()
+    d["breakers"][0]["closed"] = False
+    d["events"] = [{"t": 0.005, "type": "breaker_set", "target": "pcc_brk",
+                    "closed": True}]
+    res = run(parse_config(d))
+    assert res.aborted and res.abort_step == 50 and res.t.size == 50
+    assert res.abort_reason.startswith("NonConvergence at step 50 ")
+    assert res.abort_reason.endswith("admittance matrix has a non-finite entry")
+    assert np.isfinite(res.residual).all()
 
 
 OUTPUT_FILES = ("timeseries.csv", "events.csv", "metrics.json", "config.resolved.yaml")
@@ -402,6 +440,95 @@ def test_gfl_injection_suspends_on_undervoltage():
     k = np.searchsorted(res.t, 0.5)
     assert res.p[k, 0] == 0.0
     assert res.lock[k, 0] == 0
+
+
+def _follower_rule(inv, v_bus: complex) -> complex:
+    """A follower's injection (system pu) at the bus voltage ``v_bus``: dq
+    references with the d axis on ``v_bus``, as a network phasor."""
+    mag = abs(v_bus)
+    i_d, i_q = current_refs_from_pq(inv.params.p_set, inv.params.q_set, mag, 0.0)
+    return gfl_injection(i_d, i_q, v_bus / mag) * inv.rating_pu
+
+
+def test_start_up_and_step_give_a_follower_one_injection(monkeypatch):
+    solved = []
+    solve = Simulation._solve
+
+    def recording(self):
+        state, report = solve(self)
+        solved.append(state.v_list)
+        return state, report
+
+    monkeypatch.setattr(Simulation, "_solve", recording)
+    sim = Simulation(parse_config(_library_doc("flat_equilibrium", 0.01)))
+    # start-up's last round sets the injections from the round before's solve
+    at_start = [(inv, inv.inj, solved[-2][inv.bus_idx]) for inv in sim.invs]
+    sim.step()
+    at_step = [(inv, inv.inj, solved[-1][inv.bus_idx]) for inv in sim.invs]
+    for inv, inj, v_bus in at_start + at_step:
+        assert inj == _follower_rule(inv, v_bus)
+        s = complex(inv.params.p_set, inv.params.q_set) * inv.rating_pu
+        assert abs(inj - (s / v_bus).conjugate()) <= 8 * EPS * abs(inj)
+        assert inj != 0j
+
+
+def test_follower_on_a_bus_below_0_05_pu_injects_nothing():
+    d = doc(t_end=0.01)
+    d["grid_sources"][0]["v"] = 0.03
+    sim = Simulation(parse_config(d))
+    inv = sim.invs[0]
+    assert inv.inj == 0j
+    sim.step()
+    assert abs(sim.record.held.voltages()[0][inv.bus_idx]) < 0.05
+    assert inv.inj == 0j and inv.uv_suspended
+
+
+# three forming units in one island with setpoints and droop gains whose
+# compensated sums differ from the left-to-right ones, and three grid
+# sources in one island likewise
+THREE_FORMERS = {
+    "name": "three_formers", "dt": 1e-4, "t_end": 0.01,
+    "buses": ["b1", "b2", "b3", "mid"],
+    "lines": [{"from": b, "to": "mid", "r": 0.002, "x": 0.02} for b in ("b1", "b2", "b3")],
+    "loads": [{"id": "ld", "bus": "mid", "kind": "impedance", "r": 1.7, "x": 0.3}],
+    "inverters": [
+        {"id": f"inv{k}", "bus": f"b{k}", "mode": "gfm", "p_set": p,
+         "droop": {"m_p": m, "n_q": 0.05, "k_r": 0.0}}
+        for k, p, m in ((1, 0.1, 0.01), (2, 0.2, 0.03), (3, 0.3, 0.07))
+    ],
+    "events": [],
+}
+THREE_SOURCES = {
+    "name": "three_sources", "dt": 1e-4, "t_end": 0.01,
+    "buses": ["g1", "g2", "g3"],
+    "lines": [{"from": "g1", "to": "g2", "r": 0.002, "x": 0.02},
+              {"from": "g2", "to": "g3", "r": 0.002, "x": 0.02}],
+    "grid_sources": [
+        {"id": f"src{k}", "bus": f"g{k}", "v": 1.0, "r_s": 0.001, "x_s": 0.01,
+         "rating": r, "f": f}
+        for k, r, f in ((1, 1000.1, 60.1), (2, 2000.2, 59.7), (3, 3000.3, 60.3))
+    ],
+    "loads": [{"id": "ld", "bus": "g2", "kind": "impedance", "r": 1.7, "x": 0.3}],
+    "events": [],
+}
+
+
+def test_float_sums_do_not_depend_on_the_python_version(monkeypatch):
+    # from Python 3.12 on, sum() of floats is compensated; start-up and the
+    # island frequencies add left to right, so a compensated sum() moves
+    # no bit of the three formers' start or the three sources' frequency
+    def start_up():
+        sim = Simulation(parse_config(THREE_FORMERS))
+        return ([(inv.droop.theta_gfm, inv.droop.omega, inv.droop.p_f)
+                 for inv in sim.invs], sim.init_rounds, sim.init_mismatch)
+
+    def frequency():
+        return Simulation(parse_config(THREE_SOURCES))._island_frequencies()
+
+    plain = start_up(), frequency()
+    monkeypatch.setattr(dualpath.runner, "sum", math.fsum, raising=False)
+    assert start_up() == plain[0]
+    assert frequency() == plain[1]
 
 
 def test_fast_synth_matches_frames_reference():
