@@ -15,8 +15,9 @@ max |delta| over list entries (inf for a non-numeric change).  A differing
 ``timeseries.csv`` is followed by its largest |delta| and the column it is
 in, or by a note that the headers or the row counts differ; a differing
 ``events.csv`` or ``config.resolved.yaml`` by its changed lines as a
-unified diff without context.  It exits 1 when any of those files
-differs.
+unified diff without context.  A last line counts the differing files and
+``metrics.json`` fields, and the run exits 1 when either count is not 0,
+so its exit status alone tells whether the outputs are bit-identical.
 """
 
 import argparse
@@ -96,8 +97,9 @@ def main():
 
 def compare(out_root: Path, ref_root: Path, names: list[str]) -> int:
     """Print what differs between the outputs under ``out_root`` and
-    ``ref_root``; 1 when a compared file differs or is missing."""
-    differing = 0
+    ``ref_root``; 1 when a compared file or a metrics field differs or is
+    missing."""
+    differing = fields = 0
     for name in names:
         out, ref = out_root / name, ref_root / name
         for fname in COMPARED_FILES:
@@ -125,8 +127,10 @@ def compare(out_root: Path, ref_root: Path, names: list[str]) -> int:
             deltas["metrics.json"] = math.inf
         for field, d in sorted(deltas.items()):
             print(f"metric:  {name} {field}: max |delta| {d:.3g}")
-    print(f"{differing} compared file(s) differ from {ref_root}")
-    return 1 if differing else 0
+        fields += len(deltas)
+    print(f"{differing} compared file(s) and {fields} metrics.json field(s) "
+          f"differ from {ref_root}")
+    return 1 if differing or fields else 0
 
 
 def _csv_delta(old: bytes, new: bytes) -> str:

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .runner import run
-from .scenario import ParseError, ValidationError, load_config, output_problems
+from .scenario import ParseError, ValidationError, load_config, run_setting_problems
 
 
 def _cmd_run(args) -> int:
@@ -24,14 +24,14 @@ def _cmd_run(args) -> int:
         cfg = load_config(args.config)
         if args.decimate is not None:
             cfg.output.decimate = args.decimate
-            problems = output_problems(cfg.output)
-            if problems:
-                raise ValidationError(problems)
+        if args.seed is not None:
+            cfg.seed = args.seed
+        problems = run_setting_problems(cfg)
+        if problems:
+            raise ValidationError(problems)
     except (ParseError, ValidationError) as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        cfg.seed = args.seed
     out_dir = Path(args.out) if args.out else Path("out") / cfg.name
     result = run(cfg, out_dir)
     status = "ABORTED" if result.aborted else "ok"

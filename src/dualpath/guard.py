@@ -5,7 +5,8 @@ check against the rating, a rate check against the present setpoints, and an
 analytical reference model -- the droop steady-state algebra -- predicting the
 post-command island frequency and voltage.  A command whose prediction lands
 outside the safe window is dropped (not clamped: executing part of a malicious
-command still executes it) and the verdict is written to the audit log.
+command still executes it).  The guard returns the command's audit record,
+which the run appends to its event log.
 """
 
 from __future__ import annotations
@@ -14,13 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .droop import DroopParams, DroopState
-
-
-@dataclass(frozen=True, slots=True)
-class Setpoint:
-    p_set: float | None = None
-    q_set: float | None = None
-    v_nom: float | None = None
+from .events import SetpointEvent
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,50 +36,45 @@ class GuardLimits:
 
 
 @dataclass(frozen=True, slots=True)
-class GuardVerdict:
+class GuardAuditRecord:
+    """The guard's verdict on one setpoint as the event log keeps it: when,
+    for which inverter and which dispatch source."""
+
+    t: float
+    inverter: str
+    source_id: str
     accepted: bool
     reason: str                   # none | range | rate | predicted-frequency | predicted-voltage
     predicted_f: float
     predicted_v: float
 
 
-@dataclass(frozen=True, slots=True)
-class GuardAuditRecord:
-    """A verdict as the event log keeps it: when, for which inverter and
-    which dispatch source."""
-
-    t: float
-    inverter: str
-    source_id: str
-    accepted: bool
-    reason: str
-    predicted_f: float
-    predicted_v: float
-
-
 def validate_setpoint(
-    sp: Setpoint,
+    t: float,
+    ev: SetpointEvent,
     params: DroopParams,
     state: DroopState,
     p_load_est: float,
     q_load_est: float,
     limits: GuardLimits,
     f_nom: float,
-) -> GuardVerdict:
-    """Screen a setpoint against the plant's droop reference model.
+) -> GuardAuditRecord:
+    """Screen the setpoint ``ev`` against the plant's droop reference model
+    and return its audit record at the step time ``t``.
 
     Omitted setpoint fields inherit the present values; the checks run in
     order range -> rate -> predicted frequency -> predicted voltage.
     """
-    p_new = params.p_set if sp.p_set is None else sp.p_set
-    q_new = params.q_set if sp.q_set is None else sp.q_set
-    v_new = params.v_nom if sp.v_nom is None else sp.v_nom
+    p_new = params.p_set if ev.p_set is None else ev.p_set
+    q_new = params.q_set if ev.q_set is None else ev.q_set
+    v_new = params.v_nom if ev.v_nom is None else ev.v_nom
 
     f_pred = f_nom * (1.0 - params.m_p * (p_load_est - p_new) + state.u)
     v_pred = v_new - params.n_q * (q_load_est - q_new) + state.u_v
 
-    def verdict(accepted: bool, reason: str) -> GuardVerdict:
-        return GuardVerdict(accepted, reason, f_pred, v_pred)
+    def verdict(accepted: bool, reason: str) -> GuardAuditRecord:
+        return GuardAuditRecord(t, ev.target, ev.source_id, accepted, reason,
+                                f_pred, v_pred)
 
     if not all(map(math.isfinite, (p_new, q_new, v_new))):
         return verdict(False, "range")

@@ -1,6 +1,6 @@
-"""Run metrics, computed from ``t`` and the residuals of every control step
-and from the ``StepFold`` of each step's ``f``, ``p`` and ``mode``, never
-from the columns kept per output row.
+"""Run metrics, computed from ``t`` of every control step, the largest
+power-balance residual of any step and the ``StepFold`` of each step's
+``f``, ``p`` and ``mode``, never from the columns kept per output row.
 
 Every metric is either computed or explicitly null (not applicable for the
 scenario).  Definitions:
@@ -23,7 +23,7 @@ scenario).  Definitions:
   the nearest preceding breaker or source event;
 * power sharing error: worst-pair |(P_i/P_j) - (m_pj/m_pi)| over the final
   second, across inverters ending the run in forming mode;
-* guard audit summary and the power-balance worst residual;
+* guard audit summary and the power-balance worst residual (NaN if any);
 * ``solver``: constant-power evaluations per control step (mean and max;
   1 with one CP bus, solved in closed form, Newton iterations with two or
   more, 0 without CP loads) and the worst pre-refinement nodal residual of

@@ -66,7 +66,7 @@ from .events import (
     TimedEvent,
 )
 from .frames import TWO_PI, PerUnitBase, steps, wrap_angle
-from .guard import GuardAuditRecord, Setpoint, validate_setpoint
+from .guard import GuardAuditRecord, validate_setpoint
 from .metrics import StepFold
 from .network import Network, NonConvergenceError, StateBlock
 from .pll import (
@@ -152,7 +152,8 @@ class _Inverter:
 @dataclass(slots=True)
 class SimResult:
     """A run's record (``_Record`` says what is kept per control step and
-    what per output row), its ``StepFold`` and its outcome."""
+    what per output row), its ``StepFold``, the largest power-balance
+    residual of its steps and its outcome."""
 
     cfg: ScenarioConfig
     t: np.ndarray
@@ -166,7 +167,7 @@ class SimResult:
     lock: np.ndarray
     island: np.ndarray
     recon: np.ndarray
-    residual: np.ndarray
+    max_residual: float
     fold: StepFold
     events_log: list  # typed records in log order (see dualpath.events)
     # solved bus voltages by step, at each accepted transition and the next
@@ -177,10 +178,6 @@ class SimResult:
     abort_reason: str = ""
     abort_step: int = -1
     wall_time_s: float = 0.0
-
-    @property
-    def max_residual(self) -> float:
-        return float(np.max(self.residual)) if self.residual.size else 0.0
 
 
 class Simulation:
@@ -423,16 +420,12 @@ class Simulation:
             self.events_log.append(rec)
 
     def _apply_setpoint(self, t: float, ev: SetpointEvent, inv: _Inverter) -> None:
-        sp = Setpoint(p_set=ev.p_set, q_set=ev.q_set, v_nom=ev.v_nom)
         d = inv.forming()
-        verdict = validate_setpoint(
-            sp, inv.params, d, d.p_f, d.q_f, inv.cfg.guard, self.f_nom,
+        audit = validate_setpoint(
+            t, ev, inv.params, d, d.p_f, d.q_f, inv.cfg.guard, self.f_nom,
         )
-        self.events_log.append(GuardAuditRecord(
-            t, inv.id, ev.source_id, verdict.accepted, verdict.reason,
-            verdict.predicted_f, verdict.predicted_v,
-        ))
-        if not verdict.accepted:
+        self.events_log.append(audit)
+        if not audit.accepted:
             return
         for name in ("p_set", "q_set", "v_nom"):
             if getattr(ev, name) is not None:
@@ -734,13 +727,14 @@ RECORD_BLOCK = 256
 
 
 class _Record:
-    """A run's record: per control step only ``t`` and ``residual`` (16 B a
-    step); per output row (the steps 0, dec, 2 * dec, ...) the bus voltages
-    and every inverter column, which timeseries.csv reads (16 B a bus and
-    28 B an inverter a row); the solved bus voltages at the steps in
-    ``keep``; ``fold``, the metrics' fold of each step's ``f``, ``p`` and
-    ``mode``; and ``mismatch_max``, the largest |entry| of any step's solve
-    mismatch (NaN once one is NaN).  It holds the open block of the steps
+    """A run's record: per control step only ``t`` (8 B a step); per output
+    row (the steps 0, dec, 2 * dec, ...) the bus voltages and every inverter
+    column, which timeseries.csv reads (16 B a bus and 28 B an inverter a
+    row); the solved bus voltages at the steps in ``keep``; ``fold``, the
+    metrics' fold of each step's ``f``, ``p`` and ``mode``; and two running
+    maxima, NaN once a step's is NaN: ``max_residual``, of each step's
+    power-balance residual, and ``mismatch_max``, of the |entries| of each
+    step's solve mismatch.  It holds the open block of the steps
     from ``k0`` on: ``held``, their solved states as the power-balance check
     reads them, ``mismatch``, their solves' KCL mismatch vectors, and
     ``blocks``, their inverter columns, which the step writes through
@@ -752,7 +746,7 @@ class _Record:
     def __init__(self, rows: int, nb: int, ni: int, dec: int, f_nom: float):
         self.dec = dec
         n_out = len(range(0, rows, dec))
-        self.t, self.residual = np.empty(rows), np.empty(rows)
+        self.t = np.empty(rows)
         self.bus_mag, self.bus_ang = np.empty((n_out, nb)), np.empty((n_out, nb))
         self.cols = {  # the inverter columns, in view order
             c: np.empty((n_out, ni), float if c in ("f", "p", "q") else np.int8)
@@ -761,7 +755,7 @@ class _Record:
         self.blocks = [np.empty((RECORD_BLOCK, ni), a.dtype) for a in self.cols.values()]
         self.held, self.k0 = StateBlock(), 0
         self.mismatch: list[np.ndarray] = []
-        self.mismatch_max = 0.0
+        self.max_residual = self.mismatch_max = 0.0
         self.keep: set[int] = set()
         self.kept: dict[int, list[complex]] = {}
         self.fold = StepFold(f_nom)
@@ -779,21 +773,22 @@ class _Record:
         self._make_views()
 
     def flush(self, net: Network) -> None:
-        """Check the power balance of the held steps on ``net``, fold them
-        and their solve mismatches, move their residuals and output rows
+        """Check the power balance of the held steps on ``net``, fold them,
+        their residuals and their solve mismatches, move their output rows
         into the record and open the next block; nothing when no step is
         held."""
         held = self.held
         if not held.groups:
             return
         # max() propagates a NaN, from the block or from the running
-        # maximum; the mismatches go before the check allocates
+        # maximum; the mismatches go before the power-balance check allocates
         self.mismatch_max = float(np.abs(np.concatenate(self.mismatch)).max(
             initial=self.mismatch_max))
         self.mismatch = []
         v = held.voltages()
         k0, n, dec = self.k0, len(v), self.dec
-        self.residual[k0:k0 + n] = net.power_balance_residual(held)
+        self.max_residual = float(net.power_balance_residual(held).max(
+            initial=self.max_residual))
         self.fold.add(self.t[k0:k0 + n], *(b[:n] for b in self.blocks[:3]))  # f, p, mode
         out = slice(-(-k0 // dec), -(-(k0 + n) // dec))
         sel = slice(-k0 % dec, n, dec)  # the block's output rows
@@ -808,7 +803,7 @@ class _Record:
         """The ``SimResult`` fields of the first ``rows`` steps."""
         n_out = len(range(0, rows, self.dec))
         return {
-            "t": self.t[:rows], "residual": self.residual[:rows],
+            "t": self.t[:rows], "max_residual": self.max_residual,
             "bus_mag": self.bus_mag[:n_out], "bus_ang": self.bus_ang[:n_out],
             **{c: a[:n_out] for c, a in self.cols.items()},
             "transition_v": self.kept, "fold": self.fold,

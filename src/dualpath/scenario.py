@@ -125,25 +125,29 @@ class ScenarioConfig:
 
 
 def _float(value) -> float:
-    """A number (``float(True)`` would read a flag as 1.0)."""
+    """A finite number (``float(True)`` would read a flag as 1.0, and YAML
+    reads ``.nan`` and ``.inf`` as numbers)."""
     if isinstance(value, bool):
         raise ValueError(f"{value!r} is not a number")
-    return float(value)
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{x} is not a finite number")
+    return x
 
 
 def _positive(value) -> float:
-    """A finite number > 0: a duration a control step counts (NaN is not)."""
+    """A number > 0: a duration a control step counts."""
     x = _float(value)
-    if not 0.0 < x < math.inf:
-        raise ValueError(f"{x} is not a finite number > 0")
+    if x <= 0.0:
+        raise ValueError(f"{x} is not a number > 0")
     return x
 
 
 def _non_negative(value) -> float:
-    """A finite number >= 0: a hold time or a sync threshold (NaN is not)."""
+    """A number >= 0: a hold time, a sync threshold or a noise level."""
     x = _float(value)
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"{x} is not a finite number >= 0")
+    if x < 0.0:
+        raise ValueError(f"{x} is not a number >= 0")
     return x
 
 
@@ -481,7 +485,7 @@ _SCENARIO = _table(
     events=_List(_Variant("type", "event type", {
         etype: _event(etype, cls, keys) for etype, (cls, _, keys) in _EVENTS.items()
     }, of=attrgetter("event"))),
-    output=_table(OutputConfig),
+    output=_table(OutputConfig, noise_std=_non_negative),
 )
 
 
@@ -575,15 +579,19 @@ def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
             )
     cfg.events.sort(key=lambda te: te.t)
 
-    problems += output_problems(cfg.output)
+    problems += run_setting_problems(cfg)
     if problems:
         raise ValidationError(problems)
     return cfg
 
 
-def output_problems(output: OutputConfig) -> list[str]:
-    """Problems with the output settings, also checked after a CLI override."""
-    return ["output.decimate: must be >= 1"] if output.decimate < 1 else []
+def run_setting_problems(cfg: ScenarioConfig) -> list[str]:
+    """Problems with the settings a CLI run may override, ``seed`` and
+    ``output.decimate``, also checked after an override."""
+    problems = ["seed: must be >= 0"] if cfg.seed < 0 else []
+    if cfg.output.decimate < 1:
+        problems.append("output.decimate: must be >= 1")
+    return problems
 
 
 # libyaml's loader builds the same documents as the pure-Python one, faster

@@ -339,7 +339,8 @@ def test_criterion_08_black_start(library):
 
 def test_criterion_09_setpoint_guard_grid():
     from dualpath.droop import DroopParams, DroopState
-    from dualpath.guard import GuardLimits, Setpoint, validate_setpoint
+    from dualpath.events import SetpointEvent
+    from dualpath.guard import GuardLimits, validate_setpoint
 
     m_p, u, f_nom = 0.01, 0.0, 60.0
     params = DroopParams(m_p=m_p, p_set=0.0)
@@ -351,7 +352,7 @@ def test_criterion_09_setpoint_guard_grid():
         for p in np.round(np.arange(-1.0, 1.0 + 1e-9, 0.01), 10):
             total += 1
             v = validate_setpoint(
-                Setpoint(p_set=float(p)), params, state,
+                0.0, SetpointEvent("inv", p_set=float(p)), params, state,
                 float(load), 0.0, limits, f_nom,
             )
             # independent oracle, written as plain droop algebra

@@ -230,7 +230,7 @@ def made_up_result(cfg, t, f, p=None, mode=None, block=RECORD_BLOCK):
         cfg=cfg, t=t, bus_mag=buses, bus_ang=buses,
         inv_ids=[inv.id for inv in cfg.inverters], f=f[::dec], p=p[::dec],
         q=np.zeros((n_out, k)), mode=mode[::dec], lock=flags, island=flags,
-        recon=flags, residual=np.zeros(n), fold=fold_of(cfg, t, f, p, mode, block),
+        recon=flags, max_residual=0.0, fold=fold_of(cfg, t, f, p, mode, block),
         events_log=[],
     )
 

@@ -34,10 +34,18 @@ def test_compare_prints_the_changed_lines_of_a_differing_echo(tmp_path, capsys):
     _write(tmp_path / "ref", ECHO, metrics)
     _write(tmp_path / "same", ECHO, {**metrics, "wall_time_s": 3.0})
     _write(tmp_path / "new", ECHO.replace("    f_nom: 60.0\n", ""), metrics)
+    _write(tmp_path / "metric", ECHO, {**metrics, "power_sharing_error": 1.5})
 
     assert compare(tmp_path / "same", tmp_path / "ref", ["case"]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        f"0 compared file(s) differ from {tmp_path / 'ref'}"
+        f"0 compared file(s) and 0 metrics.json field(s) differ from {tmp_path / 'ref'}"
+    ]
+
+    # a metric that moved alone is a difference as well
+    assert compare(tmp_path / "metric", tmp_path / "ref", ["case"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "metric:  case power_sharing_error: max |delta| 0.25",
+        f"0 compared file(s) and 1 metrics.json field(s) differ from {tmp_path / 'ref'}",
     ]
 
     assert compare(tmp_path / "new", tmp_path / "ref", ["case"]) == 1
@@ -47,7 +55,7 @@ def test_compare_prints_the_changed_lines_of_a_differing_echo(tmp_path, capsys):
         f"+++ {tmp_path / 'new' / 'case' / 'config.resolved.yaml'}",
         "@@ -7 +6,0 @@",
         "-    f_nom: 60.0",
-        f"1 compared file(s) differ from {tmp_path / 'ref'}",
+        f"1 compared file(s) and 0 metrics.json field(s) differ from {tmp_path / 'ref'}",
     ]
 
 
@@ -81,7 +89,7 @@ def test_compare_prints_the_moved_lines_of_differing_events_only(tmp_path, capsy
         "+" + moved.replace("10.5585", "10.558").rstrip("\n"),
         "metric:  case transitions[].hold_elapsed: max |delta| 0.0005",
         "metric:  case transitions[].t: max |delta| 0.0005",
-        f"2 compared file(s) differ from {tmp_path / 'ref'}",
+        f"2 compared file(s) and 2 metrics.json field(s) differ from {tmp_path / 'ref'}",
     ]
 
 
@@ -102,5 +110,5 @@ def test_compare_names_the_largest_timeseries_change_and_its_column(tmp_path, ca
         assert capsys.readouterr().out.splitlines() == [
             "differs: case/timeseries.csv",
             f"delta:   case/timeseries.csv: {line}",
-            f"1 compared file(s) differ from {tmp_path / 'ref'}",
+            f"1 compared file(s) and 0 metrics.json field(s) differ from {tmp_path / 'ref'}",
         ]

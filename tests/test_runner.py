@@ -207,7 +207,7 @@ def test_non_finite_admittance_after_a_refresh_aborts_at_that_step():
     assert res.aborted and res.abort_step == 50 and res.t.size == 50
     assert res.abort_reason.startswith("NonConvergence at step 50 ")
     assert res.abort_reason.endswith("admittance matrix has a non-finite entry")
-    assert np.isfinite(res.residual).all()
+    assert math.isfinite(res.max_residual)
 
 
 OUTPUT_FILES = ("timeseries.csv", "events.csv", "metrics.json", "config.resolved.yaml")
@@ -557,10 +557,14 @@ def test_load_stepped_to_zero_admittance_runs(tmp_path):
 def test_cli_rejects_decimate_below_one(tmp_path, capsys):
     scen = tmp_path / "scen.yaml"
     scen.write_text(yaml.safe_dump(doc(t_end=0.01)))
-    for bad in ("0", "-2"):
-        argv = ["run", str(scen), "--out", str(tmp_path / "out"), "--decimate", bad]
+    for option, bad, problem in (
+        ("--decimate", "0", "output.decimate: must be >= 1"),
+        ("--decimate", "-2", "output.decimate: must be >= 1"),
+        ("--seed", "-1", "seed: must be >= 0"),
+    ):
+        argv = ["run", str(scen), "--out", str(tmp_path / "out"), option, bad]
         assert cli_main(argv) == 1
-        assert "output.decimate: must be >= 1" in capsys.readouterr().err
+        assert problem in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     # the message the YAML field gets
     scen.write_text(yaml.safe_dump(doc(t_end=0.01, output={"decimate": 0})))
@@ -977,7 +981,7 @@ def record_peak_bytes(t_end=0.2):
         peak = tracemalloc.get_traced_memory()[1] + record_bytes
     finally:
         tracemalloc.stop()
-    per_step = res.t.itemsize + res.residual.itemsize
+    per_step = res.t.itemsize
     per_row = sum(getattr(res, a)[0].nbytes for a in (
         "bus_mag", "bus_ang", "f", "p", "q", "mode", "lock", "island", "recon"))
     window = sum(b.nbytes for _, b in res.fold.p_blocks)
@@ -987,14 +991,14 @@ def record_peak_bytes(t_end=0.2):
 def test_run_peak_memory_holds_the_csv_only_columns_per_output_row():
     # in a fresh process, since this one unpickles library runs on a thread;
     # recording f, p and mode at every step as well would add 68 B a step
-    # (136 KB: about 584 KB against this bound's 479 KB)
+    # (136 KB: about 571 KB against this bound's 463 KB)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(__file__).parent), *sys.path]))
     code = "import test_runner as m; print(*m.record_peak_bytes())"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     peak, rows, out_rows, per_step, per_row, window = map(int, out.split())
-    assert (rows, out_rows, per_step, per_row) == (2001, 101, 16, 224)
+    assert (rows, out_rows, per_step, per_row) == (2001, 101, 8, 224)
     # the whole 0.2 s slice is inside the 1 s window: every step of 4 units
     assert window == rows * 4 * 8
     assert peak < rows * per_step + out_rows * per_row + window + RECORD_SLACK, peak
@@ -1033,8 +1037,8 @@ def test_two_rate_record_matches_the_full_rate_run(tmp_path, name):
         d["output"] = {"decimate": dec}
         res = run(parse_config(d), tmp_path / str(dec))
         assert (res.aborted, res.abort_step) == (full.aborted, full.abort_step)
-        for a in ("t", "residual"):  # per control step
-            assert np.array_equal(getattr(res, a), getattr(full, a)), (dec, a)
+        assert np.array_equal(res.t, full.t), dec  # per control step
+        assert res.max_residual == full.max_residual, dec
         for a in ("bus_mag", "bus_ang", "f", "p", "q", "mode", "lock", "island", "recon"):
             assert np.array_equal(getattr(res, a), getattr(full, a)[::dec]), (dec, a)
         # the fold took the per-step values of the decimate-1 run
@@ -1082,6 +1086,7 @@ def test_run_residuals_match_the_oracle_at_every_step(monkeypatch, name):
         return state, report
 
     monkeypatch.setattr(Network, "solve", solve_and_check)
+    residuals = _every_balance_residual(monkeypatch)
     res = sim.run()
     if name == "collapse":
         assert res.aborted and res.abort_step == 400 and len(oracle) == 400
@@ -1089,7 +1094,9 @@ def test_run_residuals_match_the_oracle_at_every_step(monkeypatch, name):
         opened = [ev.t for ev in res.events_log
                   if isinstance(getattr(ev, "event", None), BreakerSet)]
         assert opened == [0.1] and 1000 % RECORD_BLOCK and len(oracle) == 3002
-    assert (np.abs(res.residual - oracle) <= solve_oracle.ROUNDING * np.array(scale)).all()
+    assert len(residuals) == len(oracle)
+    assert (np.abs(np.array(residuals) - oracle)
+            <= solve_oracle.ROUNDING * np.array(scale)).all()
 
 
 def _every_step_residual(monkeypatch) -> list[float]:
@@ -1103,6 +1110,20 @@ def _every_step_residual(monkeypatch) -> list[float]:
         return state, report
 
     monkeypatch.setattr(Network, "solve", solve_and_reduce)
+    return residuals
+
+
+def _every_balance_residual(monkeypatch) -> list[float]:
+    """The power-balance residual of every step checked from now on, in
+    step order (the run checks a block of steps at a time)."""
+    residuals, check = [], Network.power_balance_residual
+
+    def check_and_keep(net, held):
+        out = check(net, held)
+        residuals.extend(out.tolist())
+        return out
+
+    monkeypatch.setattr(Network, "power_balance_residual", check_and_keep)
     return residuals
 
 
@@ -1124,13 +1145,17 @@ def residual_max_docs():
 def test_solver_residual_max_is_the_largest_step_residual(monkeypatch, name):
     sim = Simulation(parse_config(residual_max_docs()[name]))
     residuals = _every_step_residual(monkeypatch)
+    balance = _every_balance_residual(monkeypatch)
     res = sim.run()
     assert res.aborted == (name == "collapse")
-    assert len(residuals) == len(res.t)  # the failed solve returns no report
+    # the failed solve returns no report and holds no state
+    assert len(residuals) == len(balance) == len(res.t)
     if name == "short":
         assert len(res.t) == 101 < RECORD_BLOCK
     assert res.solver["residual_max"] == max(residuals)
     assert (max(residuals) > 0.0) == (name != "dead")
+    # the power balance is folded per block as well
+    assert res.max_residual == max(balance)
 
 
 def test_a_nan_solve_mismatch_reaches_solver_residual_max():

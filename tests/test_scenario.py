@@ -171,10 +171,12 @@ def test_unreadable_scalar_or_flag_is_a_problem_with_its_path(where, path, value
 @pytest.mark.parametrize("where, path, value", [
     ("seed", ("seed",), 1.9),
     ("seed", ("seed",), True),
+    ("seed", ("seed",), -1),
     ("output.decimate", ("output", "decimate"), 2.7),
     ("output.decimate", ("output", "decimate"), False),
     ("output.decimate", ("output", "decimate"), "2.5"),
-], ids=["seed_float", "seed_bool", "decimate_float", "decimate_bool", "decimate_str"])
+], ids=["seed_float", "seed_bool", "seed_negative", "decimate_float", "decimate_bool",
+        "decimate_str"])
 def test_non_integer_seed_or_decimate_is_a_problem_not_truncated(where, path, value):
     doc = minimal_doc(output={"decimate": 1}, seed=3)
     _set(doc, path, value)
@@ -284,9 +286,9 @@ def test_events_sorted_by_time():
 
 
 INF, NAN = math.inf, math.nan
-# (field path in the problem, path into the document, value): durations a
-# control step counts and thresholds it compares must be finite, NaN failing
-# every bound
+# (field path in the problem, path into the document, value): every number
+# must be finite, and durations a control step counts and thresholds it
+# compares must be in range, NaN failing every bound
 NOT_FINITE_OR_OUT_OF_RANGE = [
     ("t_end", ("t_end",), INF),
     ("t_end", ("t_end",), NAN),
@@ -294,8 +296,8 @@ NOT_FINITE_OR_OUT_OF_RANGE = [
     ("inverters[0].detector.persist", ("inverters", 0, "detector", "persist"), 0.0),
     ("inverters[0].detector.persist", ("inverters", 0, "detector", "persist"), INF),
     ("inverters[0].detector.recon_hold", ("inverters", 0, "detector", "recon_hold"), NAN),
-    ("inverters[0]", ("inverters", 0, "detector", "v_min"), NAN),
-    ("inverters[0]", ("inverters", 0, "detector", "v_max"), NAN),
+    ("inverters[0].detector.v_min", ("inverters", 0, "detector", "v_min"), NAN),
+    ("inverters[0].detector.v_max", ("inverters", 0, "detector", "v_max"), NAN),
     ("inverters[0].thresholds.hold", ("inverters", 0, "thresholds", "hold"), NAN),
     ("inverters[0].thresholds.hold", ("inverters", 0, "thresholds", "hold"), -0.2),
     ("inverters[0].thresholds.eps_v", ("inverters", 0, "thresholds", "eps_v"), INF),
@@ -307,6 +309,18 @@ NOT_FINITE_OR_OUT_OF_RANGE = [
     ("events[0].duration", ("events", 0, "duration"), NAN),
     ("events[0].duration", ("events", 0, "duration"), -0.2),
     ("events[0].duration", ("events", 0, "duration"), 0.0),
+    ("grid_sources[0].v", ("grid_sources", 0, "v"), NAN),
+    ("grid_sources[0].angle_deg", ("grid_sources", 0, "angle_deg"), NAN),
+    ("grid_sources[0].f", ("grid_sources", 0, "f"), INF),
+    ("inverters[0].q_set", ("inverters", 0, "q_set"), NAN),
+    ("inverters[0].rating", ("inverters", 0, "rating"), INF),
+    ("inverters[0].guard.s_max", ("inverters", 0, "guard", "s_max"), NAN),
+    ("inverters[0].detector.rocof_max", ("inverters", 0, "detector", "rocof_max"), NAN),
+    ("inverters[0].pll.f_n", ("inverters", 0, "pll", "f_n"), NAN),
+    ("inverters[0].droop.m_p", ("inverters", 0, "droop", "m_p"), NAN),
+    ("base.s_base", ("base", "s_base"), INF),
+    ("output.noise_std", ("output", "noise_std"), NAN),
+    ("output.noise_std", ("output", "noise_std"), -1),
 ]
 
 
@@ -318,8 +332,9 @@ def test_non_finite_duration_or_threshold_is_a_problem_under_its_path(where, pat
     doc = minimal_doc(
         loads=[{"id": "ld", "bus": "b", "kind": "power", "p": 0.1}],
         events=[{"t": 0.2, "type": "pulse_load", "target": "ld", "dp": 0.1, "duration": 0.2}],
+        base={}, output={},
     )
-    doc["inverters"][0].update(detector={}, thresholds={}, pll={})
+    doc["inverters"][0].update(detector={}, thresholds={}, pll={}, guard={}, droop={})
     parse_config(doc)
     _set(doc, path, value)
     with pytest.raises(ValidationError) as exc:
