@@ -3,7 +3,9 @@
 External dispatch commands are screened before they touch the plant: a range
 check against the rating, a rate check against the present setpoints, and an
 analytical reference model -- the droop steady-state algebra -- predicting the
-post-command island frequency and voltage.  A command whose prediction lands
+post-command island frequency and voltage.  The model keeps the unit's present
+load, so beside peers, restoration off, it overstates the frequency shift by
+m_i * sum_j 1/m_j over the island's formers j.  A command whose prediction lands
 outside the safe window is dropped (not clamped: executing part of a malicious
 command still executes it).  The guard returns the command's audit record,
 which the run appends to its event log.

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,12 +197,10 @@ class StateBlock:
     the injections' bus positions and currents and the CP loads' currents;
     and in ``groups`` the first state of each topology, with the topology."""
 
-    def __init__(self, states: Iterable[NetworkState] = ()):
+    def __init__(self):
         self.v: list[np.ndarray] | np.ndarray = []
         self.emfs, self.n_inj, self.inj_pos, self.inj_val, self.cp_currents = [], [], [], [], []
         self.groups: list[tuple[int, dict]] = []
-        for state in states:
-            self.append(state)
 
     def append(self, state: NetworkState) -> None:
         if not self.groups or state.topology is not self.groups[-1][1]:
@@ -280,18 +278,20 @@ class Network:
             self.formers = formers
             self._version += 1
 
+    def _element(self, table: dict, kind: str, element_id: str):
+        """The element ``element_id`` of ``table``, which holds ``kind``s."""
+        if element_id not in table:
+            raise UnknownElementError(f"unknown {kind} {element_id!r}")
+        return table[element_id]
+
     def set_breaker(self, breaker_id: str, closed: bool) -> None:
-        br = self.breakers.get(breaker_id)
-        if br is None:
-            raise UnknownElementError(f"unknown breaker {breaker_id!r}")
+        br = self._element(self.breakers, "breaker", breaker_id)
         if br.closed != closed:
             br.closed = closed
             self._version += 1
 
     def step_load(self, load_id: str, dp: float, dq: float) -> None:
-        ld = self.loads.get(load_id)
-        if ld is None:
-            raise UnknownElementError(f"unknown load {load_id!r}")
+        ld = self._element(self.loads, "load", load_id)
         if isinstance(ld, ConstantPowerLoad):
             ld.p += dp
             ld.q += dq
@@ -303,15 +303,11 @@ class Network:
             self._version += 1
 
     def set_source_freq(self, source_id: str, f: float) -> None:
-        src = self.grid_sources.get(source_id)
-        if src is None:
-            raise UnknownElementError(f"unknown grid source {source_id!r}")
+        src = self._element(self.grid_sources, "grid source", source_id)
         src.f_grid = f
 
     def set_source_unbalance(self, source_id: str, mag: float, angle: float) -> None:
-        src = self.grid_sources.get(source_id)
-        if src is None:
-            raise UnknownElementError(f"unknown grid source {source_id!r}")
+        src = self._element(self.grid_sources, "grid source", source_id)
         src.e_neg = mag * cmath.exp(1j * angle)
 
     def advance_sources(self, dt: float, f_nom: float) -> None:

@@ -145,6 +145,11 @@ class _Inverter:
         self.droop.ramp_active = True
         self.droop.ramp_target = self.params.v_nom
 
+    def start_ramp_if_low(self) -> None:
+        """Soft-start from below half of ``v_nom`` (a dead or collapsed bus)."""
+        if self.droop.v_gfm < 0.5 * self.params.v_nom:
+            self.start_ramp()
+
     def z_v_sys(self) -> complex:
         return complex(self.vz.r_v, self.vz.x_v) / self.rating_pu
 
@@ -265,16 +270,9 @@ class Simulation:
             for inv in self._formers:
                 inv.emf = self._v_ref(inv, 0.0) - inv.z_v_sys() * inv.i_sys
             if v is not None:
-                # the step's rule (_step_inverter), without its event log
+                # the step's rule, without its event log
                 for inv in self._followers:
-                    vb = v[inv.bus_idx]
-                    vb_mag = abs(vb)
-                    try:
-                        i_d, i_q = current_refs_from_pq(
-                            inv.params.p_set, inv.params.q_set, vb_mag, 0.0)
-                        inv.inj = gfl_injection(i_d, i_q, vb / vb_mag) * inv.rating_pu
-                    except UnderVoltageError:
-                        inv.inj = 0j
+                    self._follower_current(inv, v[inv.bus_idx])
             v = self._solve()[0].v_list
             for inv in self._formers + self._followers:
                 vb = v[inv.bus_idx]
@@ -414,6 +412,30 @@ class Simulation:
                 freqs.append(self.f_nom)
         return freqs
 
+    def _follower_current(self, inv: _Inverter, v_bus: complex) -> bool:
+        """Set a follower's commanded current for the next solve from its
+        setpoints, the d axis on its bus voltage ``v_bus`` (the inner current
+        loop is ideal, so the delivered power reproduces the setpoint whatever
+        the PLL angle); returns True if an undervoltage suspends it."""
+        v_mag = abs(v_bus)
+        try:
+            i_d, i_q = current_refs_from_pq(inv.params.p_set, inv.params.q_set, v_mag, 0.0)
+        except UnderVoltageError:
+            inv.inj = 0j
+            return True
+        inv.inj = gfl_injection(i_d, i_q, v_bus / v_mag) * inv.rating_pu
+        return False
+
+    def _move_breaker(self, breaker: str, closed: bool) -> None:
+        """Move a breaker, by event or by auto-reclose, and tell every unit
+        that watches it: its supervisor and its reconnection monitor qualify
+        their margins again from now on."""
+        self.net.set_breaker(breaker, closed)
+        for inv in self.invs:
+            if inv.cfg.pcc_breaker == breaker:
+                inv.sup.breaker_moved(closed)
+                inv.recon.holds_since, inv.recon.ready = None, False
+
     def _request(self, t: float, inv: _Inverter, mode: str, source: str) -> None:
         rec = inv.sup.request(t, Mode[mode.upper()], source, inv.plugged)
         if rec is not None:
@@ -439,10 +461,7 @@ class Simulation:
         ev = te.event
         match ev:
             case BreakerSet():
-                self.net.set_breaker(ev.target, ev.closed)
-                for inv in self.invs:
-                    if inv.cfg.pcc_breaker == ev.target:
-                        inv.sup.breaker_moved(ev.closed)
+                self._move_breaker(ev.target, ev.closed)
             case LoadStep():
                 self.net.step_load(ev.target, ev.dp, ev.dq)
             case SourceFreq():
@@ -463,10 +482,9 @@ class Simulation:
                 inv.plugged = True
                 if inv.sup.mode is GFM:
                     # connect at the measured bus state: zero initial current
-                    d = inv.forming()
+                    inv.forming()
                     inv.emf = self._v_ref(inv, t)
-                    if d.v_gfm < 0.5 * inv.params.v_nom:
-                        inv.start_ramp()
+                    inv.start_ramp_if_low()
                 self._islands_version = -1
         self.events_log.append(TimedEvent(t, ev))
 
@@ -490,9 +508,7 @@ class Simulation:
                     cmath.phase(v_ref) - frame_next
                 )
                 d.v_gfm = min(abs(v_ref), V_MAX)
-            if d.v_gfm < 0.5 * inv.params.v_nom:
-                # energizing a dead or collapsed bus: soft-start ramp
-                inv.start_ramp()
+            inv.start_ramp_if_low()
             inv.inj = 0j
         else:
             # export continuity: the following path takes over the present P,Q
@@ -604,6 +620,7 @@ class Simulation:
         dt = self.dt
         mode = inv.sup.mode
         bus_island = self._bus_island
+        br = inv.breaker
         v_bus = v[inv.bus_idx]
         v_bus_mag = abs(v_bus)
         s = self._terminal(inv, v_bus)
@@ -638,7 +655,6 @@ class Simulation:
             sup.shadow_sync_step(
                 pll, v_bus_mag, energized[bus_island[follow]], d, k
             )
-            br = inv.breaker
             grid_live = br is not None and br.closed and bool(
                 self._island_grid[bus_island[inv.bus_idx]]
             )
@@ -665,50 +681,35 @@ class Simulation:
         if inv.det.tripped != was_tripped:
             self.events_log.append(DetectorChange(t, inv.id, inv.det.tripped))
 
+        # synch-check while the watched breaker is open (a move resets it)
         recon_ready = False
-        if inv.recon is not None:
-            br = inv.breaker
-            if br.closed:
-                inv.recon.holds_since = None
-                inv.recon.ready = False
-            else:
-                k_from = bus_island[inv.from_idx]
-                k_to = bus_island[inv.to_idx]
-                was_ready = inv.recon.ready
-                inv.recon.update(
-                    k,
-                    v[inv.to_idx], freqs[k_to], energized[k_to],
-                    v[inv.from_idx], freqs[k_from], energized[k_from],
-                )
-                if inv.recon.ready and not was_ready:
-                    self.events_log.append(ReconnectionReady(t, inv.id, br.id))
-                if inv.recon.ready and inv.cfg.auto:
-                    self.net.set_breaker(br.id, True)
-                    self.events_log.append(AutoReclose(t, inv.id, br.id))
-                    inv.sup.breaker_moved(True)
-            recon_ready = inv.recon.ready
+        if inv.recon is not None and not br.closed:
+            k_from = bus_island[inv.from_idx]
+            k_to = bus_island[inv.to_idx]
+            was_ready = inv.recon.ready
+            recon_ready = inv.recon.update(
+                k,
+                v[inv.to_idx], freqs[k_to], energized[k_to],
+                v[inv.from_idx], freqs[k_from], energized[k_from],
+            )
+            if recon_ready and not was_ready:
+                self.events_log.append(ReconnectionReady(t, inv.id, br.id))
+            if recon_ready and inv.cfg.auto:
+                self._move_breaker(br.id, True)
+                self.events_log.append(AutoReclose(t, inv.id, br.id))
 
-        # references for the next step's solve, the d axis on the bus
-        # voltage: the inner current loop is ideal, so the delivered power
-        # reproduces the setpoint whatever the PLL angle
+        # references for the next step's solve
         if inv.plugged and mode is GFL:
-            try:
-                i_d, i_q = current_refs_from_pq(dp.p_set, dp.q_set, v_bus_mag, 0.0)
-                if inv.uv_suspended:
-                    inv.uv_suspended = False
-                    self.events_log.append(InjectionChange(t, inv.id, False))
-                inv.inj = gfl_injection(i_d, i_q, v_bus / v_bus_mag) * inv.rating_pu
-            except UnderVoltageError:
-                if not inv.uv_suspended:
-                    inv.uv_suspended = True
-                    self.events_log.append(InjectionChange(t, inv.id, True))
-                inv.inj = 0j
+            suspended = self._follower_current(inv, v_bus)
+            if suspended != inv.uv_suspended:
+                inv.uv_suspended = suspended
+                self.events_log.append(InjectionChange(t, inv.id, suspended))
         elif inv.plugged and mode is GFM:
             inv.emf = virtual_impedance_step(
                 self._v_ref(inv, t + dt), inv.i_sys / inv.rating_pu, inv.vz, dt
             )
 
-        f_rec, p_rec, mode_rec, q_rec, lock_rec, isl_rec, recon_rec = self.record.views
+        f_rec, p_rec, q_rec, mode_rec, lock_rec, isl_rec, recon_rec = self.record.views
         f_rec[j] = f_local
         p_rec[j] = s.real
         q_rec[j] = s.imag
@@ -717,6 +718,11 @@ class Simulation:
         isl_rec[j] = 1 if inv.det.tripped else 0
         recon_rec[j] = 1 if recon_ready else 0
 
+
+# the inverter columns of timeseries.csv in its order, with their record
+# dtypes; the step writes them in this order through ``_Record.views``
+INV_COLUMNS = (("f", float), ("p", float), ("q", float), ("mode", np.int8),
+               ("lock", np.int8), ("island", np.int8), ("recon", np.int8))
 
 # control steps flushed into the record at a time: one np.absolute and one
 # np.arctan2 call fill the block's bus-voltage rows, one power-balance check
@@ -748,11 +754,8 @@ class _Record:
         n_out = len(range(0, rows, dec))
         self.t = np.empty(rows)
         self.bus_mag, self.bus_ang = np.empty((n_out, nb)), np.empty((n_out, nb))
-        self.cols = {  # the inverter columns, in view order
-            c: np.empty((n_out, ni), float if c in ("f", "p", "q") else np.int8)
-            for c in ("f", "p", "mode", "q", "lock", "island", "recon")
-        }
-        self.blocks = [np.empty((RECORD_BLOCK, ni), a.dtype) for a in self.cols.values()]
+        self.cols = {c: np.empty((n_out, ni), dtype) for c, dtype in INV_COLUMNS}
+        self.blocks = {c: np.empty((RECORD_BLOCK, ni), dtype) for c, dtype in INV_COLUMNS}
         self.held, self.k0 = StateBlock(), 0
         self.mismatch: list[np.ndarray] = []
         self.max_residual = self.mismatch_max = 0.0
@@ -763,7 +766,7 @@ class _Record:
 
     def _make_views(self) -> None:
         self.t_view = self.t.data
-        self.views = [b.reshape(-1).data for b in self.blocks]
+        self.views = [b.reshape(-1).data for b in self.blocks.values()]
 
     def __getstate__(self) -> dict:
         return {a: v for a, v in self.__dict__.items() if a not in ("t_view", "views")}
@@ -789,11 +792,12 @@ class _Record:
         k0, n, dec = self.k0, len(v), self.dec
         self.max_residual = float(net.power_balance_residual(held).max(
             initial=self.max_residual))
-        self.fold.add(self.t[k0:k0 + n], *(b[:n] for b in self.blocks[:3]))  # f, p, mode
+        b = self.blocks
+        self.fold.add(self.t[k0:k0 + n], b["f"][:n], b["p"][:n], b["mode"][:n])
         out = slice(-(-k0 // dec), -(-(k0 + n) // dec))
         sel = slice(-k0 % dec, n, dec)  # the block's output rows
-        for a, b in zip(self.cols.values(), self.blocks):
-            a[out] = b[sel]
+        for c, a in self.cols.items():
+            a[out] = b[c][sel]
         np.absolute(v[sel], out=self.bus_mag[out])
         np.arctan2(v[sel].imag, v[sel].real, out=self.bus_ang[out])
         self.kept.update((k, v[k - k0].tolist()) for k in self.keep if k0 <= k < k0 + n)
@@ -873,14 +877,9 @@ def write_outputs(result: SimResult, out_dir: str | Path) -> None:
         header += [f"v_mag_{bus}", f"v_ang_{bus}"]
         columns += [result.bus_mag[:, b], result.bus_ang[:, b]]
     for i, inv_id in enumerate(result.inv_ids):
-        header += [
-            f"f_{inv_id}", f"p_{inv_id}", f"q_{inv_id}", f"mode_{inv_id}",
-            f"lock_{inv_id}", f"island_{inv_id}", f"recon_{inv_id}",
-        ]
-        columns += [
-            result.f[:, i], result.p[:, i], result.q[:, i], result.mode[:, i],
-            result.lock[:, i], result.island[:, i], result.recon[:, i],
-        ]
+        for c, _ in INV_COLUMNS:
+            header.append(f"{c}_{inv_id}")
+            columns.append(getattr(result, c)[:, i])
     # one string per row: "%.9g" % x is format(x, ".9g") for every float
     # (nan, inf and -0.0 too), and "%d" % k is str(k) for the int8 flags
     row = ",".join("%.9g" if col.dtype.kind == "f" else "%d" for col in columns).__mod__
@@ -896,6 +895,8 @@ def write_outputs(result: SimResult, out_dir: str | Path) -> None:
                      result.abort_reason))
     ev_lines = ["t,type,target,detail"]
     for t, kind, target, detail in rows:
+        if any(c in target for c in ',"\r\n'):  # an island's buses, say
+            target = '"%s"' % target.replace('"', '""')
         detail_csv = detail.replace('"', "'")
         ev_lines.append(f'{t:.9g},{kind},{target},"{detail_csv}"')
     (out / "events.csv").write_text("\n".join(ev_lines) + "\n")

@@ -8,6 +8,7 @@ processes while the rest of the suite runs (``LIBRARY`` and the runs are in
 """
 
 import cmath
+import csv
 import hashlib
 import json
 import math
@@ -99,14 +100,22 @@ def test_cp_newton_steps_per_solve(library):
             assert res.metrics["solver"]["cp_iterations_max"] == 0, name
 
 
-def test_library_outputs_match_pinned_sha256(library, tmp_path):
+@pytest.fixture(scope="session")
+def library_out(library, tmp_path_factory):
+    """A directory holding each library scenario's output files, by name."""
+    out = tmp_path_factory.mktemp("library")
+    for name, res in library.items():
+        write_outputs(res, out / name)
+    return out
+
+
+def test_library_outputs_match_pinned_sha256(library, library_out):
     pinned = json.loads(LIBRARY_SHA256.read_text())
     assert sorted(pinned) == sorted(library)
     differ = []
-    for name, res in sorted(library.items()):
-        write_outputs(res, tmp_path / name)
+    for name in sorted(library):
         for fname, digest in sorted(pinned[name].items()):
-            data = (tmp_path / name / fname).read_bytes()
+            data = (library_out / name / fname).read_bytes()
             if hashlib.sha256(data).hexdigest() != digest:
                 differ.append(f"{name}/{fname}")
     assert not differ, (
@@ -116,6 +125,18 @@ def test_library_outputs_match_pinned_sha256(library, tmp_path):
         "`python scripts/run_library.py --out NEW --compare PARENT_OUT` prints "
         "against the parent's `--out PARENT_OUT`"
     )
+
+
+def test_library_events_csv_rows_have_four_fields(library, library_out):
+    # an island's comma-joined buses are one quoted target field
+    for name in sorted(library):
+        with (library_out / name / "events.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t", "type", "target", "detail"], name
+        assert all(len(row) == 4 for row in rows), name
+        if name == "islanding_collapse":
+            dead = [row for row in rows if row[1] == "island_deenergized"]
+            assert [row[2] for row in dead] == ["pcc,b1"]
 
 
 def test_initialization_rounds_reported(library):

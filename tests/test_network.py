@@ -24,9 +24,17 @@ from dualpath.network import (
 )
 
 
+def block_of(*states):
+    """A ``StateBlock`` holding ``states`` in order."""
+    block = StateBlock()
+    for state in states:
+        block.append(state)
+    return block
+
+
 def balance_residual(net, state):
     """The power-balance residual of one solved state."""
-    return net.power_balance_residual(StateBlock([state]))[0]
+    return net.power_balance_residual(block_of(state))[0]
 
 
 def bus_v(net, state, bus):
@@ -805,7 +813,7 @@ def test_a_state_is_checked_against_its_own_inputs():
     second, _ = net.solve(emfs)  # the next solve rebuilds the topology
     assert second.topology is not first.topology
     assert second.source_emfs != first.source_emfs
-    block = net.power_balance_residual(StateBlock([first, second, first]))
+    block = net.power_balance_residual(block_of(first, second, first))
     assert block.max() < 1e-12
     assert block[0] == block[2] == balance_residual(net, first)
 

@@ -1,5 +1,6 @@
 import cmath
 import copy
+import csv
 import dataclasses
 import json
 import math
@@ -22,6 +23,7 @@ from dualpath.cli import main as cli_main
 from dualpath.droop import DroopState
 from dualpath.events import (
     AutoReclose, BreakerSet, DetectorChange, InjectionChange, IslandDeenergized,
+    TimedEvent,
 )
 from dualpath.guard import GuardAuditRecord
 from dualpath.metrics import SETTLE_BAND_HZ
@@ -400,6 +402,53 @@ def test_breaker_event_deenergizes_island():
     # with no inverter the fold holds nothing and the per-step metrics are null
     assert res.fold.k_nadir is None and res.fold.p_blocks == []
     assert res.metrics["frequency_nadir_hz"] is None and res.metrics["settling_time_s"] is None
+
+
+def test_events_csv_quotes_a_target_with_a_comma_or_a_quote(tmp_path):
+    # the dead island's buses, comma-joined, one of them named with a comma
+    # and a quote, still parse as the one target field
+    bus = 'p,"c"'
+    d = doc(t_end=0.02, inverters=[])
+    d["buses"][1] = d["lines"][0]["to"] = d["lines"][1]["from"] = bus
+    d["breakers"][0]["to"] = bus
+    d["events"] = [{"t": 0.01, "type": "breaker_set", "target": "pcc_brk", "closed": False}]
+    run(parse_config(d), tmp_path)
+    with (tmp_path / "events.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [4, 4, 4]
+    assert rows[1][1:3] == ["BreakerSet", "pcc_brk"]
+    assert rows[2][1:3] == ["island_deenergized", f"{bus},b1"]
+
+
+def _two_watcher_reconnection(**overrides) -> dict:
+    """``reconnection`` with a second forming unit ``inv2`` on a bus ``b2``
+    off ``pcc``, watching the same breaker, cut after both hand back."""
+    d = _library_doc("reconnection", 10.7)
+    d["buses"].append("b2")
+    d["lines"].append({"from": "pcc", "to": "b2", "r": 0.004, "x": 0.02})
+    d["inverters"].append({**d["inverters"][0], "id": "inv2", "bus": "b2"})
+    d.update(overrides)
+    return d
+
+
+def test_every_watcher_hears_a_breaker_move():
+    # inv1's synch-check recloses the breaker at 10.4285 s; a scripted close
+    # at 10.42 s comes before it.  Either way both watchers are told, so
+    # both hand back to the following path
+    scripted = [{"t": 10.42, "type": "breaker_set", "target": "pcc_brk", "closed": True}]
+    for d, mover in ((_two_watcher_reconnection(), AutoReclose),
+                     (_two_watcher_reconnection(events=scripted), TimedEvent)):
+        sim = Simulation(parse_config(d))
+        res = sim.run()
+        moves = [e for e in res.events_log if isinstance(e, (AutoReclose, TimedEvent))]
+        assert [type(e) for e in moves] == [mover]
+        handbacks = [e for e in res.events_log if isinstance(e, TransitionRecord)]
+        assert sorted(e.inverter for e in handbacks) == ["inv1", "inv2"]
+        for e in handbacks:
+            assert (e.accepted, e.to_mode, e.source) == (True, "gfl", "auto:grid-restored")
+            assert moves[0].t < e.t < 10.7
+        assert res.mode[-1].tolist() == [0, 0]
+        assert not any(inv.sup.armed for inv in sim.invs)
 
 
 def test_load_step_event_applies():
