@@ -155,14 +155,13 @@ def virtual_impedance_step(
     return v_out
 
 
-def black_start_ramp(state: DroopState, dt: float, ramp_rate: float, target: float) -> None:
-    """Soft-start: ramp the voltage reference toward the target, then hand
-    control back to the droop voltage law."""
+def black_start_ramp(state: DroopState, dt: float, ramp_rate: float) -> None:
+    """Soft-start: ramp the voltage reference toward ``state.ramp_target``,
+    then hand control back to the droop voltage law."""
+    target = state.ramp_target
     if state.v_gfm >= target:
         state.ramp_active = False
         return
-    state.ramp_active = True
-    state.ramp_target = target
     v = state.v_gfm + ramp_rate * dt
     if v >= target:
         v = target

@@ -17,7 +17,11 @@ frequencies show up as slow rotation of source EMF phasors.
 An open breaker removes every line between its bus pair (the breaker is in
 series with those lines).  Islands without any voltage source are reported as
 de-energized and their buses held at zero volts; this is a normal state (it is
-how blackout and black-start scenarios begin), not an abort.
+how blackout and black-start scenarios begin), not an abort.  Every vector and
+matrix is indexed by bus position (``Network.bus_index``): the admittance
+matrix leaves out a dead island's lines and loads, so a dead bus has a zero
+row, and its inverse inverts only the live buses' block, so a dead bus's row
+and column of it are zero and the bus solves to 0 V.
 """
 
 from __future__ import annotations
@@ -156,8 +160,8 @@ def build_ybus(buses: list[str], lines: list[Line]) -> np.ndarray:
 @dataclass(slots=True)
 class SolveReport:
     """One solve's CP-load evaluations, its KCL mismatch ``i - Y v`` before
-    the refinement pass (one entry per energized bus) and the dead islands
-    that carry load."""
+    the refinement pass (one entry per bus, by bus position, 0 on a dead bus)
+    and the dead islands that carry load."""
 
     cp_iterations: int
     mismatch: np.ndarray
@@ -166,7 +170,7 @@ class SolveReport:
     @property
     def residual(self) -> float:
         """max |mismatch|, which bounds the refined solution's; NaN if any
-        entry is NaN, 0.0 with no energized bus.  Reduced when read."""
+        entry is NaN, 0.0 with no live bus.  Reduced when read."""
         return float(np.abs(self.mismatch).max(initial=0.0))
 
 
@@ -174,7 +178,7 @@ class SolveReport:
 class NetworkState:
     """One solve: its inputs, the bus voltages by bus position (zero on dead
     buses; ``v_list`` is ``v_pos`` as Python complexes), the formers' currents
-    in ``emfs`` order and the energized constant-power loads' in
+    in ``emfs`` order and the live constant-power loads' in
     ``Network.loads`` order, the grid sources' EMFs and the per-topology
     cache it was solved with.  Grid-source and line currents follow from
     ``v``."""
@@ -355,56 +359,56 @@ class Network:
             groups.setdefault(find(i), []).append(bus)
         return list(groups.values())
 
-    def partition(self) -> tuple[list[list[str]], dict[str, int], list[bool]]:
-        """(islands, island index per bus, island-has-voltage-source flags)."""
+    def partition(self) -> tuple[list[list[str]], list[int], list[bool]]:
+        """(islands, each bus's island index by bus position, each bus's
+        live flag by bus position: whether its island holds a voltage
+        source)."""
         if self._cache_version != self._version:
             self._refresh_cache()
         c = self._cache
-        return c["islands"], c["island_of"], c["island_sources"]
+        return c["islands"], c["island_at"], c["live"]
 
     # -- solve -------------------------------------------------------------
 
     def _refresh_cache(self) -> None:
         eff_lines = self.effective_lines()
         islands = self.islands(eff_lines)
+        pos = self.bus_index
         source_buses = {src.bus for src in self.grid_sources.values()}
         source_buses.update(bus for bus, _ in self.formers)
         loaded = {ld.bus for ld in self.loads.values()}
-        energized: list[str] = []
         dead_loaded: list[list[str]] = []  # islands with a load but no source
-        island_of: dict[str, int] = {}
-        island_sources: list[bool] = []
+        island_at = [0] * len(self.buses)
+        live = [False] * len(self.buses)
         for k, isl in enumerate(islands):
             has_src = any(b in source_buses for b in isl)
-            island_sources.append(has_src)
             for b in isl:
-                island_of[b] = k
-            if has_src:
-                energized.extend(isl)
-            elif any(b in loaded for b in isl):
+                island_at[pos[b]], live[pos[b]] = k, has_src
+            if not has_src and any(b in loaded for b in isl):
                 dead_loaded.append(isl)
-        energized.sort(key=self.bus_index.get)
-        eidx = {b: i for i, b in enumerate(energized)}
+        live_pos = [p for p, is_live in enumerate(live) if is_live]
 
-        n = len(energized)
-        # a line lies inside one island, so both or neither end is energized
-        e_lines = [ln for ln in eff_lines if ln.from_bus in eidx]
-        y = build_ybus(energized, e_lines)
+        # a line lies inside one island, so both or neither end is live
+        live_lines = [ln for ln in eff_lines if live[pos[ln.from_bus]]]
+        y = build_ybus(self.buses, live_lines)
         for src in self.grid_sources.values():
-            y[eidx[src.bus], eidx[src.bus]] += 1.0 / src.z_s
+            y[pos[src.bus], pos[src.bus]] += 1.0 / src.z_s
         for bus, z in self.formers:
-            y[eidx[bus], eidx[bus]] += 1.0 / z
-        z_loads = []  # (bus position, conj(y)) of energized impedance loads
+            y[pos[bus], pos[bus]] += 1.0 / z
+        z_loads = []  # (bus position, conj(y)) of live impedance loads
         for ld in self.loads.values():
+            p = pos[ld.bus]
             # a load stepped to zero admittance draws nothing and drops out
-            if (isinstance(ld, ConstantImpedanceLoad) and ld.bus in eidx
-                    and ld.z != OPEN):
-                y[eidx[ld.bus], eidx[ld.bus]] += 1.0 / ld.z
-                z_loads.append((self.bus_index[ld.bus], (1.0 / ld.z).conjugate()))
+            if isinstance(ld, ConstantImpedanceLoad) and live[p] and ld.z != OPEN:
+                y[p, p] += 1.0 / ld.z
+                z_loads.append((p, (1.0 / ld.z).conjugate()))
         if not np.isfinite(y).all():
             raise NonConvergenceError("admittance matrix has a non-finite entry")
+        # the live block inverted; a dead bus's zero row and column stay
+        # zero, so it solves to 0 V
+        yinv = np.zeros_like(y)
         try:
-            yinv = np.linalg.inv(y) if n else np.zeros((0, 0), dtype=complex)
+            yinv[np.ix_(live_pos, live_pos)] = np.linalg.inv(y[np.ix_(live_pos, live_pos)])
         except np.linalg.LinAlgError as exc:
             raise NonConvergenceError(f"admittance matrix not invertible: {exc}") from None
         if not np.isfinite(yinv).all():
@@ -415,37 +419,27 @@ class Network:
         cp_loads = [
             ld
             for ld in self.loads.values()
-            if isinstance(ld, ConstantPowerLoad) and ld.bus in eidx
+            if isinstance(ld, ConstantPowerLoad) and live[pos[ld.bus]]
         ]
-        cp_bus = list(dict.fromkeys(eidx[ld.bus] for ld in cp_loads))
-        cp_slot = [(ld, cp_bus.index(eidx[ld.bus])) for ld in cp_loads]
-        cp_pos = [self.bus_index[ld.bus] for ld in cp_loads]
+        cp_bus = list(dict.fromkeys(pos[ld.bus] for ld in cp_loads))
+        cp_slot = [(ld, cp_bus.index(pos[ld.bus])) for ld in cp_loads]
 
-        pos = self.bus_index
         self._cache = {
             "islands": islands,
-            "island_of": island_of,
-            "island_sources": island_sources,
-            "n": n,
-            # energized index per bus position (None on a dead bus)
-            "e_at": [eidx.get(b) for b in self.buses],
-            # the solved vector is in bus order when every bus is energized,
-            # else it is scattered by energized position
-            "all_energized": n == len(self.buses),
-            "e_full": np.array([pos[b] for b in energized], dtype=np.intp),
-            # Norton sources: (source, energized index, bus position), and
-            # (energized index, bus position, coupling) per former
-            "sources": [(src, eidx[src.bus], pos[src.bus]) for src in self.grid_sources.values()],
-            "formers": [(eidx[b], pos[b], z) for b, z in self.formers],
+            "island_at": island_at,
+            "live": live,
+            # Norton sources: (source, bus position), and (bus position,
+            # coupling) per former
+            "sources": [(src, pos[src.bus]) for src in self.grid_sources.values()],
+            "formers": [(pos[b], z) for b, z in self.formers],
             "y": y,
             "yinv": yinv,
             "z_loads": z_loads,
-            # energized lines for the loss sum: (from, to position, conj(y))
+            # live lines for the loss sum: (from, to position, conj(y))
             "lines": [(pos[ln.from_bus], pos[ln.to_bus], (1.0 / ln.z).conjugate())
-                      for ln in e_lines],
-            "cp_bus": cp_bus,
+                      for ln in live_lines],
+            "cp_bus": cp_bus,  # the live CP buses' positions
             "cp_slot": cp_slot,
-            "cp_pos": cp_pos,  # each energized CP load's bus position
             # the CP buses' block of the inverse admittance matrix (one CP
             # bus: its entry as a Python complex) and their rows as lists
             "z_cp": (complex(yinv[cp_bus[0], cp_bus[0]]) if len(cp_bus) == 1
@@ -479,10 +473,13 @@ class Network:
         ``emfs`` are the formers' EMF phasors in ``set_formers`` order (grid
         sources supply their own), one per former or ValueError;
         ``injections`` are grid-following currents as ``(bus position,
-        phasor)`` pairs (one on a dead bus flows nowhere).  Returns the state,
-        holding the formers' currents in ``emfs`` order, and the report.  The
-        report carries the KCL mismatch unreduced: the runner folds its worst
-        |entry| into ``solver.residual_max`` once per record block.
+        phasor)`` pairs (one on a dead bus flows nowhere and moves no bit).
+        Every vector is by bus position; with finite inputs a dead bus
+        solves to exactly 0 V with a mismatch of exactly 0.  Returns the
+        state, holding the formers' currents in ``emfs`` order, and the
+        report.  The report carries the KCL mismatch unreduced: the runner
+        folds its worst |entry| into ``solver.residual_max`` once per record
+        block.
         """
         if len(emfs) != len(self.formers):
             raise ValueError(f"{len(emfs)} EMFs for {len(self.formers)} formers")
@@ -491,24 +488,22 @@ class Network:
         c = self._cache
         y: np.ndarray = c["y"]
         yinv: np.ndarray = c["yinv"]
-        n = c["n"]
 
         # plain loops: a comprehension is a function call per solve.  Python
         # arithmetic differs from BLAS products and NumPy's complex ufuncs
         # in the last bits, and the outputs are pinned to the bit: the CP
         # buses' open-circuit voltages are Python sums, the rest NumPy calls
-        base = [0j] * n
+        live = c["live"]
+        base = [0j] * len(live)
         source_emfs = []
-        for src, k, _ in c["sources"]:
+        for src, p in c["sources"]:
             source_emfs.append(src.e)
-            base[k] += src.e / src.z_s
-        for (k, _, z), e in zip(c["formers"], emfs):
-            base[k] += e / z
-        e_at = c["e_at"]
+            base[p] += src.e / src.z_s
+        for (p, z), e in zip(c["formers"], emfs):
+            base[p] += e / z
         for p, inj in injections:
-            k = e_at[p]
-            if k is not None:
-                base[k] += inj
+            if live[p]:
+                base[p] += inj
 
         cp_currents: list[complex] = []
         iterations = 0
@@ -551,31 +546,21 @@ class Network:
 
         # negative-sequence pass shares the same admittance matrix
         i_neg = None
-        for src, k, _ in c["sources"]:
+        for src, p in c["sources"]:
             if src.e_neg != 0:
-                i_neg = i_neg or [0j] * n
-                i_neg[k] += src.e_neg / src.z_s
-        v_neg = None if i_neg is None else self._on_buses(yinv @ np.array(i_neg, dtype=complex))
+                i_neg = i_neg or [0j] * len(live)
+                i_neg[p] += src.e_neg / src.z_s
+        v_neg = None if i_neg is None else yinv @ np.array(i_neg, dtype=complex)
 
-        v_full = self._on_buses(v)
-        vl = v_full.tolist()
+        vl = v.tolist()
         former_currents = []
-        for (_, p, z), e in zip(c["formers"], emfs):
+        for (p, z), e in zip(c["formers"], emfs):
             former_currents.append((e - vl[p]) / z)
         state = NetworkState(
-            v_full, vl, v_neg, emfs, injections, former_currents, cp_currents,
+            v, vl, v_neg, emfs, injections, former_currents, cp_currents,
             source_emfs, c,
         )
         return state, SolveReport(iterations, r, c["de_energized_with_load"])
-
-    def _on_buses(self, v: np.ndarray) -> np.ndarray:
-        """The energized-order vector ``v`` in bus order, zero on dead buses."""
-        c = self._cache
-        if c["all_energized"]:
-            return v
-        v_full = np.zeros(len(self.buses), dtype=complex)
-        v_full[c["e_full"]] = v
-        return v_full
 
     def power_balance_residual(self, held: StateBlock) -> np.ndarray:
         """|sum(sources) - sum(loads) - sum(losses)| of each state in
@@ -619,9 +604,10 @@ def _balance_terms(c: dict) -> tuple:
     them: the voltage sources' (grid sources, then formers) bus positions
     and impedances, the CP and impedance loads' positions, the lines' ends,
     and the impedance loads' then lines' ``conj(y)``."""
-    vs = [(p, src.z_s) for src, _, p in c["sources"]]
-    vs += [(p, z) for _, p, z in c["formers"]]
-    pos = ([p for p, _ in vs], c["cp_pos"], [b for b, _ in c["z_loads"]],
+    vs = [(p, src.z_s) for src, p in c["sources"]]
+    vs += c["formers"]
+    cp_pos = [c["cp_bus"][j] for _, j in c["cp_slot"]]  # per CP load
+    pos = ([p for p, _ in vs], cp_pos, [b for b, _ in c["z_loads"]],
            [p for p, _, _ in c["lines"]], [q for _, q, _ in c["lines"]])
     y = [y for _, y in c["z_loads"]] + [y for _, _, y in c["lines"]]
     vs_pos, cp_pos, zl_pos, ln_from, ln_to = (np.array(p, np.intp) for p in pos)

@@ -328,8 +328,7 @@ class Simulation:
             # PLL starts locked on whatever voltage it follows (at nominal on a dead bus)
             follow = inv.follow_idx()
             vb = v[follow]
-            isl = self._bus_island[follow]
-            omega = TWO_PI * freqs[isl] if self._energized[isl] else self.w0
+            omega = TWO_PI * freqs[self._bus_island[follow]] if self._live[follow] else self.w0
             if abs(vb) >= 0.05:
                 init_locked(inv.pll, vb, omega, self.w0, self.dt, inv.cfg.pll.sogi_k)
 
@@ -338,22 +337,21 @@ class Simulation:
     def _resolve_topology(self) -> None:
         """Decide which plugged units form and which follow, hand the
         formers' couplings to the network in that order, and rebuild what
-        else changes only with the topology or a mode: each bus's island,
-        each island's energized flag, grid sources and formers, and whether
-        a watched breaker is open.  The step calls this when the network
+        else changes only with the topology or a mode: each bus's island and
+        live flag, each island's grid sources and formers, and whether a
+        watched breaker is open.  The step calls this when the network
         version moved (breaker moves, impedance-load steps) or after a
         plug-in or mode switch."""
         self._formers = [i for i in self.invs if i.plugged and i.sup.mode is GFM]
         self._followers = [i for i in self.invs if i.plugged and i.sup.mode is GFL]
         self.net.set_formers([(inv.bus, inv.z_c_sys) for inv in self._formers])
-        islands, island_of, self._energized = self.net.partition()
-        self._bus_island = [island_of[b] for b in self.net.buses]
+        islands, self._bus_island, self._live = self.net.partition()
         self._island_grid = [[] for _ in islands]
         for src in self.net.grid_sources.values():
-            self._island_grid[island_of[src.bus]].append(src)
+            self._island_grid[self._bus_island[self.net.bus_index[src.bus]]].append(src)
         self._island_gfm = [[] for _ in islands]
         for inv in self._formers:
-            self._island_gfm[island_of[inv.bus]].append(inv)
+            self._island_gfm[self._bus_island[inv.bus_idx]].append(inv)
         self._recon_open = any(inv.recon is not None and not inv.breaker.closed
                                for inv in self.invs)
         self._islands_version = self.net._version
@@ -382,7 +380,7 @@ class Simulation:
         if not inv.plugged:
             inv.i_sys = 0j
         elif inv.sup.mode is GFL:
-            inv.i_sys = inv.inj if self._energized[self._bus_island[inv.bus_idx]] else 0j
+            inv.i_sys = inv.inj if self._live[inv.bus_idx] else 0j
         s = inv.s_inv = v_bus * inv.i_sys.conjugate() / inv.rating_pu
         return s
 
@@ -538,7 +536,6 @@ class Simulation:
             self.cp_iters_sum += iters
             if iters > self.cp_iters_max:
                 self.cp_iters_max = iters
-        energized = self._energized
         freqs = self._island_frequencies() if self._recon_open else None
         for isl in report.de_energized_with_load:
             key = ",".join(isl)
@@ -560,8 +557,16 @@ class Simulation:
         # synthesis rotation of the phase phasors at this instant
         rot = cmath.exp(1j * (self.w0 * t))
         row = (k - record.k0) * len(self.invs)
+        ready = []
         for i, inv in enumerate(self.invs):
-            self._step_inverter(inv, row + i, k, t, rot, v, v_neg, energized, freqs)
+            if self._step_inverter(inv, row + i, k, t, rot, v, v_neg, self._live, freqs):
+                ready.append(inv)
+        # an auto-reclose lands once every unit has stepped, by the first
+        # ready unit, so every watcher hears it from the next step
+        for inv in ready:
+            if not inv.breaker.closed:
+                self._move_breaker(inv.breaker.id, True)
+                self.events_log.append(AutoReclose(t, inv.id, inv.breaker.id))
         if len(held.v) == RECORD_BLOCK:
             record.flush(self.net)
 
@@ -611,12 +616,14 @@ class Simulation:
         return result
 
     def _step_inverter(
-        self, inv, j, k, t, rot, v, v_neg, energized, freqs,
-    ) -> None:
-        """Step ``k`` (time ``t``) of one inverter.  ``v``/``v_neg`` are the
-        solved bus voltages by bus position, ``rot`` the synthesis rotation at
-        ``t``, ``freqs`` the island frequencies (None while no watched breaker
-        is open) and ``j`` the inverter's element in the flat record views."""
+        self, inv, j, k, t, rot, v, v_neg, live, freqs,
+    ) -> bool:
+        """Step ``k`` (time ``t``) of one inverter; returns True when its
+        synch-check would reclose the watched breaker (``step`` closes it).
+        ``v``/``v_neg`` are the solved bus voltages and ``live`` the live
+        flags, by bus position, ``rot`` the synthesis rotation at ``t``,
+        ``freqs`` the island frequencies (None while no watched breaker is
+        open) and ``j`` the inverter's element in the flat record views."""
         dt = self.dt
         mode = inv.sup.mode
         bus_island = self._bus_island
@@ -638,7 +645,7 @@ class Simulation:
         if inv.plugged and mode is GFM:
             power_filter_step(s.real, s.imag, dt, d, dp.omega_c)
             if d.ramp_active:
-                black_start_ramp(d, dt, inv.ramp_rate, d.ramp_target)
+                black_start_ramp(d, dt, inv.ramp_rate)
                 if not d.ramp_active:
                     # hand the ramp output to the droop voltage law without a step
                     d.u_v = uv_handoff(dp, d.v_gfm, d.q_f)
@@ -652,9 +659,7 @@ class Simulation:
         # supervisor: sync margins, then the verdict on any mode request
         if inv.plugged:
             sup = inv.sup
-            sup.shadow_sync_step(
-                pll, v_bus_mag, energized[bus_island[follow]], d, k
-            )
+            sup.shadow_sync_step(pll, v_bus_mag, live[follow], d, k)
             grid_live = br is not None and br.closed and bool(
                 self._island_grid[bus_island[inv.bus_idx]]
             )
@@ -684,19 +689,12 @@ class Simulation:
         # synch-check while the watched breaker is open (a move resets it)
         recon_ready = False
         if inv.recon is not None and not br.closed:
-            k_from = bus_island[inv.from_idx]
-            k_to = bus_island[inv.to_idx]
+            to, fr = inv.to_idx, inv.from_idx
             was_ready = inv.recon.ready
-            recon_ready = inv.recon.update(
-                k,
-                v[inv.to_idx], freqs[k_to], energized[k_to],
-                v[inv.from_idx], freqs[k_from], energized[k_from],
-            )
+            recon_ready = inv.recon.update(k, v[to], freqs[bus_island[to]], live[to],
+                                           v[fr], freqs[bus_island[fr]], live[fr])
             if recon_ready and not was_ready:
                 self.events_log.append(ReconnectionReady(t, inv.id, br.id))
-            if recon_ready and inv.cfg.auto:
-                self._move_breaker(br.id, True)
-                self.events_log.append(AutoReclose(t, inv.id, br.id))
 
         # references for the next step's solve
         if inv.plugged and mode is GFL:
@@ -717,6 +715,7 @@ class Simulation:
         lock_rec[j] = 1 if pll.lock else 0
         isl_rec[j] = 1 if inv.det.tripped else 0
         recon_rec[j] = 1 if recon_ready else 0
+        return recon_ready and inv.cfg.auto
 
 
 # the inverter columns of timeseries.csv in its order, with their record

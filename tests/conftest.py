@@ -5,6 +5,13 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# every run of the suite draws the same examples (seeded from each test),
+# so two runs differ only by the code under test; @settings keep their
+# example counts and the strategies are unchanged
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:

@@ -1,10 +1,17 @@
 """``Network.solve`` and ``Network.power_balance_residual`` as they were
 before the solve dropped its per-step comprehensions, reductions and
-helper calls: the bodies word for word, as functions of the network
-(``self``).  The solve's constant-power branch follows the closed-form
-rule: the CP currents first, from the open-circuit voltages, then one
-product; it is the library's branch word for word, with the closed form
-for one CP bus and its collapse check.
+helper calls, as functions of the network (``self``).  Word for word as
+then: the constant-power branch (the CP currents first, from the
+open-circuit voltages, then one product; the closed form for one CP bus
+and its collapse check), the product with the inverse and its refinement
+pass with the residual reduced in the solve, and the power balance as one
+Python sum per state.  Since the network has one bus index, the parts that
+read the per-topology cache read its bus-position layout: the sources,
+formers and injections add into a vector by bus position (an injection on
+a dead bus skipped by its ``live`` flag), the solved vectors are by bus
+position with no scatter, and a CP load's position is its bus's.  The
+independent check of that layout on a dead bus is
+``test_network.py::test_solution_independent_of_bus_ordering``.
 
 Kept as the oracle the solve must match bit for bit, and the block
 power-balance check within ``ROUNDING * power_balance_scale``
@@ -59,18 +66,17 @@ def solve(
     c = self._cache
     y: np.ndarray = c["y"]
     yinv: np.ndarray = c["yinv"]
-    n = c["n"]
+    live = c["live"]
+    n = len(live)
 
     base = [0j] * n
-    for src, k, _ in c["sources"]:
-        base[k] += src.e / src.z_s
-    for (k, _, z), e in zip(c["formers"], emfs):
-        base[k] += e / z
-    e_at = c["e_at"]
+    for src, p in c["sources"]:
+        base[p] += src.e / src.z_s
+    for (p, z), e in zip(c["formers"], emfs):
+        base[p] += e / z
     for p, inj in injections:
-        k = e_at[p]
-        if k is not None:
-            base[k] += inj
+        if live[p]:
+            base[p] += inj
 
     cp_currents: list[complex] = []
     iterations = 0
@@ -116,17 +122,16 @@ def solve(
 
     # negative-sequence pass shares the same admittance matrix
     i_neg = None
-    for src, k, _ in c["sources"]:
+    for src, p in c["sources"]:
         if src.e_neg != 0:
             i_neg = i_neg or [0j] * n
-            i_neg[k] += src.e_neg / src.z_s
-    v_neg = None if i_neg is None else self._on_buses(yinv @ np.array(i_neg, dtype=complex))
+            i_neg[p] += src.e_neg / src.z_s
+    v_neg = None if i_neg is None else yinv @ np.array(i_neg, dtype=complex)
 
-    v_full = self._on_buses(v)
-    vl = v_full.tolist()
-    former_currents = [(e - vl[p]) / z for (_, p, z), e in zip(c["formers"], emfs)]
+    vl = v.tolist()
+    former_currents = [(e - vl[p]) / z for (p, z), e in zip(c["formers"], emfs)]
     state = NetworkState(
-        v_full, vl, v_neg, emfs, injections, former_currents, cp_currents
+        v, vl, v_neg, emfs, injections, former_currents, cp_currents
     )
     return state, SolveReport(iterations, residual, c["de_energized_with_load"])
 
@@ -146,10 +151,10 @@ def power_balance_residual(self, state: NetworkState) -> float:
     c = self._cache
     v = state.v_list
     s = 0j
-    for src, _, p in c["sources"]:
+    for src, p in c["sources"]:
         i = (src.e - v[p]) / src.z_s
         s += (src.e - src.z_s * i) * i.conjugate()
-    for (_, _, z), e, i in zip(c["formers"], state.emfs, state.former_currents):
+    for (_, z), e, i in zip(c["formers"], state.emfs, state.former_currents):
         s += (e - z * i) * i.conjugate()
     for p, inj in state.injections:
         s += v[p] * inj.conjugate()
@@ -175,13 +180,14 @@ def power_balance_scale(self, state: NetworkState) -> float:
     c = self._cache
     v = state.v_list
     terms = []
-    for src, _, p in c["sources"]:
+    for src, p in c["sources"]:
         i = (src.e - v[p]) / src.z_s
         terms.append((src.e - src.z_s * i) * i.conjugate())
-    for (_, _, z), e, i in zip(c["formers"], state.emfs, state.former_currents):
+    for (_, z), e, i in zip(c["formers"], state.emfs, state.former_currents):
         terms.append((e - z * i) * i.conjugate())
     terms += [v[p] * inj.conjugate() for p, inj in state.injections]
-    terms += [v[p] * i.conjugate() for p, i in zip(c["cp_pos"], state.cp_currents)]
+    terms += [v[self.bus_index[ld.bus]] * i.conjugate()
+              for (ld, _), i in zip(c["cp_slot"], state.cp_currents)]
     terms += [abs(v[b]) ** 2 * y_conj for b, y_conj in c["z_loads"]]
     terms += [abs(v[p] - v[q]) ** 2 * y_conj for p, q, y_conj in c["lines"]]
     return math.fsum(abs(t) for t in terms)

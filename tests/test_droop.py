@@ -180,25 +180,25 @@ def test_virtual_impedance_triangle_bound(vm, va, im, ia):
 
 
 def test_black_start_ramp_linear():
-    s = DroopState(v_gfm=0.0)
-    black_start_ramp(s, 1e-4, 0.5, 1.0)
+    s = DroopState(v_gfm=0.0, ramp_active=True, ramp_target=1.0)
+    black_start_ramp(s, 1e-4, 0.5)
     assert s.v_gfm == pytest.approx(5e-5)
     assert s.ramp_active
 
 
 def test_black_start_ramp_at_target_noop():
-    s = DroopState(v_gfm=1.0)
-    black_start_ramp(s, 1e-4, 0.5, 1.0)
+    s = DroopState(v_gfm=1.0, ramp_active=True, ramp_target=1.0)
+    black_start_ramp(s, 1e-4, 0.5)
     assert s.v_gfm == 1.0
     assert not s.ramp_active
 
 
 def test_black_start_ramp_completion_time():
-    s = DroopState(v_gfm=0.0)
+    s = DroopState(v_gfm=0.0, ramp_active=True, ramp_target=1.0)
     dt, rate = 1e-4, 0.5
     t, n = 0.0, 0
     while True:
-        black_start_ramp(s, dt, rate, 1.0)
+        black_start_ramp(s, dt, rate)
         n += 1
         if not s.ramp_active:
             break
@@ -207,9 +207,9 @@ def test_black_start_ramp_completion_time():
 
 
 def test_black_start_ramp_monotone():
-    s = DroopState(v_gfm=0.0)
+    s = DroopState(v_gfm=0.0, ramp_active=True, ramp_target=1.0)
     prev = 0.0
     for _ in range(1000):
-        black_start_ramp(s, 1e-3, 0.7, 1.0)
+        black_start_ramp(s, 1e-3, 0.7)
         assert s.v_gfm >= prev
         prev = s.v_gfm

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import solve_oracle
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualpath.network import (
@@ -411,8 +411,9 @@ def test_de_energized_island_reported_not_fatal():
     assert all(net.partition()[2])
     net.set_breaker("pcc", False)
     state, rep = net.solve()
-    islands, _, live = net.partition()
-    assert [isl for isl, has_src in zip(islands, live) if not has_src] == [["m"]]
+    islands, island_at, live = net.partition()
+    assert (islands, island_at, live) == ([["g"], ["m"]], [0, 1], [True, False])
+    assert [isl for isl in islands if not live[net.bus_index[isl[0]]]] == [["m"]]
     assert rep.de_energized_with_load == [["m"]]
     assert bus_v(net, state, "m") == 0
     assert abs(bus_v(net, state, "g")) == pytest.approx(1.0, abs=1e-9)
@@ -465,29 +466,48 @@ def test_former_voltage_source():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.permutations(["a", "b", "c", "d"]))
+@example(["e", "a", "f", "b", "c", "d"])  # the two islands interleave
+@given(st.permutations(["a", "b", "c", "d", "e", "f"]))
 def test_solution_independent_of_bus_ordering(order):
+    # e-f is an island with loads and no source, its buses placed among the
+    # live ones by the permutation; the reference network has no such island
     def build(buses):
-        return Network(
-            buses=list(buses),
-            lines=[
-                Line("a", "b", 0.01, 0.1),
-                Line("b", "c", 0.02, 0.15),
-                Line("c", "d", 0.01, 0.05),
-                Line("a", "d", 0.03, 0.2),
-            ],
-            grid_sources=[GridSource("g", "a", 1.0 + 0j, 0.01j)],
-            loads=[
-                ConstantImpedanceLoad("z1", "c", 1.5 + 0.3j),
-                ConstantPowerLoad("p1", "d", 0.3, 0.05),
-            ],
-        )
+        lines = [
+            Line("a", "b", 0.01, 0.1),
+            Line("b", "c", 0.02, 0.15),
+            Line("c", "d", 0.01, 0.05),
+            Line("a", "d", 0.03, 0.2),
+        ]
+        loads = [
+            ConstantImpedanceLoad("z1", "c", 1.5 + 0.3j),
+            ConstantPowerLoad("p1", "d", 0.3, 0.05),
+        ]
+        if "e" in buses:
+            lines.append(Line("e", "f", 0.01, 0.1))
+            loads += [ConstantImpedanceLoad("z_dead", "e", 2.0 + 0.5j),
+                      ConstantPowerLoad("p_dead", "f", 0.2, 0.05)]
+        source = GridSource("g", "a", 1.0 + 0j, 0.01j)
+        return Network(list(buses), lines, grid_sources=[source], loads=loads)
 
-    ref_net, net = build(["a", "b", "c", "d"]), build(order)
+    ref_net, net = build("abcd"), build(order)
     ref, _ = ref_net.solve()
-    got, _ = net.solve()
+    got, report = net.solve()
+    pos = net.bus_index
     for bus in "abcd":
         assert abs(bus_v(net, got, bus) - bus_v(ref_net, ref, bus)) < 1e-12
+    for bus in "ef":
+        assert bus_v(net, got, bus) == 0 and report.mismatch[pos[bus]] == 0
+    assert report.de_energized_with_load == [[b for b in order if b in "ef"]]
+    # an injection on a dead bus flows nowhere: it moves no bit
+    fed, fed_report = copy.deepcopy(net).solve(injections=[(pos["e"], 0.3 - 0.1j)])
+    assert np.array_equal(fed.v_pos, got.v_pos)
+    assert np.array_equal(fed_report.mismatch, report.mismatch)
+    # each bus's island and live flag, by bus position
+    islands, island_at, live = net.partition()
+    assert sorted(map(sorted, islands)) == [list("abcd"), list("ef")]
+    for bus in order:
+        assert bus in islands[island_at[pos[bus]]]
+        assert live[pos[bus]] == (bus in "abcd")
 
 
 def test_apply_events():

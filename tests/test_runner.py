@@ -451,6 +451,24 @@ def test_every_watcher_hears_a_breaker_move():
         assert not any(inv.sup.armed for inv in sim.invs)
 
 
+def test_hand_back_time_does_not_depend_on_the_order_of_the_units():
+    # both watchers' synch-checks are ready at the same step; the breaker
+    # closes once, by the first of them, after every unit has stepped, so
+    # both hear it at the same step whichever unit is listed first
+    handbacks = []
+    for reverse in (False, True):
+        d = _two_watcher_reconnection()
+        if reverse:
+            d["inverters"].reverse()
+        res = Simulation(parse_config(d)).run()
+        closes = [e for e in res.events_log if isinstance(e, AutoReclose)]
+        assert [e.inverter for e in closes] == [d["inverters"][0]["id"]]
+        handbacks.append({e.inverter: e.t for e in res.events_log
+                          if isinstance(e, TransitionRecord) and e.accepted})
+    assert sorted(handbacks[0]) == ["inv1", "inv2"]
+    assert handbacks[0] == handbacks[1]
+
+
 def test_load_step_event_applies():
     d = doc(t_end=0.6)
     d["loads"] = [{"id": "cp", "bus": "b1", "kind": "power", "p": 0.2}]
