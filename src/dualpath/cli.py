@@ -16,7 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .runner import run
-from .scenario import ParseError, ValidationError, load_config, run_setting_problems
+from .scenario import (ParseError, ScenarioConfig, ValidationError, load_config,
+                       run_setting_problems)
 
 
 def _cmd_run(args) -> int:
@@ -45,9 +46,8 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _run_one(task: tuple[str, str]) -> tuple[str, int]:
-    path, out_root = task
-    cfg = load_config(path)
+def _run_one(task: tuple[ScenarioConfig, str]) -> tuple[str, int]:
+    cfg, out_root = task
     result = run(cfg, Path(out_root) / cfg.name)
     return cfg.name, 2 if result.aborted else 0
 
@@ -61,17 +61,17 @@ def _cmd_batch(args) -> int:
         print(f"no *.yaml scenarios in {args.dir}", file=sys.stderr)
         return 1
     out_root = args.out or "out"
-    # validate everything up front so a typo fails fast
-    rc = 0
+    # parse and validate everything up front so a typo fails fast; the
+    # workers run the parsed configs
+    rc, tasks = 0, []
     for p in paths:
         try:
-            load_config(p)
+            tasks.append((load_config(p), out_root))
         except (ParseError, ValidationError) as exc:
             print(f"{p.name}: invalid: {exc}", file=sys.stderr)
             rc = 1
     if rc:
         return rc
-    tasks = [(str(p), out_root) for p in paths]
     # a pool forks all its workers up front: no more than there are
     # scenarios to run or cores to run them on
     workers = min(args.workers, len(tasks), os.cpu_count() or 1)

@@ -111,6 +111,11 @@ class ReconnectionMonitor:
     def __init__(self, cfg: DetectorConfig, dt: float):
         self.cfg = cfg
         self.n_hold = steps(cfg.recon_hold, dt)
+        self.reset()
+
+    def reset(self) -> None:
+        """Qualify from scratch: no window holds and the check is not ready
+        (a side went dead, a window was left or the breaker moved)."""
         self.holds_since: int | None = None  # step the windows began to hold
         self.ready = False
 
@@ -125,8 +130,7 @@ class ReconnectionMonitor:
         remote_energized: bool,
     ) -> bool:
         if not (local_energized and remote_energized):
-            self.holds_since = None
-            self.ready = False
+            self.reset()
             return False
         cfg = self.cfg
         dv = abs(abs(v_local) - abs(v_remote))
@@ -145,6 +149,5 @@ class ReconnectionMonitor:
                 self.holds_since = k
             self.ready = k - self.holds_since >= self.n_hold
         else:
-            self.holds_since = None
-            self.ready = False
+            self.reset()
         return self.ready

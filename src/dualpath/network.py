@@ -21,7 +21,9 @@ how blackout and black-start scenarios begin), not an abort.  Every vector and
 matrix is indexed by bus position (``Network.bus_index``): the admittance
 matrix leaves out a dead island's lines and loads, so a dead bus has a zero
 row, and its inverse inverts only the live buses' block, so a dead bus's row
-and column of it are zero and the bus solves to 0 V.
+and column of it are zero and the bus solves to 0 V.  What depends on the
+topology is one object, built in one pass, compared by identity
+(``Network.topology``).
 """
 
 from __future__ import annotations
@@ -159,13 +161,13 @@ def build_ybus(buses: list[str], lines: list[Line]) -> np.ndarray:
 
 @dataclass(slots=True)
 class SolveReport:
-    """One solve's CP-load evaluations, its KCL mismatch ``i - Y v`` before
-    the refinement pass (one entry per bus, by bus position, 0 on a dead bus)
-    and the dead islands that carry load."""
+    """One solve's CP-load evaluations and its KCL mismatch ``i - Y v``
+    before the refinement pass (one entry per bus, by bus position, 0 on a
+    dead bus).  The dead islands that carry load are a fact of the topology
+    (``Network.topology``)."""
 
     cp_iterations: int
     mismatch: np.ndarray
-    de_energized_with_load: list[list[str]]
 
     @property
     def residual(self) -> float:
@@ -179,9 +181,9 @@ class NetworkState:
     """One solve: its inputs, the bus voltages by bus position (zero on dead
     buses; ``v_list`` is ``v_pos`` as Python complexes), the formers' currents
     in ``emfs`` order and the live constant-power loads' in
-    ``Network.loads`` order, the grid sources' EMFs and the per-topology
-    cache it was solved with.  Grid-source and line currents follow from
-    ``v``."""
+    ``Network.loads`` order, the grid sources' EMFs and the topology
+    (``Network.topology``) it was solved with.  Grid-source and line
+    currents follow from ``v``."""
 
     v_pos: np.ndarray
     v_list: list[complex]
@@ -259,9 +261,8 @@ class Network:
             self.loads[ld.id] = ld
         # grid-forming couplings, (bus, z) in the order solve takes the EMFs
         self.formers: list[tuple[str, complex]] = []
-        self._version = 0
-        self._cache_version = -1
-        self._cache: dict = {}
+        # the topology (see ``topology``); None until read after a change
+        self._cache: dict | None = None
         # (CP-bus voltages, their open-circuit voltages) of the last solve
         # with two or more CP buses
         self._cp_warm: tuple | None = None
@@ -274,13 +275,13 @@ class Network:
 
     def set_formers(self, formers: list[tuple[str, complex]]) -> None:
         """Set the grid-forming couplings, ``(bus, impedance)`` each; the
-        topology version moves only when they change.  A zero impedance
-        raises ZeroDivisionError when the topology is next rebuilt."""
+        topology is dropped only when they change.  A zero impedance raises
+        ZeroDivisionError when the topology is next rebuilt."""
         if formers != self.formers:
             for bus, _ in formers:
                 self._check_bus(bus)
             self.formers = formers
-            self._version += 1
+            self._cache = None
 
     def _element(self, table: dict, kind: str, element_id: str):
         """The element ``element_id`` of ``table``, which holds ``kind``s."""
@@ -292,7 +293,7 @@ class Network:
         br = self._element(self.breakers, "breaker", breaker_id)
         if br.closed != closed:
             br.closed = closed
-            self._version += 1
+            self._cache = None
 
     def step_load(self, load_id: str, dp: float, dq: float) -> None:
         ld = self._element(self.loads, "load", load_id)
@@ -304,7 +305,7 @@ class Network:
             # zero admittance the load is an open circuit
             y_new = 1.0 / ld.z + complex(dp, -dq)
             ld.z = 1.0 / y_new if y_new != 0 else OPEN
-            self._version += 1
+            self._cache = None
 
     def set_source_freq(self, source_id: str, f: float) -> None:
         src = self._element(self.grid_sources, "grid source", source_id)
@@ -359,14 +360,15 @@ class Network:
             groups.setdefault(find(i), []).append(bus)
         return list(groups.values())
 
-    def partition(self) -> tuple[list[list[str]], list[int], list[bool]]:
-        """(islands, each bus's island index by bus position, each bus's
-        live flag by bus position: whether its island holds a voltage
-        source)."""
-        if self._cache_version != self._version:
+    def topology(self) -> dict:
+        """The per-topology cache, rebuilt on the first read after a change
+        (a failed rebuild raises NonConvergenceError again on the next
+        read).  It holds ``islands``, each bus's island index ``island_at``
+        and ``live`` flag (its island holds a voltage source) by bus
+        position, and ``de_energized_with_load``, the dead loaded islands."""
+        if self._cache is None:
             self._refresh_cache()
-        c = self._cache
-        return c["islands"], c["island_at"], c["live"]
+        return self._cache
 
     # -- solve -------------------------------------------------------------
 
@@ -391,17 +393,16 @@ class Network:
         # a line lies inside one island, so both or neither end is live
         live_lines = [ln for ln in eff_lines if live[pos[ln.from_bus]]]
         y = build_ybus(self.buses, live_lines)
-        for src in self.grid_sources.values():
-            y[pos[src.bus], pos[src.bus]] += 1.0 / src.z_s
-        for bus, z in self.formers:
-            y[pos[bus], pos[bus]] += 1.0 / z
-        z_loads = []  # (bus position, conj(y)) of live impedance loads
-        for ld in self.loads.values():
-            p = pos[ld.bus]
-            # a load stepped to zero admittance draws nothing and drops out
-            if isinstance(ld, ConstantImpedanceLoad) and live[p] and ld.z != OPEN:
-                y[p, p] += 1.0 / ld.z
-                z_loads.append((p, (1.0 / ld.z).conjugate()))
+        # Norton sources: (source, bus position), and (bus position,
+        # coupling) per former; all voltage sources as (position, impedance)
+        sources = [(src, pos[src.bus]) for src in self.grid_sources.values()]
+        formers = [(pos[b], z) for b, z in self.formers]
+        vs = [(p, src.z_s) for src, p in sources] + formers
+        # a load stepped to zero admittance draws nothing and drops out
+        z_loads = [ld for ld in self.loads.values() if isinstance(ld, ConstantImpedanceLoad)
+                   and live[pos[ld.bus]] and ld.z != OPEN]
+        for p, z in vs + [(pos[ld.bus], ld.z) for ld in z_loads]:
+            y[p, p] += 1.0 / z
         if not np.isfinite(y).all():
             raise NonConvergenceError("admittance matrix has a non-finite entry")
         # the live block inverted; a dead bus's zero row and column stay
@@ -421,23 +422,18 @@ class Network:
             for ld in self.loads.values()
             if isinstance(ld, ConstantPowerLoad) and live[pos[ld.bus]]
         ]
-        cp_bus = list(dict.fromkeys(pos[ld.bus] for ld in cp_loads))
-        cp_slot = [(ld, cp_bus.index(pos[ld.bus])) for ld in cp_loads]
+        cp_pos = [pos[ld.bus] for ld in cp_loads]
+        cp_bus = list(dict.fromkeys(cp_pos))
+        cp_slot = [(ld, cp_bus.index(p)) for ld, p in zip(cp_loads, cp_pos)]
 
         self._cache = {
             "islands": islands,
             "island_at": island_at,
             "live": live,
-            # Norton sources: (source, bus position), and (bus position,
-            # coupling) per former
-            "sources": [(src, pos[src.bus]) for src in self.grid_sources.values()],
-            "formers": [(pos[b], z) for b, z in self.formers],
+            "sources": sources,
+            "formers": formers,
             "y": y,
             "yinv": yinv,
-            "z_loads": z_loads,
-            # live lines for the loss sum: (from, to position, conj(y))
-            "lines": [(pos[ln.from_bus], pos[ln.to_bus], (1.0 / ln.z).conjugate())
-                      for ln in live_lines],
             "cp_bus": cp_bus,  # the live CP buses' positions
             "cp_slot": cp_slot,
             # the CP buses' block of the inverse admittance matrix (one CP
@@ -446,9 +442,18 @@ class Network:
                      else yinv[np.ix_(cp_bus, cp_bus)]),
             "yinv_cp": yinv[cp_bus].tolist(),
             "de_energized_with_load": dead_loaded,
+            # the terms as the power-balance check reads them: the voltage
+            # sources' positions and impedances, the CP loads' positions (per
+            # load), the impedance loads' positions, the lines' ends, and the
+            # impedance loads' then lines' conj(y)
+            "balance": (
+                np.array([p for p, _ in vs], np.intp), np.array([z for _, z in vs], complex),
+                np.array(cp_pos, np.intp), np.array([pos[ld.bus] for ld in z_loads], np.intp),
+                np.array([pos[ln.from_bus] for ln in live_lines], np.intp),
+                np.array([pos[ln.to_bus] for ln in live_lines], np.intp),
+                np.array([(1.0 / e.z).conjugate() for e in z_loads + live_lines], complex),
+            ),
         }
-        self._cache["balance"] = _balance_terms(self._cache)
-        self._cache_version = self._version
         self._cp_warm = None
 
     def _cp_start(self, w_c):
@@ -475,17 +480,16 @@ class Network:
         ``injections`` are grid-following currents as ``(bus position,
         phasor)`` pairs (one on a dead bus flows nowhere and moves no bit).
         Every vector is by bus position; with finite inputs a dead bus
-        solves to exactly 0 V with a mismatch of exactly 0.  Returns the
-        state, holding the formers' currents in ``emfs`` order, and the
-        report.  The report carries the KCL mismatch unreduced: the runner
-        folds its worst |entry| into ``solver.residual_max`` once per record
-        block.
+        solves to exactly 0 V with a mismatch of exactly 0.  Solves on
+        ``topology()``, rebuilt first after a change.  Returns the state,
+        holding the formers' currents in ``emfs`` order and that topology,
+        and the report.  The report carries the KCL mismatch unreduced: the
+        runner folds its worst |entry| into ``solver.residual_max`` once per
+        record block.
         """
         if len(emfs) != len(self.formers):
             raise ValueError(f"{len(emfs)} EMFs for {len(self.formers)} formers")
-        if self._cache_version != self._version:
-            self._refresh_cache()
-        c = self._cache
+        c = self._cache or self.topology()
         y: np.ndarray = c["y"]
         yinv: np.ndarray = c["yinv"]
 
@@ -560,7 +564,7 @@ class Network:
             v, vl, v_neg, emfs, injections, former_currents, cp_currents,
             source_emfs, c,
         )
-        return state, SolveReport(iterations, r, c["de_energized_with_load"])
+        return state, SolveReport(iterations, r)
 
     def power_balance_residual(self, held: StateBlock) -> np.ndarray:
         """|sum(sources) - sum(loads) - sum(losses)| of each state in
@@ -597,22 +601,6 @@ class Network:
             step = np.repeat(np.arange(len(held.v)), held.n_inj)
             np.add.at(out, step, v[step, held.inj_pos] * np.conj(held.inj_val))
         return np.abs(out)
-
-
-def _balance_terms(c: dict) -> tuple:
-    """The terms of cache ``c``'s topology as the power-balance check reads
-    them: the voltage sources' (grid sources, then formers) bus positions
-    and impedances, the CP and impedance loads' positions, the lines' ends,
-    and the impedance loads' then lines' ``conj(y)``."""
-    vs = [(p, src.z_s) for src, p in c["sources"]]
-    vs += c["formers"]
-    cp_pos = [c["cp_bus"][j] for _, j in c["cp_slot"]]  # per CP load
-    pos = ([p for p, _ in vs], cp_pos, [b for b, _ in c["z_loads"]],
-           [p for p, _, _ in c["lines"]], [q for _, q, _ in c["lines"]])
-    y = [y for _, y in c["z_loads"]] + [y for _, _, y in c["lines"]]
-    vs_pos, cp_pos, zl_pos, ln_from, ln_to = (np.array(p, np.intp) for p in pos)
-    z, y = (np.array(w, complex) for w in ([z for _, z in vs], y))
-    return vs_pos, z, cp_pos, zl_pos, ln_from, ln_to, y
 
 
 def _cp_voltage(w: complex, z: complex, s: complex) -> complex:

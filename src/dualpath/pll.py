@@ -74,12 +74,14 @@ def init_locked(
     omega: float,
     omega_nom: float,
     dt: float,
-    sogi_k: float,
+    params: PllParams,
 ) -> None:
     """Initialize the PLL at exact lock on a positive-sequence phasor.
 
     Seeds the *discrete* steady state of the trapezoidal SOGI pair so that an
     equilibrium operating point stays numerically flat from the first step.
+    Locked unless ``|v_pos|`` is below ``params.uv_threshold``, the level
+    below which ``pll_step`` treats the input as collapsed.
     """
     state.theta_est = cmath.phase(v_pos)
     state.omega_est = omega
@@ -87,13 +89,13 @@ def init_locked(
     # discrete steady state: X = dt * (z(I-hA) - (I+hA))^-1 B U per axis
     h = 0.5 * dt
     z = cmath.exp(1j * omega * dt)
-    a11, a12, a21 = -omega * sogi_k, -omega, omega
+    a11, a12, a21 = -omega * params.sogi_k, -omega, omega
     m11 = z * (1 - h * a11) - (1 + h * a11)
     m12 = -h * a12 * (z + 1)
     m21 = -h * a21 * (z + 1)
     m22 = z - 1.0
     det = m11 * m22 - m12 * m21
-    b1 = dt * omega * sogi_k
+    b1 = dt * omega * params.sogi_k
     for u, x1_attr, x2_attr in ((v_pos, "x1a", "x2a"), (-1j * v_pos, "x1b", "x2b")):
         rhs1 = b1 * u
         x1 = m22 * rhs1 / det
@@ -108,7 +110,7 @@ def init_locked(
         state.theta_est = math.atan2(vb_p, va_p) + 0.5 * omega * dt
     state.v_pos = abs(v_pos)
     state.omega_locked = omega
-    state.lock = abs(v_pos) >= 0.05
+    state.lock = abs(v_pos) >= params.uv_threshold
     state.q_filt = 0.0
     state.uv_timer = 0
     state.lock_timer = steps(0.2, dt) if state.lock else 0

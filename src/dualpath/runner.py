@@ -205,24 +205,23 @@ class Simulation:
         # the (step, event) pairs not yet applied, the next due last
         self.events = self._expand_events(cfg.events, cfg.dt)[::-1]
         self.events_log: list = []
-        self.noise_std = cfg.output.noise_std
         # built only when used: importing numpy.random costs memory
-        self.rng = np.random.default_rng(cfg.seed) if self.noise_std > 0.0 else None
+        self.rng = np.random.default_rng(cfg.seed) if cfg.output.noise_std > 0.0 else None
         self._dead_seen: set = set()
         self._by_id = {inv.id: inv for inv in self.invs}
         self.init_rounds = 0
         self.init_mismatch: float | None = None
         # a failed initial solve is reported by run() as an abort before the
-        # first step
+        # first step; it keeps no topology, so step() raises it again
         self.init_error: NonConvergenceError | None = None
+        self._topology = None
         try:
             self._initialize()
         except NonConvergenceError as exc:
             self.init_error = exc
-        # the run's progress: the next step of ``rows``, the record, solve tallies
-        self.k, self.rows = 0, steps(cfg.t_end, self.dt) + 1
-        self.record = _Record(self.rows, len(cfg.buses), len(self.invs),
-                              cfg.output.decimate, self.f_nom)
+        # the run's progress: the next step, the record, solve tallies
+        self.k, self.record = 0, _Record(steps(cfg.t_end, self.dt) + 1, len(cfg.buses),
+                                         len(self.invs), cfg.output.decimate, self.f_nom)
         self.cp_iters_sum = self.cp_iters_max = 0
         self._no_neg = [0j] * len(cfg.buses)
 
@@ -259,7 +258,7 @@ class Simulation:
         self._resolve_topology()
         steered = [
             (bool(grid), [m for m in gfm if not m.droop.ramp_active])
-            for grid, gfm in zip(self._island_grid, self._island_gfm)
+            for grid, gfm in self._island_sources
         ]
         v = None
         for round_idx in range(80):
@@ -329,8 +328,8 @@ class Simulation:
             follow = inv.follow_idx()
             vb = v[follow]
             omega = TWO_PI * freqs[self._bus_island[follow]] if self._live[follow] else self.w0
-            if abs(vb) >= 0.05:
-                init_locked(inv.pll, vb, omega, self.w0, self.dt, inv.cfg.pll.sogi_k)
+            if abs(vb) >= inv.cfg.pll.uv_threshold:  # the step's collapse level
+                init_locked(inv.pll, vb, omega, self.w0, self.dt, inv.cfg.pll)
 
     # -- per-step helpers ------------------------------------------------------
 
@@ -339,22 +338,23 @@ class Simulation:
         formers' couplings to the network in that order, and rebuild what
         else changes only with the topology or a mode: each bus's island and
         live flag, each island's grid sources and formers, and whether a
-        watched breaker is open.  The step calls this when the network
-        version moved (breaker moves, impedance-load steps) or after a
-        plug-in or mode switch."""
+        watched breaker is open, for the network topology kept in
+        ``_topology``.  The step calls this when the network's topology is
+        another object (a breaker move, an impedance-load step) or when
+        ``_topology`` is None (after a plug-in or mode switch)."""
         self._formers = [i for i in self.invs if i.plugged and i.sup.mode is GFM]
         self._followers = [i for i in self.invs if i.plugged and i.sup.mode is GFL]
         self.net.set_formers([(inv.bus, inv.z_c_sys) for inv in self._formers])
-        islands, self._bus_island, self._live = self.net.partition()
-        self._island_grid = [[] for _ in islands]
+        topo = self._topology = self.net.topology()
+        self._bus_island, self._live = topo["island_at"], topo["live"]
+        # each island's (grid sources, formers)
+        self._island_sources = [([], []) for _ in topo["islands"]]
         for src in self.net.grid_sources.values():
-            self._island_grid[self._bus_island[self.net.bus_index[src.bus]]].append(src)
-        self._island_gfm = [[] for _ in islands]
+            self._island_sources[self._bus_island[self.net.bus_index[src.bus]]][0].append(src)
         for inv in self._formers:
-            self._island_gfm[self._bus_island[inv.bus_idx]].append(inv)
+            self._island_sources[self._bus_island[inv.bus_idx]][1].append(inv)
         self._recon_open = any(inv.recon is not None and not inv.breaker.closed
                                for inv in self.invs)
-        self._islands_version = self.net._version
 
     def _solve(self):
         """Solve the network with the plugged formers' EMFs and the
@@ -393,7 +393,7 @@ class Simulation:
         """Per-island frequency: rating-weighted grid sources when present,
         else delivered-power-weighted forming-inverter internal frequencies."""
         freqs = []
-        for grid, gfm in zip(self._island_grid, self._island_gfm):
+        for grid, gfm in self._island_sources:
             wsum = acc = 0.0  # loops, not sum(): compensated from Python 3.12
             if grid:
                 for src in grid:
@@ -432,7 +432,7 @@ class Simulation:
         for inv in self.invs:
             if inv.cfg.pcc_breaker == breaker:
                 inv.sup.breaker_moved(closed)
-                inv.recon.holds_since, inv.recon.ready = None, False
+                inv.recon.reset()
 
     def _request(self, t: float, inv: _Inverter, mode: str, source: str) -> None:
         rec = inv.sup.request(t, Mode[mode.upper()], source, inv.plugged)
@@ -483,14 +483,14 @@ class Simulation:
                     inv.forming()
                     inv.emf = self._v_ref(inv, t)
                     inv.start_ramp_if_low()
-                self._islands_version = -1
+                self._topology = None
         self.events_log.append(TimedEvent(t, ev))
 
     def _switch_mode(self, inv: _Inverter, target: Mode, t: float,
                      v_bus: complex) -> None:
         """Handover bookkeeping once the supervisor accepted the transition;
         the next step re-decides who forms."""
-        self._islands_version = -1
+        self._topology = None
         if target is GFM:
             # choose the internal EMF that keeps the present current flowing;
             # theta must land so that after this step's frame advance the EMF
@@ -526,7 +526,7 @@ class Simulation:
         while events and events[-1][0] <= k:
             self._apply_event(t, events.pop()[1])
 
-        if self._islands_version != self.net._version:
+        if self._topology is None or self._topology is not self.net.topology():
             self._resolve_topology()
 
         # 2. network solve with the references computed last step
@@ -537,7 +537,7 @@ class Simulation:
             if iters > self.cp_iters_max:
                 self.cp_iters_max = iters
         freqs = self._island_frequencies() if self._recon_open else None
-        for isl in report.de_energized_with_load:
+        for isl in self._topology["de_energized_with_load"]:
             key = ",".join(isl)
             if key not in self._dead_seen:
                 self._dead_seen.add(key)
@@ -583,7 +583,7 @@ class Simulation:
             if self.init_error is not None:
                 raise self.init_error
             step = self.step
-            for _ in range(self.k, self.rows):
+            for _ in range(self.k, len(self.record.t)):
                 step()
         except NonConvergenceError as exc:
             where = "initialization" if self.init_error is not None else f"step {self.k}"
@@ -661,7 +661,7 @@ class Simulation:
             sup = inv.sup
             sup.shadow_sync_step(pll, v_bus_mag, live[follow], d, k)
             grid_live = br is not None and br.closed and bool(
-                self._island_grid[bus_island[inv.bus_idx]]
+                self._island_sources[bus_island[inv.bus_idx]][0]
             )
             rec = sup.arbitrate(k, inv.det.tripped, grid_live)
             if rec is not None:
@@ -678,9 +678,9 @@ class Simulation:
         )
         v_meas_det = v_bus_mag
         f_meas_det = f_local
-        if self.noise_std > 0.0:
-            f_meas_det += self.rng.normal(0.0, self.noise_std)
-            v_meas_det += self.rng.normal(0.0, self.noise_std)
+        if self.rng is not None:
+            f_meas_det += self.rng.normal(0.0, self.cfg.output.noise_std)
+            v_meas_det += self.rng.normal(0.0, self.cfg.output.noise_std)
         was_tripped = inv.det.tripped
         inv.det.push(t, f_meas_det, v_meas_det)
         if inv.det.tripped != was_tripped:

@@ -6,19 +6,22 @@ open-circuit voltages, then one product; the closed form for one CP bus
 and its collapse check), the product with the inverse and its refinement
 pass with the residual reduced in the solve, and the power balance as one
 Python sum per state.  Since the network has one bus index, the parts that
-read the per-topology cache read its bus-position layout: the sources,
-formers and injections add into a vector by bus position (an injection on
-a dead bus skipped by its ``live`` flag), the solved vectors are by bus
-position with no scatter, and a CP load's position is its bus's.  The
-independent check of that layout on a dead bus is
-``test_network.py::test_solution_independent_of_bus_ordering``.
+read the network's topology (``Network.topology``) read its bus-position
+layout: the sources, formers and injections add into a vector by bus
+position (an injection on a dead bus skipped by its ``live`` flag), the
+solved vectors are by bus position with no scatter, and a CP load's
+position is its bus's.  The independent check of that layout on a dead bus
+is ``test_network.py::test_solution_independent_of_bus_ordering``.  The
+power balance builds its impedance-load and line terms from the network's
+own loads and lines in service, not from the topology's power-balance
+arrays, which it checks.
 
 Kept as the oracle the solve must match bit for bit, and the block
 power-balance check within ``ROUNDING * power_balance_scale``
 (``tests/test_network.py``, ``tests/test_runner.py``).  It reads the
-network's per-topology cache, so it runs on any ``Network``; run it on a
-second network built like the one under test, since a solve warm-starts
-the next one.
+network's topology, so it runs on any ``Network``; run it on a second
+network built like the one under test, since a solve warm-starts the next
+one.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ import numpy as np
 
 from dualpath.network import (
     CP_V_COLLAPSE,
+    OPEN,
+    ConstantImpedanceLoad,
     NetworkState,
     NonConvergenceError,
     _newton_cp_block,
@@ -43,7 +48,6 @@ class SolveReport:
 
     cp_iterations: int
     residual: float
-    de_energized_with_load: list[list[str]]
 
 
 def solve(
@@ -61,9 +65,7 @@ def solve(
     """
     if len(emfs) != len(self.formers):
         raise ValueError(f"{len(emfs)} EMFs for {len(self.formers)} formers")
-    if self._cache_version != self._version:
-        self._refresh_cache()
-    c = self._cache
+    c = self.topology()
     y: np.ndarray = c["y"]
     yinv: np.ndarray = c["yinv"]
     live = c["live"]
@@ -133,7 +135,7 @@ def solve(
     state = NetworkState(
         v, vl, v_neg, emfs, injections, former_currents, cp_currents
     )
-    return state, SolveReport(iterations, residual, c["de_energized_with_load"])
+    return state, SolveReport(iterations, residual)
 
 
 def power_balance_residual(self, state: NetworkState) -> float:
@@ -148,7 +150,8 @@ def power_balance_residual(self, state: NetworkState) -> float:
     ``V`` the drop across it.  One Python pass over element lists built
     per topology, with no array operation.
     """
-    c = self._cache
+    c = self.topology()
+    z_loads, lines = _dissipating(self, c["live"])
     v = state.v_list
     s = 0j
     for src, p in c["sources"]:
@@ -160,12 +163,26 @@ def power_balance_residual(self, state: NetworkState) -> float:
         s += v[p] * inj.conjugate()
     for (ld, _), i in zip(c["cp_slot"], state.cp_currents):
         s += v[self.bus_index[ld.bus]] * i.conjugate()
-    for b, y_conj in c["z_loads"]:
+    for b, y_conj in z_loads:
         vb = v[b]
         s -= (vb.real * vb.real + vb.imag * vb.imag) * y_conj
-    for p, q, y_conj in c["lines"]:
+    for p, q, y_conj in lines:
         s -= abs(v[p] - v[q]) ** 2 * y_conj
     return abs(s)
+
+
+def _dissipating(self, live: list[bool]) -> tuple[list, list]:
+    """The network's impedance loads on a live bus, less any stepped to zero
+    admittance, as ``(bus position, conj(y))``, and its lines in service on
+    a live island as ``(from position, to position, conj(y))``, from its own
+    elements."""
+    pos = self.bus_index
+    z_loads = [(pos[ld.bus], (1.0 / ld.z).conjugate()) for ld in self.loads.values()
+               if isinstance(ld, ConstantImpedanceLoad) and live[pos[ld.bus]]
+               and ld.z != OPEN]
+    lines = [(pos[ln.from_bus], pos[ln.to_bus], (1.0 / ln.z).conjugate())
+             for ln in self.effective_lines() if live[pos[ln.from_bus]]]
+    return z_loads, lines
 
 
 # |check - oracle| <= ROUNDING * power_balance_scale: both sum the same
@@ -177,7 +194,8 @@ ROUNDING = 4 * np.finfo(float).eps
 def power_balance_scale(self, state: NetworkState) -> float:
     """sum(|term|) over the terms ``power_balance_residual`` adds up for
     the solved state, the scale of the rounding in its sum."""
-    c = self._cache
+    c = self.topology()
+    z_loads, lines = _dissipating(self, c["live"])
     v = state.v_list
     terms = []
     for src, p in c["sources"]:
@@ -188,8 +206,8 @@ def power_balance_scale(self, state: NetworkState) -> float:
     terms += [v[p] * inj.conjugate() for p, inj in state.injections]
     terms += [v[self.bus_index[ld.bus]] * i.conjugate()
               for (ld, _), i in zip(c["cp_slot"], state.cp_currents)]
-    terms += [abs(v[b]) ** 2 * y_conj for b, y_conj in c["z_loads"]]
-    terms += [abs(v[p] - v[q]) ** 2 * y_conj for p, q, y_conj in c["lines"]]
+    terms += [abs(v[b]) ** 2 * y_conj for b, y_conj in z_loads]
+    terms += [abs(v[p] - v[q]) ** 2 * y_conj for p, q, y_conj in lines]
     return math.fsum(abs(t) for t in terms)
 
 

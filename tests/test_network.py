@@ -220,9 +220,9 @@ def test_unusable_admittance_matrix_aborts_naming_it(buses, lines, z_s, match):
                   grid_sources=[GridSource("g", buses[0], 1.0 + 0j, z_s)])
     with pytest.raises(NonConvergenceError, match=match):
         net.solve()
-    # the cache stays stale, so the next solve fails the same way
+    # no topology is kept, so the next read fails the same way
     with pytest.raises(NonConvergenceError, match=match):
-        net.partition()
+        net.topology()
 
 
 def test_one_cp_bus_solve_does_not_depend_on_the_solve_before():
@@ -244,7 +244,6 @@ def test_one_cp_bus_solve_does_not_depend_on_the_solve_before():
     assert np.array_equal(a.v_pos, b.v_pos) and a.cp_currents == b.cp_currents
     assert np.array_equal(ra.mismatch, rb.mismatch)
     assert ra.cp_iterations == rb.cp_iterations == 1
-    assert ra.de_energized_with_load == rb.de_energized_with_load
 
 
 def cp_fixed_point_oracle(net, damping=0.7, tol=1e-14, max_iters=5000):
@@ -408,13 +407,14 @@ def test_de_energized_island_reported_not_fatal():
         loads=[ConstantPowerLoad("cp", "m", 0.4, 0.0)],
     )
     state, rep = net.solve()
-    assert all(net.partition()[2])
+    assert all(net.topology()["live"])
     net.set_breaker("pcc", False)
     state, rep = net.solve()
-    islands, island_at, live = net.partition()
+    topo = net.topology()
+    islands, island_at, live = topo["islands"], topo["island_at"], topo["live"]
     assert (islands, island_at, live) == ([["g"], ["m"]], [0, 1], [True, False])
     assert [isl for isl in islands if not live[net.bus_index[isl[0]]]] == [["m"]]
-    assert rep.de_energized_with_load == [["m"]]
+    assert topo["de_energized_with_load"] == [["m"]] and state.topology is topo
     assert bus_v(net, state, "m") == 0
     assert abs(bus_v(net, state, "g")) == pytest.approx(1.0, abs=1e-9)
 
@@ -497,13 +497,14 @@ def test_solution_independent_of_bus_ordering(order):
         assert abs(bus_v(net, got, bus) - bus_v(ref_net, ref, bus)) < 1e-12
     for bus in "ef":
         assert bus_v(net, got, bus) == 0 and report.mismatch[pos[bus]] == 0
-    assert report.de_energized_with_load == [[b for b in order if b in "ef"]]
+    topo = net.topology()
+    assert topo["de_energized_with_load"] == [[b for b in order if b in "ef"]]
     # an injection on a dead bus flows nowhere: it moves no bit
     fed, fed_report = copy.deepcopy(net).solve(injections=[(pos["e"], 0.3 - 0.1j)])
     assert np.array_equal(fed.v_pos, got.v_pos)
     assert np.array_equal(fed_report.mismatch, report.mismatch)
     # each bus's island and live flag, by bus position
-    islands, island_at, live = net.partition()
+    islands, island_at, live = topo["islands"], topo["island_at"], topo["live"]
     assert sorted(map(sorted, islands)) == [list("abcd"), list("ef")]
     for bus in order:
         assert bus in islands[island_at[pos[bus]]]
@@ -663,7 +664,7 @@ def test_dead_bus_scatter_and_line_losses_match_oracles():
             assert abs(state.v_pos[dead]) > 0.5
         else:
             assert state.v_pos[dead] == 0 and state.v_list[dead] == 0
-            assert report.de_energized_with_load == [["d"]]
+            assert state.topology["de_energized_with_load"] == [["d"]]
         residual = balance_residual(net, state)
         assert residual <= 1e-12
         assert abs(residual - array_loss_residual(net, state)) <= 1e-15
@@ -688,14 +689,14 @@ def test_set_formers_moves_the_topology_only_on_change(monkeypatch):
         Network, "_refresh_cache", lambda net: refreshes.append(1) or refresh(net)
     )
     net = breaker_isolated_load_net()
-    net.solve([1.0 + 0j])
-    version = net._version
+    first, _ = net.solve([1.0 + 0j])
     net.set_formers([("b", 0.005 + 0.05j)])  # the same couplings again
     net.solve([1.0 + 0j])
-    assert net._version == version and len(refreshes) == 1
+    assert net.topology() is first.topology and len(refreshes) == 1
     net.set_formers([("b", 0.005 + 0.05j), ("d", 0.01 + 0.1j)])
     state, _ = net.solve([1.0 + 0j, 1.0 + 0j])
-    assert net._version == version + 1 and len(refreshes) == 2
+    assert state.topology is not first.topology and len(refreshes) == 2
+    assert net.topology() is state.topology and len(refreshes) == 2
     assert len(state.former_currents) == 2
     with pytest.raises(UnknownElementError):
         net.set_formers([("nope", 0.01j)])
@@ -788,8 +789,7 @@ def assert_same_solve(new, old):
     assert sa.v_neg is None or np.array_equal(sa.v_neg, sb.v_neg)
     assert sa.former_currents == sb.former_currents
     assert sa.cp_currents == sb.cp_currents
-    assert (ra.cp_iterations, ra.residual, ra.de_energized_with_load) == (
-        rb.cp_iterations, rb.residual, rb.de_energized_with_load)
+    assert (ra.cp_iterations, ra.residual) == (rb.cp_iterations, rb.residual)
     assert abs(pa - pb) <= solve_oracle.ROUNDING * scale
 
 

@@ -109,7 +109,7 @@ def test_init_locked_is_equilibrium():
     state = PllState(omega_est=W_NOM, omega_locked=W_NOM)
     v = cmath.rect(1.0, 0.3)
     w0 = 2 * math.pi * 60.0
-    init_locked(state, v, w0, w0, DT, PARAMS.sogi_k)
+    init_locked(state, v, w0, w0, DT, PARAMS)
     bias0 = None
     theta_true = 0.3
     for k in range(2000):

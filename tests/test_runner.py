@@ -27,7 +27,7 @@ from dualpath.events import (
 )
 from dualpath.guard import GuardAuditRecord
 from dualpath.metrics import SETTLE_BAND_HZ
-from dualpath.network import Network
+from dualpath.network import Network, NonConvergenceError
 from dualpath.pll import current_refs_from_pq, gfl_injection
 from dualpath.runner import CSV_CHUNK_ROWS, RECORD_BLOCK, Simulation, run, write_outputs
 from dualpath.scenario import parse_config
@@ -194,6 +194,11 @@ def test_non_finite_admittance_aborts_at_start_up(tmp_path):
         "admittance matrix has a non-finite entry"
     )
     assert res.metrics["solver"]["init_mismatch"] is None
+    # stepped by hand, the start-up's error is raised again
+    sim = Simulation(parse_config(d))
+    with pytest.raises(NonConvergenceError, match="non-finite entry"):
+        sim.step()
+    assert sim.k == 0
     scen = tmp_path / "scen.yaml"
     scen.write_text(yaml.safe_dump(d))
     assert cli_main(["run", str(scen), "--out", str(tmp_path / "cli")]) == 2
@@ -550,6 +555,36 @@ def test_follower_on_a_bus_below_0_05_pu_injects_nothing():
     assert inv.inj == 0j and inv.uv_suspended
 
 
+def test_pll_start_up_follows_the_units_collapse_level():
+    # start-up seeds and locks a PLL by its unit's uv_threshold, the level
+    # below which every step treats the input as collapsed: on a bus below
+    # it the lock column reads 0 from row 0, on a bus above it 1, both on
+    # either side of 0.05 pu.  The unit injects nothing, so its bus sits
+    # just below the source's EMF
+    for v, uv_threshold, lock in ((0.07, 0.1, 0), (0.03, 0.02, 1)):
+        d = doc(t_end=0.15)
+        d["grid_sources"][0]["v"] = v
+        d["inverters"][0].update(p_set=0.0, pll={"uv_threshold": uv_threshold})
+        res = run(parse_config(d))
+        assert not res.aborted and len(res.lock) == 1501
+        assert 0.95 * v < res.bus_mag[0, 2] < v
+        assert res.lock[:, 0].tolist() == [lock] * len(res.lock)
+
+
+def test_a_run_keeps_the_simulation_under_the_shared_keys_ceiling():
+    # CPython 3.11 shares an instance dict's keys across instances only
+    # below 30 attributes; a 30th turns the dict into a combined one and
+    # slows every self.x load in the step (the FOUND line on this ceiling
+    # in CHANGES.md: testbed step_us +2.7 %).  A run with noise, a breaker
+    # move and a handover sets every attribute the step reads
+    d = doc(t_end=0.6, output={"noise_std": 0.001}, events=[
+        {"t": 0.3, "type": "breaker_set", "target": "pcc_brk", "closed": False}])
+    sim = Simulation(parse_config(d))
+    res = sim.run()
+    assert not res.aborted and res.mode[-1, 0] == 1
+    assert len(vars(sim)) < 30
+
+
 # three forming units in one island with setpoints and droop gains whose
 # compensated sums differ from the left-to-right ones, and three grid
 # sources in one island likewise
@@ -751,7 +786,7 @@ def test_determinism_across_processes(tmp_path):
     scen = tmp_path / "scen.yaml"
     import yaml as _yaml
 
-    _yaml.safe_dump(doc(t_end=0.2), scen.open("w"))
+    scen.write_text(_yaml.safe_dump(doc(t_end=0.2)))
     root = Path(__file__).resolve().parents[1]
     # the child imports dualpath from this checkout whatever the caller's path
     env = {**os.environ, "PYTHONPATH": str(root / "src")}

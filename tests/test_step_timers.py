@@ -75,7 +75,7 @@ def test_pll_locks_at_step_n(dt, seconds):
     params = PllParams(lock_time=seconds)
     gains = pll_gains(params, W0, dt)
     state = PllState(omega_est=W0, omega_locked=W0)
-    init_locked(state, 1 + 0j, W0, W0, dt, params.sogi_k)
+    init_locked(state, 1 + 0j, W0, W0, dt, params)
     state.lock, state.lock_timer = False, 0
     for k in range(n):
         pll_step(1 + 0j, 0j, cmath.exp(1j * W0 * k * dt), dt, state, params, gains)
