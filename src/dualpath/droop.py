@@ -144,8 +144,8 @@ def virtual_impedance_step(
     clamped to the configured bounds.
     """
     v_out = v_ref - complex(vz.r_v, vz.x_v) * i_meas
-    vz.i_filt += dt * ADAPT_FILTER_CUTOFF * (abs(i_meas) - vz.i_filt)
     if vz.k_adapt > 0.0:
+        vz.i_filt += dt * ADAPT_FILTER_CUTOFF * (abs(i_meas) - vz.i_filt)
         x = vz.x_v + dt * vz.k_adapt * (vz.i_filt - I_ADAPT_THRESHOLD)
         if x > vz.x_v_max:
             x = vz.x_v_max

@@ -27,8 +27,8 @@ scenario).  Definitions:
 * ``solver``: constant-power evaluations per control step (mean and max;
   1 with one CP bus, solved in closed form, Newton iterations with two or
   more, 0 without CP loads) and the worst pre-refinement nodal residual of
-  the network solve over every control step, folded per record block (NaN
-  if any step's is).
+  the network solve over every control step, both folded per record block
+  (the residual NaN if any step's is).
 """
 
 from __future__ import annotations

@@ -89,7 +89,7 @@ class _Inverter:
         "cfg", "id", "bus", "rating_pu", "z_c_sys", "params", "pll", "droop",
         "vz", "sup", "det", "recon", "plugged", "inj", "emf", "i_sys", "s_inv",
         "uv_suspended", "bus_idx", "breaker", "from_idx", "to_idx", "ramp_rate",
-        "pll_gains", "shadow_due",
+        "pll_gains", "shadow_due", "follow", "grid_live",
     )
 
     def __init__(self, cfg: InverterConfig, base: PerUnitBase, dt: float, net: Network):
@@ -122,11 +122,6 @@ class _Inverter:
         # a step has passed since the forming state was last rebuilt from
         # the following path (see ``forming``)
         self.shadow_due = False
-
-    def follow_idx(self) -> int:
-        """Bus position the following path tracks: the utility side of the
-        watched breaker while forming, else the own bus."""
-        return self.from_idx if self.sup.mode is GFM else self.bus_idx
 
     def forming(self) -> DroopState:
         """The forming state as every reader must see it: for a following or
@@ -219,10 +214,9 @@ class Simulation:
             self._initialize()
         except NonConvergenceError as exc:
             self.init_error = exc
-        # the run's progress: the next step, the record, solve tallies
+        # the run's progress: the next step and the record
         self.k, self.record = 0, _Record(steps(cfg.t_end, self.dt) + 1, len(cfg.buses),
                                          len(self.invs), cfg.output.decimate, self.f_nom)
-        self.cp_iters_sum = self.cp_iters_max = 0
         self._no_neg = [0j] * len(cfg.buses)
 
     @staticmethod
@@ -271,7 +265,7 @@ class Simulation:
             if v is not None:
                 # the step's rule, without its event log
                 for inv in self._followers:
-                    self._follower_current(inv, v[inv.bus_idx])
+                    self._follower_current(inv, v[inv.bus_idx], abs(v[inv.bus_idx]))
             v = self._solve()[0].v_list
             for inv in self._formers + self._followers:
                 vb = v[inv.bus_idx]
@@ -325,7 +319,7 @@ class Simulation:
                 d.u_v = uv_handoff(dp, d.v_gfm, d.q_f)
                 d.omega = 1.0 - dp.m_p * (d.p_f - dp.p_set) + d.u
             # PLL starts locked on whatever voltage it follows (at nominal on a dead bus)
-            follow = inv.follow_idx()
+            follow = inv.follow
             vb = v[follow]
             omega = TWO_PI * freqs[self._bus_island[follow]] if self._live[follow] else self.w0
             if abs(vb) >= inv.cfg.pll.uv_threshold:  # the step's collapse level
@@ -334,14 +328,17 @@ class Simulation:
     # -- per-step helpers ------------------------------------------------------
 
     def _resolve_topology(self) -> None:
-        """Decide which plugged units form and which follow, hand the
-        formers' couplings to the network in that order, and rebuild what
-        else changes only with the topology or a mode: each bus's island and
-        live flag, each island's grid sources and formers, and whether a
-        watched breaker is open, for the network topology kept in
-        ``_topology``.  The step calls this when the network's topology is
-        another object (a breaker move, an impedance-load step) or when
-        ``_topology`` is None (after a plug-in or mode switch)."""
+        """Decide which plugged units form and which follow, hand the formers'
+        couplings to the network in that order, and rebuild what else changes
+        only with the topology or a mode, for the network topology kept in
+        ``_topology``: each bus's island and live flag, each island's grid
+        sources and formers, whether a watched breaker is open, and each unit's
+        ``follow`` (the bus its PLL tracks: the watched breaker's utility side
+        while forming, else its own) and ``grid_live`` (its watched breaker is
+        closed with a grid source in its island).  The step calls this when the
+        network's topology is another object (a breaker move, an impedance-load
+        step) or ``_topology`` is None (a plug-in, a mode switch); a switch
+        within a step reads neither unit fact again."""
         self._formers = [i for i in self.invs if i.plugged and i.sup.mode is GFM]
         self._followers = [i for i in self.invs if i.plugged and i.sup.mode is GFL]
         self.net.set_formers([(inv.bus, inv.z_c_sys) for inv in self._formers])
@@ -355,6 +352,10 @@ class Simulation:
             self._island_sources[self._bus_island[inv.bus_idx]][1].append(inv)
         self._recon_open = any(inv.recon is not None and not inv.breaker.closed
                                for inv in self.invs)
+        for inv in self.invs:
+            inv.follow = inv.from_idx if inv.sup.mode is GFM else inv.bus_idx
+            inv.grid_live = inv.recon is not None and inv.breaker.closed and bool(
+                self._island_sources[self._bus_island[inv.bus_idx]][0])
 
     def _solve(self):
         """Solve the network with the plugged formers' EMFs and the
@@ -410,12 +411,12 @@ class Simulation:
                 freqs.append(self.f_nom)
         return freqs
 
-    def _follower_current(self, inv: _Inverter, v_bus: complex) -> bool:
+    def _follower_current(self, inv: _Inverter, v_bus: complex, v_mag: float) -> bool:
         """Set a follower's commanded current for the next solve from its
-        setpoints, the d axis on its bus voltage ``v_bus`` (the inner current
-        loop is ideal, so the delivered power reproduces the setpoint whatever
-        the PLL angle); returns True if an undervoltage suspends it."""
-        v_mag = abs(v_bus)
+        setpoints, the d axis on its bus voltage ``v_bus`` of magnitude
+        ``v_mag`` (the inner current loop is ideal, so the delivered power
+        reproduces the setpoint whatever the PLL angle); returns True if
+        undervoltage suspends it."""
         try:
             i_d, i_q = current_refs_from_pq(inv.params.p_set, inv.params.q_set, v_mag, 0.0)
         except UnderVoltageError:
@@ -531,11 +532,6 @@ class Simulation:
 
         # 2. network solve with the references computed last step
         state, report = self._solve()
-        iters = report.cp_iterations
-        if iters:
-            self.cp_iters_sum += iters
-            if iters > self.cp_iters_max:
-                self.cp_iters_max = iters
         freqs = self._island_frequencies() if self._recon_open else None
         for isl in self._topology["de_energized_with_load"]:
             key = ",".join(isl)
@@ -543,13 +539,14 @@ class Simulation:
                 self._dead_seen.add(key)
                 self.events_log.append(IslandDeenergized(t, key))
 
-        # 3. record (the power balance and the solve's mismatch are checked
-        # per block)
+        # 3. record (the power balance, the solve's mismatch and its CP
+        # evaluations are folded per block)
         record = self.record
         record.t_view[k] = t
         held = record.held
         held.append(state)
         record.mismatch.append(report.mismatch)
+        record.cp_iters.append(report.cp_iterations)
 
         # 4..7 controllers, supervisor, detectors per inverter
         v = state.v_list
@@ -599,8 +596,8 @@ class Simulation:
             **self.record.arrays(self.k),  # the steps completed
             events_log=self.events_log,
             solver={
-                "cp_iterations_mean": self.cp_iters_sum / self.k if self.k else 0.0,
-                "cp_iterations_max": self.cp_iters_max,
+                "cp_iterations_mean": self.record.cp_iters_sum / self.k if self.k else 0.0,
+                "cp_iterations_max": self.record.cp_iters_max,
                 "residual_max": self.record.mismatch_max,
                 "init_rounds": self.init_rounds,
                 "init_mismatch": self.init_mismatch,
@@ -634,7 +631,7 @@ class Simulation:
 
         # following path: PLL on the followed bus waveform (each phase is the
         # real part of its phase phasor rotated by the synthesis angle)
-        follow = inv.follow_idx()
+        follow = inv.follow
         pll = inv.pll
         pll_step(v[follow], v_neg[follow], rot, dt, pll, inv.cfg.pll, inv.pll_gains)
 
@@ -660,10 +657,7 @@ class Simulation:
         if inv.plugged:
             sup = inv.sup
             sup.shadow_sync_step(pll, v_bus_mag, live[follow], d, k)
-            grid_live = br is not None and br.closed and bool(
-                self._island_sources[bus_island[inv.bus_idx]][0]
-            )
-            rec = sup.arbitrate(k, inv.det.tripped, grid_live)
+            rec = sup.arbitrate(k, inv.det.tripped, inv.grid_live)
             if rec is not None:
                 self.events_log.append(rec)
                 if rec.accepted:
@@ -698,7 +692,7 @@ class Simulation:
 
         # references for the next step's solve
         if inv.plugged and mode is GFL:
-            suspended = self._follower_current(inv, v_bus)
+            suspended = self._follower_current(inv, v_bus, v_bus_mag)
             if suspended != inv.uv_suspended:
                 inv.uv_suspended = suspended
                 self.events_log.append(InjectionChange(t, inv.id, suspended))
@@ -732,20 +726,21 @@ RECORD_BLOCK = 256
 
 
 class _Record:
-    """A run's record: per control step only ``t`` (8 B a step); per output
-    row (the steps 0, dec, 2 * dec, ...) the bus voltages and every inverter
-    column, which timeseries.csv reads (16 B a bus and 28 B an inverter a
-    row); the solved bus voltages at the steps in ``keep``; ``fold``, the
-    metrics' fold of each step's ``f``, ``p`` and ``mode``; and two running
-    maxima, NaN once a step's is NaN: ``max_residual``, of each step's
-    power-balance residual, and ``mismatch_max``, of the |entries| of each
-    step's solve mismatch.  It holds the open block of the steps
-    from ``k0`` on: ``held``, their solved states as the power-balance check
-    reads them, ``mismatch``, their solves' KCL mismatch vectors, and
-    ``blocks``, their inverter columns, which the step writes through
-    ``views``, flat memoryviews (element (k - k0) * ni + i is step k,
-    inverter i; about half the cost of numpy item assignment), as it writes
-    ``t`` through ``t_view``.  ``flush`` closes the block.  A copied or
+    """A run's record: per control step only ``t`` (8 B a step); per output row
+    (the steps 0, dec, 2 * dec, ...) the bus voltages and every inverter
+    column, which timeseries.csv reads (16 B a bus and 28 B an inverter a row);
+    the solved bus voltages at the steps in ``keep``; ``fold``, the metrics'
+    fold of each step's ``f``, ``p`` and ``mode``; the sum and the maximum of
+    each step's CP-load evaluations, ``cp_iters_sum`` and ``cp_iters_max``; and
+    two running maxima, NaN once a step's is NaN: ``max_residual``, of each
+    step's power-balance residual, and ``mismatch_max``, of the |entries| of
+    each step's solve mismatch.  It holds the open block of the steps from
+    ``k0`` on: ``held``, their solved states as the power-balance check reads
+    them, ``mismatch`` and ``cp_iters``, their solves' KCL mismatch vectors and
+    CP evaluation counts, and ``blocks``, their inverter columns, which the
+    step writes through ``views``, flat memoryviews (element (k - k0) * ni + i
+    is step k, inverter i; about half the cost of numpy item assignment), as it
+    writes ``t`` through ``t_view``.  ``flush`` closes the block.  A copied or
     unpickled record rebuilds the views, which neither copy nor pickle."""
 
     def __init__(self, rows: int, nb: int, ni: int, dec: int, f_nom: float):
@@ -756,8 +751,9 @@ class _Record:
         self.cols = {c: np.empty((n_out, ni), dtype) for c, dtype in INV_COLUMNS}
         self.blocks = {c: np.empty((RECORD_BLOCK, ni), dtype) for c, dtype in INV_COLUMNS}
         self.held, self.k0 = StateBlock(), 0
-        self.mismatch: list[np.ndarray] = []
+        self.mismatch, self.cp_iters = [], []
         self.max_residual = self.mismatch_max = 0.0
+        self.cp_iters_sum = self.cp_iters_max = 0
         self.keep: set[int] = set()
         self.kept: dict[int, list[complex]] = {}
         self.fold = StepFold(f_nom)
@@ -776,9 +772,9 @@ class _Record:
 
     def flush(self, net: Network) -> None:
         """Check the power balance of the held steps on ``net``, fold them,
-        their residuals and their solve mismatches, move their output rows
-        into the record and open the next block; nothing when no step is
-        held."""
+        their residuals, their solve mismatches and their CP evaluation
+        counts, move their output rows into the record and open the next
+        block; nothing when no step is held."""
         held = self.held
         if not held.groups:
             return
@@ -786,7 +782,9 @@ class _Record:
         # maximum; the mismatches go before the power-balance check allocates
         self.mismatch_max = float(np.abs(np.concatenate(self.mismatch)).max(
             initial=self.mismatch_max))
-        self.mismatch = []
+        self.cp_iters_sum += sum(self.cp_iters)
+        self.cp_iters_max = max(self.cp_iters_max, *self.cp_iters)
+        self.mismatch, self.cp_iters = [], []
         v = held.voltages()
         k0, n, dec = self.k0, len(v), self.dec
         self.max_residual = float(net.power_balance_residual(held).max(

@@ -1,9 +1,11 @@
 """The benchmark's layer trace, ``bench/layertrace.py``, wraps package
 functions by the names the program calls them through; a rename must not
-leave one of its layers empty."""
+leave one of its layers empty.  The benchmark's output check,
+``bench/run.py``, must pass on the sweep."""
 
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import yaml
@@ -69,3 +71,17 @@ def test_arbitration_requests_through_the_counted_method():
         assert not Simulation(parse_config(mode_setpoint_doc())).run().aborted
     assert trace.tally.counts["transitions.requested"] >= 1
     assert trace.tally.counts["transitions.accepted"] == 1
+
+
+def test_sweep_unit_passes_the_bench_reference_check(monkeypatch, tmp_path):
+    # the sweep's scenarios are drawn from the seed, so no library sha256
+    # pin covers them; its bench reference pins each run's metrics within
+    # 1e-9, which moves with any change to the step's floating-point path
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    # registered before it runs: its dataclasses look their module up
+    monkeypatch.setitem(sys.modules, spec.name, bench)
+    spec.loader.exec_module(bench)
+    unit = bench._run_unit("sweep", 0, tmp_path)
+    assert bench._check([unit], bench._load_reference()["sweep"], True)[0] == 0

@@ -18,6 +18,8 @@ from dualpath.droop import (
     virtual_impedance_step,
     voltage_restoration_step,
 )
+from dualpath.runner import Simulation
+from dualpath.scenario import parse_config
 
 W_BASE = 2 * math.pi * 60.0
 DT = 1e-4
@@ -213,3 +215,80 @@ def test_black_start_ramp_monotone():
         black_start_ramp(s, 1e-3, 0.7)
         assert s.v_gfm >= prev
         prev = s.v_gfm
+
+
+# -- the forming path's exact discrete map in a run ---------------------------
+#
+# One former alone on a constant-power load's bus delivers the load to the
+# CP tolerance (about 1e-15), so its power filter, droop and restoration
+# (Pogaku, Prodanovic & Green, IEEE Trans. Power Electronics 2007) form an
+# affine map in (p_f, u), clipped only by the anti-windup clamp:
+#     p_f' = p_f + dt * omega_c * (P - p_f)
+#     omega = 1 - m_p * (p_f' - p_set) + u
+#     u' = clip(u + dt * k_r * (1 - omega), +-U_CLAMP)
+LOAD_STEP_K = 5000  # the first step at the load step's 0.5 s
+
+
+def _former_on_cp_load(m_p: float, k_r: float, dp: float) -> Simulation:
+    return Simulation(parse_config({
+        "name": "former_on_cp_load", "dt": 1e-4, "t_end": 1.5, "buses": ["b1"],
+        "loads": [{"id": "ld", "bus": "b1", "kind": "power", "p": 0.4, "q": 0.05}],
+        "inverters": [{"id": "inv1", "bus": "b1", "mode": "gfm", "p_set": 0.3,
+                       "droop": {"m_p": m_p, "k_r": k_r}}],
+        "events": [{"t": 0.5, "type": "load_step", "target": "ld", "dp": dp, "dq": 0.0}],
+        "output": {"decimate": 1},
+    }))
+
+
+def _forming_map(sim: Simulation, dp: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each step's omega and unclipped next u under the map, from the unit's
+    state after start-up, in closed form.  On a segment at constant load P
+    the linear part A = [[1 - a, 0], [b m_p (1 - a), 1 - b]] (a = dt omega_c,
+    b = dt k_r) is lower triangular, so A^k acts on the deviations from the
+    fixed point (P, m_p (P - p_set)) as
+        e_k = (1 - a)^k e_0
+        w_k = (1 - b)^k w_0 + b m_p (1 - a) e_0 ((1 - a)^k - (1 - b)^k) / (b - a)."""
+    inv = sim.invs[0]
+    dpar, n = inv.params, len(sim.record.t)
+    a, b = sim.dt * dpar.omega_c, sim.dt * dpar.k_r
+    l1, l2 = 1.0 - a, 1.0 - b
+    p_f, u = inv.droop.p_f, inv.droop.u
+    omegas, us = [], []
+    for steps, load in ((LOAD_STEP_K, 0.4), (n - LOAD_STEP_K, 0.4 + dp)):
+        p = load / inv.rating_pu
+        k = np.arange(steps + 1.0)
+        e0, w0 = p_f - p, u - dpar.m_p * (p - dpar.p_set)
+        p_fk = p + l1 ** k * e0
+        u_k = (dpar.m_p * (p - dpar.p_set) + l2 ** k * w0
+               + b * dpar.m_p * l1 * e0 * (l1 ** k - l2 ** k) / (l1 - l2))
+        omegas.append(1.0 - dpar.m_p * (p_fk[1:] - dpar.p_set) + u_k[:-1])
+        us.append(u_k[1:])
+        p_f, u = p_fk[-1], u_k[-1]
+    return np.concatenate(omegas), np.concatenate(us)
+
+
+def test_forming_path_follows_its_exact_discrete_map():
+    # +0.1 pu: u settles at m_p (P - p_set) = 0.002, far inside the clamp
+    sim = _former_on_cp_load(m_p=0.01, k_r=0.5, dp=0.1)
+    omega, u = _forming_map(sim, 0.1)
+    res = sim.run()
+    assert not res.aborted and u.max() < U_CLAMP
+    load = np.where(np.arange(len(res.t)) < LOAD_STEP_K, 0.4, 0.5)
+    assert np.abs(res.p[:, 0] - load / sim.invs[0].rating_pu).max() < 1e-13
+    assert np.abs(res.f[:, 0] - omega * sim.f_nom).max() <= 1e-12
+
+
+def test_forming_path_reaches_the_clamp_at_the_maps_step():
+    # +1.6 pu with m_p 0.05: u heads for m_p (P - p_set) = 0.085 and stops
+    # at U_CLAMP; the map in closed form holds until the clip first acts
+    sim = _former_on_cp_load(m_p=0.05, k_r=2.0, dp=1.6)
+    omega, u = _forming_map(sim, 1.6)
+    k_clamp = int(np.argmax(u >= U_CLAMP))
+    assert LOAD_STEP_K < k_clamp
+    run_u = []
+    while sim.k < len(sim.record.t):
+        sim.step()
+        run_u.append(sim.invs[0].droop.u)
+    assert run_u.index(U_CLAMP) == k_clamp
+    res = sim.run()
+    assert np.abs(res.f[:k_clamp + 1, 0] - omega[:k_clamp + 1] * sim.f_nom).max() <= 1e-12

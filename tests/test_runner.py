@@ -571,6 +571,41 @@ def test_pll_start_up_follows_the_units_collapse_level():
         assert res.lock[:, 0].tolist() == [lock] * len(res.lock)
 
 
+def test_after_a_handover_the_pll_follows_the_utility_side_from_the_next_step(monkeypatch):
+    # inv2 watches the tie breaker and hands over from following to forming
+    # at 5.2 s (step 26000): each step's PLL input is the solved voltage of
+    # the breaker's utility side while the unit formed at the start of that
+    # step, else of its own bus
+    sim = Simulation(parse_config(_library_doc("islanding_restoration", 5.21)))
+    while sim.k < 25990:
+        sim.step()
+    solves, inputs = [], []
+    solve, pll_step = Simulation._solve, dualpath.runner.pll_step
+
+    def recording_solve(self):
+        state, report = solve(self)
+        solves.append(([inv.sup.mode for inv in self.invs], state.v_list))
+        return state, report
+
+    def recording_pll_step(v_pos, *args):
+        inputs.append(v_pos)
+        return pll_step(v_pos, *args)
+
+    monkeypatch.setattr(Simulation, "_solve", recording_solve)
+    monkeypatch.setattr(dualpath.runner, "pll_step", recording_pll_step)
+    assert not sim.run().aborted
+    n = len(sim.invs)
+    assert len(inputs) == n * len(solves) == n * 61
+    for s, (modes, v) in enumerate(solves):
+        for i, inv in enumerate(sim.invs):
+            assert inputs[s * n + i] == v[inv.from_idx if modes[i] is Mode.GFM else inv.bus_idx]
+    # the window holds the handover, and the two buses tell the rules apart
+    inv2 = sim.invs[1]
+    formed = [modes[1] is Mode.GFM for modes, _ in solves]
+    assert formed == [False] * 11 + [True] * 50
+    assert all(v[inv2.from_idx] != v[inv2.bus_idx] for _, v in solves)
+
+
 def test_a_run_keeps_the_simulation_under_the_shared_keys_ceiling():
     # CPython 3.11 shares an instance dict's keys across instances only
     # below 30 attributes; a 30th turns the dict into a combined one and
